@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all rabi_est modules.
 
 Two broad families matter for the CLI exit codes: numerical failures
-(iteration/subdivision budgets exhausted, underflowed normalization) map to
-exit code 2, domain/validity failures map to exit code 3.
+(iteration/subdivision budgets exhausted, divergent information integrals,
+underflowed normalization) map to exit code 2, domain/validity failures map
+to exit code 3.
 """
 
 
@@ -12,6 +13,11 @@ class EstimationError(Exception):
 
 class NonConvergence(EstimationError):
     """An iterative numerical procedure exhausted its budget."""
+
+
+class DivergentInformation(NonConvergence):
+    """An information integral diverges; decided from its closed form before
+    any quadrature runs, so no budget is spent finding out."""
 
 
 class EvidenceUnderflow(EstimationError):

@@ -257,6 +257,8 @@ def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int, tol: Tolerance = DEFAUL
     """
     if not n >= 1:
         raise DomainError(f"trial count n must be >= 1, got {n}")
+    # Fails fast, before the averages, when the prior information diverges.
+    info = prior_fisher(prior, tol)
     w = prior.window
 
     def avg(values_fn) -> float:
@@ -269,7 +271,6 @@ def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int, tol: Tolerance = DEFAUL
     mean_cfi = avg(lambda x: cfi_values(cfg, x))
     mean_qfi = avg(lambda x: qfi_values(cfg, x))
     mean_gap = avg(lambda x: qfi_values(cfg, x) - np.nan_to_num(cfi_values(cfg, x), nan=0.0))
-    info = prior_fisher(prior, tol)
     return BayesFisher(
         bayes_cfi=mean_cfi + info / n,
         bayes_qfi=mean_qfi + info / n,

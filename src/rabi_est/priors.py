@@ -18,10 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import FieldConfig
-from .errors import DegenerateSupport, DomainError
+from .dynamics import FieldConfig, _detuning, q_factor
+from .errors import DegenerateSupport, DivergentInformation, DomainError
 from .fisher import cfi_values
-from .numerics import DEFAULT_TOL, Tolerance, default_step, integrate
+from .numerics import DEFAULT_TOL, Tolerance, integrate
 
 __all__ = [
     "PriorKind",
@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# A zero of sqrt(CFI) this close to the window (relative to the window's
+# magnitude) is inside it to within the rounding of its closed form.
+_ZERO_SLACK = 1e-14
 
 
 class PriorKind(str, Enum):
@@ -135,17 +138,38 @@ def log_density(prior: Prior, omega0):
 
 
 def _jeffreys_dlog(prior: Prior, x: np.ndarray) -> np.ndarray:
-    """Central finite difference of the Jeffreys log-density, with the step
-    shrunk near the window edges so both stencil points stay inside."""
-    w = prior.window
-    h = np.minimum.reduce(
-        [np.maximum(1e-6, 1e-7 * np.abs(x)), 0.5 * (x - w.lower), 0.5 * (w.upper - x)]
-    )
-    return (log_density(prior, x + h) - log_density(prior, x - h)) / (2.0 * h)
+    """Analytic derivative of the Jeffreys log-density.
+
+    Up to a constant the log-density is log|d| + log|sin h - h cos h|
+    - 2 log q - 1/2 log(q^2 - 4 b^2 sin^2 h), with d the detuning, h = q/2
+    and b = b0 sin(theta); the chain rule runs through d' = -1, q' = -d/q
+    and h' = q'/2. Infinite at the zeros of sqrt(CFI).
+    """
+    cfg = prior.field
+    b = cfg.b0 * np.sin(cfg.theta)
+    d = _detuning(cfg, x)
+    q = q_factor(cfg, x)
+    h = 0.5 * q
+    s = np.sin(h)
+    c = np.cos(h)
+    dq = -d / q
+    dh = 0.5 * dq
+    resid = q * q - 4.0 * b * b * s * s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (
+            -1.0 / d
+            + h * s * dh / (s - h * c)
+            - 2.0 * dq / q
+            - (q * dq - 4.0 * b * b * s * c * dh) / resid
+        )
 
 
 def dlog_density(prior: Prior, omega0: float) -> float:
-    """Derivative of the log prior density, strictly inside the window."""
+    """Derivative of the log prior density, strictly inside the window.
+
+    Raises DomainError at a zero of the Jeffreys density, where the
+    log-density has a pole.
+    """
     w = prior.window
     if not w.lower < omega0 < w.upper:
         raise DomainError(
@@ -155,7 +179,54 @@ def dlog_density(prior: Prior, omega0: float) -> float:
         return 0.0
     if prior.kind is PriorKind.GAUSSIAN:
         return -(omega0 - prior.mean) / prior.sigma**2
-    return float(_jeffreys_dlog(prior, np.asarray([omega0]))[0])
+    value = float(_jeffreys_dlog(prior, np.asarray([omega0]))[0])
+    if not math.isfinite(value):
+        raise DomainError(f"the Jeffreys density vanishes at omega0={omega0}")
+    return value
+
+
+def _tan_root(k: int) -> float:
+    """The root of tan h = h in (k pi, k pi + pi/2), for an integer k >= 1.
+
+    sin h - h cos h has sign (-1)^(k+1) at k pi and (-1)^k at k pi + pi/2;
+    bisection halves the bracket down to rounding.
+    """
+    lo, hi = k * math.pi, (k + 0.5) * math.pi
+    positive_at_lo = k % 2 == 1
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (math.sin(mid) - mid * math.cos(mid) > 0.0) == positive_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _sqrt_cfi_zero(field: FieldConfig, window: SupportWindow) -> float | None:
+    """A zero of sqrt(CFI) in the closed window, or None if it has none.
+
+    sqrt(CFI) is proportional to |d (sin h - h cos h)| with d = omega -
+    omega0 - 2 b0 cos(theta) and h = hypot(d/2, b), b = b0 sin(theta). It
+    vanishes at the resonance d = 0 and at d = +-2 sqrt(h_k^2 - b^2) for the
+    roots h_k > b of tan h = h. Those zeros move away from the resonance as k
+    grows, so when the resonance lies outside the window only the first root
+    past the window's near edge can fall inside it.
+    """
+    b = field.b0 * math.sin(field.theta)
+    center = float(_detuning(field, 0.0))
+    slack = _ZERO_SLACK * max(1.0, abs(window.lower), abs(window.upper))
+    lo = window.lower - slack
+    hi = window.upper + slack
+    if lo <= center <= hi:
+        return center
+    near = min(abs(center - lo), abs(center - hi))
+    k = max(1, int(math.hypot(0.5 * near, b) / math.pi))
+    for h in (_tan_root(k), _tan_root(k + 1)):
+        offset = 2.0 * math.sqrt(max(h * h - b * b, 0.0))
+        for zero in (center - offset, center + offset):
+            if lo <= zero <= hi:
+                return zero
+    return None
 
 
 def prior_fisher(prior: Prior, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -163,22 +234,28 @@ def prior_fisher(prior: Prior, tol: Tolerance = DEFAULT_TOL) -> float:
 
     Uniform: identically zero. Gaussian: the untruncated closed form
     1/sigma^2. Jeffreys: quadrature of (dlog density)^2 * density over the
-    window (shrunk by a hair so the difference stencil stays inside); the
-    integral diverges logarithmically when sqrt(CFI) has a zero inside the
-    window, in which case the quadrature raises NonConvergence.
+    window. The integral diverges logarithmically when sqrt(CFI) has a zero
+    in the closed window; that is decided from the closed-form zeros before
+    any quadrature, and raised as DivergentInformation.
     """
     if prior.kind is PriorKind.UNIFORM:
         return 0.0
     if prior.kind is PriorKind.GAUSSIAN:
         return 1.0 / prior.sigma**2
 
+    w = prior.window
+    zero = _sqrt_cfi_zero(prior.field, w)
+    if zero is not None:
+        raise DivergentInformation(
+            f"sqrt(CFI) vanishes at omega0={zero!r} in the window [{w.lower}, {w.upper}]; "
+            "the Jeffreys prior information diverges"
+        )
+
     def integrand(x: np.ndarray) -> np.ndarray:
         d = _jeffreys_dlog(prior, x)
         return d * d * np.exp(log_density(prior, x))
 
-    w = prior.window
-    pad = 1e-7 * w.width
-    return integrate(integrand, w.lower + pad, w.upper - pad, tol)
+    return integrate(integrand, w.lower, w.upper, tol)
 
 
 def window_mass(prior: Prior) -> float:

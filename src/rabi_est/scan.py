@@ -44,6 +44,12 @@ __all__ = [
 _AXIS_NAMES = ("omega", "b0", "theta", "omega0", "xbar")
 _FIELD_AXES = ("omega", "b0", "theta")
 STATUS_OK = "ok"
+# Status vocabularies of the closed-form scans, indexed by integer status code.
+_FISHER_STATUSES = (STATUS_OK, "degenerate_probability", "scaled_cfi_zero")
+_ROOT_STATUSES = ("Unambiguous", "Complex", "NegativeRejected", "Ambiguous")
+_MAP_STATUSES = (STATUS_OK, "dprob_zero")
+# Rows formatted per write by GridTable.to_csv.
+_CSV_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -101,21 +107,38 @@ class GridTable:
     def header(self) -> list[str]:
         return [ax.name for ax in self.axes] + list(self.columns) + ["status"]
 
-    def rows(self):
-        """Row-major cell iterator: (axis values..., column values..., status)."""
-        grids = np.meshgrid(*[ax.values for ax in self.axes], indexing="ij")
-        flat_axes = [g.ravel() for g in grids]
-        cols = list(self.columns.values())
-        for i in range(self.n_cells):
-            yield [g[i] for g in flat_axes] + [c[i] for c in cols] + [self.status[i]]
-
     def to_csv(self, fp) -> None:
-        """Comma-separated output: header row, LF endings, 17 significant digits."""
+        """Comma-separated output: header row, LF endings, 17 significant digits.
+
+        Rows are written in row-major cell order, a chunk of rows per write.
+        Axis values repeat across the grid, so each is formatted only once.
+        """
         fp.write(",".join(self.header()) + "\n")
-        for row in self.rows():
-            fp.write(
-                ",".join(v if isinstance(v, str) else format(v, ".17g") for v in row) + "\n"
+        labels = [
+            np.array([format(v, ".17g") for v in ax.values.tolist()], dtype=object)
+            for ax in self.axes
+        ]
+        shape = tuple(ax.count for ax in self.axes)
+        cols = list(self.columns.values())
+        line = ",".join(["%s"] * len(labels) + ["%.17g"] * len(cols) + ["%s"]) + "\n"
+        for start in range(0, self.n_cells, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, self.n_cells)
+            index = np.unravel_index(np.arange(start, stop), shape)
+            rows = zip(
+                *[lab[i].tolist() for lab, i in zip(labels, index)],
+                *[c[start:stop].tolist() for c in cols],
+                self.status[start:stop],
             )
+            fp.write("".join([line % row for row in rows]))
+
+
+def _status_column(codes: np.ndarray, names: tuple[str, ...]) -> list[str]:
+    """Per-cell status strings for integer codes; cells share the name objects.
+
+    The codes, an object array and the list coexist here, each as long as
+    the scan, so callers pass int8 codes to keep that peak small.
+    """
+    return np.array(names, dtype=object)[codes].tolist()
 
 
 def _cell_grids(axes: Sequence[Axis]) -> dict[str, np.ndarray]:
@@ -172,14 +195,8 @@ def fisher_scan(
     with np.errstate(divide="ignore", invalid="ignore"):
         n_required = 1.0 / (accuracy * cfi_scaled)
 
-    status = []
-    for i in range(cfi_raw.size):
-        if np.isnan(cfi_raw[i]):
-            status.append("degenerate_probability")
-        elif not np.isfinite(n_required[i]):
-            status.append("scaled_cfi_zero")
-        else:
-            status.append(STATUS_OK)
+    codes = np.select([np.isnan(cfi_raw), ~np.isfinite(n_required)], [1, 2], 0).astype(np.int8)
+    status = _status_column(codes, _FISHER_STATUSES)
 
     return GridTable(
         axes=tuple(axes),
@@ -237,16 +254,8 @@ def ml_root_scan(cfg: FieldConfig, axes: tuple[Axis, Axis]) -> GridTable:
     root_plus = np.where(real, center + 2.0 * delta, np.nan)
     root_minus = np.where(real, center - 2.0 * delta, np.nan)
 
-    status = []
-    for i in range(xbar.size):
-        if not real[i]:
-            status.append("Complex")
-        elif root_minus[i] < 0.0:
-            status.append("NegativeRejected")
-        elif root_minus[i] > 0.0:
-            status.append("Ambiguous")
-        else:
-            status.append("Unambiguous")
+    codes = np.select([~real, root_minus < 0.0, root_minus > 0.0], [1, 2, 3], 0).astype(np.int8)
+    status = _status_column(codes, _ROOT_STATUSES)
 
     return GridTable(
         axes=tuple(axes),
@@ -399,12 +408,8 @@ def map_curve(
         xbar = np.asarray(map_stationarity_lhs(cfg, prior, n, omega0s), dtype=float)
     xbar_inf = np.asarray(prob_detect(cfg, omega0s), dtype=float)
     dp = np.asarray(dprob_domega0(cfg, omega0s), dtype=float)
-    status = []
-    for i in range(omega0s.size):
-        if abs(dp[i]) < 1e-12 or not np.isfinite(xbar[i]):
-            status.append("dprob_zero")
-        else:
-            status.append(STATUS_OK)
+    codes = ((np.abs(dp) < 1e-12) | ~np.isfinite(xbar)).astype(np.int8)
+    status = _status_column(codes, _MAP_STATUSES)
     return GridTable(
         axes=(omega0_axis,),
         columns={"xbar": xbar, "xbar_n_inf": xbar_inf},

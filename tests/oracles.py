@@ -1,7 +1,8 @@
 """Independent oracles for expected values.
 
 Everything here is deliberately plain arithmetic: central differences,
-dense-grid composite Simpson, exhaustive enumeration and bisection. The only
+dense-grid composite Simpson, exhaustive enumeration, bisection, dense
+sign-change scans and mpmath quadrature at 30 digits. The only
 package code the oracles touch is the closed-form dynamics layer
 (probabilities and amplitudes); information measures, priors, posteriors and
 estimators are all recomputed from first principles so they independently
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 from rabi_est.dynamics import FieldConfig, amplitudes, prob_detect
@@ -119,6 +121,49 @@ def jeffreys_density_shape(cfg: FieldConfig, x: np.ndarray, h: float = 1e-6) -> 
     with np.errstate(divide="ignore", invalid="ignore"):
         shape = np.abs(dp) / np.sqrt(p * (1.0 - p))
     return np.nan_to_num(shape, nan=0.0, posinf=0.0)
+
+
+def sqrt_cfi_sign_change(cfg: FieldConfig, lower: float, upper: float,
+                         grid: int = 200_001) -> bool:
+    """Whether d (sin h - h cos h), the sign-carrying factor of sqrt(CFI),
+    vanishes or changes sign on a dense grid over [lower, upper]; d is the
+    detuning omega - omega0 - 2 b0 cos(theta) and h = hypot(d/2, b0 sin(theta))."""
+    xs = np.linspace(lower, upper, grid)
+    d = cfg.omega - xs - 2.0 * cfg.b0 * math.cos(cfg.theta)
+    h = np.hypot(0.5 * d, cfg.b0 * math.sin(cfg.theta))
+    f = d * (np.sin(h) - h * np.cos(h))
+    return bool(np.any(f == 0.0) or np.any(np.sign(f[1:]) != np.sign(f[:-1])))
+
+
+def jeffreys_prior_fisher_mp(cfg: FieldConfig, lower: float, upper: float,
+                             dps: int = 30) -> float:
+    """Fisher information of the Jeffreys prior at ``dps`` digits.
+
+    The density is |p'| / sqrt(p (1 - p)), so its log-derivative is
+    p''/p' - (1 - 2p) p' / (2 p (1 - p)); mpmath differentiates the detection
+    probability numerically and integrates with tanh-sinh quadrature.
+    """
+    with mpmath.workdps(dps):
+        b = cfg.b0 * mpmath.sin(cfg.theta)
+        center = cfg.omega - 2 * cfg.b0 * mpmath.cos(cfg.theta)
+
+        def p(x):
+            q = mpmath.sqrt((center - x) ** 2 + 4 * b * b)
+            return (2 * b / q) ** 2 * mpmath.sin(q / 2) ** 2
+
+        def amplitude(x):
+            px = p(x)
+            return abs(mpmath.diff(p, x)) / mpmath.sqrt(px * (1 - px))
+
+        def weighted_score(x):
+            px = p(x)
+            d1 = mpmath.diff(p, x, 1)
+            d2 = mpmath.diff(p, x, 2)
+            dlog = d2 / d1 - (1 - 2 * px) * d1 / (2 * px * (1 - px))
+            return dlog**2 * abs(d1) / mpmath.sqrt(px * (1 - px))
+
+        lo, hi = mpmath.mpf(lower), mpmath.mpf(upper)
+        return float(mpmath.quad(weighted_score, [lo, hi]) / mpmath.quad(amplitude, [lo, hi]))
 
 
 def posterior_mean_dense(

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import simpson_dense
+from oracles import bisect, jeffreys_prior_fisher_mp, simpson_dense, sqrt_cfi_sign_change
 from rabi_est.dynamics import FieldConfig
-from rabi_est.errors import DegenerateSupport, DomainError, NonConvergence
+from rabi_est.errors import (
+    DegenerateSupport,
+    DivergentInformation,
+    DomainError,
+    NonConvergence,
+)
 from rabi_est.fisher import cfi_values
 from rabi_est.numerics import integrate
 from rabi_est.priors import (
@@ -149,3 +154,94 @@ class TestJeffreys:
         prior = Prior.jeffreys(WIDE, CFG)
         with pytest.raises(NonConvergence):
             prior_fisher(prior)
+
+    def test_dlog_at_exact_zero_rejected(self):
+        # The resonance of this drive sits at 2 - 2 cos(1), where the detuning
+        # evaluates to exactly 0 and the log-density has a pole.
+        cfg = FieldConfig(omega=2.0, b0=1.0, theta=1.0)
+        zero = cfg.omega - 2.0 * cfg.b0 * math.cos(cfg.theta)
+        prior = Prior.jeffreys(SupportWindow(0.5, 3.0), cfg)
+        with pytest.raises(DomainError):
+            dlog_density(prior, zero)
+
+
+LANDSCAPE = SupportWindow(1.5, 5.0)
+
+
+def _diverges(cfg: FieldConfig, window: SupportWindow) -> bool:
+    try:
+        value = prior_fisher(Prior.jeffreys(window, cfg))
+    except DivergentInformation:
+        return True
+    assert math.isfinite(value) and value > 0.0
+    return False
+
+
+class TestJeffreysDivergence:
+    @pytest.mark.parametrize(
+        "theta, omegas, window",
+        [
+            # resonance 2 b0 cos(theta) + omega below or inside the window
+            (math.pi / 2, (-3.0, 3.0), LANDSCAPE),
+            (1.0, (-3.0, 3.0), LANDSCAPE),
+            # resonance above the window: only the zeros below it can enter
+            (2.0, (8.0, 16.0), SupportWindow(0.5, 4.0)),
+        ],
+    )
+    def test_raised_exactly_where_sqrt_cfi_vanishes(self, theta, omegas, window):
+        verdicts = []
+        for b0 in np.linspace(0.5, 3.0, 6):
+            for omega in np.linspace(*omegas, 6):
+                cfg = FieldConfig(omega=float(omega), b0=float(b0), theta=theta)
+                expect = sqrt_cfi_sign_change(cfg, window.lower, window.upper)
+                assert _diverges(cfg, window) == expect, (b0, omega)
+                verdicts.append(expect)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_zero_on_window_edge_diverges(self):
+        cfg = FieldConfig(omega=3.0, b0=1.0, theta=1.0)
+        resonance = cfg.omega - 2.0 * cfg.b0 * math.cos(cfg.theta)
+        b = cfg.b0 * math.sin(cfg.theta)
+        h1 = bisect(lambda h: math.sin(h) - h * math.cos(h), math.pi, 1.5 * math.pi)
+        lobe_zero = resonance + 2.0 * math.sqrt(h1 * h1 - b * b)
+        # No other zero lies between the two, so each window below touches
+        # exactly one zero, at one of its edges.
+        assert not sqrt_cfi_sign_change(cfg, resonance + 0.01, lobe_zero - 0.01)
+        for window in (
+            SupportWindow(resonance, resonance + 1.0),
+            SupportWindow(0.5, resonance),
+            SupportWindow(lobe_zero, lobe_zero + 0.5),
+            SupportWindow(resonance + 0.5, lobe_zero),
+        ):
+            with pytest.raises(DivergentInformation):
+                prior_fisher(Prior.jeffreys(window, cfg))
+
+    def test_zero_within_rounding_of_edge_diverges(self):
+        # One ulp outside the window is inside it to the rounding of the
+        # zero's closed form; the integral could not be resolved there anyway.
+        cfg = FieldConfig(omega=3.0, b0=1.0, theta=1.0)
+        resonance = cfg.omega - 2.0 * cfg.b0 * math.cos(cfg.theta)
+        for window in (
+            SupportWindow(float(np.nextafter(resonance, 5.0)), 4.0),
+            SupportWindow(0.5, float(np.nextafter(resonance, 0.0))),
+        ):
+            with pytest.raises(DivergentInformation):
+                prior_fisher(Prior.jeffreys(window, cfg))
+
+    @pytest.mark.parametrize(
+        "omega, b0",
+        [
+            (-3.0, 2.0),  # zero of sqrt(CFI) at omega0 ~ 5.048, just above the window
+            (-5.0 / 3.0, 3.0),  # zero at omega0 ~ 5.024
+        ],
+    )
+    def test_zero_just_outside_window_is_finite(self, omega, b0):
+        cfg = FieldConfig(omega=omega, b0=b0, theta=math.pi / 2)
+        assert not sqrt_cfi_sign_change(cfg, LANDSCAPE.lower, LANDSCAPE.upper)
+        value = prior_fisher(Prior.jeffreys(LANDSCAPE, cfg))
+        reference = jeffreys_prior_fisher_mp(cfg, LANDSCAPE.lower, LANDSCAPE.upper)
+        assert value == pytest.approx(reference, rel=1e-9)
+
+    def test_divergence_is_not_a_budget_failure(self):
+        # Subclassing keeps the CLI exit code and older NonConvergence handlers.
+        assert issubclass(DivergentInformation, NonConvergence)
