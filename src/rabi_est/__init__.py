@@ -6,7 +6,6 @@ seeded Monte Carlo harness and a grid-scan engine."""
 __version__ = "0.1.0"
 
 from .dynamics import FieldConfig, DensityState
-from .fisher import FisherPoint
 from .frequentist import Dataset, EstimateResult, ValidityReport
 from .priors import Prior, PriorKind, SupportWindow
 from .posterior import BayesFisher, MapResult, PosteriorSpec
@@ -17,7 +16,6 @@ __all__ = [
     "__version__",
     "FieldConfig",
     "DensityState",
-    "FisherPoint",
     "Dataset",
     "EstimateResult",
     "ValidityReport",

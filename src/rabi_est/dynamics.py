@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import central_diff
 
 __all__ = [
     "FieldConfig",
@@ -29,7 +28,6 @@ __all__ = [
     "prob_detect",
     "dprob_domega0",
     "ddensity_domega0",
-    "ode_residual",
 ]
 
 
@@ -135,29 +133,3 @@ def ddensity_domega0(cfg: FieldConfig, omega0, t: float = 1.0):
     drho01 = b * np.exp(-1.0j * cfg.omega * t) * (dre + 1.0j * dim)
     return dprob_domega0(cfg, omega0, t), drho01
 
-
-def ode_residual(cfg: FieldConfig, omega0: float, t: float) -> tuple[complex, complex]:
-    """Residuals of the two coupled amplitude ODEs at time t.
-
-    Time derivatives of the closed-form amplitudes are taken by central
-    differences (h = 1e-6); a correct solution leaves both residuals below
-    about 1e-6. Test oracle only.
-    """
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    a = 0.5 * omega0 + cfg.b0 * np.cos(cfg.theta)
-    b = cfg.b0 * np.sin(cfg.theta)
-    h = 1e-6
-
-    def c0_at(s: float) -> complex:
-        return complex(amplitudes(cfg, omega0, s)[0])
-
-    def c1_at(s: float) -> complex:
-        return complex(amplitudes(cfg, omega0, s)[1])
-
-    dc0 = central_diff(c0_at, t, h)
-    dc1 = central_diff(c1_at, t, h)
-    c0, c1 = amplitudes(cfg, omega0, t)
-    r0 = dc0 - (-1.0j * a * c0 - 1.0j * b * np.exp(-1.0j * cfg.omega * t) * c1)
-    r1 = dc1 - (1.0j * a * c1 - 1.0j * b * np.exp(1.0j * cfg.omega * t) * c0)
-    return complex(r0), complex(r1)

@@ -1,10 +1,11 @@
 """Classical and quantum Fisher information for the transition frequency.
 
 The closed forms below come from the photon-count statistics of the driven
-two-level system evaluated at gate time t = 1. ``cfi`` uses the explicit
-rational-trigonometric expression whose removable singularities cancel
-analytically; it only degenerates where the detection probability is pinned
-at 1 (zero-variance data), which is reported as DegenerateProbability.
+two-level system evaluated at gate time t = 1, one array kernel per
+quantity. ``cfi_values`` uses the explicit rational-trigonometric expression
+whose removable singularities cancel analytically; it only degenerates where
+the detection probability is pinned at 1 (zero-variance data), and returns
+NaN there so that callers decide how to report it.
 
 Raw values are in t = 1 units; the omega^2-scaled variants used for the
 dimensionless landscape maps are a separate explicit transform
@@ -13,21 +14,14 @@ dimensionless landscape maps are a separate explicit transform
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import FieldConfig, _detuning, ddensity_domega0, q_factor
-from .errors import DegenerateProbability, DomainError
+from .errors import DomainError
 
 __all__ = [
-    "FisherPoint",
-    "cfi",
     "cfi_values",
-    "qfi",
     "qfi_values",
-    "fisher_gap",
     "sld_matrix",
     "required_samples",
     "paper_scaled",
@@ -37,89 +31,44 @@ __all__ = [
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class FisherPoint:
-    """Classical information, quantum information and their gap at one point."""
+def cfi_values(cfg: FieldConfig, omega0s: np.ndarray) -> np.ndarray:
+    """Classical Fisher information of a single binary detection at t = 1,
+    elementwise over omega0 values.
 
-    cfi: float
-    qfi: float
-    gap: float
-
-
-def _cfi_parts(cfg: FieldConfig, omega0, t: float = 1.0):
-    """Numerator and denominator of the closed-form CFI, plus q^2*(1-rho00)."""
+    Degenerate points (probability within 1e-12 of 1 with nonvanishing
+    numerator) come back as NaN; a numerator vanishing with the probability
+    gives the limiting value 0. Scalar callers use ``float(cfi_values(...))``.
+    """
+    omega0 = np.asarray(omega0s, dtype=float)
     b = cfg.b0 * np.sin(cfg.theta)
     d = _detuning(cfg, omega0)
     q = q_factor(cfg, omega0)
-    half = 0.5 * q * t
+    half = 0.5 * q
     s = np.sin(half)
     shape = s - half * np.cos(half)
     num = 16.0 * b * b * d * d * shape * shape
-    # q^2 - 4 b^2 sin^2(qt/2) == q^2 * (1 - rho00); vanishes only at rho00 = 1
+    # q^2 - 4 b^2 sin^2(q/2) == q^2 * (1 - rho00); vanishes only at rho00 = 1
     resid = q * q - 4.0 * b * b * s * s
-    return num, q**4 * resid, resid, q * q
-
-
-def cfi(cfg: FieldConfig, omega0: float) -> float:
-    """Classical Fisher information of a single binary detection at t = 1.
-
-    Raises DegenerateProbability when the detection probability sits within
-    1e-12 of 1 and the numerator does not vanish with it; a vanishing
-    numerator yields the limiting value 0.
-    """
-    num, den, resid, q2 = _cfi_parts(cfg, omega0)
-    if resid <= _EPS * q2:
-        if num == 0.0:
-            return 0.0
-        raise DegenerateProbability(
-            "detection probability is 1 within guard; CFI denominator underflows"
-        )
-    return float(num / den)
-
-
-def cfi_values(cfg: FieldConfig, omega0s: np.ndarray) -> np.ndarray:
-    """Vectorized CFI over an array of omega0 values.
-
-    Degenerate points (probability pinned at 1 with nonvanishing numerator)
-    come back as NaN instead of raising, so grid scans and quadratures can
-    tag them cell by cell.
-    """
-    num, den, resid, q2 = _cfi_parts(cfg, np.asarray(omega0s, dtype=float))
-    bad = resid <= _EPS * q2
-    out = np.divide(num, den, out=np.zeros_like(num), where=~bad)
+    bad = resid <= _EPS * (q * q)
+    out = np.divide(num, q**4 * resid, out=np.zeros_like(num), where=~bad)
     out[bad & (num != 0.0)] = np.nan
     return out
 
 
-def _qfi_formula(cfg: FieldConfig, omega0, t: float = 1.0):
+def qfi_values(cfg: FieldConfig, omega0s: np.ndarray) -> np.ndarray:
+    """Quantum Fisher information (projective-measurement optimum) at t = 1,
+    elementwise over omega0 values."""
+    omega0 = np.asarray(omega0s, dtype=float)
     b = cfg.b0 * np.sin(cfg.theta)
     d = _detuning(cfg, omega0)
     q = q_factor(cfg, omega0)
-    qt = q * t
-    cos_qt = np.cos(qt)
-    sin_qt = np.sin(qt)
+    cos_q = np.cos(q)
+    sin_q = np.sin(q)
     d2 = d * d
-    x = 2.0 - 2.0 * cos_qt - qt * sin_qt
-    y = (q * q - 2.0 * d2) * (1.0 - cos_qt) / q + d2 * t * sin_qt
-    z = qt * cos_qt - sin_qt
+    x = 2.0 - 2.0 * cos_q - q * sin_q
+    y = (q * q - 2.0 * d2) * (1.0 - cos_q) / q + d2 * sin_q
+    z = q * cos_q - sin_q
     return (4.0 * b * b / q**6) * ((4.0 * b * b * d2 / (q * q)) * x * x + y * y + d2 * z * z)
-
-
-def qfi(cfg: FieldConfig, omega0: float) -> float:
-    """Quantum Fisher information (projective-measurement optimum) at t = 1."""
-    return float(_qfi_formula(cfg, omega0))
-
-
-def qfi_values(cfg: FieldConfig, omega0s: np.ndarray) -> np.ndarray:
-    """Vectorized QFI over an array of omega0 values."""
-    return _qfi_formula(cfg, np.asarray(omega0s, dtype=float))
-
-
-def fisher_gap(cfg: FieldConfig, omega0: float) -> FisherPoint:
-    """CFI, QFI and the gap QFI - CFI bundled for one configuration."""
-    f = cfi(cfg, omega0)
-    h = qfi(cfg, omega0)
-    return FisherPoint(cfi=f, qfi=h, gap=h - f)
 
 
 def sld_matrix(cfg: FieldConfig, omega0: float) -> np.ndarray:

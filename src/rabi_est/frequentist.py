@@ -7,10 +7,12 @@ two roots of a quadratic,
 
     omega0_hat = omega - 2 b0 cos(theta) +/- 2 sqrt(S^2 - b0^2 sin^2(theta)),
 
-valid on the principal sinc branch. Negative roots are rejected (the
-transition frequency is positive); two positive roots leave the estimate
-ambiguous and the choice to the caller, which matches the experimental
-procedure of retuning the drive until one root turns negative.
+valid on the principal sinc branch. :func:`ml_roots` evaluates it over
+arrays; :func:`ml_estimate` and :func:`validity` are its single-rate views.
+Negative roots are rejected (the transition frequency is positive); two
+positive roots leave the estimate ambiguous and the choice to the caller,
+which matches the experimental procedure of retuning the drive until one
+root turns negative.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     NoRealRoot,
     SincDomainViolated,
 )
-from .numerics import inv_sinc
+from .numerics import inv_sinc_values
 
 __all__ = [
     "Dataset",
@@ -38,6 +40,7 @@ __all__ = [
     "EstimateResult",
     "ValidityReport",
     "mvu_p1",
+    "ml_roots",
     "validity",
     "ml_estimate",
     "log_likelihood",
@@ -115,16 +118,55 @@ def mvu_p1(data: Dataset) -> float:
     return data.xbar
 
 
-def validity(xbar: float, cfg: FieldConfig) -> ValidityReport:
-    """Check the two inversion conditions for an observed count rate."""
+# Inversion codes of ml_roots.
+ROOTS_REAL = 0
+ROOTS_SINC_VIOLATED = 1
+ROOTS_COMPLEX = 2
+
+
+def _sinc_inverse(xbar, cfg: FieldConfig):
+    """S on the principal sinc branch (NaN where sqrt(xbar) exceeds
+    b0 |sin theta|) and b0 |sin theta|, elementwise."""
+    bsin = cfg.b0 * np.abs(np.sin(cfg.theta))
+    ratio = np.sqrt(xbar) / bsin
+    ok = ratio <= 1.0
+    s = np.full(np.shape(ratio), np.nan)
+    s[ok] = inv_sinc_values(ratio[ok])
+    return s, bsin
+
+
+def ml_roots(xbar, cfg: FieldConfig):
+    """Both ML inversion roots and an int8 code per count rate, elementwise.
+
+    ``cfg`` may hold arrays that broadcast against ``xbar``. The code is
+    ROOTS_REAL where the roots are real and distinct, ROOTS_SINC_VIOLATED
+    where the sinc inverse is undefined and ROOTS_COMPLEX where the quadratic
+    discriminant is nonpositive; the roots are NaN wherever it is not
+    ROOTS_REAL.
+    """
+    s, bsin = _sinc_inverse(np.asarray(xbar, dtype=float), cfg)
+    disc = s * s - bsin * bsin
+    real = disc > 0.0
+    code = np.select([np.isnan(s), ~real], [ROOTS_SINC_VIOLATED, ROOTS_COMPLEX],
+                     ROOTS_REAL).astype(np.int8)
+    center = cfg.omega - 2.0 * cfg.b0 * np.cos(cfg.theta)
+    delta = np.sqrt(np.where(real, disc, np.nan))
+    return center + 2.0 * delta, center - 2.0 * delta, code
+
+
+def _check_rate(xbar: float) -> None:
     if not 0.0 <= xbar <= 1.0:
         raise DomainError(f"xbar must lie in [0, 1], got {xbar}")
-    bsin = cfg.b0 * abs(math.sin(cfg.theta))
-    ratio = math.sqrt(xbar) / bsin
-    if ratio > 1.0:
-        return ValidityReport(sinc_ok=False, real_distinct=False, s_value=math.nan)
-    s = inv_sinc(ratio)
-    return ValidityReport(sinc_ok=True, real_distinct=s * s > bsin * bsin, s_value=s)
+
+
+def validity(xbar: float, cfg: FieldConfig) -> ValidityReport:
+    """Check the two inversion conditions for an observed count rate."""
+    _check_rate(xbar)
+    s, bsin = _sinc_inverse(np.asarray(xbar, dtype=float), cfg)
+    s = float(s)
+    return ValidityReport(
+        sinc_ok=not math.isnan(s), real_distinct=bool(s * s > bsin * bsin), s_value=s
+    )
 
 
 def ml_estimate(xbar: float, cfg: FieldConfig) -> EstimateResult:
@@ -135,26 +177,22 @@ def ml_estimate(xbar: float, cfg: FieldConfig) -> EstimateResult:
     NoRealRoot when the quadratic discriminant is nonpositive. An observed
     rate of exactly 1 always fails one of the latter two conditions.
     """
-    if not 0.0 <= xbar <= 1.0:
-        raise DomainError(f"xbar must lie in [0, 1], got {xbar}")
+    _check_rate(xbar)
     if xbar == 0.0:
         raise DegenerateData("xbar = 0 carries no information about the frequency")
-    report = validity(xbar, cfg)
-    if not report.sinc_ok:
+    plus, minus, code = ml_roots(xbar, cfg)
+    if code == ROOTS_SINC_VIOLATED:
         raise SincDomainViolated(
             f"sqrt(xbar)={math.sqrt(xbar):.6g} exceeds b0*|sin theta|="
             f"{cfg.b0 * abs(math.sin(cfg.theta)):.6g}"
         )
-    if not report.real_distinct:
+    if code == ROOTS_COMPLEX:
         raise NoRealRoot("S^2 - b0^2 sin^2(theta) <= 0; estimates are not real and distinct")
     if xbar == 1.0:
         raise DegenerateData("xbar = 1 carries no information about the frequency")
 
-    bsin = cfg.b0 * abs(math.sin(cfg.theta))
-    center = cfg.omega - 2.0 * cfg.b0 * math.cos(cfg.theta)
-    delta = 2.0 * math.sqrt(report.s_value**2 - bsin * bsin)
     roots = []
-    for value in (center + delta, center - delta):
+    for value in (float(plus), float(minus)):
         if value > 0.0:
             status = RootStatus.ACCEPTED
         elif value < 0.0:

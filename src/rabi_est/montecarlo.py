@@ -19,11 +19,12 @@ from .dynamics import FieldConfig, prob_detect
 from .errors import (
     AllTrialsDegenerate,
     DegenerateData,
+    DegenerateProbability,
     DomainError,
     NoRealRoot,
     SincDomainViolated,
 )
-from .fisher import cfi
+from .fisher import cfi_values
 from .frequentist import Ambiguity, Dataset, ml_estimate
 from .numerics import DEFAULT_TOL, Tolerance
 from .posterior import PosteriorSpec, bayes_fisher, map_estimate, mmse
@@ -95,23 +96,26 @@ def simulate_dataset(cfg: FieldConfig, omega0_true: float, n: int, seed: int, st
     return Dataset(n=n, k=k)
 
 
-def _single_estimate(tc: TrialConfig, data: Dataset) -> float:
-    if tc.estimator is Estimator.ML:
-        result = ml_estimate(data.xbar, tc.cfg)
-        accepted = result.accepted
-        if result.ambiguity is Ambiguity.AMBIGUOUS:
-            raise _Ambiguous()
-        if not accepted:
-            raise NoRealRoot("both candidate frequencies rejected as nonpositive")
-        return accepted[0]
-    spec = PosteriorSpec(data=data, cfg=tc.cfg, prior=tc.prior, quad_tol=tc.quad_tol)
-    if tc.estimator is Estimator.MMSE:
-        return mmse(spec)
-    return map_estimate(spec).best.value
+# Outcomes of trials that yield no estimate.
+_AMBIGUOUS = "ambiguous"
+_DEGENERATE = "degenerate"
 
 
-class _Ambiguous(Exception):
-    pass
+def _outcome(tc: TrialConfig, data: Dataset):
+    """The trial's estimate, or the reason it has none."""
+    try:
+        if tc.estimator is Estimator.ML:
+            result = ml_estimate(data.xbar, tc.cfg)
+            if result.ambiguity is Ambiguity.AMBIGUOUS:
+                return _AMBIGUOUS
+            # Both candidate frequencies rejected as nonpositive.
+            return result.accepted[0] if result.accepted else _DEGENERATE
+        spec = PosteriorSpec(data=data, cfg=tc.cfg, prior=tc.prior, quad_tol=tc.quad_tol)
+        if tc.estimator is Estimator.MMSE:
+            return mmse(spec)
+        return map_estimate(spec).best.value
+    except (DegenerateData, NoRealRoot, SincDomainViolated):
+        return _DEGENERATE
 
 
 def run_trials(tc: TrialConfig) -> TrialReport:
@@ -119,20 +123,20 @@ def run_trials(tc: TrialConfig) -> TrialReport:
 
     ML trials yielding ambiguous, complex or degenerate inversions are
     counted and excluded from the moments (resolving ties toward the true
-    value would leak the parameter into the estimator). Moments are reduced
-    in fixed trial order, so the report is bitwise reproducible.
+    value would leak the parameter into the estimator). The estimators are
+    deterministic in (n, k), so each distinct count is estimated once, in
+    order of first appearance. Moments are reduced in fixed trial order, so
+    the report is bitwise reproducible.
     """
-    estimates = []
-    degenerate = 0
-    ambiguous = 0
-    for i in range(tc.trials):
-        data = simulate_dataset(tc.cfg, tc.omega0_true, tc.n, tc.seed, stream=i)
-        try:
-            estimates.append(_single_estimate(tc, data))
-        except _Ambiguous:
-            ambiguous += 1
-        except (DegenerateData, NoRealRoot, SincDomainViolated):
-            degenerate += 1
+    ks = [
+        simulate_dataset(tc.cfg, tc.omega0_true, tc.n, tc.seed, stream=i).k
+        for i in range(tc.trials)
+    ]
+    by_count = {k: _outcome(tc, Dataset(n=tc.n, k=k)) for k in dict.fromkeys(ks)}
+    outcomes = [by_count[k] for k in ks]
+    estimates = [o for o in outcomes if not isinstance(o, str)]
+    degenerate = outcomes.count(_DEGENERATE)
+    ambiguous = outcomes.count(_AMBIGUOUS)
     if not estimates:
         raise AllTrialsDegenerate(
             f"no usable estimate in {tc.trials} trials "
@@ -142,7 +146,12 @@ def run_trials(tc: TrialConfig) -> TrialReport:
     arr = np.asarray(estimates)
     mean = float(np.sum(arr) / arr.size)
     variance = float(np.sum((arr - mean) ** 2) / (arr.size - 1)) if arr.size > 1 else math.nan
-    crb = 1.0 / (tc.n * cfi(tc.cfg, tc.omega0_true))
+    info = float(cfi_values(tc.cfg, tc.omega0_true))
+    if math.isnan(info):
+        raise DegenerateProbability(
+            "detection probability is 1 within guard at the true frequency; CFI undefined"
+        )
+    crb = 1.0 / (tc.n * info)
     vantrees = None
     if tc.prior is not None:
         vantrees = 1.0 / (tc.n * bayes_fisher(tc.cfg, tc.prior, tc.n).bayes_cfi)

@@ -1,17 +1,17 @@
-"""Self-contained numerical kernel: quadrature, root finding, inverse sinc,
-finite differences, and local-maxima search.
+"""Self-contained numerical kernel: quadrature, root finding, inverse sinc
+and local-maxima search.
 
 All routines are pure functions of their arguments and safe for concurrent
-use. Integrands passed to :func:`integrate` should accept a 1-D numpy array
-and evaluate elementwise (any expression built from numpy ufuncs qualifies);
-scalar-only callables are detected and wrapped automatically.
+use. Integrands passed to :func:`integrate`, and functions passed to
+:func:`local_maxima`, must accept a 1-D numpy array and evaluate elementwise
+(any expression built from numpy ufuncs qualifies).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,10 +24,7 @@ __all__ = [
     "DEFAULT_TOL",
     "integrate",
     "find_root_bracketed",
-    "inv_sinc",
     "inv_sinc_values",
-    "central_diff",
-    "default_step",
     "local_maxima",
 ]
 
@@ -79,22 +76,6 @@ class LocalMaximum:
     boundary: bool = False
 
 
-def _vectorized(f: Callable, a: float, b: float) -> Callable:
-    """Return a version of ``f`` that maps a 1-D array to a 1-D array."""
-    probe = np.array([a, 0.5 * (a + b), b], dtype=float)
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return f
-    except (TypeError, ValueError):
-        pass
-
-    def wrapped(x: np.ndarray) -> np.ndarray:
-        return np.array([float(f(xi)) for xi in np.atleast_1d(x)])
-
-    return wrapped
-
-
 def integrate(f: Callable, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Adaptive Simpson quadrature of ``f`` over [lo, hi].
 
@@ -105,19 +86,16 @@ def integrate(f: Callable, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -
     """
     if not lo < hi:
         raise DomainError(f"integration bounds require lo < hi, got [{lo}, {hi}]")
-    fv = _vectorized(f, lo, hi)
 
     n0 = 10
     edges = np.linspace(lo, hi, n0 + 1)
     a = edges[:-1].copy()
     b = edges[1:].copy()
     mid = 0.5 * (a + b)
-    fa = fv(a)
-    fb = np.empty_like(fa)
-    fb[:-1] = fa[1:]
-    fb[-1] = fv(np.array([hi]))[0]
-    fm = fv(mid)
-    if not (np.all(np.isfinite(fa)) and np.all(np.isfinite(fm)) and np.all(np.isfinite(fb))):
+    fe = f(edges)
+    fa, fb = fe[:-1], fe[1:]
+    fm = f(mid)
+    if not (np.all(np.isfinite(fe)) and np.all(np.isfinite(fm))):
         raise DomainError("integrand is not finite on the integration interval")
     simp = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -129,8 +107,8 @@ def integrate(f: Callable, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -
     while len(a) > 0:
         ml = 0.5 * (a + mid)
         mr = 0.5 * (mid + b)
-        fml = fv(ml)
-        fmr = fv(mr)
+        fml = f(ml)
+        fmr = f(mr)
         sl = (mid - a) / 6.0 * (fa + 4.0 * fml + fm)
         sr = (b - mid) / 6.0 * (fm + 4.0 * fmr + fb)
         err = sl + sr - simp
@@ -197,61 +175,16 @@ def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance 
     raise NonConvergence(f"root finding exceeded {tol.max_iter} iterations")
 
 
-def _sinc(x: float) -> float:
-    return 1.0 if x == 0.0 else math.sin(x) / x
-
-
-def inv_sinc(y: float) -> float:
-    """Inverse of sin(x)/x restricted to the branch [0, pi].
-
-    sinc decreases monotonically from 1 to 0 on this branch, so 20 bisection
-    steps give a safe seed for Newton iteration with the analytic derivative;
-    bisection resumes if a Newton step leaves the bracket.
-    """
-    if not 0.0 <= y <= 1.0:
-        raise DomainError(f"inv_sinc requires y in [0, 1], got {y}")
-    if y == 1.0:
-        return 0.0
-    if y == 0.0:
-        return math.pi
-
-    lo, hi = 0.0, math.pi
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        if _sinc(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        g = _sinc(x) - y
-        if g > 0.0:
-            lo = x
-        else:
-            hi = x
-        # d/dx sinc = (cos x - sinc x)/x, nonzero on (0, pi)
-        deriv = (math.cos(x) - _sinc(x)) / x if x != 0.0 else 0.0
-        step_ok = deriv != 0.0
-        if step_ok:
-            x_new = x - g / deriv
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-16 * max(1.0, x):
-            return x_new
-        x = x_new
-    return x
-
-
 def inv_sinc_values(y: np.ndarray) -> np.ndarray:
-    """Vectorized inverse sinc on the [0, pi] branch via pure bisection.
+    """Inverse of sin(x)/x restricted to the branch [0, pi], elementwise.
 
-    64 halvings take the bracket below double-precision resolution; intended
-    for grid scans where per-cell error handling happens upstream (the caller
-    masks y outside [0, 1]).
+    sinc decreases monotonically from 1 to 0 on this branch, so pure
+    bisection applies; 64 halvings take the bracket below double-precision
+    resolution. Raises DomainError if any y lies outside [0, 1].
     """
     y = np.asarray(y, dtype=float)
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise DomainError("inv_sinc_values requires every y in [0, 1]")
     lo = np.zeros_like(y)
     hi = np.full_like(y, math.pi)
     for _ in range(64):
@@ -265,18 +198,6 @@ def inv_sinc_values(y: np.ndarray) -> np.ndarray:
     out = np.where(y == 1.0, 0.0, out)
     out = np.where(y == 0.0, math.pi, out)
     return out
-
-
-def default_step(x: float) -> float:
-    """Finite-difference step balancing truncation and rounding at double precision."""
-    return max(1e-6, 1e-7 * abs(x))
-
-
-def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """Second-order central difference (f(x+h) - f(x-h)) / (2h)."""
-    if h <= 0.0:
-        raise DomainError(f"step h must be positive, got {h}")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def _golden_max(f: Callable[[float], float], a: float, b: float, width_target: float) -> float:
@@ -324,7 +245,7 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, width_target: f
 
 
 def local_maxima(
-    f: Callable[[float], float],
+    f: Callable,
     lo: float,
     hi: float,
     grid_points: int,
@@ -332,27 +253,29 @@ def local_maxima(
 ) -> list[LocalMaximum]:
     """All local maxima of ``f`` on [lo, hi], located on a grid and refined.
 
-    Interior grid peaks are polished by golden-section search confined to one
-    grid cell on each side (which prevents jumping between modes). Endpoints
-    enter as boundary candidates when the function is maximal there. Results
-    are sorted ascending.
+    The grid is evaluated in one array call of ``f``; the refinement then
+    calls it with single floats. Interior grid peaks are polished by
+    golden-section search confined to one grid cell on each side (which
+    prevents jumping between modes). Endpoints enter as boundary candidates
+    when the function is maximal there. Results are sorted ascending.
     """
     if grid_points < 3:
         raise DomainError(f"grid_points must be >= 3, got {grid_points}")
     if not lo < hi:
         raise DomainError(f"search interval requires lo < hi, got [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid_points)
-    ys = np.array([float(f(x)) for x in xs])
+    ys = np.asarray(f(xs), dtype=float)
     cell = xs[1] - xs[0]
+    mid, left, right = ys[1:-1], ys[:-2], ys[2:]
+    peaks = (mid >= left) & (mid >= right) & ((mid > left) | (mid > right))
 
     found: list[LocalMaximum] = []
     if ys[0] > ys[1]:
         found.append(LocalMaximum(float(xs[0]), boundary=True))
-    for i in range(1, grid_points - 1):
-        if ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1] and (ys[i] > ys[i - 1] or ys[i] > ys[i + 1]):
-            width_target = tol.target(max(abs(xs[i - 1]), abs(xs[i + 1])))
-            x_ref = _golden_max(f, float(xs[i - 1]), float(xs[i + 1]), width_target)
-            found.append(LocalMaximum(x_ref, boundary=False))
+    for i in np.flatnonzero(peaks) + 1:
+        width_target = tol.target(max(abs(xs[i - 1]), abs(xs[i + 1])))
+        x_ref = _golden_max(f, float(xs[i - 1]), float(xs[i + 1]), width_target)
+        found.append(LocalMaximum(x_ref, boundary=False))
     if ys[-1] > ys[-2]:
         found.append(LocalMaximum(float(xs[-1]), boundary=True))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .dynamics import FieldConfig, dprob_domega0, prob_detect
 from .errors import DomainError, EvidenceUnderflow
 from .fisher import cfi_values, qfi_values
 from .frequentist import Dataset, log_likelihood_counts
-from .numerics import DEFAULT_TOL, Tolerance, default_step, integrate, local_maxima
-from .priors import Prior, PriorKind, log_density, truncated_density, prior_fisher
+from .numerics import DEFAULT_TOL, Tolerance, integrate, local_maxima
+from .priors import Prior, log_density, prior_fisher, prior_score, truncated_density
 
 __all__ = [
     "PosteriorSpec",
@@ -168,36 +168,19 @@ def mmse(spec: PosteriorSpec) -> float:
 
 def map_stationarity_lhs(cfg: FieldConfig, prior: Prior, n: float, omega0):
     """Left side of the MAP stationarity equation, which equals xbar at any
-    stationary point of the log posterior with nonvanishing probability slope.
+    stationary point of the log posterior with nonvanishing probability slope:
 
-    Uniform prior: the detection probability itself (MAP reduces to ML).
-    Gaussian: (omega0-mean)/(n sigma^2) * p(1-p)/p' + p.
-    Jeffreys: -(1/n) p(1-p)/p' * d ln|p'| + (1-2p)/(2n) + p, with the
-    log-slope derivative taken by central differences. Accepts arrays.
+        p - p (1 - p) score / (n p'),
+
+    with score = d log(prior)/d omega0. A zero score (the uniform prior)
+    leaves p itself, also where p' = 0, so MAP reduces to ML. Accepts arrays.
     """
     x = np.asarray(omega0, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     p = prob_detect(cfg, x)
-    if prior.kind is PriorKind.UNIFORM:
-        vals = p
-    else:
-        dp = dprob_domega0(cfg, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if prior.kind is PriorKind.GAUSSIAN:
-                vals = (x - prior.mean) / (n * prior.sigma**2) * p * (1.0 - p) / dp + p
-            else:
-                h = np.maximum(1e-6, 1e-7 * np.abs(x))
-                dlogslope = (
-                    np.log(np.abs(dprob_domega0(cfg, x + h)))
-                    - np.log(np.abs(dprob_domega0(cfg, x - h)))
-                ) / (2.0 * h)
-                vals = (
-                    -(p * (1.0 - p) / dp) * dlogslope / n
-                    + (1.0 - 2.0 * p) / (2.0 * n)
-                    + p
-                )
-    return float(vals[0]) if scalar else vals
+    score = prior_score(prior, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        correction = p * (1.0 - p) * score / (n * dprob_domega0(cfg, x))
+    return p - np.where(score == 0.0, 0.0, correction)
 
 
 def map_estimate(spec: PosteriorSpec, grid_points: int = 2001) -> MapResult:
@@ -213,9 +196,7 @@ def map_estimate(spec: PosteriorSpec, grid_points: int = 2001) -> MapResult:
         raise DomainError(f"grid_points must be >= 101, got {grid_points}")
     w = spec.prior.window
 
-    def g(x: float) -> float:
-        return float(_log_joint(spec, x))
-
+    g = partial(_log_joint, spec)
     peaks = local_maxima(g, w.lower, w.upper, grid_points, spec.quad_tol)
     log_z = _log_evidence(spec)
     xbar = spec.data.xbar if spec.data.n > 0 else math.nan

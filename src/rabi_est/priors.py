@@ -28,6 +28,7 @@ __all__ = [
     "SupportWindow",
     "Prior",
     "log_density",
+    "prior_score",
     "dlog_density",
     "prior_fisher",
     "jeffreys_normalizer",
@@ -137,14 +138,20 @@ def log_density(prior: Prior, omega0):
     return float(vals[0]) if scalar else vals
 
 
-def _jeffreys_dlog(prior: Prior, x: np.ndarray) -> np.ndarray:
-    """Analytic derivative of the Jeffreys log-density.
+def prior_score(prior: Prior, omega0):
+    """Derivative of the log prior density, d log pi / d omega0, elementwise.
 
-    Up to a constant the log-density is log|d| + log|sin h - h cos h|
-    - 2 log q - 1/2 log(q^2 - 4 b^2 sin^2 h), with d the detuning, h = q/2
-    and b = b0 sin(theta); the chain rule runs through d' = -1, q' = -d/q
-    and h' = q'/2. Infinite at the zeros of sqrt(CFI).
+    Uniform: 0. Gaussian: -(omega0 - mean)/sigma^2. Jeffreys: up to a
+    constant the log-density is log|d| + log|sin h - h cos h| - 2 log q
+    - 1/2 log(q^2 - 4 b^2 sin^2 h), with d the detuning, h = q/2 and
+    b = b0 sin(theta); the chain rule runs through d' = -1, q' = -d/q and
+    h' = q'/2. Infinite at the zeros of sqrt(CFI). The window is not checked.
     """
+    x = np.asarray(omega0, dtype=float)
+    if prior.kind is PriorKind.UNIFORM:
+        return np.zeros_like(x)
+    if prior.kind is PriorKind.GAUSSIAN:
+        return -(x - prior.mean) / prior.sigma**2
     cfg = prior.field
     b = cfg.b0 * np.sin(cfg.theta)
     d = _detuning(cfg, x)
@@ -175,11 +182,7 @@ def dlog_density(prior: Prior, omega0: float) -> float:
         raise DomainError(
             f"omega0={omega0} is not strictly inside the window [{w.lower}, {w.upper}]"
         )
-    if prior.kind is PriorKind.UNIFORM:
-        return 0.0
-    if prior.kind is PriorKind.GAUSSIAN:
-        return -(omega0 - prior.mean) / prior.sigma**2
-    value = float(_jeffreys_dlog(prior, np.asarray([omega0]))[0])
+    value = float(prior_score(prior, omega0))
     if not math.isfinite(value):
         raise DomainError(f"the Jeffreys density vanishes at omega0={omega0}")
     return value
@@ -252,7 +255,7 @@ def prior_fisher(prior: Prior, tol: Tolerance = DEFAULT_TOL) -> float:
         )
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        d = _jeffreys_dlog(prior, x)
+        d = prior_score(prior, x)
         return d * d * np.exp(log_density(prior, x))
 
     return integrate(integrand, w.lower, w.upper, tol)

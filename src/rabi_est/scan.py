@@ -25,9 +25,9 @@ import numpy as np
 
 from .dynamics import FieldConfig, dprob_domega0, prob_detect
 from .errors import DomainError, EstimationError
-from .fisher import cfi_values, qfi_values, paper_scaled
-from .frequentist import Dataset
-from .numerics import DEFAULT_TOL, Tolerance, inv_sinc_values
+from .fisher import cfi_values, qfi_values
+from .frequentist import ROOTS_REAL, Dataset, ml_roots
+from .numerics import DEFAULT_TOL, Tolerance
 from .posterior import PosteriorSpec, bayes_fisher, map_stationarity_lhs, mmse
 from .priors import Prior, PriorKind
 
@@ -238,24 +238,12 @@ def ml_root_scan(cfg: FieldConfig, axes: tuple[Axis, Axis]) -> GridTable:
     varied = _cell_grids(axes)
     xbar = varied["xbar"]
     fields = _field_arrays(cfg, varied)
-    sin_theta = abs(np.sin(fields.theta))
-    bsin = fields.b0 * sin_theta
-    ratio = np.sqrt(xbar) / bsin
-
-    s = np.full_like(xbar, np.nan)
-    ok = ratio <= 1.0
-    s[ok] = inv_sinc_values(ratio[ok])
-    disc = s * s - bsin * bsin
-    real = ok & (disc > 0.0)
-
-    center = fields.omega - 2.0 * fields.b0 * np.cos(fields.theta)
-    center = np.broadcast_to(np.asarray(center, dtype=float), xbar.shape).copy()
-    delta = np.sqrt(np.where(real, disc, np.nan))
-    root_plus = np.where(real, center + 2.0 * delta, np.nan)
-    root_minus = np.where(real, center - 2.0 * delta, np.nan)
-
-    codes = np.select([~real, root_minus < 0.0, root_minus > 0.0], [1, 2, 3], 0).astype(np.int8)
+    root_plus, root_minus, inversion = ml_roots(xbar, fields)
+    codes = np.select(
+        [inversion != ROOTS_REAL, root_minus < 0.0, root_minus > 0.0], [1, 2, 3], 0
+    ).astype(np.int8)
     status = _status_column(codes, _ROOT_STATUSES)
+    sin_theta = abs(np.sin(fields.theta))
 
     return GridTable(
         axes=tuple(axes),
@@ -404,8 +392,7 @@ def map_curve(
     if prior.kind not in (PriorKind.JEFFREYS, PriorKind.GAUSSIAN):
         raise DomainError("map_curve applies to the Jeffreys and Gaussian priors")
     omega0s = omega0_axis.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xbar = np.asarray(map_stationarity_lhs(cfg, prior, n, omega0s), dtype=float)
+    xbar = map_stationarity_lhs(cfg, prior, n, omega0s)
     xbar_inf = np.asarray(prob_detect(cfg, omega0s), dtype=float)
     dp = np.asarray(dprob_domega0(cfg, omega0s), dtype=float)
     codes = ((np.abs(dp) < 1e-12) | ~np.isfinite(xbar)).astype(np.int8)

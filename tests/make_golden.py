@@ -172,21 +172,8 @@ def posterior_points() -> dict:
     jeff_logd = 0.5 * math.log(oracles.cfi_oracle(CFG, 2.0)) - math.log(jeffreys_norm)
 
     # Fisher information of the Jeffreys prior restricted to a window where
-    # sqrt(CFI) has no zeros, by dense quadrature of (dlog density)^2 density.
-    lo_n, hi_n = 1.5, 3.0
-    norm_n = oracles.simpson_dense(
-        lambda x: np.sqrt(oracles.cfi_oracle(CFG, x)), lo_n, hi_n, 80_001
-    )
-
-    def fisher_integrand(x):
-        x = np.atleast_1d(x)
-        h = 1e-6
-        logd = lambda y: 0.5 * np.log(oracles.cfi_oracle(CFG, y)) - math.log(norm_n)
-        dlog = (logd(x + h) - logd(x - h)) / (2.0 * h)
-        return dlog * dlog * np.exp(logd(x))
-
-    pad = 1e-7 * (hi_n - lo_n)
-    jeff_fisher_narrow = oracles.simpson_dense(fisher_integrand, lo_n + pad, hi_n - pad, 80_001)
+    # sqrt(CFI) has no zeros, by 30-digit quadrature of (dlog density)^2 density.
+    jeff_fisher_narrow = oracles.jeffreys_prior_fisher_mp(CFG, 1.5, 3.0)
 
     return {
         "mmse_nodata_gaussian": _posterior_mean_grid(xs, logp, log1mp, logdens_gauss, 0, 0),

@@ -18,11 +18,46 @@ import mpmath
 import numpy as np
 
 from rabi_est.dynamics import FieldConfig, amplitudes, prob_detect
+from rabi_est.errors import DomainError
 
 
 def fd(f, x: float, h: float = 1e-6) -> float:
     """Plain central difference."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def central_diff(f, x: float, h: float) -> float:
+    """Second-order central difference (f(x+h) - f(x-h)) / (2h)."""
+    if h <= 0.0:
+        raise DomainError(f"step h must be positive, got {h}")
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def ode_residual(cfg: FieldConfig, omega0: float, t: float) -> tuple[complex, complex]:
+    """Residuals of the two coupled amplitude ODEs at time t.
+
+    Time derivatives of the closed-form amplitudes are taken by central
+    differences (h = 1e-6); a correct solution leaves both residuals below
+    about 1e-6.
+    """
+    if t < 0:
+        raise DomainError(f"time must be nonnegative, got {t}")
+    a = 0.5 * omega0 + cfg.b0 * np.cos(cfg.theta)
+    b = cfg.b0 * np.sin(cfg.theta)
+    h = 1e-6
+
+    def c0_at(s: float) -> complex:
+        return complex(amplitudes(cfg, omega0, s)[0])
+
+    def c1_at(s: float) -> complex:
+        return complex(amplitudes(cfg, omega0, s)[1])
+
+    dc0 = central_diff(c0_at, t, h)
+    dc1 = central_diff(c1_at, t, h)
+    c0, c1 = amplitudes(cfg, omega0, t)
+    r0 = dc0 - (-1.0j * a * c0 - 1.0j * b * np.exp(-1.0j * cfg.omega * t) * c1)
+    r1 = dc1 - (1.0j * a * c1 - 1.0j * b * np.exp(1.0j * cfg.omega * t) * c0)
+    return complex(r0), complex(r1)
 
 
 def fd2(f, x: float, h: float = 1e-4) -> float:

@@ -1,0 +1,75 @@
+import json
+import math
+
+from rabi_est.cli import main
+
+FIELD = ["--omega", "1", "--b0", "1", "--theta", "1.5707963267948966"]
+
+
+def run_json(argv, tmp_path, name="out.json"):
+    out = tmp_path / name
+    rc = main([*argv, "--out", str(out)])
+    return rc, (json.loads(out.read_text(encoding="utf-8")) if rc == 0 else None)
+
+
+class TestExitCodes:
+    def test_usage_error(self, tmp_path):
+        # --n is required.
+        assert main(["estimate", "ml", *FIELD, "--k", "4", "--out", str(tmp_path / "x")]) == 1
+        assert main(["no-such-command"]) == 1
+
+    def test_known_defect_is_numerical_failure(self, tmp_path):
+        # At n = 1e8 the fixed mass grid misses the posterior on the wide
+        # window and the quadrature exhausts its subdivision budget.
+        argv = ["estimate", "mmse", *FIELD, "--n", "100000000", "--k", "48784078",
+                "--prior", "uniform", "--window-lower", "0.1", "--window-upper", "100"]
+        assert run_json(argv, tmp_path)[0] == 2
+
+    def test_sinc_domain_violation(self, tmp_path):
+        # sqrt(0.9) exceeds b0 sin(theta) = 0.5.
+        argv = ["estimate", "ml", "--omega", "1", "--b0", "0.5", "--theta", "1.5707963267948966",
+                "--n", "10", "--k", "9"]
+        assert run_json(argv, tmp_path)[0] == 3
+
+
+def test_config_values_lose_to_flags(tmp_path):
+    config = tmp_path / "defaults.conf"
+    config.write_text("# drive\nomega = 1\nb0 = 0.5\ntheta = 1.5707963267948966\nn = 10\n",
+                      encoding="utf-8")
+    argv = ["estimate", "ml", "--config", str(config), "--b0", "1", "--k", "4"]
+    rc, payload = run_json(argv, tmp_path)
+    assert rc == 0
+    assert payload["config"]["b0"] == 1.0
+    assert payload["config"]["omega"] == 1.0
+    assert payload["config"]["n"] == 10
+
+
+class TestTheta:
+    BASE = ["estimate", "ml", "--omega", "1", "--b0", "1", "--n", "100", "--k", "41"]
+
+    def test_mutually_exclusive(self, tmp_path):
+        argv = [*self.BASE, "--theta", "1.5707963267948966", "--theta-deg", "90"]
+        assert run_json(argv, tmp_path)[0] == 1
+
+    def test_one_required(self, tmp_path):
+        assert run_json(self.BASE, tmp_path)[0] == 1
+
+    def test_degrees_convert(self, tmp_path):
+        rc, payload = run_json([*self.BASE, "--theta-deg", "90"], tmp_path)
+        assert rc == 0
+        assert payload["config"]["theta"] == math.radians(90.0)
+
+
+def test_sidecar_manifest_is_byte_identical(tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = ["fisher-scan", *FIELD, "--omega0", "2", "--axis", "b0:0.5:2:4",
+            "--axis", "theta:0.5:2.5:3", "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        sidecar = tmp_path / "scan.csv.manifest.json"
+        runs.append((out.read_bytes(), sidecar.read_bytes()))
+    assert runs[0] == runs[1]
+    manifest = json.loads(runs[0][1])
+    assert manifest["operation"] == "fisher_scan"
+    assert manifest["manifest"]["seed"] is None

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd
+from oracles import fd, ode_residual
 from rabi_est.dynamics import (
     FieldConfig,
     amplitudes,
     density_state,
     dprob_domega0,
-    ode_residual,
     prob_detect,
     q_factor,
 )
