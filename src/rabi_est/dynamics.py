@@ -26,6 +26,8 @@ __all__ = [
     "amplitudes",
     "density_state",
     "prob_detect",
+    "prob_detect_change",
+    "prob_stationary_points",
     "dprob_domega0",
     "ddensity_domega0",
 ]
@@ -99,6 +101,72 @@ def prob_detect(cfg: FieldConfig, omega0, t: float = 1.0):
     b = cfg.b0 * np.sin(cfg.theta)
     q = q_factor(cfg, omega0)
     return (2.0 * b / q) ** 2 * np.sin(0.5 * q * t) ** 2
+
+
+def prob_detect_change(cfg: FieldConfig, omega0, ref: float):
+    """p(omega0) - p(ref), elementwise, to the relative precision of the
+    change itself rather than of p, which its plain difference would lose.
+
+    With h = q/2 and S = sin(h)/h, p = b^2 S^2, and with the detunings d,
+    h^2 - h_ref^2 = e = (ref - omega0)(d + d_ref)/4 holds exactly. Then
+    S - S_ref = (h_ref (sin h - sin h_ref) - (h - h_ref) sin h_ref) / (h h_ref),
+    with sin h - sin h_ref = 2 cos((h + h_ref)/2) sin((h - h_ref)/2) and
+    h - h_ref = e/(h + h_ref). Below h = 0.02 that form cancels to ~1e-16/h^2
+    and the sinc series in e takes over. Accepts arrays.
+    """
+    b = cfg.b0 * math.sin(cfg.theta)
+    d, d_ref = _detuning(cfg, omega0), float(_detuning(cfg, ref))
+    h, h_ref = 0.5 * np.hypot(d, 2.0 * b), 0.5 * math.hypot(d_ref, 2.0 * b)
+    e = (ref - omega0) * (d + d_ref) / 4.0
+    dh = e / (h + h_ref)
+    s_ref = math.sin(h_ref)
+    ds = (h_ref * 2.0 * np.cos(0.5 * (h + h_ref)) * np.sin(0.5 * dh) - dh * s_ref) / (h * h_ref)
+    if b < 0.02:  # h >= b, so only then can h fall below 0.02
+        a, c = h * h, h_ref * h_ref
+        series = -e * (1.0 / 6.0 - (a + c) / 120.0 + (a * a + a * c + c * c) / 5040.0)
+        ds = np.where(np.maximum(h, h_ref) < 0.02, series, ds)
+    return b * b * ds * (2.0 * s_ref / h_ref + ds)
+
+
+def _tan_roots(k: np.ndarray) -> np.ndarray:
+    """The roots of tan h = h in (k pi, k pi + pi/2), for integers k >= 1.
+
+    Newton steps on sin h - h cos h, whose derivative is h sin h, from the
+    asymptotic root (k + 1/2) pi - 1/((k + 1/2) pi); four steps reach
+    rounding for every k.
+    """
+    h = (k + 0.5) * math.pi
+    h = h - 1.0 / h
+    for _ in range(4):
+        h = h - (np.sin(h) - h * np.cos(h)) / (h * np.sin(h))
+    return h
+
+
+def prob_stationary_points(cfg: FieldConfig, lower: float, upper: float):
+    """The omega0 in [lower, upper] where dp/domega0 vanishes, ascending, and
+    a mask of those where sqrt(CFI) vanishes too.
+
+    p = b^2 sinc^2(h), with b = b0 sin(theta) and h = hypot(d/2, b), depends
+    on omega0 through the detuning d alone. Its derivative vanishes at the
+    resonance d = 0, and where sinc(h) or its derivative does: at h = k pi and
+    at the roots h_k of tan h = h, that is at d = +-2 sqrt(h^2 - b^2) for
+    those h > b. Between consecutive points p is monotone. sqrt(CFI), which
+    is proportional to |d (sin h - h cos h)|, vanishes at the resonance and
+    at the tan h = h roots, but not at the zeros of p.
+    """
+    b = cfg.b0 * math.sin(cfg.theta)
+    center = float(_detuning(cfg, 0.0))
+    reach = max(abs(center - lower), abs(center - upper))
+    k = np.arange(1, int(math.hypot(0.5 * reach, b) / math.pi) + 1)
+    h = np.concatenate([k * math.pi, _tan_roots(k)])
+    cfi_zero = np.repeat([False, True], k.size)
+    keep = h > b
+    offset = 2.0 * np.sqrt(h[keep] ** 2 - b * b)
+    points = np.concatenate([[center], center - offset, center + offset])
+    zero = np.concatenate([[True], cfi_zero[keep], cfi_zero[keep]])
+    inside = (points >= lower) & (points <= upper)
+    order = np.argsort(points[inside])
+    return points[inside][order], zero[inside][order]
 
 
 def dprob_domega0(cfg: FieldConfig, omega0, t: float = 1.0):

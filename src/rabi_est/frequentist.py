@@ -45,6 +45,7 @@ __all__ = [
     "ml_estimate",
     "log_likelihood",
     "log_likelihood_counts",
+    "log_likelihood_ratio",
     "loglik_curvature",
 ]
 
@@ -222,6 +223,31 @@ def log_likelihood_counts(n: float, k: float, p1) -> float:
     vals = log_binom + term1 + term2
     vals = np.where(np.isnan(vals), -np.inf, vals)
     return float(vals[0]) if scalar else vals
+
+
+def _log_ratio(num, den, diff):
+    """ln(num/den) given diff = num - den: log1p(diff/den) near 1, where it
+    keeps the precision of a small diff, and ln(num/den) elsewhere."""
+    u = diff / den
+    return np.where(np.abs(u) < 0.5, np.log1p(u), np.log(num / den))
+
+
+def log_likelihood_ratio(n: float, k: float, p1, dp, ref: float) -> np.ndarray:
+    """ln L(p) - ln L(ref) = k ln(p/ref) + (n-k) ln((1-p)/(1-ref)),
+    elementwise, given p and dp = p - ref each to its own precision.
+
+    Near p = ref the terms come from dp and keep their rounding far below 1,
+    also at n = 1e10, where ln L reaches ~n in size and rounds to ~n*1e-16.
+    -inf where a probability pinned at 0 or 1 conflicts with the counts.
+    """
+    p = np.asarray(p1, dtype=float)
+    vals = np.zeros_like(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if k > 0:
+            vals += k * _log_ratio(p, ref, dp)
+        if k < n:
+            vals += (n - k) * _log_ratio(1.0 - p, 1.0 - ref, -dp)
+    return np.where(np.isnan(vals), -np.inf, vals)
 
 
 def log_likelihood(data: Dataset, cfg: FieldConfig, omega0) -> float:

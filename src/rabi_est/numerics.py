@@ -4,7 +4,8 @@ and local-maxima search.
 All routines are pure functions of their arguments and safe for concurrent
 use. Integrands passed to :func:`integrate`, and functions passed to
 :func:`local_maxima`, must accept a 1-D numpy array and evaluate elementwise
-(any expression built from numpy ufuncs qualifies).
+(any expression built from numpy ufuncs qualifies); an integrand may stack
+several such components into one (C, m) array.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
 _MAX_DEPTH = 60
 # Hard cap on simultaneously active subintervals (memory guard).
 _MAX_INTERVALS = 2_000_000
+# Most points per call of an integrand, which bounds its temporaries.
+_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
@@ -76,64 +79,81 @@ class LocalMaximum:
     boundary: bool = False
 
 
-def integrate(f: Callable, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Adaptive Simpson quadrature of ``f`` over [lo, hi].
+def integrate(f: Callable, lo, hi, tol: Tolerance = DEFAULT_TOL):
+    """Adaptive Simpson quadrature of ``f`` summed over the intervals
+    [lo, hi] (floats, or equal-length arrays of interval ends).
 
-    The interval is seeded with ten panels and each panel is bisected until
-    the local Richardson error estimate fits within its proportional share of
-    max(abs_tol, rel_tol*|integral|). Raises NonConvergence if any panel
-    reaches the depth cap without converging.
+    ``f`` maps m points to m values (the result is a float) or to a (C, m)
+    array of C components (the result has C integrals). All intervals are
+    seeded with ten panels each in one call of ``f``, and each round of
+    bisection evaluates all active panels together, at most _CHUNK points a
+    call. A panel is bisected until, in every component, the local
+    Richardson error estimate fits within the panel's share, by width over
+    all intervals, of max(abs_tol, rel_tol*|component integral|). Raises
+    NonConvergence at the depth cap or the subdivision budget, DomainError
+    on non-finite seeds.
     """
-    if not lo < hi:
+    lo_a = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi_a = np.atleast_1d(np.asarray(hi, dtype=float))
+    if lo_a.ndim != 1 or lo_a.shape != hi_a.shape or not np.all(lo_a < hi_a):
         raise DomainError(f"integration bounds require lo < hi, got [{lo}, {hi}]")
 
     n0 = 10
-    edges = np.linspace(lo, hi, n0 + 1)
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
+    edges = np.linspace(lo_a, hi_a, n0 + 1, axis=1)
+    a = edges[:, :-1].ravel()
+    b = edges[:, 1:].ravel()
     mid = 0.5 * (a + b)
-    fe = f(edges)
-    fa, fb = fe[:-1], fe[1:]
-    fm = f(mid)
-    if not (np.all(np.isfinite(fe)) and np.all(np.isfinite(fm))):
+    seed = np.asarray(f(np.concatenate([edges.ravel(), mid])))
+    scalar = seed.ndim == 1
+    seed = np.atleast_2d(seed)
+    if not np.all(np.isfinite(seed)):
         raise DomainError("integrand is not finite on the integration interval")
+    fe = seed[:, :edges.size].reshape(len(seed), lo_a.size, n0 + 1)
+    fa = fe[:, :, :-1].reshape(len(seed), -1)
+    fb = fe[:, :, 1:].reshape(len(seed), -1)
+    fm = seed[:, edges.size:]
     simp = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
-    eps_total = tol.target(float(np.sum(simp)))
-    span = hi - lo
+    eps = np.array([[tol.target(s)] for s in np.sum(simp, axis=1)])
+    span = float(np.sum(hi_a - lo_a))
     depth = np.zeros(len(a), dtype=int)
-    total = 0.0
+    total = np.zeros(len(seed))
+
+    def halves(left, right):
+        """The left and right halves of the panels kept for bisection."""
+        return np.concatenate([left.take(kept, axis=-1), right.take(kept, axis=-1)], axis=-1)
+
+    def evaluate(x):
+        """f at x as a (C, m) array, in calls of at most _CHUNK points."""
+        return np.concatenate([np.atleast_2d(f(x[i:i + _CHUNK]))
+                               for i in range(0, x.size, _CHUNK)], axis=1)
 
     while len(a) > 0:
         ml = 0.5 * (a + mid)
         mr = 0.5 * (mid + b)
-        fml = f(ml)
-        fmr = f(mr)
+        quarters = evaluate(np.concatenate([ml, mr]))
+        fml, fmr = quarters[:, :len(ml)], quarters[:, len(ml):]
         sl = (mid - a) / 6.0 * (fa + 4.0 * fml + fm)
         sr = (b - mid) / 6.0 * (fm + 4.0 * fmr + fb)
         err = sl + sr - simp
-        allowance = 15.0 * eps_total * (b - a) / span
-        done = np.abs(err) <= allowance
-        total += float(np.sum(np.where(done, sl + sr + err / 15.0, 0.0)))
+        allowance = 15.0 * eps * (b - a) / span
+        done = np.all(np.abs(err) <= allowance, axis=0)
+        total += np.sum(np.where(done, sl + sr + err / 15.0, 0.0), axis=1)
 
         keep = ~done
         if np.any(keep & (depth >= _MAX_DEPTH)):
             raise NonConvergence(
                 f"adaptive Simpson did not converge within depth {_MAX_DEPTH}"
             )
-        a2 = np.concatenate([a[keep], mid[keep]])
-        b2 = np.concatenate([mid[keep], b[keep]])
-        mid2 = np.concatenate([ml[keep], mr[keep]])
-        fa2 = np.concatenate([fa[keep], fm[keep]])
-        fb2 = np.concatenate([fm[keep], fb[keep]])
-        fm2 = np.concatenate([fml[keep], fmr[keep]])
-        simp2 = np.concatenate([sl[keep], sr[keep]])
-        depth2 = np.concatenate([depth[keep], depth[keep]]) + 1
-        if len(a2) > _MAX_INTERVALS:
+        kept = np.flatnonzero(keep)
+        if 2 * kept.size > _MAX_INTERVALS:
             raise NonConvergence("adaptive Simpson exceeded the subdivision budget")
-        a, b, mid, fa, fb, fm, simp, depth = a2, b2, mid2, fa2, fb2, fm2, simp2, depth2
+        a, b, mid = halves(a, mid), halves(mid, b), halves(ml, mr)
+        fa, fb, fm = halves(fa, fm), halves(fm, fb), halves(fml, fmr)
+        simp = halves(sl, sr)
+        depth = halves(depth, depth) + 1
 
-    return total
+    return float(total[0]) if scalar else total
 
 
 def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance = DEFAULT_TOL) -> float:

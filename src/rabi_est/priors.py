@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import FieldConfig, _detuning, q_factor
+from .dynamics import FieldConfig, _detuning, prob_stationary_points, q_factor
 from .errors import DegenerateSupport, DivergentInformation, DomainError
 from .fisher import cfi_values
 from .numerics import DEFAULT_TOL, Tolerance, integrate
@@ -188,50 +188,6 @@ def dlog_density(prior: Prior, omega0: float) -> float:
     return value
 
 
-def _tan_root(k: int) -> float:
-    """The root of tan h = h in (k pi, k pi + pi/2), for an integer k >= 1.
-
-    sin h - h cos h has sign (-1)^(k+1) at k pi and (-1)^k at k pi + pi/2;
-    bisection halves the bracket down to rounding.
-    """
-    lo, hi = k * math.pi, (k + 0.5) * math.pi
-    positive_at_lo = k % 2 == 1
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if (math.sin(mid) - mid * math.cos(mid) > 0.0) == positive_at_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _sqrt_cfi_zero(field: FieldConfig, window: SupportWindow) -> float | None:
-    """A zero of sqrt(CFI) in the closed window, or None if it has none.
-
-    sqrt(CFI) is proportional to |d (sin h - h cos h)| with d = omega -
-    omega0 - 2 b0 cos(theta) and h = hypot(d/2, b), b = b0 sin(theta). It
-    vanishes at the resonance d = 0 and at d = +-2 sqrt(h_k^2 - b^2) for the
-    roots h_k > b of tan h = h. Those zeros move away from the resonance as k
-    grows, so when the resonance lies outside the window only the first root
-    past the window's near edge can fall inside it.
-    """
-    b = field.b0 * math.sin(field.theta)
-    center = float(_detuning(field, 0.0))
-    slack = _ZERO_SLACK * max(1.0, abs(window.lower), abs(window.upper))
-    lo = window.lower - slack
-    hi = window.upper + slack
-    if lo <= center <= hi:
-        return center
-    near = min(abs(center - lo), abs(center - hi))
-    k = max(1, int(math.hypot(0.5 * near, b) / math.pi))
-    for h in (_tan_root(k), _tan_root(k + 1)):
-        offset = 2.0 * math.sqrt(max(h * h - b * b, 0.0))
-        for zero in (center - offset, center + offset):
-            if lo <= zero <= hi:
-                return zero
-    return None
-
-
 def prior_fisher(prior: Prior, tol: Tolerance = DEFAULT_TOL) -> float:
     """Fisher information of the prior itself.
 
@@ -247,11 +203,12 @@ def prior_fisher(prior: Prior, tol: Tolerance = DEFAULT_TOL) -> float:
         return 1.0 / prior.sigma**2
 
     w = prior.window
-    zero = _sqrt_cfi_zero(prior.field, w)
-    if zero is not None:
+    slack = _ZERO_SLACK * max(1.0, abs(w.lower), abs(w.upper))
+    points, zero = prob_stationary_points(prior.field, w.lower - slack, w.upper + slack)
+    if zero.any():
         raise DivergentInformation(
-            f"sqrt(CFI) vanishes at omega0={zero!r} in the window [{w.lower}, {w.upper}]; "
-            "the Jeffreys prior information diverges"
+            f"sqrt(CFI) vanishes at omega0={float(points[zero][0])!r} in the window "
+            f"[{w.lower}, {w.upper}]; the Jeffreys prior information diverges"
         )
 
     def integrand(x: np.ndarray) -> np.ndarray:

@@ -235,6 +235,21 @@ def posterior_mean_dense(
     return num / den
 
 
+def log_joint_dense(cfg: FieldConfig, prior_density, n: float, k: float,
+                    x: np.ndarray) -> np.ndarray:
+    """Log likelihood, measured from its maximum at p = k/n, plus the log of
+    ``prior_density``, elementwise. The ratios p/xbar and (1-p)/(1-xbar)
+    keep each term small near the maximum, where the plain k ln p rounds to
+    ~1e-6 at n = 1e10."""
+    p = np.asarray(prob_detect(cfg, x), dtype=float)
+    xbar = k / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (np.where(k == 0.0, 0.0, k * np.log(p / xbar))
+               + np.where(k == n, 0.0, (n - k) * np.log((1.0 - p) / (1.0 - xbar)))
+               + np.log(prior_density(x)))
+    return np.where(np.isnan(out), -np.inf, out)
+
+
 def map_lhs_oracle(cfg: FieldConfig, prior_kind: str, n: int, x: np.ndarray,
                    mean: float = None, sigma: float = None, h: float = 1e-6) -> np.ndarray:
     """MAP stationarity left side with all derivatives by finite differences."""

@@ -2,8 +2,11 @@ import json
 import math
 
 from rabi_est.cli import main
+from rabi_est.dynamics import FieldConfig
+from rabi_est.fisher import cfi_values
 
 FIELD = ["--omega", "1", "--b0", "1", "--theta", "1.5707963267948966"]
+CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -18,12 +21,25 @@ class TestExitCodes:
         assert main(["estimate", "ml", *FIELD, "--k", "4", "--out", str(tmp_path / "x")]) == 1
         assert main(["no-such-command"]) == 1
 
-    def test_known_defect_is_numerical_failure(self, tmp_path):
-        # At n = 1e8 the fixed mass grid misses the posterior on the wide
-        # window and the quadrature exhausts its subdivision budget.
-        argv = ["estimate", "mmse", *FIELD, "--n", "100000000", "--k", "48784078",
-                "--prior", "uniform", "--window-lower", "0.1", "--window-upper", "100"]
+    def test_numerical_failure(self, tmp_path):
+        # The resonance omega0 = 1 lies in the window, so the Jeffreys prior
+        # information diverges and the van Trees bound of the run with it.
+        argv = ["simulate", *FIELD, "--omega0-true", "2", "--n", "20", "--trials", "3",
+                "--seed", "1", "--estimator", "mmse", "--prior", "jeffreys",
+                "--window-lower", "0.5", "--window-upper", "5"]
         assert run_json(argv, tmp_path)[0] == 2
+
+    def test_large_n_on_wide_window(self, tmp_path):
+        # At n = 1e8 the posterior is ~3e-4 wide, far narrower than the mass
+        # grid's cells; the closed-form peak regions resolve it.
+        n, k = 100_000_000, 48784078
+        width = 1.0 / math.sqrt(n * float(cfi_values(CFG, 3.0)))
+        for mode in ("mmse", "map"):
+            argv = ["estimate", mode, *FIELD, "--n", str(n), "--k", str(k), "--prior", "uniform",
+                    "--window-lower", "0.1", "--window-upper", "100"]
+            rc, payload = run_json(argv, tmp_path)
+            assert rc == 0
+            assert abs(payload["estimate"] - 3.0) < 5.0 * width
 
     def test_sinc_domain_violation(self, tmp_path):
         # sqrt(0.9) exceeds b0 sin(theta) = 0.5.

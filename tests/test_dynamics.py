@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,8 @@ from rabi_est.dynamics import (
     density_state,
     dprob_domega0,
     prob_detect,
+    prob_detect_change,
+    prob_stationary_points,
     q_factor,
 )
 from rabi_est.errors import DomainError
@@ -149,6 +152,56 @@ class TestProbDerivative:
             assert abs(float(dprob_domega0(cfg, omega0)) - oracle) < 1e-6 * max(
                 1.0, abs(oracle)
             )
+
+
+def prob_mp(cfg: FieldConfig, omega0: float):
+    """Detection probability at 40 digits of the exact double inputs."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(cfg.b0) * mpmath.sin(mpmath.mpf(cfg.theta))
+        d = mpmath.mpf(cfg.omega) - mpmath.mpf(omega0) - 2 * mpmath.mpf(cfg.b0) * mpmath.cos(
+            mpmath.mpf(cfg.theta))
+        q = mpmath.sqrt(d * d + 4 * b * b)
+        return (2 * b / q) ** 2 * mpmath.sin(q / 2) ** 2
+
+
+class TestProbDetectChange:
+    @pytest.mark.parametrize("cfg,ref", [
+        (CFG, 3.0),
+        (FieldConfig(omega=3.0, b0=2.5, theta=0.4), 2.7),
+        # near a lobe top of a weak field, and at the resonance of a field
+        # so weak that h < 0.02 there
+        (FieldConfig(omega=-6.564, b0=0.00529, theta=2.07), 27.88245),
+        (FieldConfig(omega=28.0, b0=0.001, theta=0.0625), 27.998003904978592),
+    ])
+    def test_relative_precision_of_the_change(self, cfg, ref):
+        steps = np.array([-1.0, -0.03, -1e-3, -1e-7, 1e-9, 1e-5, 0.01, 0.5, 4.0])
+        got = prob_detect_change(cfg, ref + steps, ref)
+        for x, value in zip(ref + steps, got):
+            with mpmath.workdps(40):
+                expect = prob_mp(cfg, x) - prob_mp(cfg, ref)
+                assert abs(value - expect) <= 1e-9 * abs(expect)
+
+    def test_zero_at_the_reference(self):
+        assert float(prob_detect_change(CFG, np.array([2.5]), 2.5)[0]) == 0.0
+
+
+class TestStationaryPoints:
+    @pytest.mark.parametrize("cfg,lower,upper", [
+        (CFG, 0.1, 100.0),
+        (FieldConfig(omega=-2.0, b0=3.0, theta=1.0), 0.5, 40.0),
+        (FieldConfig(omega=30.0, b0=0.2, theta=2.5), 1.0, 20.0),
+    ])
+    def test_monotone_between_points(self, cfg, lower, upper):
+        points, cfi_zero = prob_stationary_points(cfg, lower, upper)
+        assert np.all(np.diff(points) > 0.0)
+        assert np.all(np.abs(dprob_domega0(cfg, points)) < 1e-12)
+        # sqrt(CFI) vanishes where p does not: at the tan h = h roots and
+        # the resonance, as opposed to the zeros of p
+        assert np.all((prob_detect(cfg, points) > 1e-12) == cfi_zero)
+        edges = np.concatenate([[lower], points, [upper]])
+        for a, b in zip(edges[:-1], edges[1:]):
+            slope = dprob_domega0(cfg, np.linspace(a, b, 2001)[1:-1])
+            assert np.all(slope >= -1e-15) or np.all(slope <= 1e-15)
 
 
 class TestOdeResidual:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from rabi_est.frequentist import (
     RootStatus,
     log_likelihood,
     log_likelihood_counts,
+    log_likelihood_ratio,
     loglik_curvature,
     ml_estimate,
     mvu_p1,
@@ -204,3 +206,28 @@ class TestLogLikelihood:
             + 5.6 * math.log(0.7)
         )
         assert val == pytest.approx(expect, abs=1e-12)
+
+
+class TestLogLikelihoodRatio:
+    def test_matches_difference_at_small_n(self):
+        p = np.array([1e-9, 0.1, 0.45, 0.5, 0.9, 1.0 - 1e-9])
+        for n, k in ((8, 0), (8, 3), (8, 8), (100, 41.5)):
+            ref = 0.45
+            expect = log_likelihood_counts(n, k, p) - log_likelihood_counts(n, k, ref)
+            got = log_likelihood_ratio(n, k, p, p - ref, ref)
+            assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
+
+    def test_pinned_probability_conflicts(self):
+        assert log_likelihood_ratio(3, 2, 0.0, -0.5, 0.5) == -math.inf
+        assert log_likelihood_ratio(3, 2, 1.0, 0.5, 0.5) == -math.inf
+
+    def test_precision_near_the_reference_at_large_n(self):
+        # ln L(ref + dp) - ln L(ref) from the exact binomial terms at 40
+        # digits: the ratio form keeps ~1e-12 where ln L itself is ~7e9.
+        n, k, ref = 10**10, 4_878_407_820, 0.487840782
+        for dp in (-3e-6, 1e-7, 2e-9):
+            got = float(log_likelihood_ratio(n, k, ref + dp, dp, ref))
+            with mpmath.workdps(40):
+                r, q = mpmath.mpf(ref), mpmath.mpf(ref) + mpmath.mpf(dp)
+                expect = k * mpmath.log(q / r) + (n - k) * mpmath.log((1 - q) / (1 - r))
+            assert abs(got - float(expect)) < 1e-9 * max(1.0, abs(float(expect)))

@@ -117,8 +117,8 @@ PINNED_REPORTS = [
     ),
     (
         Estimator.MMSE, 40, Prior.uniform(WINDOW),
-        dict(mean_estimate=2.0660022904238846, bias=0.06600229042388461,
-             variance=0.04622790890042374, crb=0.1639746107834753,
+        dict(mean_estimate=2.066002290426544, bias=0.06600229042654382,
+             variance=0.04622790890148779, crb=0.1639746107834753,
              vantrees_bound=0.07489982589826061,
              degenerate_count=0, ambiguous_count=0, included_trials=40),
     ),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import bisect, central_diff
-from rabi_est.errors import DomainError, NoSignChange
+from rabi_est.errors import DomainError, NonConvergence, NoSignChange
 from rabi_est.numerics import (
     Bracket,
     Tolerance,
@@ -75,6 +75,50 @@ class TestIntegrate:
     def test_bad_bounds(self):
         with pytest.raises(DomainError):
             integrate(lambda x: x, 1.0, 1.0)
+
+
+def _components(x):
+    """Three integrands as the rows of one vector-valued integrand."""
+    return np.stack([np.sin(x) ** 2, x * np.exp(-x), np.cos(3.0 * x) + x * x])
+
+
+class TestIntegrateIntervalsAndComponents:
+    def test_vector_equals_scalar_components(self):
+        got = integrate(_components, 0.0, 2.0)
+        assert got.shape == (3,)
+        for c in range(3):
+            expect = integrate(lambda x: _components(x)[c], 0.0, 2.0)
+            assert got[c] == pytest.approx(expect, abs=1e-9)
+
+    def test_intervals_sum(self):
+        lo, hi = [0.0, 1.5, 2.0], [1.0, 2.0, 3.5]
+        got = integrate(_components, lo, hi)
+        for c in range(3):
+            expect = sum(integrate(lambda x: _components(x)[c], a, b) for a, b in zip(lo, hi))
+            assert got[c] == pytest.approx(expect, abs=1e-9)
+        scalar = integrate(np.cos, lo, hi)
+        assert scalar == pytest.approx(sum(math.sin(b) - math.sin(a) for a, b in zip(lo, hi)),
+                                       abs=1e-9)
+
+    def test_nonconvergence(self):
+        # A jump keeps the Richardson estimate proportional to the panel
+        # width, like its allowance. Near zero, where doubles are dense,
+        # bisection reaches the depth cap before the panels reach rounding.
+        def jump(x):
+            return np.where(x > 1e-7, 1.0, 0.0)
+
+        with pytest.raises(NonConvergence):
+            integrate(jump, 0.0, 1.0)
+        with pytest.raises(NonConvergence):
+            integrate(lambda x: np.stack([np.sin(x), jump(x)]), [0.0, 0.9], [0.5, 1.0])
+
+    def test_nonfinite_component_rejected(self):
+        with pytest.raises(DomainError):
+            integrate(lambda x: np.stack([x, np.where(x > 2.5, np.inf, x)]), [0.0, 2.0], [1.0, 3.0])
+
+    def test_bad_interval_rejected(self):
+        with pytest.raises(DomainError):
+            integrate(np.cos, [0.0, 2.0], [1.0, 2.0])
 
 
 class TestFindRoot:

@@ -1,9 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from oracles import simpson_dense
+from oracles import gaussian_density, log_joint_dense, posterior_mean_dense, simpson_dense
 from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect, q_factor
 from rabi_est.errors import DomainError
 from rabi_est.fisher import cfi_values
@@ -22,6 +23,12 @@ CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
 WIDE = SupportWindow(0.1, 100.0)
 GAUSS = Prior.gaussian(WIDE, mean=10.0, sigma=2.0)
 UNIFORM_WIDE = Prior.uniform(WIDE)
+# Priors of the sweep across n, each with its (unnormalized) oracle density.
+SWEEP_PRIORS = {
+    "uniform": (UNIFORM_WIDE, np.ones_like),
+    "gaussian": (Prior.gaussian(WIDE, mean=3.0, sigma=1.0), partial(gaussian_density, 3.0, 1.0)),
+}
+DECADES = [10**e for e in range(0, 11, 2)]
 
 
 def random_spec(rng):
@@ -263,3 +270,62 @@ class TestLikelihoodDominance:
                 distances.append(abs(mmse(spec) - ml_root))
             assert distances[-1] < distances[0] + 1e-9
             assert distances[-1] < 0.05
+
+
+def oracle_window(n: int) -> tuple[float, float]:
+    """The wide window while a 400 001-point grid over it resolves the
+    posterior at k = round(n p(3)), else 40 Laplace widths each side of the
+    ML root 3, outside which the mass is below e^-800."""
+    if n < 10**8:
+        return WIDE.lower, WIDE.upper
+    half = 40.0 / math.sqrt(n * float(cfi_values(CFG, 3.0)))
+    return 3.0 - half, 3.0 + half
+
+
+class TestAcrossDecades:
+    """Data k = round(n p(3)) on the wide window, n from 1 to 1e10: the
+    posterior narrows from the whole window to ~3e-6."""
+
+    @pytest.mark.parametrize("prior_name", SWEEP_PRIORS)
+    @pytest.mark.parametrize("n", DECADES)
+    def test_mmse_matches_dense_mean(self, n, prior_name):
+        prior, density = SWEEP_PRIORS[prior_name]
+        k = round(n * float(prob_detect(CFG, 3.0)))
+        est = mmse(PosteriorSpec(data=Dataset(n, k), cfg=CFG, prior=prior))
+        ref = posterior_mean_dense(CFG, density, n, k, *oracle_window(n), grid=400_001)
+        assert est == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("prior_name", SWEEP_PRIORS)
+    @pytest.mark.parametrize("n", DECADES)
+    def test_map_reaches_dense_maximum(self, n, prior_name):
+        prior, density = SWEEP_PRIORS[prior_name]
+        k = round(n * float(prob_detect(CFG, 3.0)))
+        best = map_estimate(PosteriorSpec(data=Dataset(n, k), cfg=CFG, prior=prior)).best
+        top = np.max(log_joint_dense(CFG, density, n, k, np.linspace(*oracle_window(n), 400_001)))
+        assert log_joint_dense(CFG, density, n, k, np.array([best.value]))[0] >= top - 1e-5
+
+
+class TestMultimodal:
+    """xbar = 0.03 is reached once on the main lobe of p (omega0 ~ 5.93) and
+    twice on the first side lobe (~8.49 and ~11.15), which lies between the
+    zero of p at ~6.96 and the next at ~13.41. At n = 1e8 each posterior mode
+    is under 1e-3 wide; all the mass lies in (3, 15)."""
+
+    SPEC = PosteriorSpec(data=Dataset(10**8, 3 * 10**6), cfg=CFG, prior=UNIFORM_WIDE)
+
+    def test_roots_in_two_lobes(self):
+        xs = np.linspace(WIDE.lower, WIDE.upper, 2_000_001)
+        gap = np.asarray(prob_detect(CFG, xs)) - 0.03
+        roots = xs[np.flatnonzero(np.sign(gap[1:]) != np.sign(gap[:-1]))]
+        assert len(roots) == 3
+        assert roots[0] < 6.95 < roots[1] < roots[2] < 13.4
+
+    def test_mmse_matches_dense_mean(self):
+        ref = posterior_mean_dense(CFG, np.ones_like, 10**8, 3 * 10**6, 3.0, 15.0, grid=600_001)
+        assert mmse(self.SPEC) == pytest.approx(ref, rel=1e-9)
+
+    def test_map_reaches_dense_maximum(self):
+        xs = np.linspace(3.0, 15.0, 600_001)
+        top = np.max(log_joint_dense(CFG, np.ones_like, 10**8, 3 * 10**6, xs))
+        best = map_estimate(self.SPEC).best.value
+        assert log_joint_dense(CFG, np.ones_like, 10**8, 3 * 10**6, np.array([best]))[0] >= top - 1e-5

@@ -1,4 +1,4 @@
-"""Property tests for the closed-form array kernels."""
+"""Property tests for the closed-form array kernels and the posterior mean."""
 
 import math
 
@@ -11,9 +11,9 @@ from oracles import map_lhs_oracle
 from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect
 from rabi_est.errors import DomainError
 from rabi_est.fisher import cfi_values, qfi_values
-from rabi_est.frequentist import ROOTS_REAL, ml_roots
+from rabi_est.frequentist import ROOTS_REAL, Dataset, ml_roots
 from rabi_est.numerics import inv_sinc_values
-from rabi_est.posterior import map_stationarity_lhs
+from rabi_est.posterior import PosteriorSpec, map_stationarity_lhs, mmse
 from rabi_est.priors import Prior, SupportWindow
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -85,3 +85,28 @@ def test_map_lhs_matches_oracle(omega, b0, theta, omega0, n):
     expect = map_lhs_oracle(cfg, "jeffreys", n, x)
     got = map_stationarity_lhs(cfg, jeffreys, n, x)
     assert np.allclose(got, expect, rtol=1e-5, atol=1e-5)
+
+
+@PROPERTY
+@given(cfg=fields, omega0=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=20))
+def test_probability_bounded(cfg, omega0):
+    p = np.asarray(prob_detect(cfg, np.array(omega0)))
+    assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+@PROPERTY
+@given(
+    cfg=fields,
+    log10_n=st.integers(min_value=0, max_value=10),
+    rate=unit,
+    lower=st.floats(min_value=1e-3, max_value=50.0),
+    width=st.floats(min_value=1e-3, max_value=100.0),
+    gaussian=st.booleans(),
+)
+def test_mmse_inside_window(cfg, log10_n, rate, lower, width, gaussian):
+    n = 10**log10_n
+    window = SupportWindow(lower, lower + width)
+    prior = (Prior.gaussian(window, mean=lower + 0.3 * width, sigma=0.2 * width)
+             if gaussian else Prior.uniform(window))
+    est = mmse(PosteriorSpec(data=Dataset(n, round(n * rate)), cfg=cfg, prior=prior))
+    assert window.lower <= est <= window.upper
