@@ -206,23 +206,20 @@ def ml_estimate(xbar: float, cfg: FieldConfig) -> EstimateResult:
     return EstimateResult(roots=tuple(roots), ambiguity=ambiguity)
 
 
-def log_likelihood_counts(n: float, k: float, p1) -> float:
+def log_likelihood_counts(n: float, k: float, p1) -> np.ndarray:
     """Binomial log-likelihood k*ln(p) + (n-k)*ln(1-p) + ln C(n, k).
 
     The binomial coefficient uses log-gamma so fractional counts are allowed.
     Probabilities pinned at 0 or 1 give -inf unless the counts agree exactly.
-    Accepts scalar or array p1.
+    Elementwise in p1.
     """
     log_binom = math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
     p = np.asarray(p1, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         term1 = np.where(k == 0.0, 0.0, k * np.log(p))
         term2 = np.where(k == n, 0.0, (n - k) * np.log1p(-p))
     vals = log_binom + term1 + term2
-    vals = np.where(np.isnan(vals), -np.inf, vals)
-    return float(vals[0]) if scalar else vals
+    return np.where(np.isnan(vals), -np.inf, vals)
 
 
 def _log_ratio(num, den, diff):
@@ -250,7 +247,7 @@ def log_likelihood_ratio(n: float, k: float, p1, dp, ref: float) -> np.ndarray:
     return np.where(np.isnan(vals), -np.inf, vals)
 
 
-def log_likelihood(data: Dataset, cfg: FieldConfig, omega0) -> float:
+def log_likelihood(data: Dataset, cfg: FieldConfig, omega0) -> np.ndarray:
     """Log-likelihood of the dataset at a candidate transition frequency."""
     return log_likelihood_counts(data.n, data.k, prob_detect(cfg, omega0))
 

@@ -2,9 +2,9 @@
 and local-maxima search.
 
 All routines are pure functions of their arguments and safe for concurrent
-use. Integrands passed to :func:`integrate`, and functions passed to
-:func:`local_maxima`, must accept a 1-D numpy array and evaluate elementwise
-(any expression built from numpy ufuncs qualifies); an integrand may stack
+use. :func:`integrate` and :func:`local_maxima` call their functions only
+with 1-D numpy arrays, a batch of points at a time, which they evaluate
+elementwise (numpy ufunc expressions qualify); an integrand may stack
 several such components into one (C, m) array.
 """
 
@@ -198,69 +198,83 @@ def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance 
 def inv_sinc_values(y: np.ndarray) -> np.ndarray:
     """Inverse of sin(x)/x restricted to the branch [0, pi], elementwise.
 
-    sinc decreases monotonically from 1 to 0 on this branch, so pure
-    bisection applies; 64 halvings take the bracket below double-precision
-    resolution. Raises DomainError if any y lies outside [0, 1].
+    sinc decreases monotonically from 1 to 0 on this branch. Newton steps
+    start from the series root sqrt(6(1 - y)), capped by pi/(1 + y) near
+    y = 0; a step that leaves the bracket of the iterates so far falls back
+    to bisection, so every iterate stays inside [0, pi]. Six steps reach
+    rounding. The endpoints are exact (1 -> 0, 0 -> pi). Raises DomainError
+    if any y lies outside [0, 1].
     """
     y = np.asarray(y, dtype=float)
     if not np.all((y >= 0.0) & (y <= 1.0)):
         raise DomainError("inv_sinc_values requires every y in [0, 1]")
-    lo = np.zeros_like(y)
-    hi = np.full_like(y, math.pi)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        with np.errstate(invalid="ignore"):
-            val = np.where(mid == 0.0, 1.0, np.sin(mid) / np.where(mid == 0.0, 1.0, mid))
-        above = val > y
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    out = 0.5 * (lo + hi)
-    out = np.where(y == 1.0, 0.0, out)
-    out = np.where(y == 0.0, math.pi, out)
-    return out
+    x = np.minimum(np.sqrt(6.0 * (1.0 - y)), math.pi / (1.0 + y))
+    lo, hi = np.zeros_like(y), np.full_like(y, math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(6):
+            sin = np.sin(x)
+            gap = sin / x - y
+            lo, hi = np.where(gap > 0.0, x, lo), np.where(gap < 0.0, x, hi)
+            # The two terms of the slope cancel near 0: take its series there.
+            slope = np.where(x < 1e-2, x * (x * x / 30.0 - 1.0 / 3.0),
+                             (x * np.cos(x) - sin) / (x * x))
+            step = x - gap / slope
+            x = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+    return np.where(y == 1.0, 0.0, np.where(y == 0.0, math.pi, x))
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, width_target: float) -> float:
-    """Golden-section search for the maximum of a unimodal f on [a, b].
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-    Comparison-based search stalls at ~sqrt(machine eps) from the true
-    maximum, so the result is polished with one guarded parabolic step.
+
+def _refine(f: Callable, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The maxima of f on the brackets [a, b], f unimodal on each.
+
+    Golden-section search advances all brackets in lockstep, each step one
+    call of f on the new points of the brackets still open. Comparison stalls
+    at ~sqrt(machine eps) from the maximum, so guarded Newton steps follow,
+    whose five-point gradient stencil keeps the truncation bias at O(h^4).
+    Per bracket, the arithmetic is that of a one-bracket search.
     """
-    lo, hi = a, b
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > max(width_target, 1e-9 * max(abs(a), abs(b), 1.0)):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
+    lo, hi = a.copy(), b.copy()
+    target = np.maximum(tol.abs_tol, tol.rel_tol * np.maximum(np.abs(a), np.abs(b)))
 
-    # Newton polish on the derivative: a five-point gradient stencil keeps the
-    # truncation bias at O(h^4), well below the comparison-noise floor that
-    # limits the golden-section phase.
-    h = 1e-4 * max(1.0, abs(x))
+    def still_open(k):
+        scale = np.maximum(np.maximum(np.abs(a[k]), np.abs(b[k])), 1.0)
+        return k[(b[k] - a[k]) > np.maximum(target[k], 1e-9 * scale)]
+
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2])), dtype=float), 2)
+    k = still_open(np.arange(a.size))
+    while k.size:
+        keep_left = f1[k] >= f2[k]
+        left, right = k[keep_left], k[~keep_left]
+        b[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
+        x1[left] = b[left] - _INVPHI * (b[left] - a[left])
+        a[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
+        x2[right] = a[right] + _INVPHI * (b[right] - a[right])
+        f1[left], f2[right] = np.split(
+            np.asarray(f(np.concatenate([x1[left], x2[right]])), dtype=float), [left.size])
+        k = still_open(k)
+
+    x = 0.5 * (a + b)
+    h = 1e-4 * np.maximum(1.0, np.abs(x))
+    k = np.arange(x.size)
     for _ in range(3):
-        if not (lo + 2.0 * h < x < hi - 2.0 * h):
+        k = k[(lo[k] + 2.0 * h[k] < x[k]) & (x[k] < hi[k] - 2.0 * h[k])]
+        if not k.size:
             break
-        grad = (f(x - 2.0 * h) - 8.0 * f(x - h) + 8.0 * f(x + h) - f(x + 2.0 * h)) / (12.0 * h)
-        curv = (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-        if not (curv < 0.0 and math.isfinite(grad)):
-            break
-        step = -grad / curv
-        if abs(step) > (hi - lo):
-            break
-        x_new = min(max(x + step, lo), hi)
-        if abs(x_new - x) < 1e-14 * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
+        xk, hk = x[k], h[k]
+        stencil = xk + np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]]) * hk
+        fm2, fm1, f0, fp1, fp2 = np.asarray(f(stencil.ravel()), dtype=float).reshape(5, -1)
+        grad = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * hk)
+        curv = (fp1 - 2.0 * f0 + fm1) / (hk * hk)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -grad / curv
+        go = (curv < 0.0) & np.isfinite(grad) & (np.abs(step) <= hi[k] - lo[k])
+        k, xk, step = k[go], xk[go], step[go]
+        x[k] = np.minimum(np.maximum(xk + step, lo[k]), hi[k])
+        k = k[~(np.abs(x[k] - xk) < 1e-14 * np.maximum(1.0, np.abs(xk)))]
     return x
 
 
@@ -273,11 +287,12 @@ def local_maxima(
 ) -> list[LocalMaximum]:
     """All local maxima of ``f`` on [lo, hi], located on a grid and refined.
 
-    The grid is evaluated in one array call of ``f``; the refinement then
-    calls it with single floats. Interior grid peaks are polished by
-    golden-section search confined to one grid cell on each side (which
-    prevents jumping between modes). Endpoints enter as boundary candidates
-    when the function is maximal there. Results are sorted ascending.
+    Every call of ``f`` takes an array: one for the grid, one per step of
+    the refinement, which polishes all interior grid peaks together, each
+    confined to one grid cell on each side (which prevents jumping between
+    modes), and at most one to merge duplicates. Endpoints enter as
+    boundary candidates when the function is maximal there. Results are
+    sorted ascending.
     """
     if grid_points < 3:
         raise DomainError(f"grid_points must be >= 3, got {grid_points}")
@@ -287,25 +302,23 @@ def local_maxima(
     ys = np.asarray(f(xs), dtype=float)
     cell = xs[1] - xs[0]
     mid, left, right = ys[1:-1], ys[:-2], ys[2:]
-    peaks = (mid >= left) & (mid >= right) & ((mid > left) | (mid > right))
+    i = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right)))
 
-    found: list[LocalMaximum] = []
-    if ys[0] > ys[1]:
-        found.append(LocalMaximum(float(xs[0]), boundary=True))
-    for i in np.flatnonzero(peaks) + 1:
-        width_target = tol.target(max(abs(xs[i - 1]), abs(xs[i + 1])))
-        x_ref = _golden_max(f, float(xs[i - 1]), float(xs[i + 1]), width_target)
-        found.append(LocalMaximum(x_ref, boundary=False))
+    found = [LocalMaximum(float(xs[0]), boundary=True)] if ys[0] > ys[1] else []
+    if i.size:
+        found += [LocalMaximum(float(x)) for x in _refine(f, xs[i], xs[i + 2], tol)]
     if ys[-1] > ys[-2]:
         found.append(LocalMaximum(float(xs[-1]), boundary=True))
 
     # Plateau detection can report one peak twice from adjacent cells.
     found.sort(key=lambda m: m.x)
-    merged: list[LocalMaximum] = []
-    for m in found:
-        if merged and abs(m.x - merged[-1].x) < 0.5 * cell:
-            if f(m.x) > f(merged[-1].x):
-                merged[-1] = m
+    at = np.array([m.x for m in found])
+    vals = f(at) if np.any(np.diff(at) < 0.5 * cell) else None
+    kept: list[int] = []
+    for j, m in enumerate(found):
+        if kept and abs(m.x - found[kept[-1]].x) < 0.5 * cell:
+            if vals[j] > vals[kept[-1]]:
+                kept[-1] = j
         else:
-            merged.append(m)
-    return merged
+            kept.append(j)
+    return [found[j] for j in kept]

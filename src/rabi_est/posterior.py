@@ -147,7 +147,7 @@ def _peaks(spec: PosteriorSpec) -> np.ndarray:
 
 
 def _workspace(spec: PosteriorSpec):
-    """The mode of the posterior and the intervals carrying its mass.
+    """The posterior mode, its log joint and the intervals carrying the mass.
 
     The mode is the maximizer of the log joint over a fixed grid and the
     closed-form peaks. The grid's runs of numerically relevant mass, padded
@@ -191,7 +191,7 @@ def _workspace(spec: PosteriorSpec):
     cuts = _distinct(np.concatenate([lo, hi, center]))
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     covered = np.any((lo[:, None] < mid) & (mid < hi[:, None]), axis=0)
-    return mode, cuts[:-1][covered], cuts[1:][covered]
+    return mode, shift, cuts[:-1][covered], cuts[1:][covered]
 
 
 @lru_cache(maxsize=128)
@@ -203,7 +203,7 @@ def _moments(spec: PosteriorSpec):
     there, times the prior's ratio: near the mode its rounding stays far
     below that of the log joint itself (~1e-6 at n = 1e10).
     """
-    mode, lo, hi = _workspace(spec)
+    mode, shift, lo, hi = _workspace(spec)
     n, k, prior = spec.data.n, spec.data.k, spec.prior
     ref = float(prob_detect(spec.cfg, mode))
     prior_at_mode = float(log_density(prior, mode))
@@ -217,7 +217,7 @@ def _moments(spec: PosteriorSpec):
     z, first = integrate(integrand, lo, hi, spec.quad_tol)
     if not z > 0.0:
         raise EvidenceUnderflow("posterior evidence is zero within tolerance")
-    return float(_log_joint(spec, mode)), z, first
+    return shift, z, first
 
 
 def _log_evidence(spec: PosteriorSpec) -> float:
@@ -226,16 +226,13 @@ def _log_evidence(spec: PosteriorSpec) -> float:
 
 
 def posterior_log_density(spec: PosteriorSpec, omega0):
-    """Log of the normalized posterior density at omega0 (inside the window).
-
-    Accepts scalar or array input.
-    """
+    """Log of the normalized posterior density at omega0 (inside the window),
+    elementwise."""
     w = spec.prior.window
     x = np.asarray(omega0, dtype=float)
     if not (np.all(x >= w.lower) and np.all(x <= w.upper)):
         raise DomainError(f"omega0 outside the window [{w.lower}, {w.upper}]")
-    out = _log_joint(spec, x) - _log_evidence(spec)
-    return float(out) if x.ndim == 0 else out
+    return _log_joint(spec, x) - _log_evidence(spec)
 
 
 def mmse(spec: PosteriorSpec) -> float:
@@ -273,7 +270,8 @@ def map_estimate(spec: PosteriorSpec, grid_points: int = 2001) -> MapResult:
     admit spurious solutions at posterior minima); the maximization itself is
     a grid search with golden-section polish. Boundary maxima are flagged and
     skip the stationarity test. The inconclusive-curvature flag follows the
-    |second derivative| < 1e-8 rule.
+    |second derivative| < 1e-8 rule. Each field is one array call over all
+    peaks.
     """
     if grid_points < 101:
         raise DomainError(f"grid_points must be >= 101, got {grid_points}")
@@ -281,35 +279,25 @@ def map_estimate(spec: PosteriorSpec, grid_points: int = 2001) -> MapResult:
 
     g = partial(_log_joint, spec)
     peaks = local_maxima(g, w.lower, w.upper, grid_points, spec.quad_tol)
-    log_z = _log_evidence(spec)
-    xbar = spec.data.xbar if spec.data.n > 0 else math.nan
-    entries = []
-    for peak in peaks:
-        x = peak.x
-        h = max(1e-4, 1e-5 * abs(x))
-        if not peak.boundary:
-            h = min(h, 0.45 * (x - w.lower), 0.45 * (w.upper - x))
-            second = (g(x + h) - 2.0 * g(x) + g(x - h)) / (h * h)
-        else:
-            second = math.nan
-        residual = math.nan
-        if (
-            not peak.boundary
-            and spec.data.n > 0
-            and abs(float(dprob_domega0(spec.cfg, x))) > _DP_FLOOR
-        ):
-            lhs = map_stationarity_lhs(spec.cfg, spec.prior, spec.data.n, x)
-            residual = abs(float(lhs) - xbar)
-        entries.append(
-            MapMaximum(
-                value=x,
-                log_posterior=g(x) - log_z,
-                second_derivative=second,
-                boundary=peak.boundary,
-                stationarity_residual=residual,
-            )
-        )
-    return MapResult(maxima=tuple(entries))
+    x = np.array([peak.x for peak in peaks])
+    inner = ~np.array([peak.boundary for peak in peaks], dtype=bool)
+    xi = x[inner]
+    h = np.minimum(np.maximum(1e-4, 1e-5 * np.abs(xi)), 0.45 * np.minimum(xi - w.lower, w.upper - xi))
+    # One call for the log joint at every peak and the curvature stencil of
+    # the interior ones.
+    g_x, g_up, g_down = np.split(g(np.concatenate([x, xi + h, xi - h])), [x.size, x.size + xi.size])
+    second = np.full(x.size, math.nan)
+    second[inner] = (g_up - 2.0 * g_x[inner] + g_down) / (h * h)
+    residual = np.full(x.size, math.nan)
+    if spec.data.n > 0:
+        tested = inner & (np.abs(dprob_domega0(spec.cfg, x)) > _DP_FLOOR)
+        lhs = map_stationarity_lhs(spec.cfg, spec.prior, spec.data.n, x[tested])
+        residual[tested] = np.abs(lhs - spec.data.xbar)
+    log_post = g_x - _log_evidence(spec)
+    return MapResult(maxima=tuple(
+        MapMaximum(value=peak.x, log_posterior=float(log_post[j]), second_derivative=float(second[j]),
+                   boundary=peak.boundary, stationarity_residual=float(residual[j]))
+        for j, peak in enumerate(peaks)))
 
 
 def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int, tol: Tolerance = DEFAULT_TOL) -> BayesFisher:

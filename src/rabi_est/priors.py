@@ -117,10 +117,8 @@ def jeffreys_normalizer(
 
 def log_density(prior: Prior, omega0):
     """Natural log of the prior density; -inf outside the window for the
-    uniform and Jeffreys families. Accepts scalar or array input."""
+    uniform and Jeffreys families. Elementwise."""
     x = np.asarray(omega0, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     w = prior.window
     if prior.kind is PriorKind.UNIFORM:
         inside = (x >= w.lower) & (x <= w.upper)
@@ -135,7 +133,7 @@ def log_density(prior: Prior, omega0):
         with np.errstate(divide="ignore"):
             vals = 0.5 * np.log(f) - math.log(prior.normalizer)
         vals = np.where(inside, vals, -np.inf)
-    return float(vals[0]) if scalar else vals
+    return vals
 
 
 def prior_score(prior: Prior, omega0):
@@ -232,9 +230,6 @@ def window_mass(prior: Prior) -> float:
 def truncated_density(prior: Prior, omega0):
     """Window-renormalized prior density, zero outside the window."""
     x = np.asarray(omega0, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     w = prior.window
     inside = (x >= w.lower) & (x <= w.upper)
-    vals = np.where(inside, np.exp(log_density(prior, x)) / window_mass(prior), 0.0)
-    return float(vals[0]) if scalar else vals
+    return np.where(inside, np.exp(log_density(prior, x)) / window_mass(prior), 0.0)

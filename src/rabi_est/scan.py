@@ -16,7 +16,6 @@ smaller root sits exactly on the zero boundary).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -159,6 +158,9 @@ def _field_arrays(cfg: FieldConfig, varied: dict[str, np.ndarray]) -> SimpleName
 def _run_cells(fn: Callable, args: list, workers: int) -> list:
     if workers <= 1 or len(args) < 4:
         return [fn(a) for a in args]
+    # Imported here, so that importing the package loads no multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(args) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args, chunksize=chunk))

@@ -88,6 +88,45 @@ def bisect(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def golden_max(f, a: float, b: float, width_target: float) -> float:
+    """Scalar golden-section search for the maximum of a unimodal f on
+    [a, b], one point at a time, then at most three guarded Newton steps on
+    a five-point gradient stencil: the per-peak reference for
+    ``numerics.local_maxima``."""
+    lo, hi = a, b
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while (b - a) > max(width_target, 1e-9 * max(abs(a), abs(b), 1.0)):
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    x = 0.5 * (a + b)
+    h = 1e-4 * max(1.0, abs(x))
+    for _ in range(3):
+        if not (lo + 2.0 * h < x < hi - 2.0 * h):
+            break
+        grad = (f(x - 2.0 * h) - 8.0 * f(x - h) + 8.0 * f(x + h) - f(x + 2.0 * h)) / (12.0 * h)
+        curv = (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+        if not (curv < 0.0 and math.isfinite(grad)):
+            break
+        step = -grad / curv
+        if abs(step) > (hi - lo):
+            break
+        x_new = min(max(x + step, lo), hi)
+        if abs(x_new - x) < 1e-14 * max(1.0, abs(x)):
+            x = x_new
+            break
+        x = x_new
+    return x
+
+
 def cfi_oracle(cfg: FieldConfig, omega0, h: float = 1e-6):
     """Definitional single-detection Fisher information with an FD derivative.
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 from rabi_est.cli import main
 from rabi_est.dynamics import FieldConfig
@@ -89,3 +92,13 @@ def test_sidecar_manifest_is_byte_identical(tmp_path):
     manifest = json.loads(runs[0][1])
     assert manifest["operation"] == "fisher_scan"
     assert manifest["manifest"]["seed"] is None
+
+
+def test_import_loads_no_process_pool():
+    # Every CLI run pays for its imports; only a pooled scan needs the pool.
+    code = ("import sys, rabi_est.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,10 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from rabi_est import montecarlo
-from rabi_est.dynamics import FieldConfig
+from rabi_est.dynamics import FieldConfig, prob_detect
 from rabi_est.errors import (
     AllTrialsDegenerate,
     DegenerateData,
@@ -49,6 +51,44 @@ def reference_ml_moments(tc: TrialConfig):
     mean = float(np.sum(arr) / arr.size)
     variance = float(np.sum((arr - mean) ** 2) / (arr.size - 1))
     return mean, variance, ambiguous, degenerate
+
+
+def fresh_philox_count(cfg, omega0_true, n, seed, stream):
+    """The count from a freshly built Philox(key=[seed, stream]) generator."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    return int(np.count_nonzero(gen.random(n) < float(prob_detect(cfg, omega0_true))))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024, 2**64 - 1])
+def test_dataset_matches_fresh_generator(seed):
+    for n in (1, 3, 100, 1001):
+        for omega0_true in (1.7, 2.0, 3.1):
+            for stream in range(0, 300, 7):
+                data = simulate_dataset(CFG, omega0_true, n, seed, stream=stream)
+                assert data.k == fresh_philox_count(CFG, omega0_true, n, seed, stream)
+
+
+def test_dataset_matches_fresh_generator_across_threads():
+    # Two threads draw different streams at once, with frequent switches.
+    results = {0: [], 1: []}
+
+    def draw(first):
+        for stream in range(first, 400, 2):
+            results[first].append(simulate_dataset(CFG, 2.0, 100, 11, stream=stream).k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(first,)) for first in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for first, ks in results.items():
+        assert ks == [fresh_philox_count(CFG, 2.0, 100, 11, s) for s in range(first, 400, 2)]
 
 
 def test_reports_are_bitwise_reproducible():

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bisect, central_diff
+from oracles import bisect, central_diff, golden_max
+from rabi_est import posterior
+from rabi_est.dynamics import FieldConfig
 from rabi_est.errors import DomainError, NonConvergence, NoSignChange
+from rabi_est.frequentist import Dataset
 from rabi_est.numerics import (
     Bracket,
     Tolerance,
@@ -13,6 +16,7 @@ from rabi_est.numerics import (
     inv_sinc_values,
     local_maxima,
 )
+from rabi_est.priors import Prior, SupportWindow
 
 
 class TestTolerance:
@@ -176,6 +180,13 @@ class TestInvSinc:
         sinc = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
         assert np.max(np.abs(sinc - y)) < 1e-10
 
+    def test_near_the_endpoints(self):
+        # Where the slope of sinc vanishes (y -> 1) and where x -> pi.
+        y = np.concatenate([1.0 - np.logspace(-16, -1, 61), np.logspace(-300, -1, 61)])
+        x = inv_sinc_values(y)
+        assert np.all((x >= 0.0) & (x <= math.pi))
+        assert np.max(np.abs(np.sin(x) / x - y)) < 1e-12
+
     def test_values_match_oracle(self):
         ys = np.linspace(0.0, 1.0, 101)[1:-1]
         vals = inv_sinc_values(ys)
@@ -229,3 +240,79 @@ class TestLocalMaxima:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             local_maxima(np.sin, 0.0, 1.0, 2)
+
+
+class CountingArrayCalls:
+    """Wraps an elementwise f; counts calls and rejects scalar arguments."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        assert np.ndim(x) == 1
+        self.calls += 1
+        return self.f(x)
+
+
+def grid_peaks(f, lo, hi, grid_points):
+    """Brackets [x_(i-1), x_(i+1)] around the interior grid peaks x_i."""
+    xs = np.linspace(lo, hi, grid_points)
+    ys = f(xs)
+    mid, left, right = ys[1:-1], ys[:-2], ys[2:]
+    i = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right)))
+    return xs[i], xs[i + 2]
+
+
+class TestLockstepRefinement:
+    """local_maxima against the one-bracket golden-section oracle."""
+
+    def assert_matches_oracle(self, f, lo, hi, grid_points, tol=Tolerance()):
+        found = [m for m in local_maxima(f, lo, hi, grid_points, tol) if not m.boundary]
+        a, b = grid_peaks(f, lo, hi, grid_points)
+        assert len(found) == a.size > 0
+        for peak, left, right in zip(found, a, b):
+            target = tol.target(max(abs(left), abs(right)))
+            oracle = golden_max(lambda x: float(f(np.float64(x))), float(left), float(right), target)
+            assert peak.x == pytest.approx(oracle, abs=target)
+
+    def test_sine(self):
+        self.assert_matches_oracle(np.sin, 0.0, 12.0 * math.pi, 1201)
+
+    def test_multimodal_log_posterior(self):
+        cfg = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
+        spec = posterior.PosteriorSpec(data=Dataset(100, 49), cfg=cfg,
+                                       prior=Prior.gaussian(SupportWindow(0.1, 100.0), 2.0, 1.0))
+        f = lambda x: posterior._log_joint(spec, x)  # noqa: E731
+        self.assert_matches_oracle(f, 0.1, 100.0, 2001)
+        assert len(grid_peaks(f, 0.1, 100.0, 2001)[0]) >= 10
+
+    def test_peaks_in_the_end_cells(self):
+        # Maxima one grid cell from each end: the Newton stencil would leave
+        # the bracket, so the guard stops it.
+        self.assert_matches_oracle(lambda x: np.cos(x * math.pi / 0.95), -0.05, 1.0, 21)
+
+    def test_loose_tolerance(self):
+        self.assert_matches_oracle(np.sin, 0.0, 6.0 * math.pi, 61, Tolerance(1e-3, 1e-3))
+
+    def test_calls_do_not_grow_with_the_peak_count(self):
+        counts = []
+        for m in (1, 16):
+            f = CountingArrayCalls(np.sin)
+            found = local_maxima(f, 0.0, 2.0 * math.pi * m, 200 * m + 1)
+            assert sum(not p.boundary for p in found) == m
+            counts.append(f.calls)
+        assert counts[1] <= counts[0] + 2
+        assert counts[0] < 70
+
+    def test_plateau_reported_once(self):
+        # A flat top spanning two grid points yields one grid peak from each
+        # cell; the merge keeps one, with one array call for both values.
+        f = CountingArrayCalls(lambda x: -np.maximum(np.abs(x - 0.5) - 0.05, 0.0) ** 2)
+        found = local_maxima(f, 0.0, 1.0, 11)
+        assert len(found) == 1 and 0.45 <= found[0].x <= 0.55
+
+    def test_no_interior_peak(self):
+        f = CountingArrayCalls(lambda x: np.zeros_like(x))
+        assert local_maxima(f, 0.0, 1.0, 11) == []
+        assert f.calls == 1

@@ -9,6 +9,7 @@ from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect, q_factor
 from rabi_est.errors import DomainError
 from rabi_est.fisher import cfi_values
 from rabi_est.frequentist import Dataset, ml_estimate
+from rabi_est import posterior
 from rabi_est.posterior import (
     PosteriorSpec,
     bayes_fisher,
@@ -215,6 +216,45 @@ class TestMap:
         spec = PosteriorSpec(data=Dataset(20, 20 * xbar), cfg=CFG, prior=prior)
         result = map_estimate(spec)
         assert any(m.boundary and m.value == 3.3 for m in result.maxima)
+
+
+class TestMapFieldsPerPeak:
+    """map_estimate's array calls against a stencil evaluated peak by peak
+    with scalar calls of the log joint."""
+
+    @pytest.mark.parametrize("prior,n,k", [
+        (Prior.gaussian(WIDE, 2.0, 1.0), 100, 49),
+        (Prior.gaussian(WIDE, 2.0, 1.0), 100, 100),
+        (GAUSS, 8, 2),
+        # A boundary maximum at the upper edge.
+        (Prior.uniform(SupportWindow(3.0, 3.3)), 20, 20 * float(prob_detect(CFG, 3.42))),
+        (Prior.jeffreys(SupportWindow(1.5, 5.0), CFG), 100, 30),
+    ], ids=["gaussian-k49", "gaussian-k100", "gaussian-n8", "boundary", "jeffreys"])
+    def test_fields_match_scalar_stencil(self, prior, n, k):
+        spec = PosteriorSpec(data=Dataset(n, k), cfg=CFG, prior=prior)
+        w = prior.window
+        log_z = posterior._log_evidence(spec)
+
+        def g(x):
+            return float(posterior._log_joint(spec, np.float64(x)))
+
+        result = map_estimate(spec)
+        for m in result.maxima:
+            x = m.value
+            assert m.log_posterior == pytest.approx(g(x) - log_z, rel=1e-13, abs=1e-13)
+            if m.boundary:
+                assert math.isnan(m.second_derivative)
+                assert math.isnan(m.stationarity_residual)
+                continue
+            h = min(max(1e-4, 1e-5 * abs(x)), 0.45 * (x - w.lower), 0.45 * (w.upper - x))
+            second = (g(x + h) - 2.0 * g(x) + g(x - h)) / (h * h)
+            # A few ulps of the log joint, over h^2.
+            assert m.second_derivative == pytest.approx(second, abs=16 * np.spacing(abs(g(x))) / h**2)
+            if abs(float(dprob_domega0(CFG, x))) > 1e-12:
+                lhs = float(map_stationarity_lhs(CFG, prior, spec.data.n, x))
+                assert m.stationarity_residual == pytest.approx(abs(lhs - spec.data.xbar), abs=1e-14)
+            else:
+                assert math.isnan(m.stationarity_residual)
 
 
 class TestStationarityForm:
