@@ -28,6 +28,7 @@ __all__ = [
     "prob_detect",
     "prob_detect_change",
     "prob_stationary_points",
+    "prob_pieces",
     "dprob_domega0",
     "ddensity_domega0",
 ]
@@ -167,6 +168,16 @@ def prob_stationary_points(cfg: FieldConfig, lower: float, upper: float):
     inside = (points >= lower) & (points <= upper)
     order = np.argsort(points[inside])
     return points[inside][order], zero[inside][order]
+
+
+def prob_pieces(cfg: FieldConfig, lower: float, upper: float):
+    """The ends (lo, hi) of the pieces of [lower, upper] between consecutive
+    stationary points of p. On each piece p is monotone, and p, sqrt(CFI)
+    and the likelihood of a fractional count are smooth inside it."""
+    points, _ = prob_stationary_points(cfg, lower, upper)
+    ends = np.concatenate([[lower], points, [upper]])
+    keep = ends[1:] > ends[:-1]
+    return ends[:-1][keep], ends[1:][keep]
 
 
 def dprob_domega0(cfg: FieldConfig, omega0, t: float = 1.0):

@@ -96,15 +96,19 @@ class TrialReport:
 def simulate_dataset(cfg: FieldConfig, omega0_true: float, n: int, seed: int, stream: int = 0) -> Dataset:
     """One photon-count dataset: n Bernoulli draws at the true detection
     probability from the (seed, stream)-keyed generator."""
-    p1 = float(prob_detect(cfg, omega0_true))
+    return Dataset(n=n, k=_draw(float(prob_detect(cfg, omega0_true)), n, seed, stream))
+
+
+def _draw(p1: float, n: int, seed: int, stream: int) -> int:
+    """The photon count of n draws at detection probability p1 from the
+    (seed, stream)-keyed generator."""
     if not hasattr(_thread, "gen"):
         _thread.gen = np.random.Generator(np.random.Philox())
     zeros = np.zeros(4, dtype=np.uint64)
     _thread.gen.bit_generator.state = {
         "bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         "state": {"counter": zeros, "key": np.array([seed, stream], dtype=np.uint64)}}
-    k = int(np.count_nonzero(_thread.gen.random(n) < p1))
-    return Dataset(n=n, k=k)
+    return int(np.count_nonzero(_thread.gen.random(n) < p1))
 
 
 # Outcomes of trials that yield no estimate.
@@ -137,12 +141,11 @@ def run_trials(tc: TrialConfig) -> TrialReport:
     value would leak the parameter into the estimator). The estimators are
     deterministic in (n, k), so each distinct count is estimated once, in
     order of first appearance. Moments are reduced in fixed trial order, so
-    the report is bitwise reproducible.
+    the report is bitwise reproducible. The detection probability at the
+    truth is computed once for all datasets.
     """
-    ks = [
-        simulate_dataset(tc.cfg, tc.omega0_true, tc.n, tc.seed, stream=i).k
-        for i in range(tc.trials)
-    ]
+    p1 = float(prob_detect(tc.cfg, tc.omega0_true))
+    ks = [_draw(p1, tc.n, tc.seed, i) for i in range(tc.trials)]
     by_count = {k: _outcome(tc, Dataset(n=tc.n, k=k)) for k in dict.fromkeys(ks)}
     outcomes = [by_count[k] for k in ks]
     estimates = [o for o in outcomes if not isinstance(o, str)]

@@ -1,5 +1,5 @@
-"""Self-contained numerical kernel: quadrature, root finding, inverse sinc
-and local-maxima search.
+"""Self-contained numerical kernel: adaptive Clenshaw-Curtis quadrature, root
+finding, inverse sinc and local-maxima search.
 
 All routines are pure functions of their arguments and safe for concurrent
 use. :func:`integrate` and :func:`local_maxima` call their functions only
@@ -29,9 +29,9 @@ __all__ = [
     "local_maxima",
 ]
 
-# Recursion depth cap for adaptive Simpson subdivision.
+# Bisections of an interval's first panel, at most: 60 reach ~1e-18 of it.
 _MAX_DEPTH = 60
-# Hard cap on simultaneously active subintervals (memory guard).
+# Hard cap on the number of panels held at once (memory guard).
 _MAX_INTERVALS = 2_000_000
 # Most points per call of an integrand, which bounds its temporaries.
 _CHUNK = 16_384
@@ -79,81 +79,83 @@ class LocalMaximum:
     boundary: bool = False
 
 
+def _clenshaw_curtis(n: int):
+    """Nodes (1 - cos(j pi/n))/2, j = 0..n, and weights of the (n+1)-point
+    Clenshaw-Curtis rule on [0, 1], for even n."""
+    j = np.arange(n + 1)
+    k = np.arange(1, n // 2 + 1)
+    b = np.where(k == n // 2, 1.0, 2.0) / (4.0 * k * k - 1.0)
+    w = (1.0 - b @ np.cos(2.0 * np.pi * np.outer(k, j) / n)) / n
+    w[1:-1] *= 2.0
+    return 0.5 * (1.0 - np.cos(np.pi * j / n)), 0.5 * w
+
+
+# The 17-point rule, and beside it its difference from the 9-point rule on
+# every second node: the error estimate of a panel.
+_NODES, _W17 = _clenshaw_curtis(16)
+_W9 = np.zeros(17)
+_W9[::2] = _clenshaw_curtis(8)[1]
+_RULES = np.stack([_W17, _W17 - _W9], axis=1)
+
+
 def integrate(f: Callable, lo, hi, tol: Tolerance = DEFAULT_TOL):
-    """Adaptive Simpson quadrature of ``f`` summed over the intervals
+    """Adaptive Clenshaw-Curtis quadrature of ``f`` summed over the intervals
     [lo, hi] (floats, or equal-length arrays of interval ends).
 
     ``f`` maps m points to m values (the result is a float) or to a (C, m)
-    array of C components (the result has C integrals). All intervals are
-    seeded with ten panels each in one call of ``f``, and each round of
-    bisection evaluates all active panels together, at most _CHUNK points a
-    call. A panel is bisected until, in every component, the local
-    Richardson error estimate fits within the panel's share, by width over
-    all intervals, of max(abs_tol, rel_tol*|component integral|). Raises
-    NonConvergence at the depth cap or the subdivision budget, DomainError
-    on non-finite seeds.
+    array of C components (the result has C integrals). Each interval starts
+    as one panel. A panel's estimate is the 17-point rule, whose nodes include
+    the panel ends, and its error estimate the distance to the nested 9-point
+    rule. The error budget is global: while some component's errors sum to
+    more than max(abs_tol, rel_tol*|its integral|), each round bisects, per
+    component, the panels of largest error until the rest sum to at most half
+    of that, and evaluates all new panels together, at most _CHUNK points a
+    call. Raises NonConvergence at the depth cap or the subdivision budget,
+    DomainError on non-finite values.
     """
     lo_a = np.atleast_1d(np.asarray(lo, dtype=float))
     hi_a = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo_a.ndim != 1 or lo_a.shape != hi_a.shape or not np.all(lo_a < hi_a):
         raise DomainError(f"integration bounds require lo < hi, got [{lo}, {hi}]")
+    scalar = False
 
-    n0 = 10
-    edges = np.linspace(lo_a, hi_a, n0 + 1, axis=1)
-    a = edges[:, :-1].ravel()
-    b = edges[:, 1:].ravel()
-    mid = 0.5 * (a + b)
-    seed = np.asarray(f(np.concatenate([edges.ravel(), mid])))
-    scalar = seed.ndim == 1
-    seed = np.atleast_2d(seed)
-    if not np.all(np.isfinite(seed)):
-        raise DomainError("integrand is not finite on the integration interval")
-    fe = seed[:, :edges.size].reshape(len(seed), lo_a.size, n0 + 1)
-    fa = fe[:, :, :-1].reshape(len(seed), -1)
-    fb = fe[:, :, 1:].reshape(len(seed), -1)
-    fm = seed[:, edges.size:]
-    simp = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    def panels(a, b):
+        """Estimates and error estimates of f on the panels [a, b], (C, P) each."""
+        nonlocal scalar
+        x = a[:, None] + (b - a)[:, None] * _NODES
+        x[:, 0], x[:, -1] = a, b
+        fx = [np.asarray(f(x_i)) for x_i in np.split(x.ravel(), range(_CHUNK, x.size, _CHUNK))]
+        scalar = fx[0].ndim == 1
+        fx = np.concatenate([np.atleast_2d(v) for v in fx], axis=1)
+        if not np.all(np.isfinite(fx)):
+            raise DomainError("integrand is not finite on the integration interval")
+        est = fx.reshape(len(fx), a.size, _NODES.size) @ _RULES * (b - a)[:, None]
+        return est[..., 0], np.abs(est[..., 1])
 
-    eps = np.array([[tol.target(s)] for s in np.sum(simp, axis=1)])
-    span = float(np.sum(hi_a - lo_a))
-    depth = np.zeros(len(a), dtype=int)
-    total = np.zeros(len(seed))
-
-    def halves(left, right):
-        """The left and right halves of the panels kept for bisection."""
-        return np.concatenate([left.take(kept, axis=-1), right.take(kept, axis=-1)], axis=-1)
-
-    def evaluate(x):
-        """f at x as a (C, m) array, in calls of at most _CHUNK points."""
-        return np.concatenate([np.atleast_2d(f(x[i:i + _CHUNK]))
-                               for i in range(0, x.size, _CHUNK)], axis=1)
-
-    while len(a) > 0:
-        ml = 0.5 * (a + mid)
-        mr = 0.5 * (mid + b)
-        quarters = evaluate(np.concatenate([ml, mr]))
-        fml, fmr = quarters[:, :len(ml)], quarters[:, len(ml):]
-        sl = (mid - a) / 6.0 * (fa + 4.0 * fml + fm)
-        sr = (b - mid) / 6.0 * (fm + 4.0 * fmr + fb)
-        err = sl + sr - simp
-        allowance = 15.0 * eps * (b - a) / span
-        done = np.all(np.abs(err) <= allowance, axis=0)
-        total += np.sum(np.where(done, sl + sr + err / 15.0, 0.0), axis=1)
-
-        keep = ~done
-        if np.any(keep & (depth >= _MAX_DEPTH)):
+    a, b = lo_a, hi_a
+    depth = np.zeros(a.size, dtype=int)
+    value, err = panels(a, b)
+    while True:
+        eps = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(value.sum(axis=1)))
+        if np.all(err.sum(axis=1) <= eps):
+            return float(value.sum()) if scalar else value.sum(axis=1)
+        order = np.argsort(err, axis=1)
+        rest = np.cumsum(np.take_along_axis(err, order, axis=1), axis=1) <= 0.5 * eps[:, None]
+        split = np.zeros(a.size, dtype=bool)
+        split[order[~rest]] = True
+        if np.any(depth[split] >= _MAX_DEPTH):
             raise NonConvergence(
-                f"adaptive Simpson did not converge within depth {_MAX_DEPTH}"
-            )
-        kept = np.flatnonzero(keep)
-        if 2 * kept.size > _MAX_INTERVALS:
-            raise NonConvergence("adaptive Simpson exceeded the subdivision budget")
-        a, b, mid = halves(a, mid), halves(mid, b), halves(ml, mr)
-        fa, fb, fm = halves(fa, fm), halves(fm, fb), halves(fml, fmr)
-        simp = halves(sl, sr)
-        depth = halves(depth, depth) + 1
-
-    return float(total[0]) if scalar else total
+                f"adaptive Clenshaw-Curtis did not converge within depth {_MAX_DEPTH}")
+        if a.size + np.count_nonzero(split) > _MAX_INTERVALS:
+            raise NonConvergence("adaptive Clenshaw-Curtis exceeded the subdivision budget")
+        mid = 0.5 * (a[split] + b[split])
+        new_a, new_b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        new_value, new_err = panels(new_a, new_b)
+        keep = ~split
+        a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
+        depth = np.concatenate([depth[keep], np.tile(depth[split] + 1, 2)])
+        value = np.concatenate([value[:, keep], new_value], axis=1)
+        err = np.concatenate([err[:, keep], new_err], axis=1)
 
 
 def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -11,7 +11,10 @@ broader than a few of its cells. The closed-form structure of p finds the
 rest: p is monotone between the zeros of dp/domega0, so the likelihood can
 peak only at a root of p = xbar or at an end of such a piece. Each peak too
 sharp for the grid gets its own interval, so the answer does not depend on
-whether a grid point happens to fall near it.
+whether a grid point happens to fall near it. The regions are cut at the
+closed-form zeros of dp/domega0 as well: there a fractional count leaves a
+cusp |omega0 - z|^(2k) and the Jeffreys density a kink, and a panel rule
+converges fast toward such a point only when it is a panel end.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .dynamics import (
     dprob_domega0,
     prob_detect,
     prob_detect_change,
-    prob_stationary_points,
+    prob_pieces,
 )
 from .errors import DomainError, EvidenceUnderflow
 from .fisher import cfi_values, qfi_values
@@ -111,21 +114,18 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate([[True], x[1:] > x[:-1]])]
 
 
-def _peaks(spec: PosteriorSpec) -> np.ndarray:
+def _peaks(spec: PosteriorSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Every point where the log joint may peak more sharply than the grid
-    resolves.
+    resolves, given the pieces [lo, hi] of the window between the closed-form
+    zeros of dp/domega0.
 
-    p is monotone between the closed-form zeros of dp/domega0, so on each
-    such piece of the window the likelihood peaks at the root of p = xbar,
-    if it has one, or else at an end of the piece. The Gaussian prior mean,
-    clipped to the window, joins them.
+    p is monotone on each piece, so there the likelihood peaks at the root of
+    p = xbar, if it has one, or else at an end of the piece. The Gaussian
+    prior mean, clipped to the window, joins them.
     """
     cfg, w, n = spec.cfg, spec.prior.window, spec.data.n
     peaks = []
     if n > 0:
-        stationary, _ = prob_stationary_points(cfg, w.lower, w.upper)
-        ends = _distinct(np.concatenate([[w.lower], stationary, [w.upper]]))
-        lo, hi = ends[:-1], ends[1:]
         gap_lo = prob_detect(cfg, lo) - spec.data.xbar
         gap_hi = prob_detect(cfg, hi) - spec.data.xbar
         # Pieces span a few units: 12 halvings bracket a root to ~1e-3, and
@@ -140,7 +140,7 @@ def _peaks(spec: PosteriorSpec) -> np.ndarray:
             for _ in range(3):
                 step = (prob_detect(cfg, x) - spec.data.xbar) / dprob_domega0(cfg, x)
                 x = np.clip(np.where(np.isnan(step), x, x - step), a, b)
-        peaks += [x[(gap_lo > 0.0) != (gap_hi > 0.0)], ends]
+        peaks += [x[(gap_lo > 0.0) != (gap_hi > 0.0)], lo, hi]
     if spec.prior.kind is PriorKind.GAUSSIAN:
         peaks.append([min(max(spec.prior.mean, w.lower), w.upper)])
     return _distinct(np.concatenate(peaks)) if peaks else np.empty(0)
@@ -156,12 +156,14 @@ def _workspace(spec: PosteriorSpec):
     region, out to the nearest step of a ladder halving from one cell at
     which the log joint has fallen by the mass floor or left the window,
     split at the peak so that the quadrature seeds on it whatever grid run
-    it falls in.
+    it falls in. The regions are cut again at the zeros of dp/domega0, where
+    a fractional count leaves a cusp and the Jeffreys density a kink.
     """
     w = spec.prior.window
     xs = np.linspace(w.lower, w.upper, _GRID_POINTS)
     g = _log_joint(spec, xs)
-    peaks = _peaks(spec)
+    pieces = prob_pieces(spec.cfg, w.lower, w.upper)
+    peaks = _peaks(spec, *pieces)
     g_peaks = _log_joint(spec, peaks)
     values = np.concatenate([g, g_peaks])
     mode, shift = float(np.concatenate([xs, peaks])[values.argmax()]), float(values.max())
@@ -188,7 +190,7 @@ def _workspace(spec: PosteriorSpec):
     lo = np.concatenate([xs[np.maximum(first - 2, 0)], np.maximum(center - reach[0], w.lower)])
     hi = np.concatenate([xs[np.minimum(last + 2, _GRID_POINTS - 1)],
                          np.minimum(center + reach[1], w.upper)])
-    cuts = _distinct(np.concatenate([lo, hi, center]))
+    cuts = _distinct(np.concatenate([lo, hi, center, pieces[0]]))
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     covered = np.any((lo[:, None] < mid) & (mid < hi[:, None]), axis=0)
     return mode, shift, cuts[:-1][covered], cuts[1:][covered]
@@ -305,7 +307,9 @@ def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int, tol: Tolerance = DEFAUL
 
     bayes_cfi and bayes_qfi each add the prior's own information divided by
     the trial count; the gap is the plain prior average of (QFI - CFI), since
-    that contribution cancels. Averages use the window-renormalized prior.
+    that contribution cancels. Averages use the window-renormalized prior, in
+    one quadrature of the three on the pieces between the zeros of dp/domega0,
+    cut again at a Gaussian prior's mean.
     """
     if not n >= 1:
         raise DomainError(f"trial count n must be >= 1, got {n}")
@@ -313,16 +317,17 @@ def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int, tol: Tolerance = DEFAUL
     info = prior_fisher(prior, tol)
     w = prior.window
 
-    def avg(values_fn) -> float:
-        def integrand(x: np.ndarray) -> np.ndarray:
-            vals = np.nan_to_num(values_fn(x), nan=0.0)
-            return vals * truncated_density(prior, x)
+    def integrand(x: np.ndarray) -> np.ndarray:
+        cfi, qfi = np.nan_to_num(cfi_values(cfg, x), nan=0.0), qfi_values(cfg, x)
+        return np.stack([cfi, qfi, qfi - cfi]) * truncated_density(prior, x)
 
-        return integrate(integrand, w.lower, w.upper, tol)
-
-    mean_cfi = avg(lambda x: cfi_values(cfg, x))
-    mean_qfi = avg(lambda x: qfi_values(cfg, x))
-    mean_gap = avg(lambda x: qfi_values(cfg, x) - np.nan_to_num(cfi_values(cfg, x), nan=0.0))
+    cuts = np.concatenate(prob_pieces(cfg, w.lower, w.upper))
+    if prior.kind is PriorKind.GAUSSIAN:
+        # A prior narrower than the node spacing of a piece is found from
+        # its mean at a panel end.
+        cuts = np.append(cuts, min(max(prior.mean, w.lower), w.upper))
+    cuts = _distinct(cuts)
+    mean_cfi, mean_qfi, mean_gap = map(float, integrate(integrand, cuts[:-1], cuts[1:], tol))
     return BayesFisher(
         bayes_cfi=mean_cfi + info / n,
         bayes_qfi=mean_qfi + info / n,

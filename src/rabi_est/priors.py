@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import FieldConfig, _detuning, prob_stationary_points, q_factor
+from .dynamics import FieldConfig, _detuning, prob_pieces, prob_stationary_points, q_factor
 from .errors import DegenerateSupport, DivergentInformation, DomainError
 from .fisher import cfi_values
 from .numerics import DEFAULT_TOL, Tolerance, integrate
@@ -96,7 +96,8 @@ class Prior:
 def jeffreys_normalizer(
     field: FieldConfig, window: SupportWindow, tol: Tolerance = DEFAULT_TOL
 ) -> float:
-    """Quadrature of sqrt(CFI) over the window.
+    """Quadrature of sqrt(CFI) over the window, on the pieces between the
+    stationary points of p, whose ends hold its kinks (the zeros of sqrt(CFI)).
 
     Isolated degenerate points (probability pinned at 1) contribute nothing
     and are zeroed out of the integrand. Raises DegenerateSupport when the
@@ -107,7 +108,7 @@ def jeffreys_normalizer(
         vals = cfi_values(field, x)
         return np.sqrt(np.nan_to_num(vals, nan=0.0))
 
-    norm = integrate(integrand, window.lower, window.upper, tol)
+    norm = integrate(integrand, *prob_pieces(field, window.lower, window.upper), tol)
     if norm <= tol.abs_tol:
         raise DegenerateSupport(
             "sqrt(CFI) integrates to zero on the window; Jeffreys prior undefined"
@@ -213,7 +214,7 @@ def prior_fisher(prior: Prior, tol: Tolerance = DEFAULT_TOL) -> float:
         d = prior_score(prior, x)
         return d * d * np.exp(log_density(prior, x))
 
-    return integrate(integrand, w.lower, w.upper, tol)
+    return integrate(integrand, *prob_pieces(prior.field, w.lower, w.upper), tol)
 
 
 def window_mass(prior: Prior) -> float:

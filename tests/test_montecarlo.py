@@ -2,9 +2,11 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from rabi_est import montecarlo
 from rabi_est.dynamics import FieldConfig, prob_detect
 from rabi_est.errors import (
@@ -103,14 +105,14 @@ def test_reports_are_bitwise_reproducible():
 
 def test_trial_dataset_independent_of_trial_count(monkeypatch):
     seen = []
-    original = montecarlo.simulate_dataset
+    original = montecarlo._draw
 
-    def recording(cfg, omega0_true, n, seed, stream=0):
-        data = original(cfg, omega0_true, n, seed, stream=stream)
-        seen.append((stream, data.k))
-        return data
+    def recording(p1, n, seed, stream):
+        k = original(p1, n, seed, stream)
+        seen.append((stream, k))
+        return k
 
-    monkeypatch.setattr(montecarlo, "simulate_dataset", recording)
+    monkeypatch.setattr(montecarlo, "_draw", recording)
     run_trials(ml_config(40))
     short = list(seen)
     seen.clear()
@@ -157,9 +159,9 @@ PINNED_REPORTS = [
     ),
     (
         Estimator.MMSE, 40, Prior.uniform(WINDOW),
-        dict(mean_estimate=2.066002290426544, bias=0.06600229042654382,
-             variance=0.04622790890148779, crb=0.1639746107834753,
-             vantrees_bound=0.07489982589826061,
+        dict(mean_estimate=2.0660022904242803, bias=0.06600229042428031,
+             variance=0.046227908901219025, crb=0.1639746107834753,
+             vantrees_bound=0.07489982589834976,
              degenerate_count=0, ambiguous_count=0, included_trials=40),
     ),
     (
@@ -186,3 +188,21 @@ def test_pinned_report(estimator, trials, prior, expected):
         assert report.vantrees_bound is None
     else:
         assert report.vantrees_bound == pytest.approx(expected["vantrees_bound"], rel=1e-12)
+
+
+def test_pinned_mmse_report_matches_mp_oracle():
+    # The pinned MMSE moments and van Trees bound are the 40-digit values
+    # for the counts drawn: one posterior mean per count and the uniform
+    # prior's mean CFI, each on 35 equal pieces of the window.
+    expected = PINNED_REPORTS[1][3]
+    ks = [simulate_dataset(CFG, 2.0, 100, 2024, stream=i).k for i in range(40)]
+    pieces = np.linspace(WINDOW.lower, WINDOW.upper, 36)
+    means = {k: oracles.posterior_mean_mp(CFG, 100, k, pieces) for k in set(ks)}
+    with mpmath.workdps(40):
+        mean = sum(means[k] for k in ks) / len(ks)
+        variance = sum((means[k] - mean) ** 2 for k in ks) / (len(ks) - 1)
+        vantrees = 1 / (100 * oracles.mean_cfi_mp(CFG, pieces))
+        assert float(mean) == pytest.approx(expected["mean_estimate"], rel=1e-15)
+        assert float(mean - 2) == pytest.approx(expected["bias"], rel=1e-15)
+        assert float(variance) == pytest.approx(expected["variance"], rel=1e-15)
+        assert float(vantrees) == pytest.approx(expected["vantrees_bound"], rel=1e-15)

@@ -105,16 +105,24 @@ class TestIntegrateIntervalsAndComponents:
                                        abs=1e-9)
 
     def test_nonconvergence(self):
-        # A jump keeps the Richardson estimate proportional to the panel
-        # width, like its allowance. Near zero, where doubles are dense,
-        # bisection reaches the depth cap before the panels reach rounding.
-        def jump(x):
-            return np.where(x > 1e-7, 1.0, 0.0)
+        # 1/x is finite at every node but not integrable on [0, 1]: the
+        # panel at 0 keeps its error estimate at every width, so bisection
+        # reaches the depth cap.
+        def pole(x):
+            with np.errstate(divide="ignore"):
+                return np.where(x > 0.0, 1.0 / x, 0.0)
 
         with pytest.raises(NonConvergence):
-            integrate(jump, 0.0, 1.0)
+            integrate(pole, 0.0, 1.0)
         with pytest.raises(NonConvergence):
-            integrate(lambda x: np.stack([np.sin(x), jump(x)]), [0.0, 0.9], [0.5, 1.0])
+            integrate(lambda x: np.stack([np.sin(x), pole(x)]), [0.0, 0.9], [0.5, 1.0])
+
+    def test_jump_near_an_end(self):
+        # The jump is integrable: the global budget bisects toward it until
+        # the panel holding it is narrow enough. A rule that skipped the
+        # panel ends would miss the zero on [0, 1e-7] altogether.
+        got = integrate(lambda x: np.where(x > 1e-7, 1.0, 0.0), 0.0, 1.0)
+        assert got == pytest.approx(1.0 - 1e-7, abs=1e-10)
 
     def test_nonfinite_component_rejected(self):
         with pytest.raises(DomainError):

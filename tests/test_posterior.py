@@ -4,10 +4,18 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import gaussian_density, log_joint_dense, posterior_mean_dense, simpson_dense
-from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect, q_factor
+from oracles import (
+    gaussian_density,
+    jeffreys_density_shape,
+    log_joint_dense,
+    posterior_mean_dense,
+    posterior_mean_mp,
+    quad_pieces,
+    simpson_dense,
+)
+from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect, prob_stationary_points, q_factor
 from rabi_est.errors import DomainError
-from rabi_est.fisher import cfi_values
+from rabi_est.fisher import cfi_values, qfi_values
 from rabi_est.frequentist import Dataset, ml_estimate
 from rabi_est import posterior
 from rabi_est.posterior import (
@@ -24,6 +32,10 @@ CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
 WIDE = SupportWindow(0.1, 100.0)
 GAUSS = Prior.gaussian(WIDE, mean=10.0, sigma=2.0)
 UNIFORM_WIDE = Prior.uniform(WIDE)
+JEFFREYS_WIDE = Prior.jeffreys(WIDE, CFG)
+# The ends of the wide window and the stationary points of p between them.
+WIDE_PIECES = np.concatenate([[WIDE.lower], prob_stationary_points(CFG, WIDE.lower, WIDE.upper)[0],
+                              [WIDE.upper]])
 # Priors of the sweep across n, each with its (unnormalized) oracle density.
 SWEEP_PRIORS = {
     "uniform": (UNIFORM_WIDE, np.ones_like),
@@ -294,6 +306,27 @@ class TestBayesFisher:
             bayes_fisher(CFG, prior, 10**6).bayes_cfi, abs=1e-12
         )
 
+    def test_gap_matches_piecewise_reference(self):
+        # QFI - CFI under the Gaussian(10, 2) prior oscillates across the
+        # wide window; the default tolerance is 1e-10 absolute for this gap.
+        def gap(x):
+            return float((qfi_values(CFG, x) - cfi_values(CFG, x)) * gaussian_density(10.0, 2.0, x))
+
+        ref = quad_pieces(gap, WIDE_PIECES) / quad_pieces(partial(gaussian_density, 10.0, 2.0), WIDE_PIECES)
+        assert bayes_fisher(CFG, GAUSS, 8).bayes_gap == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("mean", [3.3, 50.03])
+    def test_narrow_prior_matches_piecewise_reference(self, mean):
+        # sigma = 0.01 is under a tenth of the node spacing of a piece.
+        prior = Prior.gaussian(WIDE, mean=mean, sigma=0.01)
+        pieces = np.sort(np.append(WIDE_PIECES, mean))
+
+        def weighted(x):
+            return float(cfi_values(CFG, x) * gaussian_density(mean, 0.01, x))
+
+        ref = quad_pieces(weighted, pieces) / quad_pieces(partial(gaussian_density, mean, 0.01), pieces)
+        assert bayes_fisher(CFG, prior, 10).bayes_cfi - 1e4 / 10 == pytest.approx(ref, abs=1e-10)
+
 
 class TestLikelihoodDominance:
     def test_doubling_samples_moves_mmse_toward_ml(self):
@@ -369,3 +402,38 @@ class TestMultimodal:
         top = np.max(log_joint_dense(CFG, np.ones_like, 10**8, 3 * 10**6, xs))
         best = map_estimate(self.SPEC).best.value
         assert log_joint_dense(CFG, np.ones_like, 10**8, 3 * 10**6, np.array([best]))[0] >= top - 1e-5
+
+
+class TestFig5Posteriors:
+    """Posteriors of the Fig. 5 MMSE curve: n = 8 on the wide window, so a
+    fractional count k = 8 xbar."""
+
+    def test_jeffreys_mean_matches_oracles(self):
+        # The Jeffreys density has a kink at each zero of sqrt(CFI), and
+        # k = 2.4 leaves a |omega0 - z|^4.8 cusp at each zero z of p.
+        k = 8 * 0.3
+        est = mmse(PosteriorSpec(data=Dataset(8, k), cfg=CFG, prior=JEFFREYS_WIDE))
+        exact = posterior_mean_mp(CFG, 8, k, WIDE_PIECES, jeffreys=True, dps=20, maxdegree=6)
+        assert est == pytest.approx(float(exact), rel=1e-12)
+        dense = posterior_mean_dense(CFG, partial(jeffreys_density_shape, CFG), 8, k, WIDE.lower, WIDE.upper)
+        assert est == pytest.approx(dense, rel=1e-11)
+
+    @pytest.mark.parametrize("prior", [UNIFORM_WIDE, JEFFREYS_WIDE], ids=["uniform", "jeffreys"])
+    def test_cusp_posterior_work_is_bounded(self, prior, monkeypatch):
+        # k = 0.08 leaves a |omega0 - z|^0.16 cusp at each of the ~30 zeros z
+        # of p in the window. Counted: the integrand points the quadrature
+        # requests for one posterior.
+        points = [0]
+        original = posterior.integrate
+
+        def counting(f, lo, hi, tol):
+            def counted(x):
+                points[0] += x.size
+                return f(x)
+
+            return original(counted, lo, hi, tol)
+
+        monkeypatch.setattr(posterior, "integrate", counting)
+        posterior._moments.cache_clear()
+        mmse(PosteriorSpec(data=Dataset(8, 8 * 0.01), cfg=CFG, prior=prior))
+        assert 0 < points[0] <= 100_000

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bisect, jeffreys_prior_fisher_mp, simpson_dense, sqrt_cfi_sign_change
-from rabi_est.dynamics import FieldConfig
+from oracles import bisect, jeffreys_prior_fisher_mp, quad_pieces, simpson_dense, sqrt_cfi_sign_change
+from rabi_est.dynamics import FieldConfig, prob_stationary_points
 from rabi_est.errors import (
     DegenerateSupport,
     DivergentInformation,
@@ -112,6 +112,14 @@ class TestJeffreys:
         prior = Prior.jeffreys(WIDE, CFG)
         mass = simpson_dense(lambda x: np.exp(log_density(prior, x)), 0.1, 100.0, 400_001)
         assert mass == pytest.approx(1.0, abs=1e-5)
+
+    def test_normalizer_matches_piecewise_reference(self):
+        # sqrt(CFI) has a kink at each of its zeros, which the reference takes
+        # as piece ends.
+        pieces = np.concatenate([[WIDE.lower], prob_stationary_points(CFG, WIDE.lower, WIDE.upper)[0],
+                                 [WIDE.upper]])
+        ref = quad_pieces(lambda x: math.sqrt(float(cfi_values(CFG, x))), pieces)
+        assert jeffreys_normalizer(CFG, WIDE) == pytest.approx(ref, rel=1e-10)
 
     def test_normalizer_linearity(self):
         # The normalization integral is linear in the information amplitude,
