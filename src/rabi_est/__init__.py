@@ -5,7 +5,7 @@ seeded Monte Carlo harness and a grid-scan engine."""
 
 __version__ = "0.1.0"
 
-from .dynamics import FieldConfig, DensityState
+from .dynamics import FieldConfig
 from .frequentist import Dataset, EstimateResult, ValidityReport
 from .priors import Prior, PriorKind, SupportWindow
 from .posterior import BayesFisher, MapResult, PosteriorSpec
@@ -15,7 +15,6 @@ from .scan import Axis, GridTable
 __all__ = [
     "__version__",
     "FieldConfig",
-    "DensityState",
     "Dataset",
     "EstimateResult",
     "ValidityReport",

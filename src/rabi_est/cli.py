@@ -328,7 +328,7 @@ def _cmd_mmse_curve(parser, args, argv) -> int:
     priors = [_build_prior(parser, args, cfg, kind=kind) for kind in kinds]
     if args.axis.name != "xbar":
         parser.error("--axis for mmse-curve must be an xbar axis")
-    table = mmse_curve(cfg, priors, args.n, args.axis, workers=_workers(parser))
+    table = mmse_curve(cfg, priors, args.n, args.axis)
     _write_table(args.out, table, _manifest(argv, args, seed=None))
     return 0
 

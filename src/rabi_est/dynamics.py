@@ -21,16 +21,13 @@ from .errors import DomainError
 
 __all__ = [
     "FieldConfig",
-    "DensityState",
     "q_factor",
     "amplitudes",
-    "density_state",
     "prob_detect",
     "prob_detect_change",
     "prob_stationary_points",
     "prob_pieces",
     "dprob_domega0",
-    "ddensity_domega0",
 ]
 
 
@@ -47,20 +44,6 @@ class FieldConfig:
             raise DomainError(f"b0 must be positive, got {self.b0}")
         if not 0.0 < self.theta < math.pi:
             raise DomainError(f"theta must lie in (0, pi), got {self.theta}")
-
-
-@dataclass(frozen=True)
-class DensityState:
-    """Independent entries of the pure-state density matrix."""
-
-    rho00: float
-    rho01: complex
-
-    def __post_init__(self) -> None:
-        if not -1e-12 <= self.rho00 <= 1.0 + 1e-12:
-            raise DomainError(f"rho00 must be a probability, got {self.rho00}")
-        if abs(self.rho01) ** 2 > self.rho00 * (1.0 - self.rho00) + 1e-12:
-            raise DomainError("coherence exceeds the pure-state bound")
 
 
 def _detuning(cfg: FieldConfig, omega0):
@@ -88,12 +71,6 @@ def amplitudes(cfg: FieldConfig, omega0, t: float = 1.0):
     return c0, c1
 
 
-def density_state(cfg: FieldConfig, omega0: float, t: float = 1.0) -> DensityState:
-    """Density-matrix entries rho00 = |c0|^2 and rho01 = c0 * conj(c1)."""
-    c0, c1 = amplitudes(cfg, omega0, t)
-    return DensityState(rho00=float(abs(c0) ** 2), rho01=complex(c0 * np.conj(c1)))
-
-
 def prob_detect(cfg: FieldConfig, omega0, t: float = 1.0):
     """Photon detection probability 4*b0^2*sin^2(theta)/q^2 * sin^2(q t/2).
 
@@ -104,7 +81,7 @@ def prob_detect(cfg: FieldConfig, omega0, t: float = 1.0):
     return (2.0 * b / q) ** 2 * np.sin(0.5 * q * t) ** 2
 
 
-def prob_detect_change(cfg: FieldConfig, omega0, ref: float):
+def prob_detect_change(cfg: FieldConfig, omega0, ref):
     """p(omega0) - p(ref), elementwise, to the relative precision of the
     change itself rather than of p, which its plain difference would lose.
 
@@ -113,14 +90,14 @@ def prob_detect_change(cfg: FieldConfig, omega0, ref: float):
     S - S_ref = (h_ref (sin h - sin h_ref) - (h - h_ref) sin h_ref) / (h h_ref),
     with sin h - sin h_ref = 2 cos((h + h_ref)/2) sin((h - h_ref)/2) and
     h - h_ref = e/(h + h_ref). Below h = 0.02 that form cancels to ~1e-16/h^2
-    and the sinc series in e takes over. Accepts arrays.
+    and the sinc series in e takes over. Elementwise in omega0 and ref.
     """
     b = cfg.b0 * math.sin(cfg.theta)
-    d, d_ref = _detuning(cfg, omega0), float(_detuning(cfg, ref))
-    h, h_ref = 0.5 * np.hypot(d, 2.0 * b), 0.5 * math.hypot(d_ref, 2.0 * b)
+    d, d_ref = _detuning(cfg, omega0), _detuning(cfg, ref)
+    h, h_ref = 0.5 * np.hypot(d, 2.0 * b), 0.5 * np.hypot(d_ref, 2.0 * b)
     e = (ref - omega0) * (d + d_ref) / 4.0
     dh = e / (h + h_ref)
-    s_ref = math.sin(h_ref)
+    s_ref = np.sin(h_ref)
     ds = (h_ref * 2.0 * np.cos(0.5 * (h + h_ref)) * np.sin(0.5 * dh) - dh * s_ref) / (h * h_ref)
     if b < 0.02:  # h >= b, so only then can h fall below 0.02
         a, c = h * h, h_ref * h_ref
@@ -194,21 +171,4 @@ def dprob_domega0(cfg: FieldConfig, omega0, t: float = 1.0):
     s = np.sin(half)
     return 8.0 * b * b * d * s * (s - half * np.cos(half)) / q**4
 
-
-def ddensity_domega0(cfg: FieldConfig, omega0, t: float = 1.0):
-    """Analytic derivatives (drho00, drho01) with respect to omega0.
-
-    The coherence derivative follows from rho01 written as
-    b e^{-i omega t} [d (1 - cos qt)/q^2 - i sin(qt)/q]. Accepts arrays.
-    """
-    b = cfg.b0 * np.sin(cfg.theta)
-    d = _detuning(cfg, omega0)
-    q = q_factor(cfg, omega0)
-    qt = q * t
-    cos_qt = np.cos(qt)
-    sin_qt = np.sin(qt)
-    dre = -((q * q - 2.0 * d * d) * (1.0 - cos_qt) + d * d * qt * sin_qt) / q**4
-    dim = d * (qt * cos_qt - sin_qt) / q**3
-    drho01 = b * np.exp(-1.0j * cfg.omega * t) * (dre + 1.0j * dim)
-    return dprob_domega0(cfg, omega0, t), drho01
 

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import FieldConfig, _detuning, ddensity_domega0, q_factor
-from .errors import DomainError
+from .dynamics import FieldConfig, _detuning, q_factor
 
 __all__ = [
     "cfi_values",
     "qfi_values",
-    "sld_matrix",
-    "required_samples",
     "paper_scaled",
 ]
 
@@ -69,30 +66,6 @@ def qfi_values(cfg: FieldConfig, omega0s: np.ndarray) -> np.ndarray:
     y = (q * q - 2.0 * d2) * (1.0 - cos_q) / q + d2 * sin_q
     z = q * cos_q - sin_q
     return (4.0 * b * b / q**6) * ((4.0 * b * b * d2 / (q * q)) * x * x + y * y + d2 * z * z)
-
-
-def sld_matrix(cfg: FieldConfig, omega0: float) -> np.ndarray:
-    """Symmetric logarithmic derivative L = 2 * d(rho)/d(omega0).
-
-    For a pure state the SLD is twice the density-matrix derivative; L^2 is a
-    scalar multiple of the identity and trace(L^2 rho) recovers the QFI.
-    """
-    drho00, drho01 = ddensity_domega0(cfg, omega0)
-    return 2.0 * np.array(
-        [[drho00, drho01], [np.conj(drho01), -drho00]], dtype=complex
-    )
-
-
-def required_samples(cfi_scaled: float, accuracy: float) -> float:
-    """Number of IID detections for a target variance: N = 1/(accuracy * CFI).
-
-    Not rounded; callers may take the ceiling.
-    """
-    if not cfi_scaled > 0:
-        raise DomainError(f"cfi_scaled must be positive, got {cfi_scaled}")
-    if not accuracy > 0:
-        raise DomainError(f"accuracy must be positive, got {accuracy}")
-    return 1.0 / (accuracy * cfi_scaled)
 
 
 def paper_scaled(value, cfg: FieldConfig):

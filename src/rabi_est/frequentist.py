@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import FieldConfig, dprob_domega0, prob_detect
+from .dynamics import FieldConfig
 from .errors import (
     DegenerateData,
     DomainError,
@@ -43,10 +43,8 @@ __all__ = [
     "ml_roots",
     "validity",
     "ml_estimate",
-    "log_likelihood",
     "log_likelihood_counts",
     "log_likelihood_ratio",
-    "loglik_curvature",
 ]
 
 
@@ -213,11 +211,18 @@ def log_likelihood_counts(n: float, k: float, p1) -> np.ndarray:
     Probabilities pinned at 0 or 1 give -inf unless the counts agree exactly.
     Elementwise in p1.
     """
-    log_binom = math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
     p = np.asarray(p1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        term1 = np.where(k == 0.0, 0.0, k * np.log(p))
-        term2 = np.where(k == n, 0.0, (n - k) * np.log1p(-p))
+        return _log_likelihood_logs(n, k, np.log(p), np.log1p(-p))
+
+
+def _log_likelihood_logs(n: float, k: float, log_p, log_q) -> np.ndarray:
+    """log_likelihood_counts from ln p and ln(1 - p), which one grid of p
+    can share among many counts."""
+    log_binom = math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+    with np.errstate(invalid="ignore"):
+        term1 = np.where(k == 0.0, 0.0, k * log_p)
+        term2 = np.where(k == n, 0.0, (n - k) * log_q)
     vals = log_binom + term1 + term2
     return np.where(np.isnan(vals), -np.inf, vals)
 
@@ -229,39 +234,19 @@ def _log_ratio(num, den, diff):
     return np.where(np.abs(u) < 0.5, np.log1p(u), np.log(num / den))
 
 
-def log_likelihood_ratio(n: float, k: float, p1, dp, ref: float) -> np.ndarray:
+def log_likelihood_ratio(n: float, k, p1, dp, ref) -> np.ndarray:
     """ln L(p) - ln L(ref) = k ln(p/ref) + (n-k) ln((1-p)/(1-ref)),
-    elementwise, given p and dp = p - ref each to its own precision.
+    elementwise (in k and ref too), given p and dp = p - ref each to its own
+    precision.
 
     Near p = ref the terms come from dp and keep their rounding far below 1,
     also at n = 1e10, where ln L reaches ~n in size and rounds to ~n*1e-16.
     -inf where a probability pinned at 0 or 1 conflicts with the counts.
     """
     p = np.asarray(p1, dtype=float)
-    vals = np.zeros_like(p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if k > 0:
-            vals += k * _log_ratio(p, ref, dp)
-        if k < n:
-            vals += (n - k) * _log_ratio(1.0 - p, 1.0 - ref, -dp)
+        vals = (np.where(k > 0, k * _log_ratio(p, ref, dp), 0.0)
+                + np.where(k < n, (n - k) * _log_ratio(1.0 - p, 1.0 - ref, -dp), 0.0))
     return np.where(np.isnan(vals), -np.inf, vals)
 
 
-def log_likelihood(data: Dataset, cfg: FieldConfig, omega0) -> np.ndarray:
-    """Log-likelihood of the dataset at a candidate transition frequency."""
-    return log_likelihood_counts(data.n, data.k, prob_detect(cfg, omega0))
-
-
-def loglik_curvature(data: Dataset, cfg: FieldConfig, omega0: float) -> float:
-    """Second derivative of the log-likelihood at a stationary point,
-
-        -n / (p (1-p)) * (dp/domega0)^2,
-
-    the closed form of the ML second-derivative test. Negative whenever the
-    probability derivative is nonzero, confirming a maximum.
-    """
-    p = float(prob_detect(cfg, omega0))
-    if p <= 0.0 or p >= 1.0:
-        raise DegenerateData(f"probability {p} pinned at 0 or 1; curvature undefined")
-    dp = float(dprob_domega0(cfg, omega0))
-    return -data.n / (p * (1.0 - p)) * dp * dp

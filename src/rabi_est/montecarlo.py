@@ -26,13 +26,14 @@ from .errors import (
     DegenerateData,
     DegenerateProbability,
     DomainError,
+    EstimationError,
     NoRealRoot,
     SincDomainViolated,
 )
 from .fisher import cfi_values
 from .frequentist import Ambiguity, Dataset, ml_estimate
 from .numerics import DEFAULT_TOL, Tolerance
-from .posterior import PosteriorSpec, bayes_fisher, map_estimate, mmse
+from .posterior import PosteriorSpec, bayes_fisher, map_estimate, mmse_many
 from .priors import Prior
 
 __all__ = [
@@ -126,8 +127,6 @@ def _outcome(tc: TrialConfig, data: Dataset):
             # Both candidate frequencies rejected as nonpositive.
             return result.accepted[0] if result.accepted else _DEGENERATE
         spec = PosteriorSpec(data=data, cfg=tc.cfg, prior=tc.prior, quad_tol=tc.quad_tol)
-        if tc.estimator is Estimator.MMSE:
-            return mmse(spec)
         return map_estimate(spec).best.value
     except (DegenerateData, NoRealRoot, SincDomainViolated):
         return _DEGENERATE
@@ -140,13 +139,22 @@ def run_trials(tc: TrialConfig) -> TrialReport:
     counted and excluded from the moments (resolving ties toward the true
     value would leak the parameter into the estimator). The estimators are
     deterministic in (n, k), so each distinct count is estimated once, in
-    order of first appearance. Moments are reduced in fixed trial order, so
+    order of first appearance; the MMSE posteriors of all distinct counts
+    form one batch. Moments are reduced in fixed trial order, so
     the report is bitwise reproducible. The detection probability at the
     truth is computed once for all datasets.
     """
     p1 = float(prob_detect(tc.cfg, tc.omega0_true))
     ks = [_draw(p1, tc.n, tc.seed, i) for i in range(tc.trials)]
-    by_count = {k: _outcome(tc, Dataset(n=tc.n, k=k)) for k in dict.fromkeys(ks)}
+    counts = list(dict.fromkeys(ks))
+    if tc.estimator is Estimator.MMSE:
+        means = mmse_many([PosteriorSpec(data=Dataset(n=tc.n, k=k), cfg=tc.cfg, prior=tc.prior,
+                                         quad_tol=tc.quad_tol) for k in counts])
+        if failed := next((m for m in means if isinstance(m, EstimationError)), None):
+            raise failed
+        by_count = dict(zip(counts, means))
+    else:
+        by_count = {k: _outcome(tc, Dataset(n=tc.n, k=k)) for k in counts}
     outcomes = [by_count[k] for k in ks]
     estimates = [o for o in outcomes if not isinstance(o, str)]
     degenerate = outcomes.count(_DEGENERATE)

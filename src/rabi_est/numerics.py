@@ -1,11 +1,14 @@
-"""Self-contained numerical kernel: adaptive Clenshaw-Curtis quadrature, root
-finding, inverse sinc and local-maxima search.
+"""Self-contained numerical kernel: adaptive Clenshaw-Curtis quadrature,
+inverse sinc and local-maxima search.
 
 All routines are pure functions of their arguments and safe for concurrent
 use. :func:`integrate` and :func:`local_maxima` call their functions only
 with 1-D numpy arrays, a batch of points at a time, which they evaluate
 elementwise (numpy ufunc expressions qualify); an integrand may stack
-several such components into one (C, m) array.
+several such components into one (C, m) array. :func:`integrate_owners`
+computes many such integrals, one per owner, in one adaptive loop: its
+integrand also receives the owner of each point, and each owner's result is
+what :func:`integrate` gives it alone.
 """
 
 from __future__ import annotations
@@ -16,25 +19,24 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, NoSignChange
+from .errors import DomainError, NonConvergence
 
 __all__ = [
     "Tolerance",
-    "Bracket",
     "LocalMaximum",
     "DEFAULT_TOL",
     "integrate",
-    "find_root_bracketed",
+    "integrate_owners",
     "inv_sinc_values",
     "local_maxima",
 ]
 
 # Bisections of an interval's first panel, at most: 60 reach ~1e-18 of it.
 _MAX_DEPTH = 60
-# Hard cap on the number of panels held at once (memory guard).
+# Hard cap on the number of panels an owner holds at once (memory guard).
 _MAX_INTERVALS = 2_000_000
 # Most points per call of an integrand, which bounds its temporaries.
-_CHUNK = 16_384
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-
-@dataclass(frozen=True)
-class Bracket:
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -98,103 +90,155 @@ _W9[::2] = _clenshaw_curtis(8)[1]
 _RULES = np.stack([_W17, _W17 - _W9], axis=1)
 
 
-def integrate(f: Callable, lo, hi, tol: Tolerance = DEFAULT_TOL):
-    """Adaptive Clenshaw-Curtis quadrature of ``f`` summed over the intervals
-    [lo, hi] (floats, or equal-length arrays of interval ends).
+def integrate_owners(f: Callable, lo, hi, owner, tol: Tolerance = DEFAULT_TOL, owners: int | None = None):
+    """Adaptive Clenshaw-Curtis quadrature of ``f`` over the intervals
+    [lo, hi] (equal-length arrays), summed per owner: interval i belongs to
+    owner[i], an index in 0 .. O-1 (O is ``owners``, by default one more
+    than the largest index).
 
-    ``f`` maps m points to m values (the result is a float) or to a (C, m)
-    array of C components (the result has C integrals). Each interval starts
-    as one panel. A panel's estimate is the 17-point rule, whose nodes include
-    the panel ends, and its error estimate the distance to the nested 9-point
-    rule. The error budget is global: while some component's errors sum to
-    more than max(abs_tol, rel_tol*|its integral|), each round bisects, per
-    component, the panels of largest error until the rest sum to at most half
-    of that, and evaluates all new panels together, at most _CHUNK points a
-    call. Raises NonConvergence at the depth cap or the subdivision budget,
-    DomainError on non-finite values.
+    ``f(x, o)`` maps m points and the owners of their intervals to m values
+    or to a (C, m) array of C components. Each interval starts as one panel.
+    A panel's estimate is the 17-point rule, whose nodes include the panel
+    ends, and its error estimate the distance to the nested 9-point rule.
+    Each owner keeps its own panels and its own global error budget per
+    component: while some component's errors sum to more than
+    max(abs_tol, rel_tol*|its integral|), each round bisects, per component,
+    the owner's panels of largest error until the rest sum to at most half of
+    that. An owner stops when its budget is met or it fails: at the depth cap
+    or its subdivision budget (NonConvergence), or on a non-finite value
+    (DomainError). Every round evaluates the new panels of all owners
+    together, at most _CHUNK points a call. Every step is local to an owner,
+    so its integrals are bit for bit those it gets alone.
+
+    Returns the integrals, (O,) or (O, C) with NaN for a failed owner, and
+    per owner None or the error it failed with. An owner without an interval
+    integrates to 0.
     """
     lo_a = np.atleast_1d(np.asarray(lo, dtype=float))
     hi_a = np.atleast_1d(np.asarray(hi, dtype=float))
+    own = np.atleast_1d(np.asarray(owner, dtype=np.intp))
     if lo_a.ndim != 1 or lo_a.shape != hi_a.shape or not np.all(lo_a < hi_a):
         raise DomainError(f"integration bounds require lo < hi, got [{lo}, {hi}]")
-    scalar = False
+    if own.shape != lo_a.shape or (own < 0).any():
+        raise DomainError("each interval needs an owner index >= 0")
+    shape = []
+    step = _CHUNK // _NODES.size
 
-    def panels(a, b):
-        """Estimates and error estimates of f on the panels [a, b], (C, P) each."""
-        nonlocal scalar
-        x = a[:, None] + (b - a)[:, None] * _NODES
-        x[:, 0], x[:, -1] = a, b
-        fx = [np.asarray(f(x_i)) for x_i in np.split(x.ravel(), range(_CHUNK, x.size, _CHUNK))]
-        scalar = fx[0].ndim == 1
-        fx = np.concatenate([np.atleast_2d(v) for v in fx], axis=1)
-        if not np.all(np.isfinite(fx)):
-            raise DomainError("integrand is not finite on the integration interval")
-        est = fx.reshape(len(fx), a.size, _NODES.size) @ _RULES * (b - a)[:, None]
-        return est[..., 0], np.abs(est[..., 1])
+    def panels(a, b, o):
+        """Estimates and error estimates of f on the panels [a, b], (C, P)
+        each, and a mask of the panels with a non-finite value."""
+        if a.size > step:
+            return tuple(np.concatenate(v, axis=-1) for v in zip(*[
+                panels(a[i:i + step], b[i:i + step], o[i:i + step]) for i in range(0, a.size, step)]))
+        x = a + (b - a) * _NODES[:, None]
+        x[0], x[-1] = a, b
+        o = np.full(x.size, o[0]) if o.size and (o == o[0]).all() else np.broadcast_to(o, x.shape).ravel()
+        fx = np.asarray(f(x.ravel(), o))
+        shape[:] = fx.shape[:-1]
+        fx = fx.reshape(len(fx) if shape else 1, _NODES.size, a.size)
+        # einsum sums a panel's nodes in one fixed order wherever the panel
+        # sits in the batch; a BLAS product need not.
+        est = np.einsum("cjp,jr->rcp", fx, _RULES) * (b - a)
+        return est[0], np.abs(est[1]), ~np.isfinite(fx).all(axis=(0, 1))
 
-    a, b = lo_a, hi_a
+    order = np.argsort(own, kind="stable")
+    a, b, own = lo_a[order], hi_a[order], own[order]
     depth = np.zeros(a.size, dtype=int)
-    value, err = panels(a, b)
-    while True:
-        eps = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(value.sum(axis=1)))
-        if np.all(err.sum(axis=1) <= eps):
-            return float(value.sum()) if scalar else value.sum(axis=1)
-        order = np.argsort(err, axis=1)
-        rest = np.cumsum(np.take_along_axis(err, order, axis=1), axis=1) <= 0.5 * eps[:, None]
+    value, err, bad = panels(a, b, own)
+    fresh = own
+    result = np.zeros((int(own.max(initial=-1)) + 1 if owners is None else owners, len(value)))
+    failures = [None] * len(result)
+    component = np.arange(len(value))[:, None]
+
+    def fail(ids, error):
+        for o in ids.tolist():
+            failures[o] = error
+        result[ids] = np.nan
+
+    while a.size:
+        if bad.any():
+            gone = np.zeros(len(result), dtype=bool)
+            gone[fresh[bad]] = True
+            fail(np.flatnonzero(gone), DomainError("integrand is not finite on the integration interval"))
+            a, b, own, depth, value, err = (v[..., ~gone[own]] for v in (a, b, own, depth, value, err))
+            if not a.size:
+                break
+        # The panels stay sorted by owner, each owner's in the order a run
+        # of its own would give them.
+        if own[0] != own[-1]:
+            first = np.concatenate(([True], own[1:] != own[:-1]))
+            starts, row = np.flatnonzero(first), np.cumsum(first) - 1
+        else:
+            starts, row = np.zeros(1, dtype=np.intp), np.zeros(a.size, dtype=np.intp)
+        total = np.add.reduceat(value, starts, axis=1)
+        eps = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
+        live = ~(np.add.reduceat(err, starts, axis=1) <= eps).all(axis=0)
+        partial = not live.all()
+        if partial:
+            result[own[starts[~live]]] = total[:, ~live].T
+            if not live.any():
+                break
+        # Per owner and component, the running sum of the errors in
+        # ascending order; the panels past half the budget are bisected.
+        by_err = err.argsort(axis=1, kind="stable")
+        if starts.size > 1:
+            by_err = by_err[component, row[by_err].argsort(axis=1, kind="stable")]
+            eps = eps[:, row]
+        running = err[component, by_err]
+        bounds = starts.tolist() + [a.size]
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            np.cumsum(running[:, s:e], axis=1, out=running[:, s:e])
         split = np.zeros(a.size, dtype=bool)
-        split[order[~rest]] = True
-        if np.any(depth[split] >= _MAX_DEPTH):
-            raise NonConvergence(
-                f"adaptive Clenshaw-Curtis did not converge within depth {_MAX_DEPTH}")
-        if a.size + np.count_nonzero(split) > _MAX_INTERVALS:
-            raise NonConvergence("adaptive Clenshaw-Curtis exceeded the subdivision budget")
+        split[by_err[running > 0.5 * eps]] = True
+        if partial:
+            split &= live[row]
+        deep = split & (depth >= _MAX_DEPTH)
+        if deep.any() or a.size + np.count_nonzero(split) > _MAX_INTERVALS:
+            lost = np.zeros(starts.size, dtype=bool)
+            lost[row[deep]] = True
+            fail(own[starts[lost]], NonConvergence(
+                f"adaptive Clenshaw-Curtis did not converge within depth {_MAX_DEPTH}"))
+            count = np.bincount(row, minlength=starts.size) + np.bincount(row[split], minlength=starts.size)
+            crowded = live & ~lost & (count > _MAX_INTERVALS)
+            fail(own[starts[crowded]], NonConvergence("adaptive Clenshaw-Curtis exceeded the subdivision budget"))
+            live &= ~(lost | crowded)
+            partial = True
+            split &= live[row]
+            if not live.any():
+                break
+        keep = live[row] & ~split if partial else ~split
         mid = 0.5 * (a[split] + b[split])
         new_a, new_b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-        new_value, new_err = panels(new_a, new_b)
-        keep = ~split
+        fresh, deeper = own[split], depth[split] + 1
+        fresh, deeper = np.concatenate([fresh, fresh]), np.concatenate([deeper, deeper])
+        new_value, new_err, bad = panels(new_a, new_b, fresh)
         a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
-        depth = np.concatenate([depth[keep], np.tile(depth[split] + 1, 2)])
+        own, depth = np.concatenate([own[keep], fresh]), np.concatenate([depth[keep], deeper])
         value = np.concatenate([value[:, keep], new_value], axis=1)
         err = np.concatenate([err[:, keep], new_err], axis=1)
+        if np.count_nonzero(live) > 1:
+            # Stable by owner: each owner's kept panels, its left halves, its
+            # right halves.
+            order = np.argsort(own, kind="stable")
+            a, b, own, depth, value, err = (v[..., order] for v in (a, b, own, depth, value, err))
+    return (result if shape else result[:, 0]), failures
 
 
-def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Root of ``f`` inside a sign-changing bracket.
+def integrate(f: Callable, lo, hi, tol: Tolerance = DEFAULT_TOL):
+    """Adaptive Clenshaw-Curtis quadrature of ``f`` summed over the intervals
+    [lo, hi] (floats, or equal-length arrays of interval ends): the one-owner
+    case of :func:`integrate_owners`, with ``f`` called as f(x).
 
-    Secant steps accelerate convergence; whenever a step fails to halve the
-    bracket the next step falls back to bisection, which guarantees
-    convergence for any continuous integrand.
+    ``f`` maps m points to m values (the result is a float) or to a (C, m)
+    array of C components (the result has C integrals). Raises
+    NonConvergence at the depth cap or the subdivision budget, DomainError on
+    non-finite values.
     """
-    lo, hi = float(b.lo), float(b.hi)
-    flo, fhi = float(f(lo)), float(f(hi))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NoSignChange(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
-
-    force_bisect = False
-    for _ in range(tol.max_iter):
-        width = hi - lo
-        if width <= tol.target(0.5 * (lo + hi)):
-            return lo if abs(flo) <= abs(fhi) else hi
-        x = None
-        if not force_bisect and fhi != flo:
-            x = hi - fhi * (hi - lo) / (fhi - flo)
-            if not (lo < x < hi) or not math.isfinite(x):
-                x = None
-        if x is None:
-            x = 0.5 * (lo + hi)
-        fx = float(f(x))
-        if fx == 0.0:
-            return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        force_bisect = (hi - lo) > 0.5 * width
-    raise NonConvergence(f"root finding exceeded {tol.max_iter} iterations")
+    owner = np.zeros(np.size(lo), dtype=np.intp)
+    values, failures = integrate_owners(lambda x, _: f(x), lo, hi, owner, tol, owners=1)
+    if failures[0] is not None:
+        raise failures[0]
+    return float(values[0]) if values.ndim == 1 else values[0]
 
 
 def inv_sinc_values(y: np.ndarray) -> np.ndarray:

@@ -15,6 +15,14 @@ whether a grid point happens to fall near it. The regions are cut at the
 closed-form zeros of dp/domega0 as well: there a fractional count leaves a
 cusp |omega0 - z|^(2k) and the Jeffreys density a kink, and a panel rule
 converges fast toward such a point only when it is a panel end.
+
+What depends only on the field and the prior (the grid, ln p, ln(1 - p) and
+the log prior on it, and the pieces) is computed once per pair and cached.
+Posteriors that share field, prior, n and tolerance form a batch
+(:func:`mmse_many`): their peaks are polished together, and one quadrature
+integrates them all, each with its own panels and error budget, so every
+member's values are bit for bit those of its own :func:`mmse`. A single
+posterior is a batch of one.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +41,10 @@ from .dynamics import (
     prob_detect_change,
     prob_pieces,
 )
-from .errors import DomainError, EvidenceUnderflow
+from .errors import DomainError, EstimationError, EvidenceUnderflow
 from .fisher import cfi_values, qfi_values
-from .frequentist import Dataset, log_likelihood_counts, log_likelihood_ratio
-from .numerics import DEFAULT_TOL, Tolerance, integrate, local_maxima
+from .frequentist import Dataset, _log_likelihood_logs, log_likelihood_counts, log_likelihood_ratio
+from .numerics import DEFAULT_TOL, Tolerance, integrate, integrate_owners, local_maxima
 from .priors import Prior, PriorKind, log_density, prior_fisher, prior_score, truncated_density
 
 __all__ = [
@@ -45,6 +54,7 @@ __all__ = [
     "BayesFisher",
     "posterior_log_density",
     "mmse",
+    "mmse_many",
     "map_estimate",
     "map_stationarity_lhs",
     "bayes_fisher",
@@ -55,6 +65,10 @@ _GRID_POINTS = 8193
 # Halving steps below one grid cell that measure a sharp peak's region; the
 # smallest is ~1e-11 of the window for the default grid.
 _LADDER_STEPS = 30
+# Safeguarded Newton steps that polish a root of p = xbar in its grid cell.
+_NEWTON_STEPS = 6
+# Most posteriors in one quadrature, which bounds its memory.
+_BATCH = 256
 # Shifted-integrand values below this threshold carry no numerical mass.
 _MASS_FLOOR_LOG = math.log(1e-18)
 # Probability-derivative magnitudes below this make the stationarity form 0/0.
@@ -114,45 +128,68 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate([[True], x[1:] > x[:-1]])]
 
 
-def _peaks(spec: PosteriorSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Every point where the log joint may peak more sharply than the grid
-    resolves, given the pieces [lo, hi] of the window between the closed-form
-    zeros of dp/domega0.
+@lru_cache(maxsize=16)
+def _grid(cfg: FieldConfig, prior: Prior):
+    """What every posterior on one field and prior shares: the mass grid xs
+    over the window; ln p, ln(1 - p) and the log prior on it; the pieces
+    (lo, hi) of the window between the zeros of dp/domega0; and the grid
+    merged with the piece ends, with p there."""
+    w = prior.window
+    xs = np.linspace(w.lower, w.upper, _GRID_POINTS)
+    p = prob_detect(cfg, xs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p, log_q = np.log(p), np.log1p(-p)
+    pieces = prob_pieces(cfg, w.lower, w.upper)
+    xm = _distinct(np.concatenate([xs, pieces[0]]))
+    grid = xs, log_p, log_q, log_density(prior, xs), *pieces, xm, prob_detect(cfg, xm)
+    for values in grid:
+        values.setflags(write=False)  # shared by every caller
+    return grid
 
-    p is monotone on each piece, so there the likelihood peaks at the root of
-    p = xbar, if it has one, or else at an end of the piece. The Gaussian
-    prior mean, clipped to the window, joins them.
+
+def _peaks(specs: Sequence[PosteriorSpec]) -> list:
+    """For each spec (all on one field and prior), every point where the log
+    joint may peak more sharply than the grid resolves.
+
+    p is monotone on each piece of the window between the closed-form zeros
+    of dp/domega0, so there the likelihood peaks at the root of p = xbar, if
+    it has one, or else at an end of the piece. Each root lies in a cell of
+    the grid merged with the piece ends where p - xbar changes sign. From
+    the secant through the cell's ends, Newton steps that shrink the cell,
+    and fall back to its midpoint when they leave it, take all roots of all
+    specs to rounding together. The Gaussian prior mean, clipped to the
+    window, joins them.
     """
-    cfg, w, n = spec.cfg, spec.prior.window, spec.data.n
-    peaks = []
-    if n > 0:
-        gap_lo = prob_detect(cfg, lo) - spec.data.xbar
-        gap_hi = prob_detect(cfg, hi) - spec.data.xbar
-        # Pieces span a few units: 12 halvings bracket a root to ~1e-3, and
-        # Newton steps kept inside the bracket take it to rounding.
-        a, b = lo, hi
-        for _ in range(12):
-            mid = 0.5 * (a + b)
-            right = (prob_detect(cfg, mid) > spec.data.xbar) == (gap_lo > 0.0)
-            a, b = np.where(right, mid, a), np.where(right, b, mid)
-        x = 0.5 * (a + b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(3):
-                step = (prob_detect(cfg, x) - spec.data.xbar) / dprob_domega0(cfg, x)
-                x = np.clip(np.where(np.isnan(step), x, x - step), a, b)
-        peaks += [x[(gap_lo > 0.0) != (gap_hi > 0.0)], lo, hi]
-    if spec.prior.kind is PriorKind.GAUSSIAN:
-        peaks.append([min(max(spec.prior.mean, w.lower), w.upper)])
-    return _distinct(np.concatenate(peaks)) if peaks else np.empty(0)
+    cfg, prior = specs[0].cfg, specs[0].prior
+    *_, lo, hi, xm, pm = _grid(cfg, prior)
+    xbar = [spec.data.xbar if spec.data.n > 0 else math.nan for spec in specs]
+    cells = [np.flatnonzero((pm[:-1] > r) != (pm[1:] > r)) for r in xbar]
+    i = np.concatenate(cells)
+    r = np.repeat(xbar, [c.size for c in cells])
+    a, b, rising = xm[i], xm[i + 1], pm[i] <= r
+    x = a - (pm[i] - r) * (b - a) / (pm[i + 1] - pm[i])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            gap = prob_detect(cfg, x) - r
+            a, b = np.where((gap <= 0.0) == rising, x, a), np.where((gap <= 0.0) == rising, b, x)
+            step = np.where(gap == 0.0, x, x - gap / dprob_domega0(cfg, x))
+            x = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
+    w = prior.window
+    mean = [[min(max(prior.mean, w.lower), w.upper)]] if prior.kind is PriorKind.GAUSSIAN else []
+    out = []
+    for spec, roots in zip(specs, np.split(x, np.cumsum([c.size for c in cells])[:-1])):
+        found = ([roots, lo, hi] if spec.data.n > 0 else []) + mean
+        out.append(_distinct(np.concatenate(found)) if found else np.empty(0))
+    return out
 
 
-def _workspace(spec: PosteriorSpec):
+def _workspace(spec: PosteriorSpec, peaks: np.ndarray):
     """The posterior mode, its log joint and the intervals carrying the mass.
 
     The mode is the maximizer of the log joint over a fixed grid and the
-    closed-form peaks. The grid's runs of numerically relevant mass, padded
-    by two cells, resolve the posterior wherever it stays broader than a
-    cell. A peak with mass that the grid cannot resolve gets its own
+    closed-form peaks (see _peaks). The grid's runs of numerically relevant
+    mass, padded by two cells, resolve the posterior wherever it stays
+    broader than a cell. A peak with mass that the grid cannot resolve gets its own
     region, out to the nearest step of a ladder halving from one cell at
     which the log joint has fallen by the mass floor or left the window,
     split at the peak so that the quadrature seeds on it whatever grid run
@@ -160,10 +197,8 @@ def _workspace(spec: PosteriorSpec):
     a fractional count leaves a cusp and the Jeffreys density a kink.
     """
     w = spec.prior.window
-    xs = np.linspace(w.lower, w.upper, _GRID_POINTS)
-    g = _log_joint(spec, xs)
-    pieces = prob_pieces(spec.cfg, w.lower, w.upper)
-    peaks = _peaks(spec, *pieces)
+    xs, log_p, log_q, log_prior, piece_lo, *_ = _grid(spec.cfg, spec.prior)
+    g = _log_likelihood_logs(spec.data.n, spec.data.k, log_p, log_q) + log_prior
     g_peaks = _log_joint(spec, peaks)
     values = np.concatenate([g, g_peaks])
     mode, shift = float(np.concatenate([xs, peaks])[values.argmax()]), float(values.max())
@@ -190,36 +225,72 @@ def _workspace(spec: PosteriorSpec):
     lo = np.concatenate([xs[np.maximum(first - 2, 0)], np.maximum(center - reach[0], w.lower)])
     hi = np.concatenate([xs[np.minimum(last + 2, _GRID_POINTS - 1)],
                          np.minimum(center + reach[1], w.upper)])
-    cuts = _distinct(np.concatenate([lo, hi, center, pieces[0]]))
+    cuts = _distinct(np.concatenate([lo, hi, center, piece_lo]))
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     covered = np.any((lo[:, None] < mid) & (mid < hi[:, None]), axis=0)
     return mode, shift, cuts[:-1][covered], cuts[1:][covered]
 
 
-@lru_cache(maxsize=128)
-def _moments(spec: PosteriorSpec):
-    """Log joint at the mode, evidence and first moment, from one quadrature
-    of [v, x v] with v = exp(log joint - its value at the mode).
+def _moments_many(specs: Sequence[PosteriorSpec]) -> list:
+    """For each spec, the log joint at the mode, the evidence and the first
+    moment, or the EstimationError that computing them raises. The specs
+    share field, prior, n and tolerance.
 
-    v is the likelihood ratio against the mode, through the change of p from
-    there, times the prior's ratio: near the mode its rounding stays far
-    below that of the log joint itself (~1e-6 at n = 1e10).
+    Each integral is one of [v, x v] with v = exp(log joint - its value at
+    the mode): the likelihood ratio against the mode, through the change of p
+    from there, times the prior's ratio. Near the mode its rounding stays far
+    below that of the log joint itself (~1e-6 at n = 1e10). One quadrature
+    computes them all, each posterior with its own panels and error budget,
+    so a batch of one (through ``integrate``) gives every member's values bit
+    for bit.
     """
-    mode, shift, lo, hi = _workspace(spec)
-    n, k, prior = spec.data.n, spec.data.k, spec.prior
-    ref = float(prob_detect(spec.cfg, mode))
-    prior_at_mode = float(log_density(prior, mode))
+    spec = specs[0]
+    cfg, prior, n, tol = spec.cfg, spec.prior, spec.data.n, spec.quad_tol
+    out: list = [None] * len(specs)
+    held, regions = [], []
+    for j, (member, peaks) in enumerate(zip(specs, _peaks(specs))):
+        try:
+            regions.append(_workspace(member, peaks))
+            held.append(j)
+        except EstimationError as exc:
+            out[j] = exc
+    if not held:
+        return out
+    mode, shift, lo, hi = zip(*regions)
+    mode = np.array(mode)
+    k = np.array([specs[j].data.k for j in held], dtype=float)
+    ref, prior_at_mode = prob_detect(cfg, mode), log_density(prior, mode)
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        p, dp = prob_detect(spec.cfg, x), prob_detect_change(spec.cfg, x, mode)
-        lik = log_likelihood_ratio(n, k, p, dp, ref)
-        v = np.exp(lik + log_density(prior, x) - prior_at_mode)
+    def integrand(x: np.ndarray, o: np.ndarray) -> np.ndarray:
+        p, dp = prob_detect(cfg, x), prob_detect_change(cfg, x, mode[o])
+        lik = log_likelihood_ratio(n, k[o], p, dp, ref[o])
+        v = np.exp(lik + log_density(prior, x) - prior_at_mode[o])
         return np.stack([v, x * v])
 
-    z, first = integrate(integrand, lo, hi, spec.quad_tol)
-    if not z > 0.0:
-        raise EvidenceUnderflow("posterior evidence is zero within tolerance")
-    return shift, z, first
+    if len(specs) == 1:
+        try:
+            values, failures = [integrate(lambda x: integrand(x, np.zeros(x.size, dtype=np.intp)),
+                                          lo[0], hi[0], tol)], [None]
+        except EstimationError as exc:
+            values, failures = [(math.nan, math.nan)], [exc]
+    else:
+        owner = np.repeat(np.arange(len(held)), [r.size for r in lo])
+        values, failures = integrate_owners(integrand, np.concatenate(lo), np.concatenate(hi),
+                                            owner, tol, owners=len(held))
+    for j, s, (z, first), exc in zip(held, shift, values, failures):
+        if exc is None and not z > 0.0:
+            exc = EvidenceUnderflow("posterior evidence is zero within tolerance")
+        out[j] = exc if exc is not None else (s, z, first)
+    return out
+
+
+@lru_cache(maxsize=128)
+def _moments(spec: PosteriorSpec):
+    """Log joint at the mode, evidence and first moment: a batch of one."""
+    result, = _moments_many([spec])
+    if isinstance(result, EstimationError):
+        raise result
+    return result
 
 
 def _log_evidence(spec: PosteriorSpec) -> float:
@@ -243,9 +314,32 @@ def mmse(spec: PosteriorSpec) -> float:
     The ratio of the first moment to the evidence from one quadrature,
     clamped to the window (the mathematical value cannot leave it).
     """
-    _, z, first = _moments(spec)
+    return _mean(spec, _moments(spec))
+
+
+def _mean(spec: PosteriorSpec, moments) -> float:
+    _, z, first = moments
     w = spec.prior.window
     return min(max(first / z, w.lower), w.upper)
+
+
+def mmse_many(specs: Sequence[PosteriorSpec]) -> list:
+    """mmse of each spec, or the EstimationError that mmse(spec) raises.
+
+    The specs that share field, prior, n and tolerance are integrated
+    together, up to _BATCH of them in one quadrature; each value is bit for
+    bit the one mmse(spec) returns.
+    """
+    groups: dict = {}
+    for j, spec in enumerate(specs):
+        groups.setdefault((spec.cfg, spec.prior, spec.data.n, spec.quad_tol), []).append(j)
+    out: list = [None] * len(specs)
+    for members in groups.values():
+        for start in range(0, len(members), _BATCH):
+            batch = members[start:start + _BATCH]
+            for j, result in zip(batch, _moments_many([specs[j] for j in batch])):
+                out[j] = result if isinstance(result, EstimationError) else _mean(specs[j], result)
+    return out
 
 
 def map_stationarity_lhs(cfg: FieldConfig, prior: Prior, n: float, omega0):

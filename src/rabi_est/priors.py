@@ -29,7 +29,6 @@ __all__ = [
     "Prior",
     "log_density",
     "prior_score",
-    "dlog_density",
     "prior_fisher",
     "jeffreys_normalizer",
     "window_mass",
@@ -168,23 +167,6 @@ def prior_score(prior: Prior, omega0):
             - 2.0 * dq / q
             - (q * dq - 4.0 * b * b * s * c * dh) / resid
         )
-
-
-def dlog_density(prior: Prior, omega0: float) -> float:
-    """Derivative of the log prior density, strictly inside the window.
-
-    Raises DomainError at a zero of the Jeffreys density, where the
-    log-density has a pole.
-    """
-    w = prior.window
-    if not w.lower < omega0 < w.upper:
-        raise DomainError(
-            f"omega0={omega0} is not strictly inside the window [{w.lower}, {w.upper}]"
-        )
-    value = float(prior_score(prior, omega0))
-    if not math.isfinite(value):
-        raise DomainError(f"the Jeffreys density vanishes at omega0={omega0}")
-    return value
 
 
 def prior_fisher(prior: Prior, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -2,8 +2,9 @@
 
 Scans never abort on a bad cell: failures are encoded in a per-cell status
 column (the figures these scans feed contain excluded regions by design).
-Cells are independent; the expensive Bayesian scans accept a ``workers``
-count and farm cells out to processes, with results reassembled in row-major
+The MMSE curve computes each prior's column as one batch of posteriors in a
+single quadrature. The Bayesian Fisher scan accepts a ``workers`` count and
+farms its cells out to processes, with results reassembled in row-major
 cell order so the output is identical for any worker count.
 
 The ML root-surface statuses summarize the sign analysis of the two
@@ -27,7 +28,7 @@ from .errors import DomainError, EstimationError
 from .fisher import cfi_values, qfi_values
 from .frequentist import ROOTS_REAL, Dataset, ml_roots
 from .numerics import DEFAULT_TOL, Tolerance
-from .posterior import PosteriorSpec, bayes_fisher, map_stationarity_lhs, mmse
+from .posterior import PosteriorSpec, bayes_fisher, map_stationarity_lhs, mmse_many
 from .priors import Prior, PriorKind
 
 __all__ = [
@@ -316,56 +317,40 @@ def bayes_scan(
     )
 
 
-def _mmse_cell(args) -> tuple[list[float], str]:
-    cfg, priors, n, xbar, tol = args
-    data = Dataset(n=n, k=n * xbar)
-    out = []
-    status = STATUS_OK
-    for prior in priors:
-        try:
-            spec = PosteriorSpec(data=data, cfg=cfg, prior=prior, quad_tol=tol)
-            out.append(mmse(spec))
-        except EstimationError as exc:
-            out.append(math.nan)
-            status = f"error:{type(exc).__name__}"
-    return out, status
-
-
 def mmse_curve(
     cfg: FieldConfig,
     priors: Sequence[Prior],
     n: int,
     xbar_axis: Axis,
     tol: Tolerance = DEFAULT_TOL,
-    workers: int = 1,
 ) -> GridTable:
     """Posterior-mean estimate against the average count rate, one column per
     prior. Fractional counts k = n*xbar enter the likelihood exponents so the
-    count rate can be treated as a continuous abscissa."""
+    count rate can be treated as a continuous abscissa. Each prior's column
+    is one batch of posteriors (see ``posterior.mmse_many``); a failing cell
+    is NaN, and its status names the error of the last prior that failed."""
     if xbar_axis.name != "xbar":
         raise DomainError("mmse_curve needs an xbar axis")
     if not priors:
         raise DomainError("mmse_curve needs at least one prior")
-    xbars = xbar_axis.values
-    args = [(cfg, tuple(priors), n, float(x), tol) for x in xbars]
-    results = _run_cells(_mmse_cell, args, workers)
-
-    names = []
+    data = [Dataset(n=n, k=n * float(x)) for x in xbar_axis.values]
+    status = [STATUS_OK] * len(data)
+    columns = {}
     for prior in priors:
-        base = f"mmse_{prior.kind.value}"
-        name = base
+        base = name = f"mmse_{prior.kind.value}"
         suffix = 2
-        while name in names:
+        while name in columns:
             name = f"{base}_{suffix}"
             suffix += 1
-        names.append(name)
-    columns = {
-        name: np.array([r[0][j] for r in results]) for j, name in enumerate(names)
-    }
+        results = mmse_many([PosteriorSpec(data=d, cfg=cfg, prior=prior, quad_tol=tol) for d in data])
+        for i, result in enumerate(results):
+            if isinstance(result, EstimationError):
+                status[i] = f"error:{type(result).__name__}"
+        columns[name] = np.array([math.nan if isinstance(r, EstimationError) else r for r in results])
     return GridTable(
         axes=(xbar_axis,),
         columns=columns,
-        status=[r[1] for r in results],
+        status=status,
         metadata={
             "operation": "mmse_curve",
             "n": n,

@@ -26,13 +26,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import FieldConfig, density_state, dprob_domega0, prob_detect, q_factor
-from .errors import MissingGolden
-from .fisher import cfi_values, paper_scaled, qfi_values, required_samples, sld_matrix
-from .frequentist import Dataset, log_likelihood, ml_estimate, validity
-from .numerics import Bracket, find_root_bracketed, integrate, inv_sinc_values, local_maxima
-from .posterior import PosteriorSpec, bayes_fisher, mmse
-from .priors import Prior, SupportWindow, jeffreys_normalizer, log_density, prior_fisher
+from oracles import (
+    Bracket,
+    density_state,
+    find_root_bracketed,
+    log_likelihood,
+    required_samples,
+    sld_matrix,
+)
+from rabi_est.cli import main
+from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect, q_factor
+from rabi_est.errors import MissingGolden
+from rabi_est.fisher import cfi_values, paper_scaled, qfi_values
+from rabi_est.frequentist import Dataset, ml_estimate, validity
+from rabi_est.numerics import integrate, inv_sinc_values, local_maxima
+from rabi_est.posterior import PosteriorSpec, bayes_fisher, mmse
+from rabi_est.priors import Prior, SupportWindow, jeffreys_normalizer, log_density, prior_fisher
 
 __all__ = ["GoldenCase", "GoldenReport", "REGISTRY", "produce", "verify_golden"]
 
@@ -255,8 +264,6 @@ def produce(case: GoldenCase, out_path: Path) -> None:
         payload = _PRODUCERS[case.command.split(":", 1)[1]]()
         out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         return
-    from .cli import main  # deferred; the CLI imports this module's tables
-
     argv = shlex.split(case.command) + ["--out", str(out_path)]
     rc = main(argv)
     if rc != 0:

@@ -14,13 +14,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from rabi_est.dynamics import FieldConfig, amplitudes, prob_detect
-from rabi_est.errors import DomainError
+from rabi_est.dynamics import FieldConfig, _detuning, amplitudes, dprob_domega0, prob_detect, q_factor
+from rabi_est.errors import DegenerateData, DomainError, NonConvergence, NoSignChange
+from rabi_est.frequentist import Dataset, log_likelihood_counts
+from rabi_est.numerics import DEFAULT_TOL, Tolerance
+from rabi_est.priors import Prior, prior_score
 
 
 def fd(f, x: float, h: float = 1e-6) -> float:
@@ -75,6 +80,57 @@ def simpson_dense(f, lo: float, hi: float, n: int = 200_001) -> float:
     ys = np.asarray(f(xs), dtype=float)
     h = (hi - lo) / (n - 1)
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """A root bracket [lo, hi] for :func:`find_root_bracketed`."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self) -> None:
+        if not self.lo < self.hi:
+            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
+
+
+def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Root of ``f`` inside a sign-changing bracket.
+
+    Secant steps accelerate convergence; whenever a step fails to halve the
+    bracket the next step falls back to bisection, which guarantees
+    convergence for any continuous integrand.
+    """
+    lo, hi = float(b.lo), float(b.hi)
+    flo, fhi = float(f(lo)), float(f(hi))
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise NoSignChange(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
+
+    force_bisect = False
+    for _ in range(tol.max_iter):
+        width = hi - lo
+        if width <= tol.target(0.5 * (lo + hi)):
+            return lo if abs(flo) <= abs(fhi) else hi
+        x = None
+        if not force_bisect and fhi != flo:
+            x = hi - fhi * (hi - lo) / (fhi - flo)
+            if not (lo < x < hi) or not math.isfinite(x):
+                x = None
+        if x is None:
+            x = 0.5 * (lo + hi)
+        fx = float(f(x))
+        if fx == 0.0:
+            return x
+        if flo * fx < 0.0:
+            hi, fhi = x, fx
+        else:
+            lo, flo = x, fx
+        force_bisect = (hi - lo) > 0.5 * width
+    raise NonConvergence(f"root finding exceeded {tol.max_iter} iterations")
 
 
 def bisect(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -158,6 +214,37 @@ def qfi_oracle(cfg: FieldConfig, omega0, h: float = 1e-6):
     d01 = (c_plus - c_minus) / (2.0 * h)
     out = 4.0 * (d00 * d00 + np.abs(d01) ** 2)
     return float(out) if np.ndim(omega0) == 0 else out
+
+
+def fisher_mp(cfg: FieldConfig, omega0: float, dps: int = 50):
+    """(CFI, QFI) of one detection at omega0, mpmath numbers to ``dps``
+    digits, from the amplitudes alone: c0 = -2i e^(-i omega/2) (b/q) sin(q/2)
+    and c1 = e^(i omega/2) (cos(q/2) - i (d/q) sin(q/2)), with b = b0
+    sin(theta), d the detuning and q = hypot(d, 2b), differentiated by
+    mpmath.diff at that precision. CFI = p'^2 / (p (1 - p)) with p = |c0|^2
+    and 1 - p = |c1|^2;
+    QFI = 4 (<dpsi|dpsi> - |<psi|dpsi>|^2), the pure-state form of
+    Braunstein & Caves, PRL 72, 3439 (1994). Without closed-form
+    derivatives no term cancels, so the values stay exact to the working
+    precision at resonance and as rho00 -> 1.
+    """
+    with mpmath.workdps(dps):
+        omega, b0, theta = (mpmath.mpf(v) for v in (cfg.omega, cfg.b0, cfg.theta))
+        b = b0 * mpmath.sin(theta)
+
+        def psi(x):
+            d = omega - x - 2 * b0 * mpmath.cos(theta)
+            q = mpmath.sqrt(d * d + 4 * b * b)
+            return (-2j * mpmath.expj(-omega / 2) * (b / q) * mpmath.sin(q / 2),
+                    mpmath.expj(omega / 2) * (mpmath.cos(q / 2) - 1j * (d / q) * mpmath.sin(q / 2)))
+
+        x = mpmath.mpf(omega0)
+        c0, c1 = psi(x)
+        d0, d1 = (mpmath.diff(lambda y, i=i: psi(y)[i], x) for i in (0, 1))
+        # 1 - p is |c1|^2 for the normalized state, free of cancellation.
+        dp = 2 * mpmath.re(mpmath.conj(c0) * d0)
+        overlap = mpmath.conj(c0) * d0 + mpmath.conj(c1) * d1
+        return dp * dp / (abs(c0) ** 2 * abs(c1) ** 2), 4 * (abs(d0) ** 2 + abs(d1) ** 2 - abs(overlap) ** 2)
 
 
 def enumerate_counts(n: int, p1: float) -> dict:
@@ -385,3 +472,108 @@ def map_lhs_oracle(cfg: FieldConfig, prior_kind: str, n: int, x: np.ndarray,
             dlog_slope = (logs[0] - 8.0 * logs[1] + 8.0 * logs[2] - logs[3]) / (12.0 * h5)
             return -(p * (1.0 - p) / dp) * dlog_slope / n + (1.0 - 2.0 * p) / (2.0 * n) + p
     return p
+
+
+# --- Former package helpers -------------------------------------------------
+# Nothing in rabi_est calls these any more. Their tests keep them honest, and
+# several of those tests use them to cross-check the package's kernels (the
+# SLD against qfi_values, the curvature against the ML roots).
+
+
+@dataclass(frozen=True)
+class DensityState:
+    """Independent entries of the pure-state density matrix."""
+
+    rho00: float
+    rho01: complex
+
+    def __post_init__(self) -> None:
+        if not -1e-12 <= self.rho00 <= 1.0 + 1e-12:
+            raise DomainError(f"rho00 must be a probability, got {self.rho00}")
+        if abs(self.rho01) ** 2 > self.rho00 * (1.0 - self.rho00) + 1e-12:
+            raise DomainError("coherence exceeds the pure-state bound")
+
+
+def density_state(cfg: FieldConfig, omega0: float, t: float = 1.0) -> DensityState:
+    """Density-matrix entries rho00 = |c0|^2 and rho01 = c0 * conj(c1)."""
+    c0, c1 = amplitudes(cfg, omega0, t)
+    return DensityState(rho00=float(abs(c0) ** 2), rho01=complex(c0 * np.conj(c1)))
+
+
+def ddensity_domega0(cfg: FieldConfig, omega0, t: float = 1.0):
+    """Analytic derivatives (drho00, drho01) with respect to omega0.
+
+    The coherence derivative follows from rho01 written as
+    b e^{-i omega t} [d (1 - cos qt)/q^2 - i sin(qt)/q]. Accepts arrays.
+    """
+    b = cfg.b0 * np.sin(cfg.theta)
+    d = _detuning(cfg, omega0)
+    q = q_factor(cfg, omega0)
+    qt = q * t
+    cos_qt = np.cos(qt)
+    sin_qt = np.sin(qt)
+    dre = -((q * q - 2.0 * d * d) * (1.0 - cos_qt) + d * d * qt * sin_qt) / q**4
+    dim = d * (qt * cos_qt - sin_qt) / q**3
+    drho01 = b * np.exp(-1.0j * cfg.omega * t) * (dre + 1.0j * dim)
+    return dprob_domega0(cfg, omega0, t), drho01
+
+
+def sld_matrix(cfg: FieldConfig, omega0: float) -> np.ndarray:
+    """Symmetric logarithmic derivative L = 2 * d(rho)/d(omega0).
+
+    For a pure state the SLD is twice the density-matrix derivative; L^2 is a
+    scalar multiple of the identity and trace(L^2 rho) recovers the QFI.
+    """
+    drho00, drho01 = ddensity_domega0(cfg, omega0)
+    return 2.0 * np.array(
+        [[drho00, drho01], [np.conj(drho01), -drho00]], dtype=complex
+    )
+
+
+def required_samples(cfi_scaled: float, accuracy: float) -> float:
+    """Number of IID detections for a target variance: N = 1/(accuracy * CFI).
+
+    Not rounded; callers may take the ceiling.
+    """
+    if not cfi_scaled > 0:
+        raise DomainError(f"cfi_scaled must be positive, got {cfi_scaled}")
+    if not accuracy > 0:
+        raise DomainError(f"accuracy must be positive, got {accuracy}")
+    return 1.0 / (accuracy * cfi_scaled)
+
+
+def log_likelihood(data: Dataset, cfg: FieldConfig, omega0) -> np.ndarray:
+    """Log-likelihood of the dataset at a candidate transition frequency."""
+    return log_likelihood_counts(data.n, data.k, prob_detect(cfg, omega0))
+
+
+def loglik_curvature(data: Dataset, cfg: FieldConfig, omega0: float) -> float:
+    """Second derivative of the log-likelihood at a stationary point,
+
+        -n / (p (1-p)) * (dp/domega0)^2,
+
+    the closed form of the ML second-derivative test. Negative whenever the
+    probability derivative is nonzero, confirming a maximum.
+    """
+    p = float(prob_detect(cfg, omega0))
+    if p <= 0.0 or p >= 1.0:
+        raise DegenerateData(f"probability {p} pinned at 0 or 1; curvature undefined")
+    dp = float(dprob_domega0(cfg, omega0))
+    return -data.n / (p * (1.0 - p)) * dp * dp
+
+
+def dlog_density(prior: Prior, omega0: float) -> float:
+    """Derivative of the log prior density, strictly inside the window.
+
+    Raises DomainError at a zero of the Jeffreys density, where the
+    log-density has a pole.
+    """
+    w = prior.window
+    if not w.lower < omega0 < w.upper:
+        raise DomainError(
+            f"omega0={omega0} is not strictly inside the window [{w.lower}, {w.upper}]"
+        )
+    value = float(prior_score(prior, omega0))
+    if not math.isfinite(value):
+        raise DomainError(f"the Jeffreys density vanishes at omega0={omega0}")
+    return value

@@ -102,3 +102,21 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_mmse_curve_ignores_the_worker_count(tmp_path, monkeypatch):
+    # The golden Fig. 5 curve: each prior's column is one batch in this
+    # process, whatever RABI_EST_THREADS says.
+    out = tmp_path / "curve.csv"
+    argv = ["mmse-curve", *FIELD, "--n", "8", "--priors", "uniform,jeffreys,gaussian",
+            "--window-lower", "0.1", "--window-upper", "100", "--prior-mean", "10",
+            "--prior-sigma", "2", "--axis", "xbar:0:1:101", "--out", str(out)]
+    outputs = []
+    for threads in (None, "1", "2"):
+        if threads is None:
+            monkeypatch.delenv("RABI_EST_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("RABI_EST_THREADS", threads)
+        assert main(argv) == 0
+        outputs.append((out.read_bytes(), (tmp_path / "curve.csv.manifest.json").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]

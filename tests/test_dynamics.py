@@ -4,11 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import fd, ode_residual
+from oracles import density_state, fd, ode_residual
 from rabi_est.dynamics import (
     FieldConfig,
     amplitudes,
-    density_state,
     dprob_domega0,
     prob_detect,
     prob_detect_change,

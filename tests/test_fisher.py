@@ -3,16 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cfi_oracle, qfi_oracle
-from rabi_est.dynamics import FieldConfig, density_state, dprob_domega0, prob_detect
+from oracles import cfi_oracle, density_state, fisher_mp, qfi_oracle, required_samples, sld_matrix
+from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect
 from rabi_est.errors import DomainError
-from rabi_est.fisher import (
-    cfi_values,
-    paper_scaled,
-    qfi_values,
-    required_samples,
-    sld_matrix,
-)
+from rabi_est.fisher import cfi_values, paper_scaled, qfi_values
 from test_dynamics import random_draws
 
 CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
@@ -98,6 +92,42 @@ class TestGap:
             if math.isnan(info):
                 continue
             assert qfi(cfg, omega0) - info >= -1e-9
+
+
+_HALF_PI = FieldConfig(omega=1.0, b0=math.pi / 2, theta=math.pi / 2)
+_TILTED = FieldConfig(omega=2.0, b0=0.7, theta=1.1)
+_TILTED_RESONANCE = 2.0 - 1.4 * math.cos(1.1)
+
+
+class TestAgainstMpOracle:
+    """Both kernels against the 50-digit oracle where their rational-trig
+    forms cancel: at and near resonance (d -> 0), and as rho00 -> 1
+    (b0 sin(theta) -> pi/2 near resonance)."""
+
+    POINTS = [
+        (CFG, 1.0), (CFG, 1.0 + 2.0**-27), (CFG, 1.0 + 2.0**-13), (CFG, 2.0),
+        (_HALF_PI, 1.0 + 2.0**-10), (_HALF_PI, 1.0 + 2.0**-17), (_HALF_PI, 1.01),
+        (_TILTED, _TILTED_RESONANCE), (_TILTED, _TILTED_RESONANCE + 1e-7),
+        (FieldConfig(omega=1.0, b0=math.pi / 2 - 1e-4, theta=math.pi / 2), 1.0),
+    ]
+
+    @pytest.mark.parametrize("cfg,omega0", POINTS)
+    def test_kernels_within_their_conditioning(self, cfg, omega0):
+        info, quantum = (float(v) for v in fisher_mp(cfg, omega0))
+        # The CFI's q^2 (1 - rho00) loses eps/(1 - rho00), and its factor d^2
+        # inherits the rounding of 2 b0 cos(theta) relative to the detuning d.
+        # A detuning that rounds to 0 leaves the CFI at the e-30 scale.
+        shift = 2.0 * cfg.b0 * math.cos(cfg.theta)
+        d = cfg.omega - omega0 - shift
+        cond = 1.0 + 1.0 / (1.0 - float(prob_detect(cfg, omega0))) + (abs(shift / d) if d else 0.0)
+        assert cfi(cfg, omega0) == pytest.approx(info, rel=32 * np.finfo(float).eps * cond, abs=1e-30)
+        assert qfi(cfg, omega0) == pytest.approx(quantum, rel=1e-14)
+
+    def test_oracle_is_stable_in_precision(self):
+        # The hardest point: 1 - rho00 ~ 6e-12.
+        low, high = fisher_mp(_HALF_PI, 1.0 + 2.0**-17), fisher_mp(_HALF_PI, 1.0 + 2.0**-17, dps=70)
+        for a, b in zip(low, high):
+            assert abs(a - b) <= 1e-48 * abs(b)
 
 
 class TestSld:

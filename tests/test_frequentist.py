@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import bisect, enumerate_counts
+from oracles import bisect, enumerate_counts, log_likelihood, loglik_curvature
 from rabi_est.dynamics import FieldConfig, prob_detect, q_factor
 from rabi_est.errors import (
     DegenerateData,
@@ -16,10 +16,8 @@ from rabi_est.frequentist import (
     Ambiguity,
     Dataset,
     RootStatus,
-    log_likelihood,
     log_likelihood_counts,
     log_likelihood_ratio,
-    loglik_curvature,
     ml_estimate,
     mvu_p1,
     validity,

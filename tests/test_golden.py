@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from rabi_est.golden import REGISTRY, verify_golden
+from golden_registry import REGISTRY, verify_golden
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bisect, central_diff, golden_max
-from rabi_est import posterior
+from oracles import Bracket, bisect, central_diff, find_root_bracketed, golden_max
+from rabi_est import numerics, posterior
 from rabi_est.dynamics import FieldConfig
 from rabi_est.errors import DomainError, NonConvergence, NoSignChange
 from rabi_est.frequentist import Dataset
 from rabi_est.numerics import (
-    Bracket,
     Tolerance,
-    find_root_bracketed,
     integrate,
+    integrate_owners,
     inv_sinc_values,
     local_maxima,
 )
@@ -165,6 +164,68 @@ class TestFindRoot:
             grid = np.linspace(lo, hi, 2001)
             lipschitz = float(np.max(np.abs(np.gradient(f(grid), grid))))
             assert abs(f(x)) <= max(1e-10, 1e-10 * abs(x) * lipschitz) + 1e-12
+
+
+def _owned(x, o):
+    """A two-component integrand whose shape depends on the owner."""
+    freq, rate = 1.0 + 0.7 * o, 0.5 + 0.3 * o
+    return np.stack([np.sin(freq * x) ** 2, x * np.exp(-rate * x)])
+
+
+def _pole(x):
+    with np.errstate(divide="ignore"):
+        return np.where(x > 0.0, 1.0 / x, 0.0)
+
+
+class TestIntegrateOwners:
+    # Interleaved intervals of five owners, two of them with several.
+    LO = np.array([0.0, 1.0, 0.5, 2.0, 0.0, 3.0, 1.5, 0.25])
+    HI = np.array([1.0, 2.5, 1.5, 4.0, 0.25, 7.0, 3.0, 3.0])
+    OWNER = np.array([0, 1, 0, 2, 3, 1, 0, 4])
+
+    def alone(self, f, o):
+        mine = self.OWNER == o
+        return integrate(lambda x: f(x, np.full(x.size, o)), self.LO[mine], self.HI[mine])
+
+    def test_each_owner_gets_its_lone_integrals(self):
+        values, failures = integrate_owners(_owned, self.LO, self.HI, self.OWNER)
+        assert values.shape == (5, 2) and failures == [None] * 5
+        for o in range(5):
+            # Bit for bit: every step of the loop is local to an owner.
+            assert np.array_equal(values[o], self.alone(_owned, o))
+
+    def test_points_carry_their_owners(self, monkeypatch):
+        # Three panels a call, so that calls mix halves of the two owners'
+        # panels (owner 0 on [0, 20], owner 1 on [30, 50]) as 0, 1, 0.
+        monkeypatch.setattr(numerics, "_CHUNK", 3 * 17)
+
+        def f(x, o):
+            assert np.array_equal(o, x > 25.0)
+            return _owned(x, o)
+
+        values, _ = integrate_owners(f, [0.0, 30.0], [20.0, 50.0], [0, 1])
+        for o, (a, b) in enumerate([(0.0, 20.0), (30.0, 50.0)]):
+            assert np.array_equal(values[o], integrate(lambda x: _owned(x, np.full(x.size, o)), a, b))
+
+    def test_failures_stay_with_their_owner(self):
+        def f(x, o):
+            # Owner 1 is not integrable at 1; owner 2 is infinite at 4.
+            return np.where(o == 1, _pole(x - 1.0), np.where((o == 2) & (x == 4.0), np.inf, np.cos(x)))
+
+        values, failures = integrate_owners(f, self.LO, self.HI, self.OWNER)
+        assert isinstance(failures[1], NonConvergence) and isinstance(failures[2], DomainError)
+        assert np.isnan(values[1]) and np.isnan(values[2])
+        for o in (0, 3, 4):
+            assert failures[o] is None
+            assert values[o] == self.alone(f, o)
+
+    def test_owner_without_intervals_integrates_to_zero(self):
+        values, failures = integrate_owners(lambda x, o: x, [0.0, 1.0], [1.0, 2.0], [0, 2], owners=4)
+        assert values.tolist() == [0.5, 0.0, 1.5, 0.0] and failures == [None] * 4
+
+    def test_bad_owner_rejected(self):
+        with pytest.raises(DomainError):
+            integrate_owners(lambda x, o: x, [0.0], [1.0], [-1])
 
 
 class TestInvSinc:

@@ -14,7 +14,7 @@ from oracles import (
     simpson_dense,
 )
 from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect, prob_stationary_points, q_factor
-from rabi_est.errors import DomainError
+from rabi_est.errors import DomainError, EvidenceUnderflow
 from rabi_est.fisher import cfi_values, qfi_values
 from rabi_est.frequentist import Dataset, ml_estimate
 from rabi_est import posterior
@@ -24,6 +24,7 @@ from rabi_est.posterior import (
     map_estimate,
     map_stationarity_lhs,
     mmse,
+    mmse_many,
     posterior_log_density,
 )
 from rabi_est.priors import Prior, SupportWindow, log_density
@@ -437,3 +438,61 @@ class TestFig5Posteriors:
         posterior._moments.cache_clear()
         mmse(PosteriorSpec(data=Dataset(8, 8 * 0.01), cfg=CFG, prior=prior))
         assert 0 < points[0] <= 100_000
+
+
+class TestBatches:
+    """mmse_many against mmse, member by member, on the Fig. 5 posteriors."""
+
+    SPECS = [PosteriorSpec(data=Dataset(8, 8 * x), cfg=CFG, prior=JEFFREYS_WIDE)
+             for x in (0.0, 0.01, 0.3, 0.3, 0.62, 1.0)]
+
+    def spoil(self, monkeypatch, k, value):
+        """Sets the log likelihood ratio of the count k to ``value`` at every
+        integrand point, for its posterior alone."""
+        original = posterior.log_likelihood_ratio
+
+        def spoiled(n, counts, p, dp, ref):
+            return np.where(counts == k, value, original(n, counts, p, dp, ref))
+
+        monkeypatch.setattr(posterior, "log_likelihood_ratio", spoiled)
+
+    @pytest.mark.parametrize("value,error", [(-np.inf, EvidenceUnderflow), (np.nan, DomainError)],
+                             ids=["zero-evidence", "non-finite"])
+    def test_failing_quadrature_is_isolated(self, value, error, monkeypatch):
+        clean = [mmse(spec) for spec in self.SPECS]
+        posterior._moments.cache_clear()
+        self.spoil(monkeypatch, 8 * 0.62, value)
+        with pytest.raises(error):
+            mmse(self.SPECS[4])
+        got = mmse_many(self.SPECS)
+        assert type(got[4]) is error
+        assert got[:4] + got[5:] == clean[:4] + clean[5:]
+
+    def test_failing_workspace_is_isolated(self, monkeypatch):
+        clean = [mmse(spec) for spec in self.SPECS]
+        original = posterior._workspace
+
+        def vanishing(spec, peaks):
+            if spec.data.k == 8 * 0.01:
+                raise EvidenceUnderflow("posterior density vanishes everywhere on the window")
+            return original(spec, peaks)
+
+        monkeypatch.setattr(posterior, "_workspace", vanishing)
+        got = mmse_many(self.SPECS)
+        assert type(got[1]) is EvidenceUnderflow
+        assert got[:1] + got[2:] == clean[:1] + clean[2:]
+
+    def test_groups_by_prior_and_n(self, monkeypatch):
+        # Specs of two priors and two n, interleaved: one quadrature per group.
+        specs = [PosteriorSpec(data=Dataset(n, n * x), cfg=CFG, prior=prior)
+                 for x in (0.1, 0.4) for n in (8, 100) for prior in (UNIFORM_WIDE, GAUSS)]
+        calls = []
+        original = posterior.integrate_owners
+
+        def counting(f, lo, hi, owner, tol, owners):
+            calls.append(owners)
+            return original(f, lo, hi, owner, tol, owners=owners)
+
+        monkeypatch.setattr(posterior, "integrate_owners", counting)
+        assert mmse_many(specs) == [mmse(spec) for spec in specs]
+        assert sorted(calls) == [2, 2, 2, 2]

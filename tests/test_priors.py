@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bisect, jeffreys_prior_fisher_mp, quad_pieces, simpson_dense, sqrt_cfi_sign_change
+from oracles import (
+    bisect,
+    dlog_density,
+    jeffreys_prior_fisher_mp,
+    quad_pieces,
+    simpson_dense,
+    sqrt_cfi_sign_change,
+)
 from rabi_est.dynamics import FieldConfig, prob_stationary_points
 from rabi_est.errors import (
     DegenerateSupport,
@@ -16,7 +23,6 @@ from rabi_est.numerics import integrate
 from rabi_est.priors import (
     Prior,
     SupportWindow,
-    dlog_density,
     jeffreys_normalizer,
     log_density,
     prior_fisher,

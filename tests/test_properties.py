@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from oracles import map_lhs_oracle
 from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect
-from rabi_est.errors import DomainError
+from rabi_est.errors import DomainError, EstimationError
 from rabi_est.fisher import cfi_values, qfi_values
 from rabi_est.frequentist import ROOTS_REAL, Dataset, ml_roots
 from rabi_est.numerics import inv_sinc_values
-from rabi_est.posterior import PosteriorSpec, map_stationarity_lhs, mmse
+from rabi_est.posterior import PosteriorSpec, map_stationarity_lhs, mmse, mmse_many
 from rabi_est.priors import Prior, SupportWindow
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -110,3 +110,37 @@ def test_mmse_inside_window(cfg, log10_n, rate, lower, width, gaussian):
              if gaussian else Prior.uniform(window))
     est = mmse(PosteriorSpec(data=Dataset(n, round(n * rate)), cfg=cfg, prior=prior))
     assert window.lower <= est <= window.upper
+
+
+@PROPERTY
+@given(
+    cfg=fields,
+    lower=st.floats(min_value=1e-2, max_value=30.0),
+    width=st.floats(min_value=1e-2, max_value=40.0),
+    kind=st.sampled_from(["uniform", "jeffreys", "gaussian"]),
+    log10_n=st.integers(min_value=0, max_value=10),
+    rates=st.lists(unit, min_size=1, max_size=17),
+    fractional=st.booleans(),
+    repeats=st.integers(min_value=0, max_value=3),
+)
+def test_batch_equals_members(cfg, lower, width, kind, log10_n, rates, fractional, repeats):
+    n = 10**log10_n
+    window = SupportWindow(lower, lower + width)
+    if kind == "jeffreys":
+        try:
+            prior = Prior.jeffreys(window, cfg)
+        except EstimationError:
+            assume(False)
+    else:
+        prior = (Prior.gaussian(window, mean=lower + 0.6 * width, sigma=0.1 * width)
+                 if kind == "gaussian" else Prior.uniform(window))
+    ks = [n * r if fractional else float(round(n * r)) for r in rates]
+    specs = [PosteriorSpec(data=Dataset(n, k), cfg=cfg, prior=prior) for k in ks + ks[:repeats]]
+    for spec, batched in zip(specs, mmse_many(specs)):
+        try:
+            alone = mmse(spec)
+        except EstimationError as exc:
+            assert type(batched) is type(exc)
+            continue
+        # Bit for bit: each posterior keeps its own panels and error budget.
+        assert batched == alone

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from rabi_est import scan
+from rabi_est import posterior, scan
 from rabi_est.dynamics import FieldConfig
+from rabi_est.frequentist import Dataset
+from rabi_est.posterior import PosteriorSpec, mmse
 from rabi_est.priors import Prior, SupportWindow
-from rabi_est.scan import Axis, GridTable, bayes_scan, fisher_scan, ml_root_scan
+from rabi_est.scan import Axis, GridTable, bayes_scan, fisher_scan, ml_root_scan, mmse_curve
 
 CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
 
@@ -90,3 +92,43 @@ def test_bayes_scan_independent_of_worker_count():
     pooled = bayes_scan(CFG, prior, axes, n=8, workers=2)
     assert to_csv_text(serial) == to_csv_text(pooled)
     assert {"ok", "error:DivergentInformation"} == set(serial.status)
+
+
+FIG5_WINDOW = SupportWindow(0.1, 100.0)
+
+
+class TestMmseCurve:
+    def test_golden_curve_integrates_each_prior_once(self, monkeypatch):
+        # The Fig. 5 curve: 101 count rates, each prior's column one batch.
+        priors = [Prior.uniform(FIG5_WINDOW), Prior.jeffreys(FIG5_WINDOW, CFG),
+                  Prior.gaussian(FIG5_WINDOW, 10.0, 2.0)]
+        calls = {"integrate": 0, "integrate_owners": []}
+
+        def one_owner(f, lo, hi, tol):
+            calls["integrate"] += 1
+
+        def owners(f, lo, hi, owner, tol, owners, original=posterior.integrate_owners):
+            calls["integrate_owners"].append(owners)
+            return original(f, lo, hi, owner, tol, owners=owners)
+
+        monkeypatch.setattr(posterior, "integrate", one_owner)
+        monkeypatch.setattr(posterior, "integrate_owners", owners)
+        table = mmse_curve(CFG, priors, 8, Axis("xbar", 0.0, 1.0, 101))
+        assert calls == {"integrate": 0, "integrate_owners": [101, 101, 101]}
+        assert table.status == ["ok"] * 101
+
+    def test_failing_cell_keeps_its_own_status(self, monkeypatch):
+        # The integrand turns non-finite for the posteriors at xbar = 0.5
+        # (k = 4) alone; the other cells keep the values of lone posteriors.
+        priors = [Prior.uniform(FIG5_WINDOW), Prior.gaussian(FIG5_WINDOW, 10.0, 2.0)]
+        axis = Axis("xbar", 0.0, 1.0, 5)
+        alone = [[mmse(PosteriorSpec(data=Dataset(8, 8 * float(x)), cfg=CFG, prior=prior))
+                  for x in axis.values] for prior in priors]
+        ratio = posterior.log_likelihood_ratio
+        monkeypatch.setattr(posterior, "log_likelihood_ratio",
+                            lambda n, k, p, dp, ref: np.where(k == 4.0, np.nan, ratio(n, k, p, dp, ref)))
+        table = mmse_curve(CFG, priors, 8, axis)
+        assert table.status == ["ok", "ok", "error:DomainError", "ok", "ok"]
+        for column, expect in zip(table.columns.values(), alone):
+            assert np.isnan(column[2])
+            assert [column[i] for i in (0, 1, 3, 4)] == [expect[i] for i in (0, 1, 3, 4)]
