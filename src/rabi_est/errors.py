@@ -28,10 +28,6 @@ class DomainError(EstimationError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class NoSignChange(DomainError):
-    """Bracketed root finding was given endpoints of equal sign."""
-
-
 class DegenerateProbability(DomainError):
     """Detection probability pinned at 0 or 1 where a formula is singular."""
 
@@ -54,7 +50,3 @@ class NoRealRoot(DomainError):
 
 class AllTrialsDegenerate(DomainError):
     """Every Monte Carlo trial failed to produce a usable estimate."""
-
-
-class MissingGolden(EstimationError):
-    """A golden fixture file referenced by a case does not exist."""

@@ -16,6 +16,7 @@ smaller root sits exactly on the zero boundary).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -108,28 +109,280 @@ class GridTable:
         return [ax.name for ax in self.axes] + list(self.columns) + ["status"]
 
     def to_csv(self, fp) -> None:
-        """Comma-separated output: header row, LF endings, 17 significant digits.
+        """Comma-separated output: header row, LF endings, and for every
+        number exactly the text of ``format(v, ".17g")``.
 
-        Rows are written in row-major cell order, a chunk of rows per write.
-        Axis values repeat across the grid, so each is formatted only once.
+        Rows go out in row-major cell order, one ``fp.write`` per chunk of
+        ``_CSV_CHUNK`` rows. Axis values repeat across the grid, so each is
+        formatted once. Numbers are formatted as arrays (``_format_17g``): a
+        double-double product gives each value's 17 significant digits with
+        a proven error bound, and a value goes to ``format`` itself when that
+        bound cannot decide its rounding or its exponent lies near the ends
+        of the float64 range. Every other value gets the digits, exponent
+        and layout that ``format`` gives it, so the bytes are those of one
+        ``format`` call per number.
         """
         fp.write(",".join(self.header()) + "\n")
-        labels = [
-            np.array([format(v, ".17g") for v in ax.values.tolist()], dtype=object)
-            for ax in self.axes
-        ]
+        labels = [_format_17g(ax.values) for ax in self.axes]
         shape = tuple(ax.count for ax in self.axes)
         cols = list(self.columns.values())
-        line = ",".join(["%s"] * len(labels) + ["%.17g"] * len(cols) + ["%s"]) + "\n"
         for start in range(0, self.n_cells, _CSV_CHUNK):
             stop = min(start + _CSV_CHUNK, self.n_cells)
             index = np.unravel_index(np.arange(start, stop), shape)
-            rows = zip(
-                *[lab[i].tolist() for lab, i in zip(labels, index)],
-                *[c[start:stop].tolist() for c in cols],
-                self.status[start:stop],
-            )
-            fp.write("".join([line % row for row in rows]))
+            fields = [(np.take(text, i, axis=0), used[i]) for (text, used), i in zip(labels, index)]
+            fields += [_format_17g(c[start:stop]) for c in cols]
+            fields.append(_status_fields(self.status[start:stop]))
+            fp.write(_join_fields(fields))
+
+
+# Text of float64 values as format(v, ".17g") writes it, for whole arrays.
+#
+# A finite x != 0 prints as the 17-digit integer D = round(x * 10**(16 - E))
+# (half to even) with 10**16 <= D < 10**17 and decimal exponent E: positional
+# for -4 <= E < 17, scientific otherwise, trailing zeros dropped. _digits17
+# evaluates x * 10**k as a double-double: Dekker's exact product x * hi plus
+# x * lo, where hi + lo is 10**k to within 8 * 2**-106 relative. For
+# |x * 10**k| < 2**60 the sum is then within 2**-41 of the exact product, so
+# its rounding is certain unless its fraction lies within _TIE_BOUND of 1/2.
+# Those values, exact ties among them, go to format.
+_SPLIT = 134217729.0      # 2**27 + 1: splits a float64 into two 26-bit halves
+_FAST_EXP = 280           # 10**-_FAST_EXP <= |x| < 10**_FAST_EXP: fast path
+_TIE_BOUND = 2.0**-40     # a fraction this near 1/2 is not certified
+_POW_MIN = 16 - _FAST_EXP - 1  # the powers 10**k that exponent fixes can ask for
+_POW_MAX = 16 + _FAST_EXP + 2
+_TEN16, _TEN17 = 10**16, 10**17
+# Text rows hold the longest text, -d.dddddddddddddddde-ddd, and its comma;
+# 32 bytes is a row size that numpy's take copies in one move.
+_WIDTH = 32
+# Text classes, the order in which _format_17g lays rows out: positional
+# 2 * (E + 4) + negative, scientific _SCI + negative, then the literals and
+# the values left to format.
+_SCI = 42
+_LITERALS = ("nan", "inf", "-inf", "0", "-0")
+_SLOW = _SCI + 2 + len(_LITERALS)
+_DOT, _ZERO, _MINUS = ord("."), ord("0"), ord("-")
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = high + low into halves whose products are exact."""
+    big = _SPLIT * a
+    high = big - (big - a)
+    return high, a - high
+
+
+def _product_error(a, b, a_halves, b_halves):
+    """a * b - fl(a * b), exactly (Dekker's two-product)."""
+    (a_high, a_low), (b_high, b_low) = a_halves, b_halves
+    return ((a_high * b_high - a * b) + a_high * b_low + a_low * b_high) + a_low * b_low
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """Powers of ten 10**k = hi + lo for _POW_MIN <= k <= _POW_MAX, with hi
+    split; the ASCII digits of 0000..9999 as one uint32 word each, then the
+    same with trailing zeros as NUL; and the trailing zero counts. Built on
+    first use, so that importing costs nothing.
+
+    For k >= 0, hi and lo are the correctly rounded 10**k and remainder
+    (within 2**-106). For k < 0 they are the double-double reciprocal of
+    10**-k: hi = fl(1 / H), lo = hi * (1 - hi * (H + L)) with the residual
+    from an exact product, within 8 * 2**-106.
+    """
+    up_hi, up_lo, power = [], [], 1
+    for _ in range(max(_POW_MAX, -_POW_MIN) + 1):
+        up_hi.append(float(power))
+        up_lo.append(float(power - int(up_hi[-1])))
+        power *= 10
+    up_hi, up_lo = np.array(up_hi), np.array(up_lo)
+    big, small = up_hi[1 : 1 - _POW_MIN], up_lo[1 : 1 - _POW_MIN]  # 10**m, m = 1, 2, ...
+    inverse = 1.0 / big
+    residual = (1.0 - inverse * big) - _product_error(inverse, big, _split(inverse), _split(big))
+    residual -= inverse * small
+    hi = np.concatenate([inverse[::-1], up_hi[: _POW_MAX + 1]])
+    lo = np.concatenate([(inverse * residual)[::-1], up_lo[: _POW_MAX + 1]])
+    digit = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8)
+    chars = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for j in range(4):
+        chars[..., j] = digit[(slice(None),) + (None,) * (3 - j)]
+    chars = chars.reshape(-1, 4)
+    tail = chars == _ZERO  # trailing zeros: zeros with only zeros after them
+    for j in (2, 1, 0):
+        tail[:, j] &= tail[:, j + 1]
+    quads = np.concatenate([chars, chars * ~tail])
+    zeros = tail[:, 0].astype(np.intp) + tail[:, 1] + tail[:, 2] + tail[:, 3]
+    return hi, *_split(hi), lo, quads.view(np.uint32).ravel(), zeros
+
+
+def _digits17(x: np.ndarray, exp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """round(x * 10**(16 - exp)) as int64 for positive x, and where that
+    rounding is not certified."""
+    k = 16 - _POW_MIN - exp
+    hi, hi_high, hi_low, lo = (t.take(k) for t in _format_tables()[:4])
+    prod = x * hi
+    err = _product_error(x, hi, _split(x), (hi_high, hi_low))
+    whole = np.floor(prod)
+    rest = (prod - whole) + (err + x * lo)
+    step = np.floor(rest)
+    frac = rest - step
+    digits = whole.astype(np.int64) + step.astype(np.int64) + (frac > 0.5)
+    return digits, np.abs(frac - 0.5) <= _TIE_BOUND
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """17-digit D and exponent E of positive x in the fast range, and where
+    they are not certified. log10 may miss E by one near a power of ten;
+    the digits then leave [10**16, 10**17) and E is taken one step over."""
+    exp = np.floor(np.log10(x)).astype(np.int64)
+    digits, unsure = _digits17(x, exp)
+    low = np.flatnonzero(digits <= _TEN16)
+    if low.size:
+        # D <= 10**16 at E: the value is below 10**E unless D at E - 1
+        # rounds up to 10**17, which is D = 10**16 at E after all.
+        down, down_unsure = _digits17(x[low], exp[low] - 1)
+        carry = down >= _TEN17
+        digits[low] = np.where(carry, _TEN16, down)
+        exp[low] -= ~carry
+        unsure[low] |= down_unsure
+    high = np.flatnonzero(digits > _TEN17)
+    if high.size:
+        digits[high], up_unsure = _digits17(x[high], exp[high] + 1)
+        exp[high] += 1
+        unsure[high] |= up_unsure
+    top = digits == _TEN17  # rounding carried into an 18th digit
+    digits[top] = _TEN16
+    exp[top] += 1
+    return digits, exp, unsure
+
+
+def _digit_chars(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of each D with its trailing zeros as NUL, and
+    how many digits remain without them. (A NUL | "0" is "0" again.)"""
+    *_, quads, zeros = _format_tables()
+    upper, lower = np.divmod(digits, 10**8)
+    upper, lower = upper.astype(float), lower.astype(float)  # below 2**53: exact
+    mid, low_high = np.floor(upper / 1e4), np.floor(lower / 1e4)
+    lead = np.floor(mid / 1e4)
+    groups = np.empty((5, digits.size), np.intp)  # 1 + 4 * 4 digits
+    for j, group in enumerate(
+        [lead, mid - 1e4 * lead, upper - 1e4 * mid, low_high, lower - 1e4 * low_high]
+    ):
+        groups[j] = group
+    trailing = zeros[groups[4]]
+    for j in (3, 2, 1):  # the zeros run on into group j only through 0000s
+        trailing = np.where(trailing == 16 - 4 * j, trailing + zeros[groups[j]], trailing)
+    # From the group that holds the last nonzero digit on, the digits come
+    # with their trailing zeros as NUL: the second half of the table.
+    last = 4 - trailing // 4
+    words = np.empty((digits.size, 5), np.uint32)
+    for j in range(5):
+        words[:, j] = quads[groups[j] + 10_000 * (last <= j)]
+    return words.view(np.uint8)[:, 3:], 17 - trailing
+
+
+def _format_17g(values) -> tuple[np.ndarray, np.ndarray]:
+    """format(v, ".17g") and a comma for every value as float64, as
+    NUL-padded rows of ``_WIDTH`` bytes, and the bytes each row uses.
+
+    Values in the fast range take the certified array path; nan, +-inf and
+    +-0 come from a literal table; the rest, and fast values whose rounding
+    is not certified, are formatted one by one by ``format``. Rows are laid
+    out sorted by text class, so that each class is written by slices.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    mag = np.abs(x)
+    fast = (mag >= 10.0**-_FAST_EXP) & (mag < 10.0**_FAST_EXP)
+    digits, exp, unsure = _decimal(np.where(fast, mag, 1.0))
+    negative = np.signbit(x)
+    code = np.where((exp >= -4) & (exp < 17), 2 * (exp + 4), _SCI) + negative
+    code = np.where(fast & ~unsure, code, _SLOW).astype(np.int8)
+    other = np.flatnonzero(~fast)
+    if other.size:
+        y, sign = x[other], negative[other]
+        literal = np.where(np.isinf(y), _SCI + 3 + sign, np.where(y == 0, _SCI + 5 + sign, _SLOW))
+        code[other] = np.where(np.isnan(y), _SCI + 2, literal)
+    order = np.argsort(code, kind="stable")
+    chars, shown = _digit_chars(np.take(digits, order))
+    exp = np.take(exp, order)
+    text = np.zeros((x.size, _WIDTH), np.uint8)
+    used = np.empty(x.size, np.intp)
+    counts = np.bincount(code, minlength=_SLOW + 1)
+    ends = np.cumsum(counts).tolist()
+    for c in np.flatnonzero(counts).tolist():
+        rows = slice(ends[c] - int(counts[c]), ends[c])
+        sign = c % 2 if c < _SCI + 2 else 0
+        if c < _SCI:  # positional
+            e = c // 2 - 4
+            if e >= 0:  # ddd.ddd
+                text[rows, sign : sign + e + 1] = chars[rows, : e + 1] | _ZERO
+                text[rows, sign + e + 1] = _DOT  # the comma goes here if no digit follows
+                text[rows, sign + e + 2 : sign + 18] = chars[rows, e + 1 :]
+                used[rows] = np.where(shown[rows] > e + 1, shown[rows] + 1, e + 1)
+            else:  # 0.000ddd
+                text[rows, sign : sign + 1 - e] = _ZERO
+                text[rows, sign + 1] = _DOT
+                text[rows, sign + 1 - e : sign + 18 - e] = chars[rows]
+                used[rows] = 1 - e + shown[rows]
+        elif c < _SCI + 2:  # d.ddde+dd
+            text[rows, sign] = chars[rows, 0]
+            text[rows, sign + 1] = _DOT
+            text[rows, sign + 2 : sign + 18] = chars[rows, 1:]
+            mantissa = np.where(shown[rows] > 1, shown[rows] + 1, 1)
+            power = np.abs(exp[rows])
+            three = power >= 100
+            suffix = np.zeros((power.size, 5), np.uint8)
+            suffix[:, 0] = ord("e")
+            suffix[:, 1] = np.where(exp[rows] < 0, _MINUS, ord("+"))
+            suffix[:, 2:] = _format_tables()[4][power].view(np.uint8).reshape(-1, 4)[:, 1:]
+            suffix[~three, 2:4] = suffix[~three, 3:5]
+            suffix[~three, 4] = 0
+            at = np.arange(rows.start, rows.stop) * _WIDTH + sign + mantissa
+            for j in range(5):
+                text.ravel()[at + j] = suffix[:, j]
+            used[rows] = mantissa + 4 + three
+        elif c < _SLOW:
+            word = _LITERALS[c - _SCI - 2].encode("ascii")
+            text[rows, : len(word)] = np.frombuffer(word, np.uint8)
+            used[rows] = len(word)
+            continue
+        else:
+            for i, v in zip(range(rows.start, rows.stop), x[order[rows]].tolist()):
+                word = format(v, ".17g").encode("ascii")
+                text[i, : len(word)] = np.frombuffer(word, np.uint8)
+                used[i] = len(word)
+            continue
+        if sign:
+            text[rows, 0] = _MINUS
+            used[rows] += 1
+    text.ravel()[np.arange(x.size) * _WIDTH + used] = ord(",")
+    back = np.empty_like(order)
+    back[order] = np.arange(order.size)
+    return np.take(text, back, axis=0), np.take(used, back) + 1
+
+
+def _status_fields(status: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """UTF-8 text and LF of each status as NUL-padded rows, and the bytes
+    each row uses; the row of a repeated status is built once."""
+    index = {s: i for i, s in enumerate(dict.fromkeys(status))}
+    codes = np.fromiter(map(index.__getitem__, status), np.intp, len(status))
+    words = [(s + "\n").encode("utf-8") for s in index]
+    used = np.array([len(w) for w in words], np.intp)
+    table = np.zeros((len(words), max(used, default=0)), np.uint8)
+    for row, word in zip(table, words):
+        row[: len(word)] = np.frombuffer(word, np.uint8)
+    return np.take(table, codes, axis=0), used[codes]
+
+
+def _join_fields(fields: list[tuple[np.ndarray, np.ndarray]]) -> str:
+    """CSV rows from NUL-padded text rows, one (text, used) pair per field:
+    the fields side by side, each cut to its longest row, and the NUL
+    padding dropped. (No number or status text holds a NUL.)"""
+    widths = [int(used.max()) for _, used in fields]
+    frame = np.empty((fields[0][1].size, sum(widths)), np.uint8)
+    offset = 0
+    for (text, _), width in zip(fields, widths):
+        frame[:, offset : offset + width] = text[:, :width]
+        offset += width
+    return frame[frame != 0].tobytes().decode("utf-8")
 
 
 def _status_column(codes: np.ndarray, names: tuple[str, ...]) -> list[str]:

@@ -36,14 +36,19 @@ from oracles import (
 )
 from rabi_est.cli import main
 from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect, q_factor
-from rabi_est.errors import MissingGolden
+from rabi_est.errors import EstimationError
 from rabi_est.fisher import cfi_values, paper_scaled, qfi_values
 from rabi_est.frequentist import Dataset, ml_estimate, validity
 from rabi_est.numerics import integrate, inv_sinc_values, local_maxima
 from rabi_est.posterior import PosteriorSpec, bayes_fisher, mmse
 from rabi_est.priors import Prior, SupportWindow, jeffreys_normalizer, log_density, prior_fisher
 
-__all__ = ["GoldenCase", "GoldenReport", "REGISTRY", "produce", "verify_golden"]
+__all__ = ["GoldenCase", "GoldenReport", "MissingGolden", "REGISTRY", "produce", "verify_golden"]
+
+
+class MissingGolden(EstimationError):
+    """A golden fixture file referenced by a case does not exist."""
+
 
 _FIG5_CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
 _FIG5_WINDOW = SupportWindow(0.1, 100.0)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from rabi_est.dynamics import FieldConfig, _detuning, amplitudes, dprob_domega0, prob_detect, q_factor
-from rabi_est.errors import DegenerateData, DomainError, NonConvergence, NoSignChange
+from rabi_est.errors import DegenerateData, DomainError, NonConvergence
 from rabi_est.frequentist import Dataset, log_likelihood_counts
 from rabi_est.numerics import DEFAULT_TOL, Tolerance
 from rabi_est.priors import Prior, prior_score
@@ -80,6 +80,10 @@ def simpson_dense(f, lo: float, hi: float, n: int = 200_001) -> float:
     ys = np.asarray(f(xs), dtype=float)
     h = (hi - lo) / (n - 1)
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
+
+
+class NoSignChange(DomainError):
+    """Bracketed root finding was given endpoints of equal sign."""
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import Bracket, bisect, central_diff, find_root_bracketed, golden_max
+from oracles import Bracket, NoSignChange, bisect, central_diff, find_root_bracketed, golden_max
 from rabi_est import numerics, posterior
 from rabi_est.dynamics import FieldConfig
-from rabi_est.errors import DomainError, NonConvergence, NoSignChange
+from rabi_est.errors import DomainError, NonConvergence
 from rabi_est.frequentist import Dataset
 from rabi_est.numerics import (
     Tolerance,

@@ -1,8 +1,15 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabi_est import posterior, scan
 from rabi_est.dynamics import FieldConfig
@@ -50,6 +57,168 @@ class TestToCsv:
     def test_fisher_scan_matches_per_cell_format(self):
         table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 7), Axis("theta", 0.01, 3.13, 5)))
         assert to_csv_text(table) == reference_csv(table)
+
+    def test_ml_roots_scan_matches_per_cell_format(self, monkeypatch):
+        # NaN-heavy, with negative roots, over several chunks. The fourth
+        # status, Unambiguous, needs a root of exactly 0 and no grid cell has one.
+        monkeypatch.setattr(scan, "_CSV_CHUNK", 500)
+        table = ml_root_scan(CFG, (Axis("b0", 0.1, 5.0, 40), Axis("xbar", 0.001, 0.999, 40)))
+        assert set(table.status) == {"Complex", "NegativeRejected", "Ambiguous"}
+        assert (table.columns["root_minus"] < 0).any()
+        assert np.isnan(table.columns["root_minus"]).mean() > 0.3
+        assert to_csv_text(table) == reference_csv(table)
+
+
+def formatted(values) -> list[str]:
+    """The formatter's text of each value, without the comma it appends."""
+    text, used = scan._format_17g(np.asarray(values, dtype=float))
+    return [bytes(row[: n - 1]).decode("ascii") for row, n in zip(text, used)]
+
+
+def expected(values) -> list[str]:
+    return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+
+
+def powers_of_ten() -> list[float]:
+    """Every float64 power of ten, 1e-323 to 1e308."""
+    return [float(f"1e{k}") for k in range(-323, 309)]
+
+
+def carries() -> list[float]:
+    """Powers of ten whose float64 lies below the power but whose 17-digit
+    rounding carries up to it (D = 10**17 before the exponent moves)."""
+    out = []
+    for k in range(-323, 309):
+        x = float(f"1e{k}")
+        digits = Fraction(x) * Fraction(10) ** (16 - (k - 1))
+        if Fraction(x) < Fraction(10) ** k and round(digits) == 10**17:
+            out.append(x)
+    return out
+
+
+def exact_ties() -> list[float]:
+    """Values x = m * 2**(E - 17), m odd, in [10**E, 10**(E + 1)): their
+    17-digit decimal D = x * 10**(16 - E) = m * 5**(16 - E) / 2 ends in
+    exactly 1/2. Such an m fits in 53 bits for E = -7 .. 15 only."""
+    out = []
+    rng = np.random.default_rng(17)
+    for e in range(-7, 16):
+        lo = 2**17 * 5**e if e >= 0 else Fraction(2**17, 5**-e)
+        hi = min(10 * lo, 2**53)
+        first = math.ceil(lo) | 1
+        picks = [first, first + 2] + [int(m) | 1 for m in rng.integers(first, hi, 6)]
+        out += [math.ldexp(m, e - 17) for m in picks if m < hi]
+    return out
+
+
+def near_ties(e: int, q: int) -> list[float]:
+    """Values m * 2**q (53-bit m) in [10**E, 10**(E + 1)) whose exact D =
+    x * 10**(16 - E) = m * a / b has a fraction within _TIE_BOUND / 4 of 1/2
+    but not on it: m = (b // 2 + d) / a mod b for small d."""
+    c = Fraction(2) ** q * Fraction(10) ** (16 - e)
+    a, b = c.numerator, c.denominator
+    lo = max(2**52, math.ceil(Fraction(10) ** e / Fraction(2) ** q))
+    hi = min(2**53, math.ceil(Fraction(10) ** (e + 1) / Fraction(2) ** q))
+    out = []
+    for d in range(-40, 41):
+        r = (b // 2 + d) * pow(a, -1, b) % b
+        m = r + -(-(lo - r) // b) * b
+        if m < hi:
+            frac = m * c - math.floor(m * c)
+            if 0 < abs(frac - Fraction(1, 2)) <= Fraction(scan._TIE_BOUND) / 4:
+                out.append(math.ldexp(m, q))
+    return out
+
+
+class TestFormat17g:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=500))
+    def test_raw_bit_patterns(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert formatted(x) == expected(x)
+
+    def test_specials_and_subnormals(self):
+        tiny = [5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310]
+        values = [math.nan, math.inf, -math.inf, 0.0, -0.0, *tiny, *[-v for v in tiny]]
+        assert formatted(values) == expected(values)
+        assert formatted([math.nan, -math.inf, -0.0])[:3] == ["nan", "-inf", "-0"]
+
+    def test_powers_of_ten_and_neighbours(self):
+        p = np.array(powers_of_ten())
+        values = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)])
+        values = np.concatenate([values, -values])
+        assert formatted(values) == expected(values)
+
+    def test_rounding_carries_to_ten_to_the_seventeen(self):
+        values = carries()
+        assert len(values) >= 10
+        assert formatted(values) == expected(values)
+        assert all(s.startswith("1e") or s.strip("0.") == "1" for s in formatted(values))
+
+    @pytest.mark.parametrize("switch", [1e-4, 1e17])
+    def test_positional_scientific_switches(self, switch):
+        # E = -5 | -4 at 1e-4 and E = 16 | 17 at 1e17: 20 float64 steps on
+        # each side, and their negatives.
+        below, above = [math.nextafter(switch, 0.0)], [switch]
+        for _ in range(19):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], math.inf))
+        for side, scientific in ((below, switch < 1), (above, switch > 1)):
+            values = side + [-v for v in side]
+            assert formatted(values) == expected(values)
+            assert all(("e" in t) == scientific for t in formatted(values))
+
+    def test_exact_ties_go_to_format_and_round_half_even(self):
+        ties = exact_ties()
+        assert len(ties) >= 150
+        _, exp, unsure = scan._decimal(np.array(ties))
+        assert unsure.all()
+        assert formatted(ties) == expected(ties)
+        for x, e, text in zip(ties, exp.tolist(), formatted(ties)):
+            exact = Fraction(x) * Fraction(10) ** (16 - e)
+            assert exact.denominator == 2
+            # Decimal(text) * 10**(16 - E) is D; Fraction's round is half to even.
+            assert Decimal(text).scaleb(16 - e) == round(exact)
+
+    @pytest.mark.parametrize(("e", "q"), [(-6, -71), (-5, -69), (-4, -65), (-3, -62), (35, 64), (36, 67)])
+    def test_near_ties_go_to_format(self, e, q):
+        # Within the bound of 1/2 the double-double cannot decide the
+        # rounding, so such values must not take the fast path.
+        values = near_ties(e, q)
+        assert len(values) >= 3
+        _, exp, unsure = scan._decimal(np.array(values))
+        assert (exp == e).all() and unsure.all()
+        assert formatted(values) == expected(values)
+
+    @pytest.mark.parametrize("nudge", [-1e-9, 1e-9])
+    def test_exponent_off_by_one_is_corrected(self, nudge, monkeypatch):
+        # log10 may land on the wrong side of an integer near a power of
+        # ten; a nudged log10 makes every such value start one exponent off.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + nudge)
+        p = np.array(powers_of_ten()[30:-30] + carries())
+        values = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)])
+        assert formatted(values) == expected(values)
+
+    def test_power_table_within_its_error_bound(self):
+        # The certified bound rests on hi + lo = 10**k within 8 * 2**-106
+        # relative, |lo| <= 2**-52 * hi, and hi split exactly.
+        hi, hi_high, hi_low, lo, *_ = scan._format_tables()
+        u = Fraction(1, 2**53)
+        for k, h, hh, hl, low in zip(range(scan._POW_MIN, scan._POW_MAX + 1), hi.tolist(),
+                                     hi_high.tolist(), hi_low.tolist(), lo.tolist()):
+            power = Fraction(10) ** k
+            assert abs(power - Fraction(h) - Fraction(low)) <= 8 * u**2 * power
+            assert abs(low) <= 2 * u * h
+            assert hh + hl == h
+
+    def test_import_builds_no_tables(self):
+        code = ("import rabi_est.cli; from rabi_est import scan; "
+                "print(scan._format_tables.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestFisherScanStatus:
