@@ -1,32 +1,47 @@
 """Estimation toolkit for the transition frequency of a two-level system
 driven by a gyrating magnetic field: exact dynamics, Fisher information
 landscapes, frequentist (MVU, ML) and Bayesian (MMSE, MAP) estimators, a
-seeded Monte Carlo harness and a grid-scan engine."""
+seeded Monte Carlo harness and a grid-scan engine.
+
+The names below load their submodule on first access (PEP 562), so
+``import rabi_est`` loads none, and a command-line run loads only what its
+command uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .dynamics import FieldConfig
-from .frequentist import Dataset, EstimateResult, ValidityReport
-from .priors import Prior, PriorKind, SupportWindow
-from .posterior import BayesFisher, MapResult, PosteriorSpec
-from .montecarlo import Estimator, TrialConfig, TrialReport
-from .scan import Axis, GridTable
+_EXPORTS = {
+    "FieldConfig": "dynamics",
+    "Dataset": "frequentist",
+    "EstimateResult": "frequentist",
+    "ValidityReport": "frequentist",
+    "Prior": "priors",
+    "PriorKind": "priors",
+    "SupportWindow": "priors",
+    "BayesFisher": "posterior",
+    "MapResult": "posterior",
+    "PosteriorSpec": "posterior",
+    "Estimator": "montecarlo",
+    "TrialConfig": "montecarlo",
+    "TrialReport": "montecarlo",
+    "Axis": "scan",
+    "GridTable": "scan",
+}
 
-__all__ = [
-    "__version__",
-    "FieldConfig",
-    "Dataset",
-    "EstimateResult",
-    "ValidityReport",
-    "Prior",
-    "PriorKind",
-    "SupportWindow",
-    "BayesFisher",
-    "MapResult",
-    "PosteriorSpec",
-    "Estimator",
-    "TrialConfig",
-    "TrialReport",
-    "Axis",
-    "GridTable",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -6,7 +6,8 @@ reports). Every data-producing subcommand takes ``--out`` (``-`` for
 standard output). File outputs are reproducible byte for byte given
 identical flags and seed; the run manifest embedded in JSON outputs or
 written next to CSV outputs therefore carries no timestamp (wall-clock time
-goes to standard error instead).
+goes to standard error instead). Each subcommand imports the modules it
+runs when it runs, so a single estimate loads no scan or Monte Carlo code.
 
 Exit codes: 0 success, 1 usage error, 2 numerical non-convergence,
 3 domain/validity failure.
@@ -30,11 +31,6 @@ from .errors import (
     EvidenceUnderflow,
     NonConvergence,
 )
-from .frequentist import Dataset, ml_estimate, mvu_p1
-from .montecarlo import Estimator, TrialConfig, run_trials
-from .posterior import PosteriorSpec, map_estimate, mmse
-from .priors import Prior, SupportWindow
-from .scan import Axis, bayes_scan, fisher_scan, map_curve, ml_root_scan, mmse_curve
 
 __all__ = ["main"]
 
@@ -67,7 +63,9 @@ def _positive_int(name):
     return convert
 
 
-def _parse_axis(text: str) -> Axis:
+def _parse_axis(text: str):
+    from .scan import Axis
+
     parts = text.split(":")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(
@@ -177,14 +175,17 @@ def _build_parser() -> _Parser:
 
 def _expand_config(argv: list[str]) -> list[str]:
     """Insert key = value pairs from a --config file as flags right after the
-    subcommand, so explicitly passed flags take precedence."""
-    if "--config" not in argv:
+    subcommand, so explicitly passed flags take precedence. The file is
+    named as ``--config PATH`` or ``--config=PATH``."""
+    for idx, arg in enumerate(argv):
+        if arg.startswith("--config="):
+            path, rest = arg.partition("=")[2], argv[:idx] + argv[idx + 1:]
+            break
+        if arg == "--config" and idx + 1 < len(argv):
+            path, rest = argv[idx + 1], argv[:idx] + argv[idx + 2:]
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2:]
     tokens: list[str] = []
     with open(path, encoding="utf-8") as fp:
         for line in fp:
@@ -218,7 +219,9 @@ def _field_config(parser: _Parser, args) -> FieldConfig:
     return FieldConfig(omega=args.omega, b0=args.b0, theta=_resolve_theta(parser, args))
 
 
-def _build_prior(parser: _Parser, args, cfg: FieldConfig, kind: str | None = None) -> Prior:
+def _build_prior(parser: _Parser, args, cfg: FieldConfig, kind: str | None = None):
+    from .priors import Prior, SupportWindow
+
     kind = kind or args.prior
     if kind is None:
         parser.error("--prior is required for this command")
@@ -253,8 +256,7 @@ def _manifest(argv: list[str], args, seed: int | None) -> dict:
     params = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in ("command", "config", "out") and value is not None
-        and not isinstance(value, (Axis, list))
+        if key not in ("axis", "command", "config", "out") and value is not None
     }
     for key, value in list(params.items()):
         if isinstance(value, float) and not math.isfinite(value):
@@ -288,7 +290,7 @@ def _write_table(out: str, table, manifest: dict) -> None:
         fp.write("\n")
 
 
-def _axes_pair(parser: _Parser, args) -> tuple[Axis, Axis]:
+def _axes_pair(parser: _Parser, args) -> tuple:
     axes = args.axis if isinstance(args.axis, list) else [args.axis]
     if len(axes) != 2:
         parser.error(f"exactly two --axis specifications required, got {len(axes)}")
@@ -296,6 +298,8 @@ def _axes_pair(parser: _Parser, args) -> tuple[Axis, Axis]:
 
 
 def _cmd_fisher_scan(parser, args, argv) -> int:
+    from .scan import fisher_scan
+
     cfg = _field_config(parser, args)
     table = fisher_scan(cfg, args.omega0, _axes_pair(parser, args), args.accuracy)
     _write_table(args.out, table, _manifest(argv, args, seed=None))
@@ -303,6 +307,8 @@ def _cmd_fisher_scan(parser, args, argv) -> int:
 
 
 def _cmd_ml_roots(parser, args, argv) -> int:
+    from .scan import ml_root_scan
+
     cfg = _field_config(parser, args)
     table = ml_root_scan(cfg, _axes_pair(parser, args))
     _write_table(args.out, table, _manifest(argv, args, seed=None))
@@ -310,6 +316,8 @@ def _cmd_ml_roots(parser, args, argv) -> int:
 
 
 def _cmd_bayes_scan(parser, args, argv) -> int:
+    from .scan import bayes_scan
+
     cfg = _field_config(parser, args)
     prior = _build_prior(parser, args, cfg)
     table = bayes_scan(cfg, prior, _axes_pair(parser, args), args.n, workers=_workers(parser))
@@ -318,6 +326,8 @@ def _cmd_bayes_scan(parser, args, argv) -> int:
 
 
 def _cmd_mmse_curve(parser, args, argv) -> int:
+    from .scan import mmse_curve
+
     cfg = _field_config(parser, args)
     kinds = [k.strip() for k in args.priors.split(",") if k.strip()]
     if not kinds:
@@ -334,6 +344,8 @@ def _cmd_mmse_curve(parser, args, argv) -> int:
 
 
 def _cmd_map_curve(parser, args, argv) -> int:
+    from .scan import map_curve
+
     cfg = _field_config(parser, args)
     prior = _build_prior(parser, args, cfg)
     if args.axis.name != "omega0":
@@ -344,6 +356,8 @@ def _cmd_map_curve(parser, args, argv) -> int:
 
 
 def _cmd_estimate(parser, args, argv) -> int:
+    from .frequentist import Dataset, ml_estimate, mvu_p1
+
     cfg = _field_config(parser, args)
     if not 0 <= args.k <= args.n:
         parser.error(f"--k must lie in [0, --n], got k={args.k}, n={args.n}")
@@ -363,6 +377,8 @@ def _cmd_estimate(parser, args, argv) -> int:
             "manifest": manifest,
         }
     else:
+        from .posterior import PosteriorSpec, map_estimate, mmse
+
         prior = _build_prior(parser, args, cfg)
         spec = PosteriorSpec(data=data, cfg=cfg, prior=prior)
         if args.mode == "mmse":
@@ -395,6 +411,8 @@ def _cmd_estimate(parser, args, argv) -> int:
 
 
 def _cmd_simulate(parser, args, argv) -> int:
+    from .montecarlo import Estimator, TrialConfig, run_trials
+
     cfg = _field_config(parser, args)
     if not 0 <= args.seed < 2**64:
         parser.error(f"--seed must fit an unsigned 64-bit integer, got {args.seed}")

@@ -81,7 +81,7 @@ def prob_detect(cfg: FieldConfig, omega0, t: float = 1.0):
     return (2.0 * b / q) ** 2 * np.sin(0.5 * q * t) ** 2
 
 
-def prob_detect_change(cfg: FieldConfig, omega0, ref):
+def prob_detect_change(cfg: FieldConfig, omega0, ref, owner=None):
     """p(omega0) - p(ref), elementwise, to the relative precision of the
     change itself rather than of p, which its plain difference would lose.
 
@@ -90,14 +90,20 @@ def prob_detect_change(cfg: FieldConfig, omega0, ref):
     S - S_ref = (h_ref (sin h - sin h_ref) - (h - h_ref) sin h_ref) / (h h_ref),
     with sin h - sin h_ref = 2 cos((h + h_ref)/2) sin((h - h_ref)/2) and
     h - h_ref = e/(h + h_ref). Below h = 0.02 that form cancels to ~1e-16/h^2
-    and the sinc series in e takes over. Elementwise in omega0 and ref.
+    and the sinc series in e takes over. Elementwise in omega0 and ref; with
+    an index array ``owner``, the reference of omega0[i] is ref[owner[i]],
+    and the terms of each reference are computed once.
     """
     b = cfg.b0 * math.sin(cfg.theta)
-    d, d_ref = _detuning(cfg, omega0), _detuning(cfg, ref)
-    h, h_ref = 0.5 * np.hypot(d, 2.0 * b), 0.5 * np.hypot(d_ref, 2.0 * b)
+    d_ref = _detuning(cfg, ref)
+    h_ref = 0.5 * np.hypot(d_ref, 2.0 * b)
+    s_ref = np.sin(h_ref)
+    if owner is not None:
+        ref, d_ref, h_ref, s_ref = ref[owner], d_ref[owner], h_ref[owner], s_ref[owner]
+    d = _detuning(cfg, omega0)
+    h = 0.5 * np.hypot(d, 2.0 * b)
     e = (ref - omega0) * (d + d_ref) / 4.0
     dh = e / (h + h_ref)
-    s_ref = np.sin(h_ref)
     ds = (h_ref * 2.0 * np.cos(0.5 * (h + h_ref)) * np.sin(0.5 * dh) - dh * s_ref) / (h * h_ref)
     if b < 0.02:  # h >= b, so only then can h fall below 0.02
         a, c = h * h, h_ref * h_ref

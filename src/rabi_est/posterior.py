@@ -262,7 +262,7 @@ def _moments_many(specs: Sequence[PosteriorSpec]) -> list:
     ref, prior_at_mode = prob_detect(cfg, mode), log_density(prior, mode)
 
     def integrand(x: np.ndarray, o: np.ndarray) -> np.ndarray:
-        p, dp = prob_detect(cfg, x), prob_detect_change(cfg, x, mode[o])
+        p, dp = prob_detect(cfg, x), prob_detect_change(cfg, x, mode, o)
         lik = log_likelihood_ratio(n, k[o], p, dp, ref[o])
         v = np.exp(lik + log_density(prior, x) - prior_at_mode[o])
         return np.stack([v, x * v])

@@ -286,23 +286,28 @@ def _format_17g(values) -> tuple[np.ndarray, np.ndarray]:
     Values in the fast range take the certified array path; nan, +-inf and
     +-0 come from a literal table; the rest, and fast values whose rounding
     is not certified, are formatted one by one by ``format``. Rows are laid
-    out sorted by text class, so that each class is written by slices.
+    out sorted by text class, so that each class is written by slices, and
+    the certified values, which alone need digits, come first.
     """
     x = np.asarray(values, dtype=float).ravel()
     mag = np.abs(x)
     fast = (mag >= 10.0**-_FAST_EXP) & (mag < 10.0**_FAST_EXP)
-    digits, exp, unsure = _decimal(np.where(fast, mag, 1.0))
+    digits, exp, unsure = _decimal(mag[fast])
     negative = np.signbit(x)
-    code = np.where((exp >= -4) & (exp < 17), 2 * (exp + 4), _SCI) + negative
-    code = np.where(fast & ~unsure, code, _SLOW).astype(np.int8)
+    code = np.empty(x.size, np.int8)
+    code[fast] = np.where(unsure, _SLOW,
+                          np.where((exp >= -4) & (exp < 17), 2 * (exp + 4), _SCI) + negative[fast])
     other = np.flatnonzero(~fast)
     if other.size:
         y, sign = x[other], negative[other]
         literal = np.where(np.isinf(y), _SCI + 3 + sign, np.where(y == 0, _SCI + 5 + sign, _SLOW))
         code[other] = np.where(np.isnan(y), _SCI + 2, literal)
     order = np.argsort(code, kind="stable")
-    chars, shown = _digit_chars(np.take(digits, order))
-    exp = np.take(exp, order)
+    sure = order[: np.count_nonzero(code < _SCI + 2)]  # the certified values sort first
+    if other.size:  # their places among the fast values
+        sure = (np.cumsum(fast) - 1)[sure]
+    chars, shown = _digit_chars(digits[sure])
+    exp = exp[sure]
     text = np.zeros((x.size, _WIDTH), np.uint8)
     used = np.empty(x.size, np.intp)
     counts = np.bincount(code, minlength=_SLOW + 1)

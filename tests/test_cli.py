@@ -1,8 +1,11 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 from rabi_est.cli import main
 from rabi_est.dynamics import FieldConfig
@@ -63,6 +66,20 @@ def test_config_values_lose_to_flags(tmp_path):
     assert payload["config"]["n"] == 10
 
 
+def test_config_with_equals_sign_is_read(tmp_path):
+    # argparse accepts --config=PATH as well; the file's n and k are the
+    # only ones given, so the run fails with usage error 1 unless it is read.
+    config = tmp_path / "defaults.conf"
+    config.write_text("n = 10\nk = 4\n", encoding="utf-8")
+    argv = ["estimate", "ml", *FIELD, f"--config={config}", "--b0", "2"]
+    rc, payload = run_json(argv, tmp_path)
+    assert rc == 0
+    assert payload["config"]["n"] == 10
+    assert payload["config"]["k"] == 4.0
+    assert payload["config"]["b0"] == 2.0
+    assert "--config" not in payload["manifest"]["command_line"]
+
+
 class TestTheta:
     BASE = ["estimate", "ml", "--omega", "1", "--b0", "1", "--n", "100", "--k", "41"]
 
@@ -102,6 +119,48 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def loaded_modules(code):
+    """The rabi_est modules loaded after running ``code`` in a new interpreter."""
+    code += "\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('rabi_est'))))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    return set(out.stdout.split())
+
+
+class TestImports:
+    """A run loads only the modules of its command, and the package root none."""
+
+    ESTIMATE = ["rabi_est", "rabi_est.dynamics", "rabi_est.errors", "rabi_est.frequentist",
+                "rabi_est.numerics"]
+    BAYES = ["rabi_est.fisher", "rabi_est.posterior", "rabi_est.priors"]
+
+    @pytest.mark.parametrize("mode, extra", [("ml", []), ("mmse", BAYES), ("map", BAYES)])
+    def test_estimate_loads_only_its_modules(self, mode, extra):
+        argv = ["estimate", mode, *FIELD, "--n", "10", "--k", "4", "--prior", "uniform",
+                "--window-lower", "0.5", "--window-upper", "5", "--out", os.devnull]
+        code = (f"import runpy, sys\nsys.argv = {['rabi-est', *argv]!r}\n"
+                "try:\n    runpy.run_module('rabi_est.cli', run_name='__main__')\n"
+                "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
+        assert loaded_modules(code) == {*self.ESTIMATE, *extra}
+
+    def test_package_import_loads_no_submodule(self):
+        # dir() lists every export before any is loaded.
+        code = "import sys, rabi_est\nassert set(rabi_est.__all__) <= set(dir(rabi_est))"
+        assert loaded_modules(code) == {"rabi_est"}
+
+    def test_exports_resolve_to_their_submodules(self):
+        import rabi_est
+
+        for name in rabi_est.__all__:
+            assert name in dir(rabi_est)
+            if name != "__version__":
+                module = importlib.import_module(f"rabi_est.{rabi_est._EXPORTS[name]}")
+                assert getattr(rabi_est, name) is getattr(module, name)
+        with pytest.raises(AttributeError, match="NoSuchName"):
+            getattr(rabi_est, "NoSuchName")
 
 
 def test_mmse_curve_ignores_the_worker_count(tmp_path, monkeypatch):

@@ -183,6 +183,15 @@ class TestProbDetectChange:
     def test_zero_at_the_reference(self):
         assert float(prob_detect_change(CFG, np.array([2.5]), 2.5)[0]) == 0.0
 
+    def test_owner_index_matches_indexed_references(self):
+        # Weak-field references reach the h < 0.02 series too.
+        for cfg in (CFG, FieldConfig(omega=28.0, b0=0.001, theta=0.0625)):
+            ref = np.array([2.5, 27.998003904978592, 7.0])
+            owner = np.array([2, 0, 1, 1, 0, 2, 2])
+            x = ref[owner] + np.array([0.3, -1e-6, 1e-9, -0.02, 4.0, -2.0, 1e-3])
+            np.testing.assert_array_equal(prob_detect_change(cfg, x, ref, owner),
+                                          prob_detect_change(cfg, x, ref[owner]))
+
 
 class TestStationaryPoints:
     @pytest.mark.parametrize("cfg,lower,upper", [

@@ -54,6 +54,18 @@ class TestToCsv:
             "nan", "inf", "-inf", "-0", "1e-300", "0.10000000000000001", "-2.5e+17", "1", "3",
         ]
 
+    def test_chunk_without_a_fast_value(self, monkeypatch):
+        # The first chunk of column "a" holds only literals, the second
+        # literals and values outside the fast range: neither has digits to
+        # compute.
+        monkeypatch.setattr(scan, "_CSV_CHUNK", 5)
+        column = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                           5e-324, -1e-300, 1e300, -math.nan, 0.0])
+        table = GridTable(axes=(Axis("b0", 0.5, 5.0, 10),), columns={"a": column},
+                          status=["ok"] * 10)
+        assert to_csv_text(table) == reference_csv(table)
+        assert formatted(column[:5]) == ["nan", "inf", "-inf", "0", "-0"]
+
     def test_fisher_scan_matches_per_cell_format(self):
         table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 7), Axis("theta", 0.01, 3.13, 5)))
         assert to_csv_text(table) == reference_csv(table)
