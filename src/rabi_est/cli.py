@@ -155,7 +155,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=_positive_int("--n"), required=True, help="number of trials")
     p.add_argument("--k", type=float, required=True, help="photon counts")
     _add_prior_flags(p)
-    p.add_argument("--grid-points", type=_positive_int("--grid-points"), default=2001)
+    p.add_argument("--grid-points", type=_positive_int("--grid-points"), default=2001,
+                   help="MAP candidate grid floor (>= 101); above the 8193-point posterior "
+                        "grid it adds a grid this dense")
     _add_out_flag(p, default="-")
     p.add_argument("--config", help="key = value defaults file; flags override")
 
@@ -269,8 +271,20 @@ def _manifest(argv: list[str], args, seed: int | None) -> dict:
     }
 
 
+def _strict(value):
+    """value with every non-finite float as None: RFC 8259 JSON has no NaN
+    or infinity tokens."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _write_json(out: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n"
     if out == "-":
         sys.stdout.write(text)
     else:

@@ -216,10 +216,16 @@ def log_likelihood_counts(n: float, k: float, p1) -> np.ndarray:
         return _log_likelihood_logs(n, k, np.log(p), np.log1p(-p))
 
 
-def _log_likelihood_logs(n: float, k: float, log_p, log_q) -> np.ndarray:
+def _log_binom(n: float, k: float) -> float:
+    return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+
+
+def _log_likelihood_logs(n: float, k, log_p, log_q, log_binom=None) -> np.ndarray:
     """log_likelihood_counts from ln p and ln(1 - p), which one grid of p
-    can share among many counts."""
-    log_binom = math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+    can share among many counts. A count per point needs its _log_binom
+    per point too."""
+    if log_binom is None:
+        log_binom = _log_binom(n, k)
     with np.errstate(invalid="ignore"):
         term1 = np.where(k == 0.0, 0.0, k * log_p)
         term2 = np.where(k == n, 0.0, (n - k) * log_q)

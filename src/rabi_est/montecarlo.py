@@ -33,7 +33,7 @@ from .errors import (
 from .fisher import cfi_values
 from .frequentist import Ambiguity, Dataset, ml_estimate
 from .numerics import DEFAULT_TOL, Tolerance
-from .posterior import PosteriorSpec, bayes_fisher, map_estimate, mmse_many
+from .posterior import PosteriorSpec, bayes_fisher, map_many, mmse_many
 from .priors import Prior
 
 __all__ = [
@@ -118,18 +118,15 @@ _DEGENERATE = "degenerate"
 
 
 def _outcome(tc: TrialConfig, data: Dataset):
-    """The trial's estimate, or the reason it has none."""
+    """The ML trial's estimate, or the reason it has none."""
     try:
-        if tc.estimator is Estimator.ML:
-            result = ml_estimate(data.xbar, tc.cfg)
-            if result.ambiguity is Ambiguity.AMBIGUOUS:
-                return _AMBIGUOUS
-            # Both candidate frequencies rejected as nonpositive.
-            return result.accepted[0] if result.accepted else _DEGENERATE
-        spec = PosteriorSpec(data=data, cfg=tc.cfg, prior=tc.prior, quad_tol=tc.quad_tol)
-        return map_estimate(spec).best.value
+        result = ml_estimate(data.xbar, tc.cfg)
     except (DegenerateData, NoRealRoot, SincDomainViolated):
         return _DEGENERATE
+    if result.ambiguity is Ambiguity.AMBIGUOUS:
+        return _AMBIGUOUS
+    # Both candidate frequencies rejected as nonpositive.
+    return result.accepted[0] if result.accepted else _DEGENERATE
 
 
 def run_trials(tc: TrialConfig) -> TrialReport:
@@ -139,22 +136,26 @@ def run_trials(tc: TrialConfig) -> TrialReport:
     counted and excluded from the moments (resolving ties toward the true
     value would leak the parameter into the estimator). The estimators are
     deterministic in (n, k), so each distinct count is estimated once, in
-    order of first appearance; the MMSE posteriors of all distinct counts
-    form one batch. Moments are reduced in fixed trial order, so
+    order of first appearance; the MMSE or MAP posteriors of all distinct
+    counts form one batch (mmse_many, map_many), and the first error of a
+    batch is raised. Moments are reduced in fixed trial order, so
     the report is bitwise reproducible. The detection probability at the
     truth is computed once for all datasets.
     """
     p1 = float(prob_detect(tc.cfg, tc.omega0_true))
     ks = [_draw(p1, tc.n, tc.seed, i) for i in range(tc.trials)]
     counts = list(dict.fromkeys(ks))
-    if tc.estimator is Estimator.MMSE:
-        means = mmse_many([PosteriorSpec(data=Dataset(n=tc.n, k=k), cfg=tc.cfg, prior=tc.prior,
-                                         quad_tol=tc.quad_tol) for k in counts])
-        if failed := next((m for m in means if isinstance(m, EstimationError)), None):
-            raise failed
-        by_count = dict(zip(counts, means))
-    else:
+    if tc.estimator is Estimator.ML:
         by_count = {k: _outcome(tc, Dataset(n=tc.n, k=k)) for k in counts}
+    else:
+        specs = [PosteriorSpec(data=Dataset(n=tc.n, k=k), cfg=tc.cfg, prior=tc.prior, quad_tol=tc.quad_tol)
+                 for k in counts]
+        results = (mmse_many if tc.estimator is Estimator.MMSE else map_many)(specs)
+        if failed := next((r for r in results if isinstance(r, EstimationError)), None):
+            raise failed
+        if tc.estimator is Estimator.MAP:
+            results = [result.best.value for result in results]
+        by_count = dict(zip(counts, results))
     outcomes = [by_count[k] for k in ks]
     estimates = [o for o in outcomes if not isinstance(o, str)]
     degenerate = outcomes.count(_DEGENERATE)

@@ -1,14 +1,17 @@
 """Self-contained numerical kernel: adaptive Clenshaw-Curtis quadrature,
-inverse sinc and local-maxima search.
+inverse sinc and bracketed maximization.
 
 All routines are pure functions of their arguments and safe for concurrent
-use. :func:`integrate` and :func:`local_maxima` call their functions only
-with 1-D numpy arrays, a batch of points at a time, which they evaluate
-elementwise (numpy ufunc expressions qualify); an integrand may stack
-several such components into one (C, m) array. :func:`integrate_owners`
-computes many such integrals, one per owner, in one adaptive loop: its
-integrand also receives the owner of each point, and each owner's result is
-what :func:`integrate` gives it alone.
+use. They call their functions only with 1-D numpy arrays, a batch of points
+at a time, which they evaluate elementwise (numpy ufunc expressions
+qualify); an integrand may stack several such components into one (C, m)
+array. :func:`integrate_owners` computes many such integrals, one per
+owner, in one adaptive loop: its integrand also receives the owner of each
+point, and each owner's result is what :func:`integrate` gives it alone.
+``_refine`` maximizes on many brackets of many owners in the same way; the
+MAP estimator takes its brackets from the posterior workspace.
+:func:`local_maxima`, a grid search over one function before ``_refine``,
+no longer serves the estimators; the tests and ``bench/tracer.py`` use it.
 """
 
 from __future__ import annotations
@@ -272,25 +275,32 @@ def inv_sinc_values(y: np.ndarray) -> np.ndarray:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine(f: Callable, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _refine(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray, tol: Tolerance,
+            polish: Callable | None = None) -> np.ndarray:
     """The maxima of f on the brackets [a, b], f unimodal on each.
 
-    Golden-section search advances all brackets in lockstep, each step one
-    call of f on the new points of the brackets still open. Comparison stalls
-    at ~sqrt(machine eps) from the maximum, so guarded Newton steps follow,
-    whose five-point gradient stencil keeps the truncation bias at O(h^4).
-    Per bracket, the arithmetic is that of a one-bracket search.
+    ``f(x, o)`` takes points and the owners of their brackets (``owner``),
+    as in :func:`integrate_owners`. Golden-section search narrows all
+    brackets in lockstep to a thousandth of their width (or to the
+    tolerance), each step one call of f on the new points of the brackets
+    still open. Guarded Newton steps take it from there to the maximum; a
+    five-point gradient stencil keeps their truncation bias at O(h^4), with
+    h at most a sixteenth of the distance to the nearer bracket end, where
+    f may be singular. They evaluate ``polish`` if given: f up to a constant
+    per owner, dearer but rounded far less. Per bracket, the arithmetic is
+    that of a one-bracket search.
     """
-    lo, hi = a.copy(), b.copy()
+    lo, hi = a, b
+    a, b = a.copy(), b.copy()
     target = np.maximum(tol.abs_tol, tol.rel_tol * np.maximum(np.abs(a), np.abs(b)))
 
     def still_open(k):
         scale = np.maximum(np.maximum(np.abs(a[k]), np.abs(b[k])), 1.0)
-        return k[(b[k] - a[k]) > np.maximum(target[k], 1e-9 * scale)]
+        return k[(b[k] - a[k]) > np.maximum(np.maximum(target[k], 1e-9 * scale), 1e-3 * (hi[k] - lo[k]))]
 
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2])), dtype=float), 2)
+    f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2]), np.tile(owner, 2)), dtype=float), 2)
     k = still_open(np.arange(a.size))
     while k.size:
         keep_left = f1[k] >= f2[k]
@@ -299,12 +309,13 @@ def _refine(f: Callable, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.nda
         x1[left] = b[left] - _INVPHI * (b[left] - a[left])
         a[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
         x2[right] = a[right] + _INVPHI * (b[right] - a[right])
-        f1[left], f2[right] = np.split(
-            np.asarray(f(np.concatenate([x1[left], x2[right]])), dtype=float), [left.size])
+        f1[left], f2[right] = np.split(np.asarray(
+            f(np.concatenate([x1[left], x2[right]]), np.concatenate([owner[left], owner[right]])),
+            dtype=float), [left.size])
         k = still_open(k)
 
     x = 0.5 * (a + b)
-    h = 1e-4 * np.maximum(1.0, np.abs(x))
+    h = np.minimum(1e-4 * np.maximum(1.0, np.abs(x)), np.minimum(x - lo, hi - x) / 16.0)
     k = np.arange(x.size)
     for _ in range(3):
         k = k[(lo[k] + 2.0 * h[k] < x[k]) & (x[k] < hi[k] - 2.0 * h[k])]
@@ -312,7 +323,8 @@ def _refine(f: Callable, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.nda
             break
         xk, hk = x[k], h[k]
         stencil = xk + np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]]) * hk
-        fm2, fm1, f0, fp1, fp2 = np.asarray(f(stencil.ravel()), dtype=float).reshape(5, -1)
+        fm2, fm1, f0, fp1, fp2 = np.asarray((polish or f)(stencil.ravel(), np.tile(owner[k], 5)),
+                                            dtype=float).reshape(5, -1)
         grad = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * hk)
         curv = (fp1 - 2.0 * f0 + fm1) / (hk * hk)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -352,7 +364,8 @@ def local_maxima(
 
     found = [LocalMaximum(float(xs[0]), boundary=True)] if ys[0] > ys[1] else []
     if i.size:
-        found += [LocalMaximum(float(x)) for x in _refine(f, xs[i], xs[i + 2], tol)]
+        found += [LocalMaximum(float(x)) for x in _refine(lambda x, _: f(x), xs[i], xs[i + 2],
+                                                          np.zeros(i.size, dtype=np.intp), tol)]
     if ys[-1] > ys[-2]:
         found.append(LocalMaximum(float(xs[-1]), boundary=True))
 

@@ -19,17 +19,20 @@ converges fast toward such a point only when it is a panel end.
 What depends only on the field and the prior (the grid, ln p, ln(1 - p) and
 the log prior on it, and the pieces) is computed once per pair and cached.
 Posteriors that share field, prior, n and tolerance form a batch
-(:func:`mmse_many`): their peaks are polished together, and one quadrature
-integrates them all, each with its own panels and error budget, so every
-member's values are bit for bit those of its own :func:`mmse`. A single
-posterior is a batch of one.
+(:func:`mmse_many`, :func:`map_many`): their peaks are polished together,
+and one quadrature integrates them all, each with its own panels and error
+budget, so every member's values are bit for bit those of its own
+:func:`mmse` or :func:`map_estimate`. A single posterior is a batch of one.
+The MAP candidates come from the same workspace as the evidence: the maxima
+of the log joint on its grid and the brackets of its sharp peaks, cut at the
+zeros of dp/domega0, where a Jeffreys prior vanishes between two modes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -43,8 +46,14 @@ from .dynamics import (
 )
 from .errors import DomainError, EstimationError, EvidenceUnderflow
 from .fisher import cfi_values, qfi_values
-from .frequentist import Dataset, _log_likelihood_logs, log_likelihood_counts, log_likelihood_ratio
-from .numerics import DEFAULT_TOL, Tolerance, integrate, integrate_owners, local_maxima
+from .frequentist import (
+    Dataset,
+    _log_binom,
+    _log_likelihood_logs,
+    log_likelihood_counts,
+    log_likelihood_ratio,
+)
+from .numerics import DEFAULT_TOL, Tolerance, _refine, integrate, integrate_owners
 from .priors import Prior, PriorKind, log_density, prior_fisher, prior_score, truncated_density
 
 __all__ = [
@@ -56,6 +65,7 @@ __all__ = [
     "mmse",
     "mmse_many",
     "map_estimate",
+    "map_many",
     "map_stationarity_lhs",
     "bayes_fisher",
 ]
@@ -73,6 +83,10 @@ _BATCH = 256
 _MASS_FLOOR_LOG = math.log(1e-18)
 # Probability-derivative magnitudes below this make the stationarity form 0/0.
 _DP_FLOOR = 1e-12
+# MAP candidates closer than this, relative to max(1, |omega0|), are one
+# maximum: refinements of one maximum agree far better, and distinct maxima
+# of the log joint come this close only for n far beyond 1e10.
+_MERGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -184,7 +198,8 @@ def _peaks(specs: Sequence[PosteriorSpec]) -> list:
 
 
 def _workspace(spec: PosteriorSpec, peaks: np.ndarray):
-    """The posterior mode, its log joint and the intervals carrying the mass.
+    """The posterior mode, its log joint, the intervals carrying the mass,
+    and the brackets of the sharp peaks.
 
     The mode is the maximizer of the log joint over a fixed grid and the
     closed-form peaks (see _peaks). The grid's runs of numerically relevant
@@ -222,49 +237,67 @@ def _workspace(spec: PosteriorSpec, peaks: np.ndarray):
     drop = g_center[:, None] - _log_joint(spec, pts.ravel()).reshape(pts.shape)
     fallen = (drop >= -_MASS_FLOOR_LOG) | (pts < w.lower) | (pts > w.upper)
     reach = np.where(fallen.any(axis=-1), rungs[fallen.argmax(axis=-1)], cell)
-    lo = np.concatenate([xs[np.maximum(first - 2, 0)], np.maximum(center - reach[0], w.lower)])
-    hi = np.concatenate([xs[np.minimum(last + 2, _GRID_POINTS - 1)],
-                         np.minimum(center + reach[1], w.upper)])
+    sharp_lo, sharp_hi = np.maximum(center - reach[0], w.lower), np.minimum(center + reach[1], w.upper)
+    lo = np.concatenate([xs[np.maximum(first - 2, 0)], sharp_lo])
+    hi = np.concatenate([xs[np.minimum(last + 2, _GRID_POINTS - 1)], sharp_hi])
     cuts = _distinct(np.concatenate([lo, hi, center, piece_lo]))
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     covered = np.any((lo[:, None] < mid) & (mid < hi[:, None]), axis=0)
-    return mode, shift, cuts[:-1][covered], cuts[1:][covered]
+    return mode, shift, cuts[:-1][covered], cuts[1:][covered], sharp_lo, sharp_hi
 
 
-def _moments_many(specs: Sequence[PosteriorSpec]) -> list:
+def _workspaces(specs: Sequence[PosteriorSpec]) -> list:
+    """_workspace of each spec (all on one field and prior), or the
+    EstimationError it raises."""
+    out: list = []
+    for spec, peaks in zip(specs, _peaks(specs)):
+        try:
+            out.append(_workspace(spec, peaks))
+        except EstimationError as exc:
+            out.append(exc)
+    return out
+
+
+def _log_ratio_to_mode(specs: Sequence[PosteriorSpec], held: list, mode):
+    """f(x, o): the log joint of specs[held[o]] at x minus its value at
+    mode[o], the likelihood ratio through the change of p from there. Near
+    the mode its rounding stays far below that of the log joint itself
+    (~1e-6 at n = 1e10)."""
+    cfg, prior, n = specs[0].cfg, specs[0].prior, specs[0].data.n
+    mode = np.array(mode)
+    k = np.array([specs[j].data.k for j in held], dtype=float)
+    ref, prior_at_mode = prob_detect(cfg, mode), log_density(prior, mode)
+
+    def f(x: np.ndarray, o: np.ndarray) -> np.ndarray:
+        p, dp = prob_detect(cfg, x), prob_detect_change(cfg, x, mode, o)
+        return log_likelihood_ratio(n, k[o], p, dp, ref[o]) + log_density(prior, x) - prior_at_mode[o]
+
+    return f
+
+
+def _moments_many(specs: Sequence[PosteriorSpec], spaces: list | None = None) -> list:
     """For each spec, the log joint at the mode, the evidence and the first
     moment, or the EstimationError that computing them raises. The specs
-    share field, prior, n and tolerance.
+    share field, prior, n and tolerance; ``spaces`` are their _workspaces,
+    if already at hand.
 
     Each integral is one of [v, x v] with v = exp(log joint - its value at
-    the mode): the likelihood ratio against the mode, through the change of p
-    from there, times the prior's ratio. Near the mode its rounding stays far
-    below that of the log joint itself (~1e-6 at n = 1e10). One quadrature
+    the mode), from _log_ratio_to_mode. One quadrature
     computes them all, each posterior with its own panels and error budget,
     so a batch of one (through ``integrate``) gives every member's values bit
     for bit.
     """
     spec = specs[0]
     cfg, prior, n, tol = spec.cfg, spec.prior, spec.data.n, spec.quad_tol
-    out: list = [None] * len(specs)
-    held, regions = [], []
-    for j, (member, peaks) in enumerate(zip(specs, _peaks(specs))):
-        try:
-            regions.append(_workspace(member, peaks))
-            held.append(j)
-        except EstimationError as exc:
-            out[j] = exc
+    out = list(_workspaces(specs) if spaces is None else spaces)
+    held = [j for j, space in enumerate(out) if not isinstance(space, EstimationError)]
     if not held:
         return out
-    mode, shift, lo, hi = zip(*regions)
-    mode = np.array(mode)
-    k = np.array([specs[j].data.k for j in held], dtype=float)
-    ref, prior_at_mode = prob_detect(cfg, mode), log_density(prior, mode)
+    mode, shift, lo, hi = zip(*(out[j][:4] for j in held))
+    log_ratio = _log_ratio_to_mode(specs, held, mode)
 
     def integrand(x: np.ndarray, o: np.ndarray) -> np.ndarray:
-        p, dp = prob_detect(cfg, x), prob_detect_change(cfg, x, mode, o)
-        lik = log_likelihood_ratio(n, k[o], p, dp, ref[o])
-        v = np.exp(lik + log_density(prior, x) - prior_at_mode[o])
+        v = np.exp(log_ratio(x, o))
         return np.stack([v, x * v])
 
     if len(specs) == 1:
@@ -323,13 +356,9 @@ def _mean(spec: PosteriorSpec, moments) -> float:
     return min(max(first / z, w.lower), w.upper)
 
 
-def mmse_many(specs: Sequence[PosteriorSpec]) -> list:
-    """mmse of each spec, or the EstimationError that mmse(spec) raises.
-
-    The specs that share field, prior, n and tolerance are integrated
-    together, up to _BATCH of them in one quadrature; each value is bit for
-    bit the one mmse(spec) returns.
-    """
+def _by_batch(specs: Sequence[PosteriorSpec], run) -> list:
+    """run(batch) on the specs in batches that share field, prior, n and
+    tolerance, at most _BATCH specs each; its results in the order of specs."""
     groups: dict = {}
     for j, spec in enumerate(specs):
         groups.setdefault((spec.cfg, spec.prior, spec.data.n, spec.quad_tol), []).append(j)
@@ -337,9 +366,21 @@ def mmse_many(specs: Sequence[PosteriorSpec]) -> list:
     for members in groups.values():
         for start in range(0, len(members), _BATCH):
             batch = members[start:start + _BATCH]
-            for j, result in zip(batch, _moments_many([specs[j] for j in batch])):
-                out[j] = result if isinstance(result, EstimationError) else _mean(specs[j], result)
+            for j, result in zip(batch, run([specs[j] for j in batch])):
+                out[j] = result
     return out
+
+
+def mmse_many(specs: Sequence[PosteriorSpec]) -> list:
+    """mmse of each spec, or the EstimationError that mmse(spec) raises.
+
+    The specs that share field, prior, n and tolerance are integrated
+    together, up to _BATCH of them in one quadrature; each value is bit for
+    bit the one mmse(spec) returns.
+    """
+    return _by_batch(specs, lambda batch: [
+        m if isinstance(m, EstimationError) else _mean(spec, m)
+        for spec, m in zip(batch, _moments_many(batch))])
 
 
 def map_stationarity_lhs(cfg: FieldConfig, prior: Prior, n: float, omega0):
@@ -360,40 +401,135 @@ def map_stationarity_lhs(cfg: FieldConfig, prior: Prior, n: float, omega0):
 
 
 def map_estimate(spec: PosteriorSpec, grid_points: int = 2001) -> MapResult:
-    """All local maxima of the log posterior, grid-located and refined.
+    """All local maxima of the log posterior: map_many of one spec."""
+    result, = map_many([spec], grid_points)
+    if isinstance(result, EstimationError):
+        raise result
+    return result
 
-    The stationarity equations are demoted to a consistency residual (they
-    admit spurious solutions at posterior minima); the maximization itself is
-    a grid search with golden-section polish. Boundary maxima are flagged and
-    skip the stationarity test. The inconclusive-curvature flag follows the
-    |second derivative| < 1e-8 rule. Each field is one array call over all
-    peaks.
+
+def map_many(specs: Sequence[PosteriorSpec], grid_points: int = 2001) -> list:
+    """MapResult of each spec, or the EstimationError that computing it
+    raises; batched as in mmse_many, each result bit for bit that of
+    map_estimate.
+
+    The candidates come from the posterior's workspace: the brackets around
+    the local maxima of the log joint on its grid (a window end is a
+    boundary maximum where the log joint falls from it) and those of its
+    sharp peaks. A ``grid_points`` above the workspace grid's adds a grid
+    that dense. Every bracket is cut at the zeros of dp/domega0 inside it,
+    so a zero of sqrt(CFI) gets one bracket on each side; golden section
+    with Newton polish finds the maximum of each piece, all pieces of all
+    specs in lockstep. A piece's maximum counts if it lies inside the piece,
+    and a cut if both pieces beside it rise into it; candidates closer than
+    _MERGE are one. The stationarity equations are demoted to a consistency
+    residual (they admit spurious solutions at posterior minima); boundary
+    maxima skip it and the curvature test. The inconclusive-curvature flag
+    follows the |second derivative| < 1e-8 rule.
     """
     if grid_points < 101:
         raise DomainError(f"grid_points must be >= 101, got {grid_points}")
-    w = spec.prior.window
+    return _by_batch(specs, lambda batch: _map_batch(batch, grid_points))
 
-    g = partial(_log_joint, spec)
-    peaks = local_maxima(g, w.lower, w.upper, grid_points, spec.quad_tol)
-    x = np.array([peak.x for peak in peaks])
-    inner = ~np.array([peak.boundary for peak in peaks], dtype=bool)
+
+def _map_batch(specs: Sequence[PosteriorSpec], grid_points: int) -> list:
+    """map_many of specs that share field, prior, n and tolerance."""
+    spec = specs[0]
+    cfg, prior, n, w = spec.cfg, spec.prior, spec.data.n, spec.prior.window
+    spaces = _workspaces(specs)
+    out = _moments_many(specs, spaces)
+    held = [j for j, moments in enumerate(out) if not isinstance(moments, EstimationError)]
+    if not held:
+        return out
+    k = np.array([specs[j].data.k for j in held], dtype=float)
+    log_binom = np.array([_log_binom(n, kj) for kj in k])
+
+    def g(x, o):
+        """The log joint of spec held[o] at x, elementwise."""
+        p = prob_detect(cfg, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lik = _log_likelihood_logs(n, k[o], np.log(p), np.log1p(-p), log_binom[o])
+        return lik + log_density(prior, x)
+
+    xs, log_p, log_q, log_prior, piece_lo, *_ = _grid(cfg, prior)
+    dense = np.linspace(w.lower, w.upper, grid_points) if grid_points > _GRID_POINTS else None
+    a, b, owner, end_own, end_x = [], [], [], [], []
+    for o, j in enumerate(held):  # a grid at a time keeps the temporaries small
+        grids = [(xs, _log_likelihood_logs(n, k[o], log_p, log_q) + log_prior)]
+        if dense is not None:
+            grids.append((dense, g(dense, np.full(grid_points, o))))
+        lo_o, hi_o = [spaces[j][4]], [spaces[j][5]]
+        for gx, gy in grids:
+            mid, left, right = gy[1:-1], gy[:-2], gy[2:]
+            i = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right)))
+            lo_o.append(gx[i])
+            hi_o.append(gx[i + 2])
+        # A window end is a boundary maximum where the log joint falls from it.
+        edges = np.any([(gy[0] > gy[1], gy[-1] > gy[-2]) for _, gy in grids], axis=0)
+        end_x += [edge for edge, rises in zip((w.lower, w.upper), edges) if rises]
+        end_own += [o] * int(edges.sum())
+        a.append(np.concatenate(lo_o))
+        b.append(np.concatenate(hi_o))
+        owner.append(np.full(a[-1].size, o))
+    a, b, owner = (np.concatenate(v) for v in (a, b, owner))
+
+    # Cut the brackets at the zeros of dp/domega0 strictly inside them.
+    cuts = piece_lo[1:]
+    first = np.searchsorted(cuts, a, "right")
+    inside = np.searchsorted(cuts, b, "left") - first
+    bracket = np.repeat(np.arange(a.size), inside + 1)
+    pos = np.arange(bracket.size) - np.repeat(np.cumsum(inside) - inside + np.arange(a.size), inside + 1)
+    padded = np.concatenate([[-np.inf], cuts, [np.inf]])
+    lo = np.where(pos == 0, a[bracket], padded[first[bracket] + pos])
+    hi = np.where(pos == inside[bracket], b[bracket], padded[first[bracket] + pos + 1])
+    own = owner[bracket]
+    ratio = _log_ratio_to_mode(specs, held, [spaces[j][0] for j in held])
+    x = _refine(g, lo, hi, own, spec.quad_tol, polish=ratio) if lo.size else lo
+    g_x, g_lo, g_hi = np.split(g(np.concatenate([x, lo, hi]), np.tile(own, 3)), 3)
+    inner = (g_x > g_lo) & (g_x > g_hi)
+    shared = np.zeros(x.size, dtype=bool)
+    shared[:-1] = ~(g_x[:-1] > g_hi[:-1]) & ~(g_x[1:] > g_lo[1:]) & (pos[1:] > 0)
+    x, own, value = (np.concatenate([v[inner], c[shared]])
+                     for v, c in ((x, hi), (own, own), (g_x, g_hi)))
+    keep = np.isfinite(value)
+    x, own, value = x[keep], own[keep], value[keep]
+    # One maximum found from several brackets: keep its highest refinement.
+    order = np.lexsort((x, own))
+    x, own, value = x[order], own[order], value[order]
+    apart = np.ones(x.size, dtype=bool)
+    apart[1:] = (own[1:] != own[:-1]) | (x[1:] - x[:-1] > _MERGE * np.maximum(1.0, np.abs(x[1:])))
+    group = np.cumsum(apart)
+    best = np.lexsort((-value, group))
+    best = best[np.diff(group[best], prepend=0) > 0]
+
+    x = np.concatenate([x[best], end_x])
+    own = np.concatenate([own[best], np.array(end_own, dtype=np.intp)])
+    boundary = np.arange(x.size) >= best.size
+    order = np.lexsort((x, own))
+    x, own, boundary = x[order], own[order], boundary[order]
+    inner = ~boundary
     xi = x[inner]
     h = np.minimum(np.maximum(1e-4, 1e-5 * np.abs(xi)), 0.45 * np.minimum(xi - w.lower, w.upper - xi))
-    # One call for the log joint at every peak and the curvature stencil of
-    # the interior ones.
-    g_x, g_up, g_down = np.split(g(np.concatenate([x, xi + h, xi - h])), [x.size, x.size + xi.size])
+    # One call for the log joint at every maximum and the curvature stencil
+    # of the interior ones.
+    at = np.concatenate([x, xi + h, xi - h]), np.concatenate([own, own[inner], own[inner]])
+    g_x, g_up, g_down = np.split(g(*at), [x.size, x.size + xi.size])
     second = np.full(x.size, math.nan)
     second[inner] = (g_up - 2.0 * g_x[inner] + g_down) / (h * h)
     residual = np.full(x.size, math.nan)
-    if spec.data.n > 0:
-        tested = inner & (np.abs(dprob_domega0(spec.cfg, x)) > _DP_FLOOR)
-        lhs = map_stationarity_lhs(spec.cfg, spec.prior, spec.data.n, x[tested])
-        residual[tested] = np.abs(lhs - spec.data.xbar)
-    log_post = g_x - _log_evidence(spec)
-    return MapResult(maxima=tuple(
-        MapMaximum(value=peak.x, log_posterior=float(log_post[j]), second_derivative=float(second[j]),
-                   boundary=peak.boundary, stationarity_residual=float(residual[j]))
-        for j, peak in enumerate(peaks)))
+    if n > 0:
+        tested = inner & (np.abs(dprob_domega0(cfg, x)) > _DP_FLOOR)
+        xbar = np.array([specs[j].data.xbar for j in held])
+        lhs = map_stationarity_lhs(cfg, prior, n, x[tested])
+        residual[tested] = np.abs(lhs - xbar[own[tested]])
+    log_evidence = np.array([out[j][0] + math.log(out[j][1]) for j in held])
+    log_post = g_x - log_evidence[own]
+    found = [MapMaximum(*fields) for fields in zip(
+        x.tolist(), log_post.tolist(), second.tolist(), boundary.tolist(), residual.tolist())]
+    bounds = np.searchsorted(own, np.arange(len(held) + 1)).tolist()
+    for o, j in enumerate(held):
+        out[j] = MapResult(maxima=tuple(found[bounds[o]:bounds[o + 1]]))
+    return out
 
 
 def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int, tol: Tolerance = DEFAULT_TOL) -> BayesFisher:

@@ -114,11 +114,13 @@ class GridTable:
 
         Rows go out in row-major cell order, one ``fp.write`` per chunk of
         ``_CSV_CHUNK`` rows. Axis values repeat across the grid, so each is
-        formatted once. Numbers are formatted as arrays (``_format_17g``): a
-        double-double product gives each value's 17 significant digits with
-        a proven error bound, and a value goes to ``format`` itself when that
-        bound cannot decide its rounding or its exponent lies near the ends
-        of the float64 range. Every other value gets the digits, exponent
+        formatted once, and so is each chunk of a column that equals an
+        earlier column's bit for bit (in units where omega = 1, the scaled
+        Fisher columns are the raw ones). Numbers are formatted as arrays
+        (``_format_17g``): a double-double product gives each value's 17
+        significant digits with a proven error bound, and a value goes to
+        ``format`` itself when that bound cannot decide its rounding or its
+        exponent lies near the ends of the float64 range. Every other value gets the digits, exponent
         and layout that ``format`` gives it, so the bytes are those of one
         ``format`` call per number.
         """
@@ -130,7 +132,14 @@ class GridTable:
             stop = min(start + _CSV_CHUNK, self.n_cells)
             index = np.unravel_index(np.arange(start, stop), shape)
             fields = [(np.take(text, i, axis=0), used[i]) for (text, used), i in zip(labels, index)]
-            fields += [_format_17g(c[start:stop]) for c in cols]
+            distinct: list = []  # (bits, text) of this chunk's columns so far
+            for c in cols:
+                bits = np.asarray(c[start:stop], dtype=float).view(np.uint64)
+                text = next((t for b, t in distinct if np.array_equal(b, bits)), None)
+                if text is None:
+                    text = _format_17g(bits.view(float))
+                    distinct.append((bits, text))
+                fields.append(text)
             fields.append(_status_fields(self.status[start:stop]))
             fp.write(_join_fields(fields))
 

@@ -360,6 +360,31 @@ def posterior_mean_mp(cfg: FieldConfig, n: float, k: float, points, jeffreys: bo
         return first / z
 
 
+def gaussian_map_mp(cfg: FieldConfig, n: float, k: float, lower: float, upper: float,
+                    mean: float, sigma: float, grid: int = 351, dps: int = 40):
+    """MAP estimate, an mpmath number, under a Gaussian(mean, sigma) prior
+    on [lower, upper]: the highest of the window ends and the zeros of the
+    log joint's analytic derivative k p'/p - (n - k) p'/(1 - p) - (x - mean)/sigma^2,
+    each solved in a cell of a ``grid``-point grid where the derivative
+    changes sign."""
+    with mpmath.workdps(dps):
+        p, dp = _prob_mp(cfg)
+        n, k = mpmath.mpf(n), mpmath.mpf(k)
+
+        def log_joint(x):
+            return k * mpmath.log(p(x)) + (n - k) * mpmath.log(1 - p(x)) - (x - mean) ** 2 / (2 * sigma**2)
+
+        def slope(x):
+            return k * dp(x) / p(x) - (n - k) * dp(x) / (1 - p(x)) - (x - mean) / sigma**2
+
+        xs = mpmath.linspace(mpmath.mpf(lower), mpmath.mpf(upper), grid)
+        ds = [slope(x) for x in xs]
+        found = [mpmath.mpf(lower), mpmath.mpf(upper)] + [
+            mpmath.findroot(slope, (a, b), solver="anderson")
+            for a, b, da, db in zip(xs[:-1], xs[1:], ds[:-1], ds[1:]) if da * db < 0]
+        return max(found, key=log_joint)
+
+
 def mean_cfi_mp(cfg: FieldConfig, points, dps: int = 40, maxdegree: int = 10):
     """The CFI p'^2 / (p (1 - p)) averaged over a uniform prior on
     [points[0], points[-1]], an mpmath number: Gauss-Legendre quadrature at

@@ -179,3 +179,35 @@ def test_mmse_curve_ignores_the_worker_count(tmp_path, monkeypatch):
         assert main(argv) == 0
         outputs.append((out.read_bytes(), (tmp_path / "curve.csv.manifest.json").read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestStrictJson:
+    """JSON outputs hold no NaN or Infinity token, which RFC 8259 parsers
+    reject: a non-finite float is written as null."""
+
+    @staticmethod
+    def parse_strict(path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+    def test_map_with_boundary_maxima(self, tmp_path):
+        # Boundary maxima have no second derivative or stationarity residual.
+        argv = ["estimate", "map", "--omega", "1", "--b0", "1", "--theta", "1.5707963267948966",
+                "--n", "1", "--k", "0", "--prior", "uniform",
+                "--window-lower", "0.1", "--window-upper", "100", "--out", str(tmp_path / "map.json")]
+        assert main(argv) == 0
+        payload = self.parse_strict(tmp_path / "map.json")
+        boundary = [m for m in payload["maxima"] if m["boundary"]]
+        assert boundary
+        assert all(m["second_derivative"] is None and m["stationarity_residual"] is None
+                   for m in boundary)
+
+    def test_one_trial_simulate(self, tmp_path):
+        argv = ["simulate", *FIELD, "--omega0-true", "2", "--n", "100", "--trials", "1",
+                "--seed", "3", "--out", str(tmp_path / "sim.json")]
+        assert main(argv) == 0
+        report = self.parse_strict(tmp_path / "sim.json")["report"]
+        assert report["included_trials"] == 1
+        assert report["variance"] is None

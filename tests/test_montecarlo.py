@@ -16,8 +16,9 @@ from rabi_est.errors import (
     NoRealRoot,
     SincDomainViolated,
 )
-from rabi_est.frequentist import Ambiguity, ml_estimate
+from rabi_est.frequentist import Ambiguity, Dataset, ml_estimate
 from rabi_est.montecarlo import Estimator, TrialConfig, run_trials, simulate_dataset
+from rabi_est.posterior import PosteriorSpec, map_estimate
 from rabi_est.priors import Prior, SupportWindow
 
 CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
@@ -166,8 +167,8 @@ PINNED_REPORTS = [
     ),
     (
         Estimator.MAP, 10, Prior.gaussian(WINDOW, 2.0, 1.0),
-        dict(mean_estimate=2.011967105750311, bias=0.011967105750311013,
-             variance=0.1498310729830522, crb=0.1639746107834753,
+        dict(mean_estimate=2.0119671057510993, bias=0.011967105751099093,
+             variance=0.14983107298168455, crb=0.1639746107834753,
              vantrees_bound=0.09211904505621411,
              degenerate_count=0, ambiguous_count=0, included_trials=10),
     ),
@@ -206,3 +207,41 @@ def test_pinned_mmse_report_matches_mp_oracle():
         assert float(mean - 2) == pytest.approx(expected["bias"], rel=1e-15)
         assert float(variance) == pytest.approx(expected["variance"], rel=1e-15)
         assert float(vantrees) == pytest.approx(expected["vantrees_bound"], rel=1e-15)
+
+
+def test_pinned_map_report_matches_mp_oracle():
+    # The pinned MAP moments are the 40-digit values for the counts drawn:
+    # one posterior mode per count.
+    expected = PINNED_REPORTS[2][3]
+    ks = [simulate_dataset(CFG, 2.0, 100, 2024, stream=i).k for i in range(10)]
+    modes = {k: oracles.gaussian_map_mp(CFG, 100, k, WINDOW.lower, WINDOW.upper, 2.0, 1.0)
+             for k in set(ks)}
+    with mpmath.workdps(40):
+        mean = sum(modes[k] for k in ks) / len(ks)
+        variance = sum((modes[k] - mean) ** 2 for k in ks) / (len(ks) - 1)
+        assert float(mean) == pytest.approx(expected["mean_estimate"], rel=1e-15)
+        assert float(mean - 2) == pytest.approx(expected["bias"], rel=1e-15)
+        assert float(variance) == pytest.approx(expected["variance"], rel=1e-15)
+
+
+def test_map_trials_are_one_batch_of_per_count_estimates(monkeypatch):
+    prior = Prior.gaussian(WINDOW, 2.0, 1.0)
+    tc = TrialConfig(cfg=CFG, omega0_true=2.0, n=100, trials=30, seed=5,
+                     estimator=Estimator.MAP, prior=prior)
+    batches = []
+    original = montecarlo.map_many
+
+    def counting(specs):
+        batches.append(len(specs))
+        return original(specs)
+
+    monkeypatch.setattr(montecarlo, "map_many", counting)
+    report = run_trials(tc)
+    ks = [simulate_dataset(CFG, 2.0, 100, 5, stream=i).k for i in range(30)]
+    assert batches == [len(set(ks))]
+    best = {k: map_estimate(PosteriorSpec(data=Dataset(100, k), cfg=CFG, prior=prior)).best.value
+            for k in set(ks)}
+    arr = np.array([best[k] for k in ks])
+    mean = float(np.sum(arr) / arr.size)
+    assert report.mean_estimate == mean
+    assert report.variance == float(np.sum((arr - mean) ** 2) / (arr.size - 1))

@@ -22,6 +22,7 @@ from rabi_est.posterior import (
     PosteriorSpec,
     bayes_fisher,
     map_estimate,
+    map_many,
     map_stationarity_lhs,
     mmse,
     mmse_many,
@@ -496,3 +497,93 @@ class TestBatches:
         monkeypatch.setattr(posterior, "integrate_owners", counting)
         assert mmse_many(specs) == [mmse(spec) for spec in specs]
         assert sorted(calls) == [2, 2, 2, 2]
+
+
+class TestMapAtSqrtCfiZero:
+    """A Jeffreys prior on the wide window, cfg (1, 0.3, 1), and xbar above
+    the largest p in the window (0.0624), which p reaches at the zero of
+    sqrt(CFI) z = 0.67581862. The prior vanishes at z, so the posterior has
+    two mirror-image modes beside it, ~5e-5 from it at n = 1e10."""
+
+    CFG = FieldConfig(omega=1.0, b0=0.3, theta=1.0)
+    Z = 0.67581862
+
+    def jeffreys_shape(self, x):
+        # The analytic slope: an FD slope rounds to ~1e-5 in the log near z
+        # at n = 1e10.
+        p = np.asarray(prob_detect(self.CFG, x))
+        return np.abs(dprob_domega0(self.CFG, x)) / np.sqrt(p * (1.0 - p))
+
+    @pytest.mark.parametrize("n", [10**4, 10**6, 10**8, 10**10])
+    def test_map_reaches_dense_maximum(self, n):
+        k = 0.2623843641 * n
+        spec = PosteriorSpec(data=Dataset(n, k), cfg=self.CFG, prior=Prior.jeffreys(WIDE, self.CFG))
+        result = map_estimate(spec)
+        half = 60.0 / math.sqrt(n)
+        xs = np.linspace(self.Z - half, self.Z + half, 400_001)
+        top = np.max(log_joint_dense(self.CFG, self.jeffreys_shape, n, k, xs))
+        # Heights, not locations: the modes beside z are mirror images.
+        best = log_joint_dense(self.CFG, self.jeffreys_shape, n, k, np.array([result.best.value]))[0]
+        assert best >= top - 1e-5
+        for m in result.maxima:
+            assert m.boundary or m.second_derivative < 0.0 or m.inconclusive
+
+
+def map_fields(result):
+    """The fields of each maximum of a MapResult, or the error's type."""
+    if isinstance(result, Exception):
+        return type(result)
+    return [(m.value, m.log_posterior, m.second_derivative, m.boundary, m.stationarity_residual)
+            for m in result.maxima]
+
+
+class TestMapBatches:
+    """map_many against map_estimate, member by member. Members that share
+    field, prior and n form one batch."""
+
+    GAUSS_2 = Prior.gaussian(WIDE, 2.0, 1.0)
+    NARROW = Prior.uniform(SupportWindow(3.0, 3.3))
+    JEFFREYS = Prior.jeffreys(SupportWindow(1.5, 5.0), CFG)
+    SPECS = [
+        PosteriorSpec(data=Dataset(100, 49), cfg=CFG, prior=GAUSS_2),
+        PosteriorSpec(data=Dataset(100, 30), cfg=CFG, prior=GAUSS_2),
+        PosteriorSpec(data=Dataset(100, 100), cfg=CFG, prior=GAUSS_2),
+        PosteriorSpec(data=Dataset(8, 2.4), cfg=CFG, prior=UNIFORM_WIDE),
+        PosteriorSpec(data=Dataset(8, 0.0), cfg=CFG, prior=UNIFORM_WIDE),
+        # A boundary maximum at the upper edge, and one at the lower.
+        PosteriorSpec(data=Dataset(20, 20 * float(prob_detect(CFG, 3.42))), cfg=CFG, prior=NARROW),
+        PosteriorSpec(data=Dataset(20, 20 * float(prob_detect(CFG, 2.9))), cfg=CFG, prior=NARROW),
+        PosteriorSpec(data=Dataset(100, 30), cfg=CFG, prior=JEFFREYS),
+        PosteriorSpec(data=Dataset(100, 60), cfg=CFG, prior=JEFFREYS),
+    ]
+
+    def test_batch_equals_single(self):
+        single = [map_fields(map_estimate(spec)) for spec in self.SPECS]
+        got = [map_fields(result) for result in map_many(self.SPECS)]
+        assert [m[0] for m in single[5] + single[6] if m[3]] == [3.3, 3.0]
+        for fields, expected in zip(got, single):
+            np.testing.assert_array_equal(np.array(fields, dtype=float), np.array(expected, dtype=float))
+
+    def test_failing_member_is_isolated(self, monkeypatch):
+        single = [map_fields(map_estimate(spec)) for spec in self.SPECS]
+        original = posterior.log_likelihood_ratio
+
+        def spoiled(n, counts, p, dp, ref):
+            return np.where(counts == 30, -np.inf, original(n, counts, p, dp, ref))
+
+        monkeypatch.setattr(posterior, "log_likelihood_ratio", spoiled)
+        with pytest.raises(EvidenceUnderflow):
+            map_estimate(self.SPECS[1])
+        got = [map_fields(result) for result in map_many(self.SPECS)]
+        assert got[1] is EvidenceUnderflow and got[7] is EvidenceUnderflow
+        for j in (0, 2, 3, 4, 5, 6, 8):
+            np.testing.assert_array_equal(np.array(got[j], dtype=float), np.array(single[j], dtype=float))
+
+    def test_grid_floor_and_denser_grid(self):
+        with pytest.raises(DomainError):
+            map_many(self.SPECS[:1], grid_points=100)
+        # A grid above the workspace's adds candidates but finds the same
+        # maxima here.
+        dense = map_estimate(self.SPECS[0], grid_points=20_001)
+        default = map_estimate(self.SPECS[0])
+        assert [m.value for m in dense.maxima] == pytest.approx([m.value for m in default.maxima], rel=1e-9)

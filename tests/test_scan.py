@@ -66,6 +66,39 @@ class TestToCsv:
         assert to_csv_text(table) == reference_csv(table)
         assert formatted(column[:5]) == ["nan", "inf", "-inf", "0", "-0"]
 
+    def test_equal_columns_share_their_text(self, monkeypatch):
+        # Column "b" equals "a" in the first chunk only; "c" and "d" differ
+        # from "a" in the first chunk only, by the sign of a zero and by the
+        # sign bit of a NaN.
+        monkeypatch.setattr(scan, "_CSV_CHUNK", 4)
+        a = np.array([0.5, math.nan, 0.0, 1e-5, 2.0, 3.0, -1.0, 7.25])
+        b = np.concatenate([a[:4], a[4:] + 1.0])
+        c = np.where(a == 0.0, -0.0, a)
+        d = np.where(np.isnan(a), -math.nan, a)
+        calls = []
+        original = scan._format_17g
+
+        def counting(values):
+            calls.append(len(values))
+            return original(values)
+
+        monkeypatch.setattr(scan, "_format_17g", counting)
+        table = GridTable(axes=(Axis("b0", 0.5, 5.0, 8),), columns={"a": a, "b": b, "c": c, "d": d},
+                          status=["ok"] * 8)
+        assert to_csv_text(table) == reference_csv(table)
+        # The axis, then the distinct columns per chunk: a, c, d; then a, b.
+        assert calls == [8, 4, 4, 4, 4, 4]
+
+    def test_fisher_scan_at_unit_omega_formats_each_distinct_column_once(self, monkeypatch):
+        # With omega = 1 the scaled columns are the raw ones bit for bit.
+        table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 7), Axis("theta", 0.01, 3.13, 5)))
+        calls = []
+        original = scan._format_17g
+        monkeypatch.setattr(scan, "_format_17g", lambda values: calls.append(1) or original(values))
+        assert to_csv_text(table) == reference_csv(table)
+        distinct = {table.columns[name].tobytes() for name in table.columns}
+        assert len(calls) == len(table.axes) + len(distinct) < len(table.axes) + len(table.columns)
+
     def test_fisher_scan_matches_per_cell_format(self):
         table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 7), Axis("theta", 0.01, 3.13, 5)))
         assert to_csv_text(table) == reference_csv(table)
