@@ -300,7 +300,7 @@ def _write_table(out: str, table, manifest: dict) -> None:
     with open(out, "w", encoding="utf-8", newline="\n") as fp:
         table.to_csv(fp)
     with open(out + ".manifest.json", "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(table.metadata, fp, indent=2)
+        json.dump(_strict(table.metadata), fp, indent=2, allow_nan=False)
         fp.write("\n")
 
 

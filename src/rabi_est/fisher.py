@@ -7,6 +7,10 @@ whose removable singularities cancel analytically; it only degenerates where
 the detection probability is pinned at 1 (zero-variance data), and returns
 NaN there so that callers decide how to report it.
 
+Each formula is written once, over the shared terms b = b0 sin(theta), the
+detuning d and the Rabi frequency q; ``fisher_values`` computes those terms
+once for both quantities, with the single kernels' values bit for bit.
+
 Raw values are in t = 1 units; the omega^2-scaled variants used for the
 dimensionless landscape maps are a separate explicit transform
 (:func:`paper_scaled`), since that scaling degenerates at omega = 0.
@@ -16,9 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import FieldConfig, _detuning, q_factor
+from .dynamics import FieldConfig, _detuning
 
 __all__ = [
+    "fisher_values",
     "cfi_values",
     "qfi_values",
     "paper_scaled",
@@ -26,6 +31,13 @@ __all__ = [
 
 # Guard band on rho00 near 1 where the CFI denominator underflows.
 _EPS = 1e-12
+
+
+def fisher_values(cfg: FieldConfig, omega0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``cfi_values``, ``qfi_values``) bit for bit, from one pass over the
+    shared terms."""
+    terms = _terms(cfg, omega0s)
+    return _cfi(*terms), _qfi(*terms)
 
 
 def cfi_values(cfg: FieldConfig, omega0s: np.ndarray) -> np.ndarray:
@@ -36,10 +48,23 @@ def cfi_values(cfg: FieldConfig, omega0s: np.ndarray) -> np.ndarray:
     numerator) come back as NaN; a numerator vanishing with the probability
     gives the limiting value 0. Scalar callers use ``float(cfi_values(...))``.
     """
-    omega0 = np.asarray(omega0s, dtype=float)
-    b = cfg.b0 * np.sin(cfg.theta)
-    d = _detuning(cfg, omega0)
-    q = q_factor(cfg, omega0)
+    return _cfi(*_terms(cfg, omega0s))
+
+
+def qfi_values(cfg: FieldConfig, omega0s: np.ndarray) -> np.ndarray:
+    """Quantum Fisher information (projective-measurement optimum) at t = 1,
+    elementwise over omega0 values."""
+    return _qfi(*_terms(cfg, omega0s))
+
+
+def _terms(cfg: FieldConfig, omega0s):
+    """b = b0 sin(theta), d and q = hypot(d, 2 b) as ``dynamics.q_factor`` has them."""
+    sin_theta = np.sin(cfg.theta)
+    d = _detuning(cfg, np.asarray(omega0s, dtype=float))
+    return cfg.b0 * sin_theta, d, np.hypot(d, 2.0 * cfg.b0 * sin_theta)
+
+
+def _cfi(b, d, q):
     half = 0.5 * q
     s = np.sin(half)
     shape = s - half * np.cos(half)
@@ -52,13 +77,7 @@ def cfi_values(cfg: FieldConfig, omega0s: np.ndarray) -> np.ndarray:
     return out
 
 
-def qfi_values(cfg: FieldConfig, omega0s: np.ndarray) -> np.ndarray:
-    """Quantum Fisher information (projective-measurement optimum) at t = 1,
-    elementwise over omega0 values."""
-    omega0 = np.asarray(omega0s, dtype=float)
-    b = cfg.b0 * np.sin(cfg.theta)
-    d = _detuning(cfg, omega0)
-    q = q_factor(cfg, omega0)
+def _qfi(b, d, q):
     cos_q = np.cos(q)
     sin_q = np.sin(q)
     d2 = d * d

@@ -9,6 +9,7 @@ model rather than an inverse-CDF shortcut.
 Each thread reuses one Philox generator: every dataset resets its whole
 state to that of a freshly built Philox(key=[seed, stream]) (counter 0, empty
 buffer), which gives the same draws without building a generator each time.
+ML trials without a prior load no Bayesian module.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,8 +35,9 @@ from .errors import (
 from .fisher import cfi_values
 from .frequentist import Ambiguity, Dataset, ml_estimate
 from .numerics import DEFAULT_TOL, Tolerance
-from .posterior import PosteriorSpec, bayes_fisher, map_many, mmse_many
-from .priors import Prior
+
+if TYPE_CHECKING:
+    from .priors import Prior
 
 __all__ = [
     "Estimator",
@@ -142,6 +145,8 @@ def run_trials(tc: TrialConfig) -> TrialReport:
     the report is bitwise reproducible. The detection probability at the
     truth is computed once for all datasets.
     """
+    if tc.prior is not None:  # MMSE and MAP trials, and the van Trees bound
+        from .posterior import PosteriorSpec, bayes_fisher, map_many, mmse_many
     p1 = float(prob_detect(tc.cfg, tc.omega0_true))
     ks = [_draw(p1, tc.n, tc.seed, i) for i in range(tc.trials)]
     counts = list(dict.fromkeys(ks))

@@ -45,7 +45,7 @@ from .dynamics import (
     prob_pieces,
 )
 from .errors import DomainError, EstimationError, EvidenceUnderflow
-from .fisher import cfi_values, qfi_values
+from .fisher import fisher_values
 from .frequentist import (
     Dataset,
     _log_binom,
@@ -548,7 +548,8 @@ def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int, tol: Tolerance = DEFAUL
     w = prior.window
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        cfi, qfi = np.nan_to_num(cfi_values(cfg, x), nan=0.0), qfi_values(cfg, x)
+        cfi, qfi = fisher_values(cfg, x)
+        cfi = np.nan_to_num(cfi, nan=0.0)
         return np.stack([cfi, qfi, qfi - cfi]) * truncated_density(prior, x)
 
     cuts = np.concatenate(prob_pieces(cfg, w.lower, w.upper))

@@ -2,6 +2,10 @@
 
 Scans never abort on a bad cell: failures are encoded in a per-cell status
 column (the figures these scans feed contain excluded regions by design).
+A table keeps it as integer codes into the status names. Importing this
+module loads only the ``dynamics`` and ``fisher`` kernels of the Fisher
+landscape; the other scans import what they run when they run: the ML root
+surfaces ``frequentist``, the Bayesian ones ``posterior`` and ``priors``.
 The MMSE curve computes each prior's column as one batch of posteriors in a
 single quadrature. The Bayesian Fisher scan accepts a ``workers`` count and
 farms its cells out to processes, with results reassembled in row-major
@@ -18,19 +22,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .dynamics import FieldConfig, dprob_domega0, prob_detect
 from .errors import DomainError, EstimationError
-from .fisher import cfi_values, qfi_values
-from .frequentist import ROOTS_REAL, Dataset, ml_roots
-from .numerics import DEFAULT_TOL, Tolerance
-from .posterior import PosteriorSpec, bayes_fisher, map_stationarity_lhs, mmse_many
-from .priors import Prior, PriorKind
+from .fisher import fisher_values
+
+if TYPE_CHECKING:
+    from .numerics import Tolerance
+    from .priors import Prior
 
 __all__ = [
     "Axis",
@@ -81,22 +85,33 @@ class Axis:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass
 class GridTable:
-    """Rectangular scan output: axis columns, value columns, per-cell status."""
+    """Rectangular scan output: axis columns, value columns, per-cell status.
 
-    axes: tuple[Axis, ...]
-    columns: dict[str, np.ndarray]
-    status: list[str]
-    metadata: dict = field(default_factory=dict)
+    ``status`` is one name per cell, kept as its code into ``status_names``,
+    or with ``status_names`` those codes; it reads back as the names.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, axes, columns, status, metadata=None, status_names=None):
+        self.axes = tuple(axes)
+        self.columns = columns
+        self.metadata = {} if metadata is None else metadata
         n = self.n_cells
-        for name, col in self.columns.items():
+        for name, col in [*self.columns.items(), ("status", status)]:
             if len(col) != n:
                 raise DomainError(f"column {name!r} has {len(col)} cells, expected {n}")
-        if len(self.status) != n:
-            raise DomainError(f"status column has {len(self.status)} cells, expected {n}")
+        if status_names is None:
+            index = {s: i for i, s in enumerate(dict.fromkeys(status))}
+            status = np.fromiter(map(index.__getitem__, status), np.min_scalar_type(len(index)), n)
+            status_names = index
+        self.status_names = tuple(status_names)
+        self.status_codes = np.asarray(status)
+        if not 0 <= self.status_codes.min() <= self.status_codes.max() < len(self.status_names):
+            raise DomainError(f"status codes must index the {len(self.status_names)} status names")
+
+    @property
+    def status(self) -> list[str]:
+        return np.array(self.status_names, dtype=object)[self.status_codes].tolist()
 
     @property
     def n_cells(self) -> int:
@@ -113,35 +128,59 @@ class GridTable:
         number exactly the text of ``format(v, ".17g")``.
 
         Rows go out in row-major cell order, one ``fp.write`` per chunk of
-        ``_CSV_CHUNK`` rows. Axis values repeat across the grid, so each is
-        formatted once, and so is each chunk of a column that equals an
-        earlier column's bit for bit (in units where omega = 1, the scaled
-        Fisher columns are the raw ones). Numbers are formatted as arrays
+        ``_CSV_CHUNK`` rows. Text that repeats is made once and gathered per
+        chunk: axis values, status names and, in a 2-axis table, a column
+        whose bits depend on one axis index alone, formatted at that axis's
+        length. A chunk of another column that equals an earlier column's
+        bit for bit shares its text (in units where omega = 1, the scaled
+        Fisher columns are the raw ones); bits compare as integers, so the
+        signs of zeros and NaNs count. Numbers are formatted as arrays
         (``_format_17g``): a double-double product gives each value's 17
         significant digits with a proven error bound, and a value goes to
         ``format`` itself when that bound cannot decide its rounding or its
-        exponent lies near the ends of the float64 range. Every other value gets the digits, exponent
-        and layout that ``format`` gives it, so the bytes are those of one
-        ``format`` call per number.
+        exponent lies near the ends of the float64 range. Every other value
+        gets the digits, exponent and layout that ``format`` gives it, so the
+        bytes are those of one ``format`` call per number.
         """
         fp.write(",".join(self.header()) + "\n")
-        labels = [_format_17g(ax.values) for ax in self.axes]
         shape = tuple(ax.count for ax in self.axes)
-        cols = list(self.columns.values())
+        # Each field is (k, text and used bytes gathered by the chunk's kth
+        # index: axis indices, then status codes) or (None, column bits).
+        fields = [(k, _format_17g(ax.values)) for k, ax in enumerate(self.axes)]
+        for c in self.columns.values():
+            bits = np.asarray(c, dtype=float).view(np.uint64)
+            k, along = _sole_axis(bits, shape)
+            fields.append((k, _format_17g(along.view(float))) if k is not None else (None, bits))
+        fields.append((len(shape), _status_fields(self.status_names)))
         for start in range(0, self.n_cells, _CSV_CHUNK):
             stop = min(start + _CSV_CHUNK, self.n_cells)
-            index = np.unravel_index(np.arange(start, stop), shape)
-            fields = [(np.take(text, i, axis=0), used[i]) for (text, used), i in zip(labels, index)]
+            index = (*np.unravel_index(np.arange(start, stop), shape), self.status_codes[start:stop])
+            row = []
             distinct: list = []  # (bits, text) of this chunk's columns so far
-            for c in cols:
-                bits = np.asarray(c[start:stop], dtype=float).view(np.uint64)
+            for k, source in fields:
+                if k is not None:
+                    (text, used), i = source, index[k]
+                    row.append((np.take(text, i, axis=0), used[i]))
+                    continue
+                bits = source[start:stop]
                 text = next((t for b, t in distinct if np.array_equal(b, bits)), None)
                 if text is None:
                     text = _format_17g(bits.view(float))
                     distinct.append((bits, text))
-                fields.append(text)
-            fields.append(_status_fields(self.status[start:stop]))
-            fp.write(_join_fields(fields))
+                row.append(text)
+            fp.write(_join_fields(row))
+
+
+def _sole_axis(bits: np.ndarray, shape: tuple[int, ...]):
+    """(k, its bits along axis k) when a 2-axis column depends on the axis-k
+    index alone, else (None, None); two rows or columns reject most early."""
+    if len(shape) == 2:
+        grid = bits.reshape(shape)
+        for k in (1, 0):
+            first = grid.take([0], axis=1 - k)
+            if np.array_equal(grid.take([1], axis=1 - k), first) and (grid == first).all():
+                return k, first.ravel()
+    return None, None
 
 
 # Text of float64 values as format(v, ".17g") writes it, for whole arrays.
@@ -373,17 +412,15 @@ def _format_17g(values) -> tuple[np.ndarray, np.ndarray]:
     return np.take(text, back, axis=0), np.take(used, back) + 1
 
 
-def _status_fields(status: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """UTF-8 text and LF of each status as NUL-padded rows, and the bytes
-    each row uses; the row of a repeated status is built once."""
-    index = {s: i for i, s in enumerate(dict.fromkeys(status))}
-    codes = np.fromiter(map(index.__getitem__, status), np.intp, len(status))
-    words = [(s + "\n").encode("utf-8") for s in index]
+def _status_fields(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """UTF-8 text and LF of each status name as NUL-padded rows, and the
+    bytes each row uses."""
+    words = [(s + "\n").encode("utf-8") for s in names]
     used = np.array([len(w) for w in words], np.intp)
     table = np.zeros((len(words), max(used, default=0)), np.uint8)
     for row, word in zip(table, words):
         row[: len(word)] = np.frombuffer(word, np.uint8)
-    return np.take(table, codes, axis=0), used[codes]
+    return table, used
 
 
 def _join_fields(fields: list[tuple[np.ndarray, np.ndarray]]) -> str:
@@ -397,15 +434,6 @@ def _join_fields(fields: list[tuple[np.ndarray, np.ndarray]]) -> str:
         frame[:, offset : offset + width] = text[:, :width]
         offset += width
     return frame[frame != 0].tobytes().decode("utf-8")
-
-
-def _status_column(codes: np.ndarray, names: tuple[str, ...]) -> list[str]:
-    """Per-cell status strings for integer codes; cells share the name objects.
-
-    The codes, an object array and the list coexist here, each as long as
-    the scan, so callers pass int8 codes to keep that peak small.
-    """
-    return np.array(names, dtype=object)[codes].tolist()
 
 
 def _cell_grids(axes: Sequence[Axis]) -> dict[str, np.ndarray]:
@@ -454,8 +482,7 @@ def fisher_scan(
 
     varied = _cell_grids(axes)
     fields = _field_arrays(cfg, varied)
-    cfi_raw = cfi_values(fields, np.full_like(varied[names[0]], omega0))
-    qfi_raw = qfi_values(fields, np.full_like(varied[names[0]], omega0))
+    cfi_raw, qfi_raw = fisher_values(fields, omega0)
     gap_raw = qfi_raw - cfi_raw
     omega_col = varied.get("omega", np.full_like(cfi_raw, cfg.omega))
     scale = omega_col**2
@@ -466,7 +493,6 @@ def fisher_scan(
         n_required = 1.0 / (accuracy * cfi_scaled)
 
     codes = np.select([np.isnan(cfi_raw), ~np.isfinite(n_required)], [1, 2], 0).astype(np.int8)
-    status = _status_column(codes, _FISHER_STATUSES)
 
     return GridTable(
         axes=tuple(axes),
@@ -479,7 +505,8 @@ def fisher_scan(
             "gap_scaled": gap_scaled,
             "n_required": n_required,
         },
-        status=status,
+        status=codes,
+        status_names=_FISHER_STATUSES,
         metadata={
             "operation": "fisher_scan",
             "omega0": omega0,
@@ -505,6 +532,8 @@ def ml_root_scan(cfg: FieldConfig, axes: tuple[Axis, Axis]) -> GridTable:
     if not (0.0 < xbar_axis.start and xbar_axis.stop < 1.0):
         raise DomainError("ml_root_scan needs its xbar axis strictly inside (0, 1)")
 
+    from .frequentist import ROOTS_REAL, ml_roots
+
     varied = _cell_grids(axes)
     xbar = varied["xbar"]
     fields = _field_arrays(cfg, varied)
@@ -512,7 +541,6 @@ def ml_root_scan(cfg: FieldConfig, axes: tuple[Axis, Axis]) -> GridTable:
     codes = np.select(
         [inversion != ROOTS_REAL, root_minus < 0.0, root_minus > 0.0], [1, 2, 3], 0
     ).astype(np.int8)
-    status = _status_column(codes, _ROOT_STATUSES)
     sin_theta = abs(np.sin(fields.theta))
 
     return GridTable(
@@ -522,24 +550,22 @@ def ml_root_scan(cfg: FieldConfig, axes: tuple[Axis, Axis]) -> GridTable:
             "root_minus": root_minus,
             "boundary_b0": np.sqrt(xbar) / sin_theta * np.ones_like(xbar),
         },
-        status=status,
+        status=codes,
+        status_names=_ROOT_STATUSES,
         metadata={"operation": "ml_root_scan", "fixed": _fixed_echo(cfg, names)},
     )
 
 
-def _prior_for_cell(prior: Prior, cfg: FieldConfig) -> Prior:
-    """Jeffreys priors depend on the drive, so they are rebuilt per cell."""
-    if prior.kind is PriorKind.JEFFREYS:
-        return Prior.jeffreys(prior.window, cfg)
-    return prior
-
-
 def _bayes_cell(args) -> tuple[float, float, float, str]:
+    from .posterior import bayes_fisher
+    from .priors import Prior, PriorKind
+
     prior, cfg_kwargs, n, tol = args
     try:
         cfg = FieldConfig(**cfg_kwargs)
-        cell_prior = _prior_for_cell(prior, cfg)
-        bf = bayes_fisher(cfg, cell_prior, n, tol)
+        if prior.kind is PriorKind.JEFFREYS:  # it depends on the drive: rebuilt per cell
+            prior = Prior.jeffreys(prior.window, cfg)
+        bf = bayes_fisher(cfg, prior, n, tol)
         return bf.bayes_cfi, bf.bayes_qfi, bf.bayes_gap, STATUS_OK
     except EstimationError as exc:
         return math.nan, math.nan, math.nan, f"error:{type(exc).__name__}"
@@ -550,10 +576,14 @@ def bayes_scan(
     prior: Prior,
     axes: tuple[Axis, Axis],
     n: int,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance | None = None,
     workers: int = 1,
 ) -> GridTable:
-    """Prior-averaged Fisher landscape over two field-parameter axes."""
+    """Prior-averaged Fisher landscape over two field-parameter axes; the
+    quadrature tolerance defaults to ``numerics.DEFAULT_TOL``."""
+    from .numerics import DEFAULT_TOL
+
+    tol = DEFAULT_TOL if tol is None else tol
     names = [ax.name for ax in axes]
     if len(axes) != 2 or any(nm not in _FIELD_AXES for nm in names) or names[0] == names[1]:
         raise DomainError("bayes_scan needs two distinct axes among omega, b0, theta")
@@ -589,13 +619,19 @@ def mmse_curve(
     priors: Sequence[Prior],
     n: int,
     xbar_axis: Axis,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance | None = None,
 ) -> GridTable:
     """Posterior-mean estimate against the average count rate, one column per
     prior. Fractional counts k = n*xbar enter the likelihood exponents so the
     count rate can be treated as a continuous abscissa. Each prior's column
     is one batch of posteriors (see ``posterior.mmse_many``); a failing cell
-    is NaN, and its status names the error of the last prior that failed."""
+    is NaN, and its status names the error of the last prior that failed.
+    The quadrature tolerance defaults to ``numerics.DEFAULT_TOL``."""
+    from .frequentist import Dataset
+    from .numerics import DEFAULT_TOL
+    from .posterior import PosteriorSpec, mmse_many
+
+    tol = DEFAULT_TOL if tol is None else tol
     if xbar_axis.name != "xbar":
         raise DomainError("mmse_curve needs an xbar axis")
     if not priors:
@@ -641,6 +677,9 @@ def map_curve(
     divides by it). A companion column drops the 1/n prior term, which is the
     infinite-sample limit and reduces to the detection probability.
     """
+    from .posterior import map_stationarity_lhs
+    from .priors import PriorKind
+
     if omega0_axis.name != "omega0":
         raise DomainError("map_curve needs an omega0 axis")
     if prior.kind not in (PriorKind.JEFFREYS, PriorKind.GAUSSIAN):
@@ -650,11 +689,11 @@ def map_curve(
     xbar_inf = np.asarray(prob_detect(cfg, omega0s), dtype=float)
     dp = np.asarray(dprob_domega0(cfg, omega0s), dtype=float)
     codes = ((np.abs(dp) < 1e-12) | ~np.isfinite(xbar)).astype(np.int8)
-    status = _status_column(codes, _MAP_STATUSES)
     return GridTable(
         axes=(omega0_axis,),
         columns={"xbar": xbar, "xbar_n_inf": xbar_inf},
-        status=status,
+        status=codes,
+        status_names=_MAP_STATUSES,
         metadata={
             "operation": "map_curve",
             "n": n,
@@ -673,6 +712,8 @@ def _fixed_echo(cfg: FieldConfig, varied_names: Sequence[str]) -> dict:
 
 
 def _prior_echo(prior: Prior) -> dict:
+    from .priors import PriorKind
+
     out = {
         "kind": prior.kind.value,
         "window": [prior.window.lower, prior.window.upper],

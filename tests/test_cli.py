@@ -137,14 +137,34 @@ class TestImports:
                 "rabi_est.numerics"]
     BAYES = ["rabi_est.fisher", "rabi_est.posterior", "rabi_est.priors"]
 
+    SCAN = ["rabi_est", "rabi_est.dynamics", "rabi_est.errors", "rabi_est.fisher", "rabi_est.scan"]
+
+    @staticmethod
+    def cli_code(argv):
+        """Code that runs the command line as ``python -m rabi_est.cli`` does."""
+        return (f"import runpy, sys\nsys.argv = {['rabi-est', *argv]!r}\n"
+                "try:\n    runpy.run_module('rabi_est.cli', run_name='__main__')\n"
+                "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
+
     @pytest.mark.parametrize("mode, extra", [("ml", []), ("mmse", BAYES), ("map", BAYES)])
     def test_estimate_loads_only_its_modules(self, mode, extra):
         argv = ["estimate", mode, *FIELD, "--n", "10", "--k", "4", "--prior", "uniform",
                 "--window-lower", "0.5", "--window-upper", "5", "--out", os.devnull]
-        code = (f"import runpy, sys\nsys.argv = {['rabi-est', *argv]!r}\n"
-                "try:\n    runpy.run_module('rabi_est.cli', run_name='__main__')\n"
-                "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
-        assert loaded_modules(code) == {*self.ESTIMATE, *extra}
+        assert loaded_modules(self.cli_code(argv)) == {*self.ESTIMATE, *extra}
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["fisher-scan", *FIELD, "--omega0", "2", "--axis", "b0:0.1:5:3", "--axis", "theta:0.1:3:3"],
+         SCAN),
+        (["ml-roots", *FIELD, "--axis", "b0:0.1:5:3", "--axis", "xbar:0.1:0.9:3"],
+         [*SCAN, "rabi_est.frequentist", "rabi_est.numerics"]),
+        (["simulate", *FIELD, "--omega0-true", "2", "--n", "10", "--trials", "5", "--seed", "1",
+          "--estimator", "ml"],
+         [*ESTIMATE, "rabi_est.fisher", "rabi_est.montecarlo"]),
+    ], ids=["fisher-scan", "ml-roots", "simulate-ml"])
+    def test_command_loads_only_its_modules(self, argv, modules, tmp_path):
+        # The closed-form scans and ML trials load no Bayesian module.
+        code = self.cli_code([*argv, "--out", str(tmp_path / "out")])
+        assert loaded_modules(code) == set(modules)
 
     def test_package_import_loads_no_submodule(self):
         # dir() lists every export before any is loaded.
@@ -203,6 +223,17 @@ class TestStrictJson:
         assert boundary
         assert all(m["second_derivative"] is None and m["stationarity_residual"] is None
                    for m in boundary)
+
+    def test_scan_manifest_with_infinite_accuracy(self, tmp_path):
+        # The scan echoes its accuracy into the CSV's manifest, where
+        # infinity becomes null; the command-line parameters keep its text.
+        out = tmp_path / "scan.csv"
+        argv = ["fisher-scan", *FIELD, "--omega0", "2", "--axis", "b0:0.1:5:3",
+                "--axis", "theta:0.1:3:3", "--accuracy", "inf", "--out", str(out)]
+        assert main(argv) == 0
+        manifest = self.parse_strict(tmp_path / "scan.csv.manifest.json")
+        assert manifest["accuracy"] is None
+        assert manifest["manifest"]["parameters"]["accuracy"] == "inf"
 
     def test_one_trial_simulate(self, tmp_path):
         argv = ["simulate", *FIELD, "--omega0-true", "2", "--n", "100", "--trials", "1",

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from oracles import cfi_oracle, density_state, fisher_mp, qfi_oracle, required_samples, sld_matrix
 from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect
 from rabi_est.errors import DomainError
-from rabi_est.fisher import cfi_values, paper_scaled, qfi_values
+from rabi_est.fisher import cfi_values, fisher_values, paper_scaled, qfi_values
 from test_dynamics import random_draws
 
 CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
@@ -72,6 +73,56 @@ class TestQfi:
     def test_values_match_oracle(self):
         xs = np.linspace(0.2, 9.0, 57)
         assert np.allclose(qfi_values(CFG, xs), qfi_oracle(CFG, xs), rtol=1e-5, atol=1e-10)
+
+
+def same_bits(got, want) -> bool:
+    """Equal float64 bits and shape, so NaN equals NaN and -0.0 is not 0.0."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestFisherValues:
+    """One pass over the shared terms gives each kernel's values bit for bit."""
+
+    @staticmethod
+    def check(cfg, omega0s):
+        cfi, qfi = fisher_values(cfg, omega0s)
+        assert same_bits(cfi, cfi_values(cfg, omega0s))
+        assert same_bits(qfi, qfi_values(cfg, omega0s))
+        return cfi, qfi
+
+    def test_random_fields(self):
+        rng = np.random.default_rng(31)
+        for cfg, _ in random_draws(rng, 100):
+            self.check(cfg, rng.uniform(1e-3, 10.0, 64))
+
+    def test_scalar_inputs(self):
+        rng = np.random.default_rng(32)
+        for cfg, omega0 in random_draws(rng, 100):
+            cfi, qfi = self.check(cfg, omega0)
+            assert np.ndim(cfi) == np.ndim(qfi) == 0
+
+    def test_degenerate_band(self):
+        # Within _EPS of rho00 = 1 the CFI is NaN in both paths; the QFI stays finite.
+        cfg = FieldConfig(omega=1.0, b0=math.pi / 2, theta=math.pi / 2)
+        xs = np.array([1.0 + 1e-7, 1.0 - 1e-7, 1.0, 1.0 + 1e-3, 2.0])
+        cfi, qfi = self.check(cfg, xs)
+        assert np.isnan(cfi[:3]).all() and not np.isnan(cfi[3:]).any()
+        assert np.isfinite(qfi).all()
+        assert math.isnan(self.check(cfg, 1.0 + 1e-7)[0])
+
+    def test_array_valued_fields(self):
+        # Field parameters per cell, as the landscape scans pass them, with
+        # one cell in the degenerate band.
+        rng = np.random.default_rng(33)
+        fields = SimpleNamespace(
+            omega=np.append(rng.uniform(-30.0, 30.0, 200), 1.0),
+            b0=np.append(rng.uniform(1e-3, 10.0, 200), math.pi / 2),
+            theta=np.append(rng.uniform(0.05, math.pi - 0.05, 200), math.pi / 2),
+        )
+        for omega0 in (1.0 + 1e-7, np.append(rng.uniform(1e-3, 10.0, 200), 1.0 + 1e-7)):
+            cfi, _ = self.check(fields, omega0)
+            assert np.isnan(cfi[-1]) and not np.isnan(cfi[:-1]).any()
 
 
 class TestGap:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from rabi_est import posterior, scan
 from rabi_est.dynamics import FieldConfig
+from rabi_est.errors import DomainError
 from rabi_est.frequentist import Dataset
 from rabi_est.posterior import PosteriorSpec, mmse
 from rabi_est.priors import Prior, SupportWindow
@@ -26,8 +27,9 @@ def reference_csv(table: GridTable) -> str:
     grids = np.meshgrid(*[ax.values for ax in table.axes], indexing="ij")
     cols = [g.ravel() for g in grids] + list(table.columns.values())
     lines = [",".join(table.header())]
+    status = table.status  # built from the codes on each read
     for i in range(table.n_cells):
-        lines.append(",".join([format(c[i], ".17g") for c in cols] + [table.status[i]]))
+        lines.append(",".join([format(c[i], ".17g") for c in cols] + [status[i]]))
     return "\n".join(lines) + "\n"
 
 
@@ -89,6 +91,60 @@ class TestToCsv:
         # The axis, then the distinct columns per chunk: a, c, d; then a, b.
         assert calls == [8, 4, 4, 4, 4, 4]
 
+    @staticmethod
+    def one_axis_columns() -> dict:
+        """Columns of a 3 x 4 grid: constant along axis 0, along axis 1,
+        along both, and one column each constant but for one cell whose zero,
+        or whose NaN, has the other sign bit."""
+        per_row = np.array([0.5, math.nan, -0.0])[:, None]   # by the axis-0 index
+        per_col = np.array([1e-5, 0.0, 3.0, 2.5e17])         # by the axis-1 index
+        along0 = np.broadcast_to(per_col, (3, 4)).ravel()
+        along1 = np.broadcast_to(per_row, (3, 4)).ravel()
+        zero, nan = along0.copy(), along1.copy()
+        zero[5] = -0.0
+        nan[6] = -math.nan
+        assert zero.tobytes() != along0.tobytes() and nan.tobytes() != along1.tobytes()
+        return {"along0": along0, "along1": along1, "both": np.full(12, 0.1),
+                "zero": zero, "nan": nan}
+
+    @pytest.mark.parametrize("chunk", [1, 4, 8192])
+    def test_columns_constant_along_an_axis(self, chunk, monkeypatch):
+        monkeypatch.setattr(scan, "_CSV_CHUNK", chunk)
+        table = GridTable(axes=(Axis("b0", 0.1, 0.7, 3), Axis("omega", -1.0, 1.0, 4)),
+                          columns=self.one_axis_columns(), status=["ok"] * 12)
+        text = to_csv_text(table)
+        assert text == reference_csv(table)
+        assert [line.split(",")[5] for line in text.splitlines()[5:8]] == [
+            "1.0000000000000001e-05", "-0", "3"]
+
+    def test_columns_constant_along_an_axis_format_once(self, monkeypatch):
+        # The axes; one row of along0 and of both, one column of along1; then
+        # zero and nan cell by cell.
+        calls = []
+        original = scan._format_17g
+        monkeypatch.setattr(scan, "_format_17g", lambda values: calls.append(len(values)) or original(values))
+        table = GridTable(axes=(Axis("b0", 0.1, 0.7, 3), Axis("omega", -1.0, 1.0, 4)),
+                          columns=self.one_axis_columns(), status=["ok"] * 12)
+        assert to_csv_text(table) == reference_csv(table)
+        assert calls == [3, 4, 4, 3, 4, 12, 12]
+
+    def test_ml_roots_boundary_is_formatted_once(self, monkeypatch):
+        # boundary_b0 depends on the count rate alone: it is formatted once,
+        # at the xbar axis's length, wherever that axis stands.
+        monkeypatch.setattr(scan, "_CSV_CHUNK", 500)
+        calls = []
+        original = scan._format_17g
+        monkeypatch.setattr(scan, "_format_17g", lambda values: calls.append(len(values)) or original(values))
+        for axes in [(Axis("b0", 0.1, 5.0, 40), Axis("xbar", 0.001, 0.999, 30)),
+                     (Axis("xbar", 0.001, 0.999, 30), Axis("omega", -3.0, 3.0, 40))]:
+            calls.clear()
+            table = ml_root_scan(CFG, axes)
+            assert to_csv_text(table) == reference_csv(table)
+            # The axes and boundary_b0, then root_plus and root_minus chunk
+            # by chunk (they share the text of an all-NaN chunk).
+            assert calls[:3] == [axes[0].count, axes[1].count, 30]
+            assert set(calls[3:]) == {500, 200}
+
     def test_fisher_scan_at_unit_omega_formats_each_distinct_column_once(self, monkeypatch):
         # With omega = 1 the scaled columns are the raw ones bit for bit.
         table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 7), Axis("theta", 0.01, 3.13, 5)))
@@ -112,6 +168,26 @@ class TestToCsv:
         assert (table.columns["root_minus"] < 0).any()
         assert np.isnan(table.columns["root_minus"]).mean() > 0.3
         assert to_csv_text(table) == reference_csv(table)
+
+
+class TestGridTableStatus:
+    def test_names_are_coded_once(self):
+        table = GridTable(axes=(Axis("b0", 0.5, 5.0, 5),), columns={},
+                          status=["ok", "error:DomainError", "ok", "ok", "error:DomainError"])
+        assert table.status_names == ("ok", "error:DomainError")
+        assert table.status_codes.tolist() == [0, 1, 0, 0, 1]
+        assert table.status == ["ok", "error:DomainError", "ok", "ok", "error:DomainError"]
+
+    def test_codes_with_names(self):
+        codes = np.array([2, 0, 1], np.int8)
+        table = GridTable(axes=(Axis("b0", 0.5, 5.0, 3),), columns={}, status=codes,
+                          status_names=("a", "b", "c"))
+        assert table.status == ["c", "a", "b"]
+        assert to_csv_text(table) == reference_csv(table)
+        for bad in ([0, 1, 3], [-1, 0, 0]):
+            with pytest.raises(DomainError, match="status codes"):
+                GridTable(axes=table.axes, columns={}, status=np.array(bad, np.int8),
+                          status_names=("a", "b", "c"))
 
 
 def formatted(values) -> list[str]:
