@@ -43,14 +43,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive(name):
+def _real(name, positive=False):
+    """A float flag's converter: the value must be finite, and above 0 if
+    ``positive``."""
     def convert(text):
         value = float(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive, got {text}")
+        if not math.isfinite(value) or (positive and not value > 0):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be finite{' and positive' if positive else ''}, got {text}")
         return value
 
     return convert
+
+
+def _positive(name):
+    return _real(name, positive=True)
 
 
 def _positive_int(name):
@@ -73,23 +80,27 @@ def _parse_axis(text: str):
         )
     name, start, stop, count = parts
     try:
-        return Axis(name=name, start=float(start), stop=float(stop), count=int(count))
+        start, stop = float(start), float(stop)
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError("start and stop must be finite")
+        return Axis(name=name, start=start, stop=stop, count=int(count))
     except (ValueError, DomainError) as exc:
         raise argparse.ArgumentTypeError(f"invalid axis {text!r}: {exc}") from exc
 
 
 def _add_field_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega", type=float, required=True, help="drive angular speed (dimensionless)")
+    p.add_argument("--omega", type=_real("--omega"), required=True, help="drive angular speed (dimensionless)")
     p.add_argument("--b0", type=_positive("--b0"), required=True, help="drive coupling strength (dimensionless, > 0)")
-    p.add_argument("--theta", type=float, help="gyration angle in radians, inside (0, pi)")
-    p.add_argument("--theta-deg", type=float, help="gyration angle in degrees (alternative to --theta)")
+    p.add_argument("--theta", type=_real("--theta"), help="gyration angle in radians, inside (0, pi)")
+    p.add_argument("--theta-deg", type=_real("--theta-deg"),
+                   help="gyration angle in degrees (alternative to --theta)")
 
 
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior", choices=["uniform", "jeffreys", "gaussian"], help="prior family")
     p.add_argument("--window-lower", type=_positive("--window-lower"), help="lower end of the frequency window")
     p.add_argument("--window-upper", type=_positive("--window-upper"), help="upper end of the frequency window")
-    p.add_argument("--prior-mean", type=float, help="Gaussian prior mean")
+    p.add_argument("--prior-mean", type=_real("--prior-mean"), help="Gaussian prior mean")
     p.add_argument("--prior-sigma", type=_positive("--prior-sigma"), help="Gaussian prior standard deviation")
 
 
@@ -134,7 +145,7 @@ def _build_parser() -> _Parser:
                    help="comma-separated prior families, e.g. uniform,jeffreys,gaussian")
     p.add_argument("--window-lower", type=_positive("--window-lower"), required=True)
     p.add_argument("--window-upper", type=_positive("--window-upper"), required=True)
-    p.add_argument("--prior-mean", type=float)
+    p.add_argument("--prior-mean", type=_real("--prior-mean"))
     p.add_argument("--prior-sigma", type=_positive("--prior-sigma"))
     p.add_argument("--n", type=_positive_int("--n"), required=True)
     p.add_argument("--axis", type=_parse_axis, required=True, metavar="xbar:START:STOP:COUNT")
@@ -153,7 +164,7 @@ def _build_parser() -> _Parser:
     p.add_argument("mode", choices=["ml", "mmse", "map"])
     _add_field_flags(p)
     p.add_argument("--n", type=_positive_int("--n"), required=True, help="number of trials")
-    p.add_argument("--k", type=float, required=True, help="photon counts")
+    p.add_argument("--k", type=_real("--k"), required=True, help="photon counts")
     _add_prior_flags(p)
     p.add_argument("--grid-points", type=_positive_int("--grid-points"), default=2001,
                    help="MAP candidate grid floor (>= 101); above the 8193-point posterior "
@@ -260,9 +271,6 @@ def _manifest(argv: list[str], args, seed: int | None) -> dict:
         for key, value in sorted(vars(args).items())
         if key not in ("axis", "command", "config", "out") and value is not None
     }
-    for key, value in list(params.items()):
-        if isinstance(value, float) and not math.isfinite(value):
-            params[key] = str(value)
     return {
         "tool_version": __version__,
         "command_line": shlex.join(["rabi-est", *argv]),

@@ -229,8 +229,9 @@ def _log_likelihood_logs(n: float, k, log_p, log_q, log_binom=None) -> np.ndarra
     with np.errstate(invalid="ignore"):
         term1 = np.where(k == 0.0, 0.0, k * log_p)
         term2 = np.where(k == n, 0.0, (n - k) * log_q)
-    vals = log_binom + term1 + term2
-    return np.where(np.isnan(vals), -np.inf, vals)
+    vals = log_binom + term1
+    vals += term2
+    return np.fmax(vals, -np.inf)  # NaN -> -inf
 
 
 def _log_ratio(num, den, diff):

@@ -19,13 +19,17 @@ converges fast toward such a point only when it is a panel end.
 What depends only on the field and the prior (the grid, ln p, ln(1 - p) and
 the log prior on it, and the pieces) is computed once per pair and cached.
 Posteriors that share field, prior, n and tolerance form a batch
-(:func:`mmse_many`, :func:`map_many`): their peaks are polished together,
-and one quadrature integrates them all, each with its own panels and error
-budget, so every member's values are bit for bit those of its own
-:func:`mmse` or :func:`map_estimate`. A single posterior is a batch of one.
-The MAP candidates come from the same workspace as the evidence: the maxima
-of the log joint on its grid and the brackets of its sharp peaks, cut at the
-zeros of dp/domega0, where a Jeffreys prior vanishes between two modes.
+(:func:`mmse_many`, :func:`map_many`), and one pass finds the workspaces of
+all its members: their log joints on the grid, a block of members at a
+time, one log-joint call for the peaks of all members and one for all their
+ladders, and their mass regions as arrays cut by member. One quadrature then
+integrates them all, each with its own panels and error budget. Every step
+is elementwise per member, so each member's values are bit for bit those of
+its own :func:`mmse` or :func:`map_estimate`; a single posterior is a batch
+of one and takes the same path. The MAP candidates come from the same pass
+as the evidence: the maxima of the log joint on its grid and the brackets of
+its sharp peaks, cut at the zeros of dp/domega0, where a Jeffreys prior
+vanishes between two modes.
 """
 
 from __future__ import annotations
@@ -79,6 +83,10 @@ _LADDER_STEPS = 30
 _NEWTON_STEPS = 6
 # Most posteriors in one quadrature, which bounds its memory.
 _BATCH = 256
+# Most bytes in one block of per-spec grid rows, two rows of the mass grid.
+# Blocks of 1 MiB ran slower, as they leave the cache between passes, and
+# blocks of 512 KiB ran up to ~20% faster but raised a trial run's peak RSS.
+_BLOCK_BYTES = 1 << 17
 # Shifted-integrand values below this threshold carry no numerical mass.
 _MASS_FLOOR_LOG = math.log(1e-18)
 # Probability-derivative magnitudes below this make the stationarity form 0/0.
@@ -161,9 +169,61 @@ def _grid(cfg: FieldConfig, prior: Prior):
     return grid
 
 
-def _peaks(specs: Sequence[PosteriorSpec]) -> list:
-    """For each spec (all on one field and prior), every point where the log
-    joint may peak more sharply than the grid resolves.
+class _LogJoint:
+    """The log joints of specs that share field, prior and n."""
+
+    def __init__(self, specs: Sequence[PosteriorSpec]):
+        spec = specs[0]
+        self.cfg, self.prior, self.n = spec.cfg, spec.prior, spec.data.n
+        self.k = np.array([each.data.k for each in specs], dtype=float)
+        self.log_binom = np.array([_log_binom(self.n, k) for k in self.k.tolist()])
+
+    def __call__(self, x: np.ndarray, o: np.ndarray) -> np.ndarray:
+        """The log joint of spec o[i] at x[i], elementwise."""
+        p = prob_detect(self.cfg, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lik = _log_likelihood_logs(self.n, self.k[o], np.log(p), np.log1p(-p), self.log_binom[o])
+        return lik + log_density(self.prior, x)
+
+    def on_grid(self, rows: np.ndarray) -> np.ndarray:
+        """The log joints of specs ``rows`` on the mass grid, one row each."""
+        _, log_p, log_q, log_prior, *_ = _grid(self.cfg, self.prior)
+        g = _log_likelihood_logs(self.n, self.k[rows, None], log_p, log_q, self.log_binom[rows, None])
+        g += log_prior
+        return g
+
+
+def _blocks(count: int, row_bytes: int):
+    """The indices of count rows of row_bytes each, in blocks of at most
+    _BLOCK_BYTES (at least one row)."""
+    size = max(1, _BLOCK_BYTES // row_bytes)
+    return (np.arange(start, min(start + size, count)) for start in range(0, count, size))
+
+
+def _by_owner(x: np.ndarray, owner: np.ndarray):
+    """The distinct (owner, x) pairs, sorted by owner and then by x, and
+    the position of each input pair among them."""
+    order = np.lexsort((x, owner))
+    x, owner = x[order], owner[order]
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = (owner[1:] != owner[:-1]) | (x[1:] > x[:-1])
+    at = np.empty(x.size, dtype=np.intp)
+    at[order] = np.cumsum(keep) - 1
+    return x[keep], owner[keep], at
+
+
+def _grid_maxima(gy: np.ndarray):
+    """The rows and grid indices i of the interior local maxima of each row
+    of gy, the maximum at i + 1; and whether each row falls from its ends."""
+    mid, left, right = gy[:, 1:-1], gy[:, :-2], gy[:, 2:]
+    rows, i = np.nonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right)))
+    return rows, i, np.stack([gy[:, 0] > gy[:, 1], gy[:, -1] > gy[:, -2]], axis=1)
+
+
+def _peaks(specs: Sequence[PosteriorSpec]):
+    """Every point where the log joint of a spec (all on one field, prior
+    and n) may peak more sharply than the grid resolves, and its owner (the
+    spec's index), sorted by owner and ascending for each.
 
     p is monotone on each piece of the window between the closed-form zeros
     of dp/domega0, so there the likelihood peaks at the root of p = xbar, if
@@ -174,12 +234,23 @@ def _peaks(specs: Sequence[PosteriorSpec]) -> list:
     specs to rounding together. The Gaussian prior mean, clipped to the
     window, joins them.
     """
-    cfg, prior = specs[0].cfg, specs[0].prior
+    cfg, prior, n = specs[0].cfg, specs[0].prior, specs[0].data.n
     *_, lo, hi, xm, pm = _grid(cfg, prior)
-    xbar = [spec.data.xbar if spec.data.n > 0 else math.nan for spec in specs]
-    cells = [np.flatnonzero((pm[:-1] > r) != (pm[1:] > r)) for r in xbar]
-    i = np.concatenate(cells)
-    r = np.repeat(xbar, [c.size for c in cells])
+    shared = [lo, hi] if n > 0 else []
+    if prior.kind is PriorKind.GAUSSIAN:
+        w = prior.window
+        shared.append([min(max(prior.mean, w.lower), w.upper)])
+    shared = np.concatenate(shared) if shared else np.empty(0)
+    count = len(specs)
+    xbar = np.array([spec.data.xbar if n > 0 else math.nan for spec in specs])
+    roots, i = [], []
+    for rows in _blocks(count, pm.nbytes):
+        above = pm > xbar[rows, None]
+        r, c = np.nonzero(above[:, :-1] != above[:, 1:])
+        roots.append(rows[r])
+        i.append(c)
+    roots, i = np.concatenate(roots), np.concatenate(i)
+    r = xbar[roots]
     a, b, rising = xm[i], xm[i + 1], pm[i] <= r
     x = a - (pm[i] - r) * (b - a) / (pm[i + 1] - pm[i])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -188,74 +259,153 @@ def _peaks(specs: Sequence[PosteriorSpec]) -> list:
             a, b = np.where((gap <= 0.0) == rising, x, a), np.where((gap <= 0.0) == rising, b, x)
             step = np.where(gap == 0.0, x, x - gap / dprob_domega0(cfg, x))
             x = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
-    w = prior.window
-    mean = [[min(max(prior.mean, w.lower), w.upper)]] if prior.kind is PriorKind.GAUSSIAN else []
-    out = []
-    for spec, roots in zip(specs, np.split(x, np.cumsum([c.size for c in cells])[:-1])):
-        found = ([roots, lo, hi] if spec.data.n > 0 else []) + mean
-        out.append(_distinct(np.concatenate(found)) if found else np.empty(0))
-    return out
+    return _by_owner(np.concatenate([np.tile(shared, count), x]),
+                     np.concatenate([np.repeat(np.arange(count), shared.size), roots]))[:2]
 
 
-def _workspace(spec: PosteriorSpec, peaks: np.ndarray):
-    """The posterior mode, its log joint, the intervals carrying the mass,
-    and the brackets of the sharp peaks.
+def _runs(g: np.ndarray, shift: np.ndarray):
+    """The row and the first and last grid index of each run of grid points
+    where a row of g lies within the mass floor of its shift (none in rows
+    whose shift is not finite). Points at most four apart share a run: the
+    pads of two cells that widen a run then meet."""
+    # Each row padded with an inactive point at each end.
+    active = np.zeros((g.shape[0], g.shape[1] + 2), dtype=bool)
+    with np.errstate(invalid="ignore"):  # inf - inf in the rows of failing specs
+        np.greater(g - shift[:, None], _MASS_FLOOR_LOG, out=active[:, 1:-1])
+    r, c = np.nonzero(active[:, 1:] != active[:, :-1])
+    r, first, last = r[::2], c[::2], c[1::2] - 1
+    new = np.ones(r.size + 1, dtype=bool)
+    new[1:-1] = (r[1:] != r[:-1]) | (first[1:] - last[:-1] > 4)
+    return r[new[:-1]], first[new[:-1]], last[new[1:]]
 
-    The mode is the maximizer of the log joint over a fixed grid and the
-    closed-form peaks (see _peaks). The grid's runs of numerically relevant
-    mass, padded by two cells, resolve the posterior wherever it stays
-    broader than a cell. A peak with mass that the grid cannot resolve gets its own
-    region, out to the nearest step of a ladder halving from one cell at
-    which the log joint has fallen by the mass floor or left the window,
-    split at the peak so that the quadrature seeds on it whatever grid run
-    it falls in. The regions are cut again at the zeros of dp/domega0, where
-    a fractional count leaves a cusp and the Jeffreys density a kink.
-    """
-    w = spec.prior.window
-    xs, log_p, log_q, log_prior, piece_lo, *_ = _grid(spec.cfg, spec.prior)
-    g = _log_likelihood_logs(spec.data.n, spec.data.k, log_p, log_q) + log_prior
-    g_peaks = _log_joint(spec, peaks)
-    values = np.concatenate([g, g_peaks])
-    mode, shift = float(np.concatenate([xs, peaks])[values.argmax()]), float(values.max())
-    if not math.isfinite(shift):
-        raise EvidenceUnderflow("posterior density vanishes everywhere on the window")
-    # Active grid points at most four apart share a run: their pads meet.
-    idx = np.flatnonzero(g - shift > _MASS_FLOOR_LOG)
-    first = idx[np.diff(idx, prepend=-5) > 4]
-    last = idx[np.diff(idx, append=_GRID_POINTS + 4) > 4]
-    # A peak whose log joint falls by the mass floor before the nearest
-    # grid point on either side inside the window is sharp.
-    padded = np.concatenate([[np.nan], g, [np.nan]])
-    beside = np.stack([padded[np.searchsorted(xs, peaks, "left")],
-                       padded[np.searchsorted(xs, peaks, "right") + 1]])
-    sharp = (g_peaks - shift > _MASS_FLOOR_LOG) & np.any(
-        g_peaks - beside >= -_MASS_FLOOR_LOG, axis=0)
-    center, g_center = peaks[sharp], g_peaks[sharp]
-    cell = xs[1] - xs[0]
+
+def _ladders(joint: _LogJoint, center: np.ndarray, g_center: np.ndarray, owner: np.ndarray,
+             cell: float, w):
+    """The region of each sharp peak: out from its center to the nearest
+    step of a ladder halving from one cell at which the log joint has fallen
+    by the mass floor or left the window w, on each side."""
     rungs = cell * 0.5 ** np.arange(_LADDER_STEPS - 1, -1, -1)
     pts = center[:, None] + np.array([-1.0, 1.0])[:, None, None] * rungs
-    drop = g_center[:, None] - _log_joint(spec, pts.ravel()).reshape(pts.shape)
-    fallen = (drop >= -_MASS_FLOOR_LOG) | (pts < w.lower) | (pts > w.upper)
+    at = joint(pts.ravel(), np.broadcast_to(owner[:, None], pts.shape).ravel()).reshape(pts.shape)
+    fallen = (g_center[:, None] - at >= -_MASS_FLOOR_LOG) | (pts < w.lower) | (pts > w.upper)
     reach = np.where(fallen.any(axis=-1), rungs[fallen.argmax(axis=-1)], cell)
-    sharp_lo, sharp_hi = np.maximum(center - reach[0], w.lower), np.minimum(center + reach[1], w.upper)
-    lo = np.concatenate([xs[np.maximum(first - 2, 0)], sharp_lo])
-    hi = np.concatenate([xs[np.minimum(last + 2, _GRID_POINTS - 1)], sharp_hi])
-    cuts = _distinct(np.concatenate([lo, hi, center, piece_lo]))
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    covered = np.any((lo[:, None] < mid) & (mid < hi[:, None]), axis=0)
-    return mode, shift, cuts[:-1][covered], cuts[1:][covered], sharp_lo, sharp_hi
+    return np.maximum(center - reach[0], w.lower), np.minimum(center + reach[1], w.upper)
 
 
-def _workspaces(specs: Sequence[PosteriorSpec]) -> list:
-    """_workspace of each spec (all on one field and prior), or the
-    EstimationError it raises."""
-    out: list = []
-    for spec, peaks in zip(specs, _peaks(specs)):
-        try:
-            out.append(_workspace(spec, peaks))
-        except EstimationError as exc:
-            out.append(exc)
-    return out
+@dataclass(frozen=True)
+class _Workspaces:
+    """The workspaces of a batch of specs (all on one field, prior and n).
+    Each spec has a mode and the log joint there (shift), or the error that
+    fails it (errors); the arrays of (lo, hi, owner) triples hold the
+    owner's index and are sorted by owner. The mode, shift, maxima and edges
+    of a failing spec mean nothing."""
+
+    errors: list
+    mode: np.ndarray
+    shift: np.ndarray
+    regions: tuple  # the intervals carrying the mass, ascending
+    sharp: tuple  # the brackets of the sharp peaks
+    # With grid_maxima, the brackets of the local maxima on the grid, and
+    # whether the log joint falls from each window end, (specs, 2).
+    maxima: tuple | None
+    edges: np.ndarray | None
+
+
+def _workspaces(specs: Sequence[PosteriorSpec], grid_maxima: bool = False) -> _Workspaces:
+    """The posterior modes, their log joints, the intervals carrying the
+    mass and the brackets of the sharp peaks of specs that share field,
+    prior and n; a spec whose log joint is nowhere finite fails with
+    EvidenceUnderflow.
+
+    The mode is the maximizer of the log joint over a fixed grid and the
+    closed-form peaks (see _peaks), the first grid point on a tie. The grid's
+    runs of numerically relevant mass, padded by two cells, resolve the
+    posterior wherever it stays broader than a cell. A peak with mass that
+    the grid cannot resolve gets its own region, out to the nearest step of
+    a ladder halving from one cell at which the log joint has fallen by the
+    mass floor or left the window, split at the peak so that the quadrature
+    seeds on it whatever grid run it falls in. The regions are cut again at
+    the zeros of dp/domega0, where a fractional count leaves a cusp and the
+    Jeffreys density a kink.
+
+    The grid log joints are taken a block of specs at a time (see _blocks),
+    with their local maxima for MAP if ``grid_maxima``; every other step is
+    one array pass over all peaks, ladders and regions of the batch.
+    """
+    w = specs[0].prior.window
+    xs, _, _, _, piece_lo, *_ = _grid(specs[0].cfg, specs[0].prior)
+    count, last = len(specs), _GRID_POINTS - 1
+    joint = _LogJoint(specs)
+    peaks, owner = _peaks(specs)
+    g_peaks = joint(peaks, owner)
+    # Each spec's highest peak, the first of equals.
+    top = np.lexsort((-g_peaks, owner))
+    top = top[np.diff(owner[top], prepend=-1) > 0]
+    peak_max = np.full(count, -np.inf)
+    peak_max[owner[top]] = g_peaks[top]
+    peak_at = np.full(count, np.nan)
+    peak_at[owner[top]] = peaks[top]
+    # The grid points beside each peak: below it, and above it.
+    at_left = np.searchsorted(xs, peaks, "left") - 1
+    at_right = np.searchsorted(xs, peaks, "right")
+    beside = np.full((2, peaks.size), np.nan)
+    bounds = np.searchsorted(owner, np.arange(count + 1)).tolist()
+    mode, shift = np.empty(count), np.empty(count)
+    run_lo, run_hi, run_own, max_rows, max_i, falls = [], [], [], [], [], []
+    for rows in _blocks(count, xs.nbytes):
+        g = joint.on_grid(rows)
+        i = g.argmax(axis=1)
+        grid_max = g[np.arange(rows.size), i]
+        on_peak = peak_max[rows] > grid_max
+        mode[rows] = np.where(on_peak, peak_at[rows], xs[i])
+        shift[rows] = np.where(on_peak, peak_max[rows], grid_max)
+        r, first, end = _runs(g, shift[rows])
+        run_lo.append(xs[np.maximum(first - 2, 0)])
+        run_hi.append(xs[np.minimum(end + 2, last)])
+        run_own.append(rows[r])
+        mine = slice(bounds[rows[0]], bounds[rows[-1] + 1])
+        o, left, right = owner[mine] - rows[0], at_left[mine], at_right[mine]
+        beside[0, mine] = np.where(left >= 0, g[o, np.maximum(left, 0)], np.nan)
+        beside[1, mine] = np.where(right <= last, g[o, np.minimum(right, last)], np.nan)
+        if grid_maxima:
+            r, i, ends = _grid_maxima(g)
+            max_rows.append(rows[r])
+            max_i.append(i)
+            falls.append(ends)
+    # A peak whose log joint falls by the mass floor before the nearest
+    # grid point on either side inside the window is sharp. (None is in a
+    # failing spec, whose shift is not finite.)
+    with np.errstate(invalid="ignore"):
+        sharp = (g_peaks - shift[owner] > _MASS_FLOOR_LOG) & np.any(
+            g_peaks - beside >= -_MASS_FLOOR_LOG, axis=0)
+    center, sharp_own = peaks[sharp], owner[sharp]
+    sharp_lo, sharp_hi = _ladders(joint, center, g_peaks[sharp], sharp_own, xs[1] - xs[0], w)
+
+    lo = np.concatenate(run_lo + [sharp_lo])
+    hi = np.concatenate(run_hi + [sharp_hi])
+    lo_own = np.concatenate(run_own + [sharp_own])
+    cuts, cut_own, at = _by_owner(
+        np.concatenate([lo, hi, center, np.tile(piece_lo, count)]),
+        np.concatenate([lo_own, lo_own, sharp_own, np.repeat(np.arange(count), piece_lo.size)]))
+    # Neighbouring cuts j, j + 1 bound a region where an interval spans them.
+    spans = np.cumsum(np.bincount(at[:lo.size], minlength=cuts.size)
+                      - np.bincount(at[lo.size:2 * lo.size], minlength=cuts.size))
+    pair = np.flatnonzero(spans > 0)
+
+    maxima = edges = None
+    if grid_maxima:
+        max_rows, max_i = np.concatenate(max_rows), np.concatenate(max_i)
+        maxima, edges = (xs[max_i], xs[max_i + 2], max_rows), np.concatenate(falls)
+    return _Workspaces(
+        errors=[None if good else EvidenceUnderflow("posterior density vanishes everywhere on the window")
+                for good in np.isfinite(shift).tolist()],
+        mode=mode,
+        shift=shift,
+        regions=(cuts[pair], cuts[pair + 1], cut_own[pair]),
+        sharp=(sharp_lo, sharp_hi, sharp_own),
+        maxima=maxima,
+        edges=edges,
+    )
 
 
 def _log_ratio_to_mode(specs: Sequence[PosteriorSpec], held: list, mode):
@@ -275,10 +425,10 @@ def _log_ratio_to_mode(specs: Sequence[PosteriorSpec], held: list, mode):
     return f
 
 
-def _moments_many(specs: Sequence[PosteriorSpec], spaces: list | None = None) -> list:
+def _moments_many(specs: Sequence[PosteriorSpec], spaces: _Workspaces | None = None) -> list:
     """For each spec, the log joint at the mode, the evidence and the first
     moment, or the EstimationError that computing them raises. The specs
-    share field, prior, n and tolerance; ``spaces`` are their _workspaces,
+    share field, prior, n and tolerance; ``spaces`` is their _workspaces,
     if already at hand.
 
     Each integral is one of [v, x v] with v = exp(log joint - its value at
@@ -287,30 +437,29 @@ def _moments_many(specs: Sequence[PosteriorSpec], spaces: list | None = None) ->
     so a batch of one (through ``integrate``) gives every member's values bit
     for bit.
     """
-    spec = specs[0]
-    cfg, prior, n, tol = spec.cfg, spec.prior, spec.data.n, spec.quad_tol
-    out = list(_workspaces(specs) if spaces is None else spaces)
-    held = [j for j, space in enumerate(out) if not isinstance(space, EstimationError)]
+    spaces = _workspaces(specs) if spaces is None else spaces
+    out = list(spaces.errors)
+    held = [j for j, exc in enumerate(out) if exc is None]
     if not held:
         return out
-    mode, shift, lo, hi = zip(*(out[j][:4] for j in held))
-    log_ratio = _log_ratio_to_mode(specs, held, mode)
+    lo, hi, owner = spaces.regions
+    log_ratio = _log_ratio_to_mode(specs, held, spaces.mode[held])
 
     def integrand(x: np.ndarray, o: np.ndarray) -> np.ndarray:
         v = np.exp(log_ratio(x, o))
         return np.stack([v, x * v])
 
+    tol = specs[0].quad_tol
     if len(specs) == 1:
         try:
             values, failures = [integrate(lambda x: integrand(x, np.zeros(x.size, dtype=np.intp)),
-                                          lo[0], hi[0], tol)], [None]
+                                          lo, hi, tol)], [None]
         except EstimationError as exc:
             values, failures = [(math.nan, math.nan)], [exc]
     else:
-        owner = np.repeat(np.arange(len(held)), [r.size for r in lo])
-        values, failures = integrate_owners(integrand, np.concatenate(lo), np.concatenate(hi),
-                                            owner, tol, owners=len(held))
-    for j, s, (z, first), exc in zip(held, shift, values, failures):
+        rank = np.cumsum([exc is None for exc in out]) - 1
+        values, failures = integrate_owners(integrand, lo, hi, rank[owner], tol, owners=len(held))
+    for j, s, (z, first), exc in zip(held, spaces.shift[held].tolist(), values, failures):
         if exc is None and not z > 0.0:
             exc = EvidenceUnderflow("posterior evidence is zero within tolerance")
         out[j] = exc if exc is not None else (s, z, first)
@@ -436,42 +585,31 @@ def _map_batch(specs: Sequence[PosteriorSpec], grid_points: int) -> list:
     """map_many of specs that share field, prior, n and tolerance."""
     spec = specs[0]
     cfg, prior, n, w = spec.cfg, spec.prior, spec.data.n, spec.prior.window
-    spaces = _workspaces(specs)
+    spaces = _workspaces(specs, grid_maxima=True)
     out = _moments_many(specs, spaces)
     held = [j for j, moments in enumerate(out) if not isinstance(moments, EstimationError)]
     if not held:
         return out
-    k = np.array([specs[j].data.k for j in held], dtype=float)
-    log_binom = np.array([_log_binom(n, kj) for kj in k])
-
-    def g(x, o):
-        """The log joint of spec held[o] at x, elementwise."""
-        p = prob_detect(cfg, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lik = _log_likelihood_logs(n, k[o], np.log(p), np.log1p(-p), log_binom[o])
-        return lik + log_density(prior, x)
-
-    xs, log_p, log_q, log_prior, piece_lo, *_ = _grid(cfg, prior)
-    dense = np.linspace(w.lower, w.upper, grid_points) if grid_points > _GRID_POINTS else None
-    a, b, owner, end_own, end_x = [], [], [], [], []
-    for o, j in enumerate(held):  # a grid at a time keeps the temporaries small
-        grids = [(xs, _log_likelihood_logs(n, k[o], log_p, log_q) + log_prior)]
-        if dense is not None:
-            grids.append((dense, g(dense, np.full(grid_points, o))))
-        lo_o, hi_o = [spaces[j][4]], [spaces[j][5]]
-        for gx, gy in grids:
-            mid, left, right = gy[1:-1], gy[:-2], gy[2:]
-            i = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right)))
-            lo_o.append(gx[i])
-            hi_o.append(gx[i + 2])
-        # A window end is a boundary maximum where the log joint falls from it.
-        edges = np.any([(gy[0] > gy[1], gy[-1] > gy[-2]) for _, gy in grids], axis=0)
-        end_x += [edge for edge, rises in zip((w.lower, w.upper), edges) if rises]
-        end_own += [o] * int(edges.sum())
-        a.append(np.concatenate(lo_o))
-        b.append(np.concatenate(hi_o))
-        owner.append(np.full(a[-1].size, o))
-    a, b, owner = (np.concatenate(v) for v in (a, b, owner))
+    g = _LogJoint([specs[j] for j in held])
+    rank = np.full(len(specs), -1)
+    rank[held] = np.arange(len(held))
+    brackets = [(lo, hi, rank[own]) for lo, hi, own in (spaces.sharp, spaces.maxima)]
+    edges = spaces.edges[held]
+    if grid_points > _GRID_POINTS:
+        dense = np.linspace(w.lower, w.upper, grid_points)
+        for rows in _blocks(len(held), dense.nbytes):
+            gy = g(np.tile(dense, rows.size), np.repeat(rows, grid_points)).reshape(rows.size, -1)
+            r, i, falls = _grid_maxima(gy)
+            brackets.append((dense[i], dense[i + 2], rows[r]))
+            edges[rows] |= falls
+    # Each held spec's brackets: sharp peaks, grid maxima, dense grid maxima.
+    a, b, owner = (np.concatenate(v) for v in zip(*brackets))
+    order = np.argsort(owner, kind="stable")[np.count_nonzero(owner < 0):]
+    a, b, owner = a[order], b[order], owner[order]
+    # A window end is a boundary maximum where the log joint falls from it.
+    end_own, side = np.nonzero(edges)
+    end_x = np.array([w.lower, w.upper])[side]
+    _, _, _, _, piece_lo, *_ = _grid(cfg, prior)
 
     # Cut the brackets at the zeros of dp/domega0 strictly inside them.
     cuts = piece_lo[1:]
@@ -483,7 +621,7 @@ def _map_batch(specs: Sequence[PosteriorSpec], grid_points: int) -> list:
     lo = np.where(pos == 0, a[bracket], padded[first[bracket] + pos])
     hi = np.where(pos == inside[bracket], b[bracket], padded[first[bracket] + pos + 1])
     own = owner[bracket]
-    ratio = _log_ratio_to_mode(specs, held, [spaces[j][0] for j in held])
+    ratio = _log_ratio_to_mode(specs, held, spaces.mode[held])
     x = _refine(g, lo, hi, own, spec.quad_tol, polish=ratio) if lo.size else lo
     g_x, g_lo, g_hi = np.split(g(np.concatenate([x, lo, hi]), np.tile(own, 3)), 3)
     inner = (g_x > g_lo) & (g_x > g_hi)
@@ -503,7 +641,7 @@ def _map_batch(specs: Sequence[PosteriorSpec], grid_points: int) -> list:
     best = best[np.diff(group[best], prepend=0) > 0]
 
     x = np.concatenate([x[best], end_x])
-    own = np.concatenate([own[best], np.array(end_own, dtype=np.intp)])
+    own = np.concatenate([own[best], end_own])
     boundary = np.arange(x.size) >= best.size
     order = np.lexsort((x, own))
     x, own, boundary = x[order], own[order], boundary[order]

@@ -280,11 +280,20 @@ def gaussian_density(mean: float, sigma: float, x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def jeffreys_density_shape(cfg: FieldConfig, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def jeffreys_density_shape(cfg: FieldConfig, x: np.ndarray) -> np.ndarray:
     """Unnormalized Jeffreys density from the beta-function form:
-    {p (1 - p)}^(-1/2) |dp/domega0| with an FD slope."""
+    {p (1 - p)}^(-1/2) |dp/domega0|, with the analytic slope
+    dp/domega0 = 8 b^2 d sin(q/2) (sin(q/2) - (q/2) cos(q/2)) / q^4 (d the
+    detuning, b = b0 sin(theta), q = hypot(d, 2b)). A central difference
+    would leave the log density noisy at ~1e-5 near the zeros of sqrt(CFI),
+    where p(x + h) - p(x - h) cancels."""
+    x = np.asarray(x, dtype=float)
+    b = cfg.b0 * math.sin(cfg.theta)
+    d = cfg.omega - 2.0 * cfg.b0 * math.cos(cfg.theta) - x
+    q = np.hypot(d, 2.0 * b)
+    s = np.sin(q / 2.0)
+    dp = 8.0 * b * b * d * s * (s - q / 2.0 * np.cos(q / 2.0)) / q**4
     p = np.asarray(prob_detect(cfg, x), dtype=float)
-    dp = (np.asarray(prob_detect(cfg, x + h)) - np.asarray(prob_detect(cfg, x - h))) / (2 * h)
     with np.errstate(divide="ignore", invalid="ignore"):
         shape = np.abs(dp) / np.sqrt(p * (1.0 - p))
     return np.nan_to_num(shape, nan=0.0, posinf=0.0)

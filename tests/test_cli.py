@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -47,11 +48,68 @@ class TestExitCodes:
             assert rc == 0
             assert abs(payload["estimate"] - 3.0) < 5.0 * width
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--omega", "nan"), ("--b0", "inf"), ("--theta", "-inf"), ("--theta-deg", "nan"),
+        ("--k", "nan"), ("--prior-mean", "inf"), ("--prior-sigma", "inf"),
+        ("--window-upper", "inf"), ("--axis", "omega0:0.1:inf:3")])
+    def test_non_finite_flag(self, flag, value, tmp_path):
+        # Each flag once, after the valid flags it would override.
+        argv = ["estimate", "mmse", *FIELD, "--n", "10", "--k", "4", "--prior", "gaussian",
+                "--prior-mean", "3", "--prior-sigma", "1", "--window-lower", "0.1",
+                "--window-upper", "100"]
+        if flag == "--axis":
+            argv = ["map-curve", *FIELD, "--n", "8", "--prior", "uniform", "--window-lower", "0.1",
+                    "--window-upper", "100"]
+        elif flag == "--theta-deg":
+            argv = [a for a in argv if a not in ("--theta", "1.5707963267948966")]
+        assert main([*argv, flag, value, "--out", str(tmp_path / "out")]) == 1
+        assert not list(tmp_path.iterdir())
+
     def test_sinc_domain_violation(self, tmp_path):
         # sqrt(0.9) exceeds b0 sin(theta) = 0.5.
         argv = ["estimate", "ml", "--omega", "1", "--b0", "0.5", "--theta", "1.5707963267948966",
                 "--n", "10", "--k", "9"]
         assert run_json(argv, tmp_path)[0] == 3
+
+
+# simulate reports at the benchmark's field, truth, n and priors with fewer
+# trials, pinned byte for byte (sha256 of the whole output) together with
+# their report fields.
+WIDE_FLAGS = ["--window-lower", "0.1", "--window-upper", "100"]
+PINNED_SIMULATE = {
+    "ml": (
+        ["--trials", "2000", "--estimator", "ml"],
+        "650142f967953969791eb126b58389da81df5f736dddc38bd31879208cfe2298",
+        dict(mean_estimate=2.288739860651671, bias=0.2887398606516709, variance=0.03573086143632651,
+             crb=0.1639746107834753, vantrees_bound=None, degenerate_count=227, ambiguous_count=802,
+             included_trials=971, prng_algorithm="philox4x64"),
+    ),
+    "mmse": (
+        ["--trials", "100", "--estimator", "mmse", "--prior", "uniform", *WIDE_FLAGS],
+        "a3588211cd02235a1a71c2f16c43cecee4ede49ff3ab78edf3293ef42cde9c93",
+        dict(mean_estimate=1.5497281207729665, bias=-0.4502718792270335, variance=0.16756695438468952,
+             crb=0.1639746107834753, vantrees_bound=0.9573422302413008, degenerate_count=0,
+             ambiguous_count=0, included_trials=100, prng_algorithm="philox4x64"),
+    ),
+    "map": (
+        ["--trials", "10", "--estimator", "map", "--prior", "gaussian", "--prior-mean", "2",
+         "--prior-sigma", "1", *WIDE_FLAGS],
+        "d527e2dbd74e4cf4f9518b757960f5dad15b91cc1441ecefd443b350c9cc652f",
+        dict(mean_estimate=1.9753745142100907, bias=-0.024625485789909307, variance=0.13849779297918074,
+             crb=0.1639746107834753, vantrees_bound=0.12039487118269114, degenerate_count=0,
+             ambiguous_count=0, included_trials=10, prng_algorithm="philox4x64"),
+    ),
+}
+
+
+@pytest.mark.parametrize("estimator", list(PINNED_SIMULATE))
+def test_simulate_report_is_pinned(estimator, capsys):
+    flags, digest, report = PINNED_SIMULATE[estimator]
+    argv = ["simulate", *FIELD, "--omega0-true", "2", "--n", "100", "--seed", "7", *flags, "--out", "-"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text)["report"] == report
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_config_values_lose_to_flags(tmp_path):
@@ -225,15 +283,13 @@ class TestStrictJson:
                    for m in boundary)
 
     def test_scan_manifest_with_infinite_accuracy(self, tmp_path):
-        # The scan echoes its accuracy into the CSV's manifest, where
-        # infinity becomes null; the command-line parameters keep its text.
+        # A non-finite flag is a usage error, so no manifest ever has to
+        # write one: the scan writes nothing.
         out = tmp_path / "scan.csv"
         argv = ["fisher-scan", *FIELD, "--omega0", "2", "--axis", "b0:0.1:5:3",
                 "--axis", "theta:0.1:3:3", "--accuracy", "inf", "--out", str(out)]
-        assert main(argv) == 0
-        manifest = self.parse_strict(tmp_path / "scan.csv.manifest.json")
-        assert manifest["accuracy"] is None
-        assert manifest["manifest"]["parameters"]["accuracy"] == "inf"
+        assert main(argv) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_one_trial_simulate(self, tmp_path):
         argv = ["simulate", *FIELD, "--omega0-true", "2", "--n", "100", "--trials", "1",

@@ -13,6 +13,7 @@ from rabi_est.errors import (
     AllTrialsDegenerate,
     DegenerateData,
     DegenerateProbability,
+    DomainError,
     NoRealRoot,
     SincDomainViolated,
 )
@@ -56,10 +57,16 @@ def reference_ml_moments(tc: TrialConfig):
     return mean, variance, ambiguous, degenerate
 
 
+def fresh_count(p1, n, seed, stream):
+    """The count of n draws below p1 from a freshly built
+    Philox(key=[seed, stream]) generator."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    return int(np.count_nonzero(gen.random(n) < p1))
+
+
 def fresh_philox_count(cfg, omega0_true, n, seed, stream):
     """The count from a freshly built Philox(key=[seed, stream]) generator."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-    return int(np.count_nonzero(gen.random(n) < float(prob_detect(cfg, omega0_true))))
+    return fresh_count(float(prob_detect(cfg, omega0_true)), n, seed, stream)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024, 2**64 - 1])
@@ -69,6 +76,26 @@ def test_dataset_matches_fresh_generator(seed):
             for stream in range(0, 300, 7):
                 data = simulate_dataset(CFG, omega0_true, n, seed, stream=stream)
                 assert data.k == fresh_philox_count(CFG, omega0_true, n, seed, stream)
+
+
+@pytest.mark.parametrize("words", [montecarlo._DRAW_WORDS, 4], ids=["buffer", "four-word-buffer"])
+def test_draws_match_fresh_generator_at_the_edges(words, monkeypatch):
+    # A four-word buffer holds four datasets of n = 1, one of n = 3 or 4, and
+    # less than one of n = 5 or 1001, which are counted a buffer at a time.
+    # p1 = 0.5 puts the threshold on a multiple of 2^11, p1 = 1 - 2^-53 just
+    # below 2^64, and p1 = 1 past it.
+    monkeypatch.setattr(montecarlo, "_DRAW_WORDS", words)
+    streams = [0, 1, 2, 3, 4, 9, 2**64 - 1]
+    for seed in (0, 7, 2**64 - 1):
+        for p1 in (0.0, 2.0**-60, 0.5, 1.0 - 2.0**-53, 1.0):
+            for n in (1, 3, 4, 5, 1001):
+                expected = [fresh_count(p1, n, seed, s) for s in streams]
+                assert montecarlo._draws(p1, n, seed, streams).tolist() == expected
+        # p1 at and just beside the first draw u of each stream: u < p1 only above it.
+        for s in streams:
+            u = float(np.random.Generator(np.random.Philox(key=np.array([seed, s], dtype=np.uint64))).random())
+            for p1, count in ((np.nextafter(u, 0.0), 0), (u, 0), (np.nextafter(u, 1.0), 1)):
+                assert montecarlo._draws(float(p1), 1, seed, [s]).tolist() == [count]
 
 
 def test_dataset_matches_fresh_generator_across_threads():
@@ -106,14 +133,14 @@ def test_reports_are_bitwise_reproducible():
 
 def test_trial_dataset_independent_of_trial_count(monkeypatch):
     seen = []
-    original = montecarlo._draw
+    original = montecarlo._draws
 
-    def recording(p1, n, seed, stream):
-        k = original(p1, n, seed, stream)
-        seen.append((stream, k))
-        return k
+    def recording(p1, n, seed, streams):
+        ks = original(p1, n, seed, streams)
+        seen.extend(zip(streams, ks.tolist()))
+        return ks
 
-    monkeypatch.setattr(montecarlo, "_draw", recording)
+    monkeypatch.setattr(montecarlo, "_draws", recording)
     run_trials(ml_config(40))
     short = list(seen)
     seen.clear()
@@ -133,6 +160,25 @@ def test_ambiguous_trials_counted_and_excluded():
     # unambiguous trials alone.
     assert report.mean_estimate == mean
     assert report.variance == variance
+
+
+@pytest.mark.parametrize("omega0_true", [0.0, math.inf, math.nan])
+def test_truth_must_be_positive_and_finite(omega0_true):
+    with pytest.raises(DomainError):
+        TrialConfig(cfg=CFG, omega0_true=omega0_true, n=100, trials=3, seed=1)
+
+
+@pytest.mark.parametrize("cfg,n", [
+    (CFG, 3),  # k = 0, complex roots, ambiguous and accepted inversions
+    (FieldConfig(omega=1.0, b0=0.5, theta=math.pi / 2), 20),  # sinc domain violated too
+    (FieldConfig(omega=3.0, b0=1.0, theta=1.0), 50),
+], ids=["n3", "narrow-sinc", "tilted"])
+def test_ml_outcomes_match_the_reference_loop(cfg, n):
+    tc = TrialConfig(cfg=cfg, omega0_true=2.0, n=n, trials=300, seed=11)
+    report = run_trials(tc)
+    mean, variance, ambiguous, degenerate = reference_ml_moments(tc)
+    assert (report.mean_estimate, report.variance) == (mean, variance)
+    assert (report.ambiguous_count, report.degenerate_count) == (ambiguous, degenerate)
 
 
 def test_all_trials_degenerate():
