@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import shlex
 import sys
 from datetime import datetime, timezone
@@ -166,9 +165,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=_positive_int("--n"), required=True, help="number of trials")
     p.add_argument("--k", type=_real("--k"), required=True, help="photon counts")
     _add_prior_flags(p)
-    p.add_argument("--grid-points", type=_positive_int("--grid-points"), default=2001,
-                   help="MAP candidate grid floor (>= 101); above the 8193-point posterior "
-                        "grid it adds a grid this dense")
     _add_out_flag(p, default="-")
     p.add_argument("--config", help="key = value defaults file; flags override")
 
@@ -252,19 +248,6 @@ def _build_prior(parser: _Parser, args, cfg: FieldConfig, kind: str | None = Non
     return Prior.gaussian(window, mean=args.prior_mean, sigma=args.prior_sigma)
 
 
-def _workers(parser: _Parser) -> int:
-    raw = os.environ.get("RABI_EST_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        parser.error(f"RABI_EST_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        parser.error(f"RABI_EST_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _manifest(argv: list[str], args, seed: int | None) -> dict:
     params = {
         key: value
@@ -342,7 +325,7 @@ def _cmd_bayes_scan(parser, args, argv) -> int:
 
     cfg = _field_config(parser, args)
     prior = _build_prior(parser, args, cfg)
-    table = bayes_scan(cfg, prior, _axes_pair(parser, args), args.n, workers=_workers(parser))
+    table = bayes_scan(cfg, prior, _axes_pair(parser, args), args.n)
     _write_table(args.out, table, _manifest(argv, args, seed=None))
     return 0
 
@@ -411,7 +394,7 @@ def _cmd_estimate(parser, args, argv) -> int:
                 "manifest": manifest,
             }
         else:
-            result = map_estimate(spec, grid_points=args.grid_points)
+            result = map_estimate(spec)
             payload = {
                 "maxima": [
                     {

@@ -44,19 +44,17 @@ _CHUNK = 4096
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair plus an iteration budget."""
+    """Absolute/relative tolerance pair. Each algorithm sets its own
+    iteration or subdivision budget."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
         if self.abs_tol < 0 or self.rel_tol < 0:
             raise DomainError("tolerances must be nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise DomainError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
 
     def target(self, scale: float) -> float:
         """Convergence target for a quantity of magnitude ``scale``."""

@@ -549,15 +549,15 @@ def map_stationarity_lhs(cfg: FieldConfig, prior: Prior, n: float, omega0):
     return p - np.where(score == 0.0, 0.0, correction)
 
 
-def map_estimate(spec: PosteriorSpec, grid_points: int = 2001) -> MapResult:
+def map_estimate(spec: PosteriorSpec) -> MapResult:
     """All local maxima of the log posterior: map_many of one spec."""
-    result, = map_many([spec], grid_points)
+    result, = map_many([spec])
     if isinstance(result, EstimationError):
         raise result
     return result
 
 
-def map_many(specs: Sequence[PosteriorSpec], grid_points: int = 2001) -> list:
+def map_many(specs: Sequence[PosteriorSpec]) -> list:
     """MapResult of each spec, or the EstimationError that computing it
     raises; batched as in mmse_many, each result bit for bit that of
     map_estimate.
@@ -565,8 +565,7 @@ def map_many(specs: Sequence[PosteriorSpec], grid_points: int = 2001) -> list:
     The candidates come from the posterior's workspace: the brackets around
     the local maxima of the log joint on its grid (a window end is a
     boundary maximum where the log joint falls from it) and those of its
-    sharp peaks. A ``grid_points`` above the workspace grid's adds a grid
-    that dense. Every bracket is cut at the zeros of dp/domega0 inside it,
+    sharp peaks. Every bracket is cut at the zeros of dp/domega0 inside it,
     so a zero of sqrt(CFI) gets one bracket on each side; golden section
     with Newton polish finds the maximum of each piece, all pieces of all
     specs in lockstep. A piece's maximum counts if it lies inside the piece,
@@ -576,12 +575,10 @@ def map_many(specs: Sequence[PosteriorSpec], grid_points: int = 2001) -> list:
     maxima skip it and the curvature test. The inconclusive-curvature flag
     follows the |second derivative| < 1e-8 rule.
     """
-    if grid_points < 101:
-        raise DomainError(f"grid_points must be >= 101, got {grid_points}")
-    return _by_batch(specs, lambda batch: _map_batch(batch, grid_points))
+    return _by_batch(specs, _map_batch)
 
 
-def _map_batch(specs: Sequence[PosteriorSpec], grid_points: int) -> list:
+def _map_batch(specs: Sequence[PosteriorSpec]) -> list:
     """map_many of specs that share field, prior, n and tolerance."""
     spec = specs[0]
     cfg, prior, n, w = spec.cfg, spec.prior, spec.data.n, spec.prior.window
@@ -594,20 +591,12 @@ def _map_batch(specs: Sequence[PosteriorSpec], grid_points: int) -> list:
     rank = np.full(len(specs), -1)
     rank[held] = np.arange(len(held))
     brackets = [(lo, hi, rank[own]) for lo, hi, own in (spaces.sharp, spaces.maxima)]
-    edges = spaces.edges[held]
-    if grid_points > _GRID_POINTS:
-        dense = np.linspace(w.lower, w.upper, grid_points)
-        for rows in _blocks(len(held), dense.nbytes):
-            gy = g(np.tile(dense, rows.size), np.repeat(rows, grid_points)).reshape(rows.size, -1)
-            r, i, falls = _grid_maxima(gy)
-            brackets.append((dense[i], dense[i + 2], rows[r]))
-            edges[rows] |= falls
-    # Each held spec's brackets: sharp peaks, grid maxima, dense grid maxima.
+    # Each held spec's brackets: sharp peaks and grid maxima.
     a, b, owner = (np.concatenate(v) for v in zip(*brackets))
     order = np.argsort(owner, kind="stable")[np.count_nonzero(owner < 0):]
     a, b, owner = a[order], b[order], owner[order]
     # A window end is a boundary maximum where the log joint falls from it.
-    end_own, side = np.nonzero(edges)
+    end_own, side = np.nonzero(spaces.edges[held])
     end_x = np.array([w.lower, w.upper])[side]
     _, _, _, _, piece_lo, *_ = _grid(cfg, prior)
 

@@ -7,9 +7,9 @@ module loads only the ``dynamics`` and ``fisher`` kernels of the Fisher
 landscape; the other scans import what they run when they run: the ML root
 surfaces ``frequentist``, the Bayesian ones ``posterior`` and ``priors``.
 The MMSE curve computes each prior's column as one batch of posteriors in a
-single quadrature. The Bayesian Fisher scan accepts a ``workers`` count and
-farms its cells out to processes, with results reassembled in row-major
-cell order so the output is identical for any worker count.
+single quadrature. The Bayesian Fisher scan runs its cells one after
+another in row-major order, rebuilding a Jeffreys prior for each cell's
+drive.
 
 The ML root-surface statuses summarize the sign analysis of the two
 inversion roots: ``Complex`` (no real distinct roots), ``NegativeRejected``
@@ -24,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -451,17 +451,6 @@ def _field_arrays(cfg: FieldConfig, varied: dict[str, np.ndarray]) -> SimpleName
     )
 
 
-def _run_cells(fn: Callable, args: list, workers: int) -> list:
-    if workers <= 1 or len(args) < 4:
-        return [fn(a) for a in args]
-    # Imported here, so that importing the package loads no multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(args) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args, chunksize=chunk))
-
-
 def fisher_scan(
     cfg: FieldConfig,
     omega0: float,
@@ -556,47 +545,40 @@ def ml_root_scan(cfg: FieldConfig, axes: tuple[Axis, Axis]) -> GridTable:
     )
 
 
-def _bayes_cell(args) -> tuple[float, float, float, str]:
-    from .posterior import bayes_fisher
-    from .priors import Prior, PriorKind
-
-    prior, cfg_kwargs, n, tol = args
-    try:
-        cfg = FieldConfig(**cfg_kwargs)
-        if prior.kind is PriorKind.JEFFREYS:  # it depends on the drive: rebuilt per cell
-            prior = Prior.jeffreys(prior.window, cfg)
-        bf = bayes_fisher(cfg, prior, n, tol)
-        return bf.bayes_cfi, bf.bayes_qfi, bf.bayes_gap, STATUS_OK
-    except EstimationError as exc:
-        return math.nan, math.nan, math.nan, f"error:{type(exc).__name__}"
-
-
 def bayes_scan(
     cfg: FieldConfig,
     prior: Prior,
     axes: tuple[Axis, Axis],
     n: int,
     tol: Tolerance | None = None,
-    workers: int = 1,
 ) -> GridTable:
     """Prior-averaged Fisher landscape over two field-parameter axes; the
-    quadrature tolerance defaults to ``numerics.DEFAULT_TOL``."""
+    quadrature tolerance defaults to ``numerics.DEFAULT_TOL``. A cell whose
+    averages fail carries NaN and the error's name as its status."""
     from .numerics import DEFAULT_TOL
+    from .posterior import bayes_fisher
+    from .priors import Prior, PriorKind
 
     tol = DEFAULT_TOL if tol is None else tol
     names = [ax.name for ax in axes]
     if len(axes) != 2 or any(nm not in _FIELD_AXES for nm in names) or names[0] == names[1]:
         raise DomainError("bayes_scan needs two distinct axes among omega, b0, theta")
+    if not n >= 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     varied = _cell_grids(axes)
-    args = []
-    for i in range(varied[names[0]].size):
-        cfg_kwargs = {
-            name: float(varied[name][i]) if name in varied else getattr(cfg, name)
-            for name in _FIELD_AXES
-        }
-        args.append((prior, cfg_kwargs, n, tol))
-    results = _run_cells(_bayes_cell, args, workers)
-    cols = np.array([[r[0], r[1], r[2]] for r in results], dtype=float)
+    cols = np.full((varied[names[0]].size, 3), math.nan)
+    status = [STATUS_OK] * len(cols)
+    jeffreys = prior.kind is PriorKind.JEFFREYS  # it depends on the drive: rebuilt per cell
+    for i in range(len(cols)):
+        try:
+            cell = FieldConfig(**{
+                name: float(varied[name][i]) if name in varied else getattr(cfg, name)
+                for name in _FIELD_AXES
+            })
+            bf = bayes_fisher(cell, Prior.jeffreys(prior.window, cell) if jeffreys else prior, n, tol)
+            cols[i] = bf.bayes_cfi, bf.bayes_qfi, bf.bayes_gap
+        except EstimationError as exc:
+            status[i] = f"error:{type(exc).__name__}"
     return GridTable(
         axes=tuple(axes),
         columns={
@@ -604,7 +586,7 @@ def bayes_scan(
             "bayes_qfi": cols[:, 1],
             "bayes_gap": cols[:, 2],
         },
-        status=[r[3] for r in results],
+        status=status,
         metadata={
             "operation": "bayes_scan",
             "n": n,
@@ -677,18 +659,20 @@ def map_curve(
     divides by it). A companion column drops the 1/n prior term, which is the
     infinite-sample limit and reduces to the detection probability.
     """
-    from .posterior import map_stationarity_lhs
+    from .posterior import _DP_FLOOR, map_stationarity_lhs
     from .priors import PriorKind
 
     if omega0_axis.name != "omega0":
         raise DomainError("map_curve needs an omega0 axis")
+    if not n >= 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if prior.kind not in (PriorKind.JEFFREYS, PriorKind.GAUSSIAN):
         raise DomainError("map_curve applies to the Jeffreys and Gaussian priors")
     omega0s = omega0_axis.values
     xbar = map_stationarity_lhs(cfg, prior, n, omega0s)
     xbar_inf = np.asarray(prob_detect(cfg, omega0s), dtype=float)
     dp = np.asarray(dprob_domega0(cfg, omega0s), dtype=float)
-    codes = ((np.abs(dp) < 1e-12) | ~np.isfinite(xbar)).astype(np.int8)
+    codes = ((np.abs(dp) < _DP_FLOOR) | ~np.isfinite(xbar)).astype(np.int8)
     return GridTable(
         axes=(omega0_axis,),
         columns={"xbar": xbar, "xbar_n_inf": xbar_inf},

@@ -98,7 +98,8 @@ class Bracket:
             raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
-def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance = DEFAULT_TOL) -> float:
+def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance = DEFAULT_TOL,
+                        iters: int = 200) -> float:
     """Root of ``f`` inside a sign-changing bracket.
 
     Secant steps accelerate convergence; whenever a step fails to halve the
@@ -115,7 +116,7 @@ def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance 
         raise NoSignChange(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
 
     force_bisect = False
-    for _ in range(tol.max_iter):
+    for _ in range(iters):
         width = hi - lo
         if width <= tol.target(0.5 * (lo + hi)):
             return lo if abs(flo) <= abs(fhi) else hi
@@ -134,7 +135,7 @@ def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance 
         else:
             lo, flo = x, fx
         force_bisect = (hi - lo) > 0.5 * width
-    raise NonConvergence(f"root finding exceeded {tol.max_iter} iterations")
+    raise NonConvergence(f"root finding exceeded {iters} iterations")
 
 
 def bisect(f, lo: float, hi: float, iters: int = 200) -> float:

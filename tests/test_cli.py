@@ -27,6 +27,14 @@ class TestExitCodes:
         # --n is required.
         assert main(["estimate", "ml", *FIELD, "--k", "4", "--out", str(tmp_path / "x")]) == 1
         assert main(["no-such-command"]) == 1
+        # MAP's candidates come from the posterior's fixed grid; the old
+        # --grid-points flag is unknown, also from a config file.
+        argv = ["estimate", "map", *FIELD, "--n", "10", "--k", "4", "--prior", "uniform",
+                "--window-lower", "0.5", "--window-upper", "5"]
+        assert run_json([*argv, "--grid-points", "4001"], tmp_path)[0] == 1
+        config = tmp_path / "defaults.conf"
+        config.write_text("grid_points = 4001\n", encoding="utf-8")
+        assert run_json([*argv, "--config", str(config)], tmp_path)[0] == 1
 
     def test_numerical_failure(self, tmp_path):
         # The resonance omega0 = 1 lies in the window, so the Jeffreys prior
@@ -169,14 +177,17 @@ def test_sidecar_manifest_is_byte_identical(tmp_path):
     assert manifest["manifest"]["seed"] is None
 
 
-def test_import_loads_no_process_pool():
-    # Every CLI run pays for its imports; only a pooled scan needs the pool.
-    code = ("import sys, rabi_est.cli; "
-            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+def test_import_loads_no_process_pool(tmp_path):
+    # Every CLI run pays for its imports, and no command runs a process pool:
+    # neither importing the CLI nor a bayes-scan loads one.
+    probe = "\nprint(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    scan = TestImports.cli_code([*BAYES_SCAN_3X3, "--out", str(tmp_path / "scan.csv")])
+    env = {key: value for key, value in os.environ.items() if key != "RABI_EST_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    for code in ("import sys, rabi_est.cli", scan):
+        out = subprocess.run([sys.executable, "-c", code + probe], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 def loaded_modules(code):
@@ -241,22 +252,41 @@ class TestImports:
             getattr(rabi_est, "NoSuchName")
 
 
-def test_mmse_curve_ignores_the_worker_count(tmp_path, monkeypatch):
-    # The golden Fig. 5 curve: each prior's column is one batch in this
-    # process, whatever RABI_EST_THREADS says.
+def test_mmse_curve_is_reproducible(tmp_path):
+    # The golden Fig. 5 curve, twice in one process: the second run reads
+    # the posterior grids the first one cached and writes the same bytes.
     out = tmp_path / "curve.csv"
     argv = ["mmse-curve", *FIELD, "--n", "8", "--priors", "uniform,jeffreys,gaussian",
             "--window-lower", "0.1", "--window-upper", "100", "--prior-mean", "10",
             "--prior-sigma", "2", "--axis", "xbar:0:1:101", "--out", str(out)]
     outputs = []
-    for threads in (None, "1", "2"):
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append((out.read_bytes(), (tmp_path / "curve.csv.manifest.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+# The benchmark's 3x3 Jeffreys bayes-scan, run in the output's directory so
+# that the manifest's command line is fixed; sha256 of the CSV and manifest.
+BAYES_SCAN_3X3 = ["bayes-scan", *FIELD, "--prior", "jeffreys", "--window-lower", "1.5",
+                  "--window-upper", "5", "--n", "8", "--axis", "b0:0.5:3:3", "--axis", "omega:-3:3:3"]
+PINNED_BAYES_SCAN = (
+    "9654c9e880b25cdc624cb0126f359438e2261a2de4e0274a0472f6650bb686f2",
+    "092465312d1487a1dede74f4f646f8af2c383f39b3854811ad3f04c02e93a575",
+)
+
+
+def test_bayes_scan_is_pinned(tmp_path, monkeypatch):
+    # RABI_EST_THREADS once set a process count; the scan no longer reads it.
+    monkeypatch.chdir(tmp_path)
+    for threads in (None, "x"):
         if threads is None:
             monkeypatch.delenv("RABI_EST_THREADS", raising=False)
         else:
             monkeypatch.setenv("RABI_EST_THREADS", threads)
-        assert main(argv) == 0
-        outputs.append((out.read_bytes(), (tmp_path / "curve.csv.manifest.json").read_bytes()))
-    assert outputs[0] == outputs[1] == outputs[2]
+        assert main([*BAYES_SCAN_3X3, "--out", "scan.csv"]) == 0
+        assert PINNED_BAYES_SCAN == tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                                          for name in ("scan.csv", "scan.csv.manifest.json"))
 
 
 class TestStrictJson:

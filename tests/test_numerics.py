@@ -21,7 +21,7 @@ from rabi_est.priors import Prior, SupportWindow
 class TestTolerance:
     def test_defaults(self):
         tol = Tolerance()
-        assert tol.abs_tol == 1e-10 and tol.rel_tol == 1e-10 and tol.max_iter == 200
+        assert tol.abs_tol == 1e-10 and tol.rel_tol == 1e-10
 
     def test_requires_a_positive_tolerance(self):
         with pytest.raises(DomainError):
@@ -30,10 +30,6 @@ class TestTolerance:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             Tolerance(abs_tol=-1e-9)
-
-    def test_rejects_zero_iterations(self):
-        with pytest.raises(DomainError):
-            Tolerance(max_iter=0)
 
 
 class TestBracket:

@@ -176,16 +176,11 @@ class TestMmse:
 
 
 class TestMap:
-    def test_grid_floor(self):
-        spec = PosteriorSpec(data=Dataset(8, 4), cfg=CFG, prior=UNIFORM_WIDE)
-        with pytest.raises(DomainError):
-            map_estimate(spec, grid_points=100)
-
     def test_uniform_prior_matches_ml(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
             spec, omega0_true = random_spec(rng)
-            result = map_estimate(spec, grid_points=801)
+            result = map_estimate(spec)
             ml_roots = [
                 r.value
                 for r in ml_estimate(spec.data.xbar, spec.cfg).roots
@@ -215,7 +210,7 @@ class TestMap:
         omega0_true = 3.2
         xbar = float(prob_detect(CFG, omega0_true))
         spec = PosteriorSpec(data=Dataset(n, n * xbar), cfg=CFG, prior=GAUSS)
-        result = map_estimate(spec, grid_points=4001)
+        result = map_estimate(spec)
         ml_roots = [r.value for r in ml_estimate(xbar, CFG).roots if r.value > 0]
         best = result.best
         assert min(abs(best.value - r) for r in ml_roots) < 1e-3
@@ -577,12 +572,3 @@ class TestMapBatches:
         assert got[1] is EvidenceUnderflow and got[7] is EvidenceUnderflow
         for j in (0, 2, 3, 4, 5, 6, 8):
             np.testing.assert_array_equal(np.array(got[j], dtype=float), np.array(single[j], dtype=float))
-
-    def test_grid_floor_and_denser_grid(self):
-        with pytest.raises(DomainError):
-            map_many(self.SPECS[:1], grid_points=100)
-        # A grid above the workspace's adds candidates but finds the same
-        # maxima here.
-        dense = map_estimate(self.SPECS[0], grid_points=20_001)
-        default = map_estimate(self.SPECS[0])
-        assert [m.value for m in dense.maxima] == pytest.approx([m.value for m in default.maxima], rel=1e-9)

@@ -17,7 +17,7 @@ from rabi_est.errors import DomainError
 from rabi_est.frequentist import Dataset
 from rabi_est.posterior import PosteriorSpec, mmse
 from rabi_est.priors import Prior, SupportWindow
-from rabi_est.scan import Axis, GridTable, bayes_scan, fisher_scan, ml_root_scan, mmse_curve
+from rabi_est.scan import Axis, GridTable, bayes_scan, fisher_scan, map_curve, ml_root_scan, mmse_curve
 
 CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
 
@@ -375,13 +375,34 @@ class TestMlRootScanStatus:
         assert np.isnan(minus[1]) and np.isnan(minus[3])
 
 
-def test_bayes_scan_independent_of_worker_count():
+def test_bayes_scan_statuses():
+    # Each cell rebuilds the Jeffreys prior for its own drive; a cell whose
+    # prior information diverges fails alone and holds NaN.
     prior = Prior.jeffreys(SupportWindow(1.5, 5.0), CFG)
     axes = (Axis("b0", 0.5, 3.0, 3), Axis("omega", -3.0, 3.0, 3))
-    serial = bayes_scan(CFG, prior, axes, n=8, workers=1)
-    pooled = bayes_scan(CFG, prior, axes, n=8, workers=2)
-    assert to_csv_text(serial) == to_csv_text(pooled)
-    assert {"ok", "error:DivergentInformation"} == set(serial.status)
+    table = bayes_scan(CFG, prior, axes, n=8)
+    assert {"ok", "error:DivergentInformation"} == set(table.status)
+    ok = np.array(table.status) == "ok"
+    for column in table.columns.values():
+        assert np.isfinite(column[ok]).all() and np.isnan(column[~ok]).all()
+
+
+def no_cell(*args):
+    raise AssertionError("a cell ran")
+
+
+def test_bayes_scan_rejects_n_below_one(monkeypatch):
+    monkeypatch.setattr(posterior, "bayes_fisher", no_cell)
+    prior = Prior.uniform(SupportWindow(1.5, 5.0))
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        bayes_scan(CFG, prior, (Axis("b0", 0.5, 3.0, 3), Axis("omega", -3.0, 3.0, 3)), n=0)
+
+
+def test_map_curve_rejects_n_below_one(monkeypatch):
+    monkeypatch.setattr(posterior, "map_stationarity_lhs", no_cell)
+    prior = Prior.gaussian(SupportWindow(0.1, 100.0), 10.0, 2.0)
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        map_curve(CFG, prior, 0, Axis("omega0", 0.15, 12.15, 241))
 
 
 FIG5_WINDOW = SupportWindow(0.1, 100.0)
