@@ -109,12 +109,12 @@ def simulate_dataset(cfg: FieldConfig, omega0_true: float, n: int, seed: int, st
 
 def _philox():
     """This thread's Philox bit generator and its reset state: counter 0,
-    empty buffer and a key whose words the caller sets in place."""
+    empty buffer and a key whose words the caller sets in place, all plain
+    Python ints (the state setter reads them faster than numpy scalars)."""
     if not hasattr(_thread, "philox"):
-        zeros = np.zeros(4, dtype=np.uint64)
         _thread.philox = np.random.Philox(), {
-            "bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-            "state": {"counter": zeros, "key": np.zeros(2, dtype=np.uint64)}}
+            "bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0, "state": {"counter": [0, 0, 0, 0], "key": [0, 0]}}
     return _thread.philox
 
 
@@ -132,20 +132,20 @@ def _draws(p1: float, n: int, seed: int, streams) -> np.ndarray:
     threshold = np.uint64(math.ceil(p1 * 2.0**53) << 11)
     bitgen, state = _philox()
     key, raw = state["state"]["key"], bitgen.random_raw
-    key[0] = seed
+    key[0] = int(seed)
     rows = _DRAW_WORDS // n
     if rows:
         words = np.empty((min(rows, len(streams)), n), dtype=np.uint64)
         for start in range(0, len(streams), rows):
             block = streams[start:start + rows]
             for row, stream in enumerate(block):
-                key[1] = stream
+                key[1] = int(stream)
                 bitgen.state = state
                 words[row] = raw(n)
             counts[start:start + len(block)] = np.count_nonzero(words[:len(block)] < threshold, axis=1)
         return counts
     for i, stream in enumerate(streams):
-        key[1] = stream
+        key[1] = int(stream)
         bitgen.state = state
         counts[i] = sum(int(np.count_nonzero(raw(min(_DRAW_WORDS, n - done)) < threshold))
                         for done in range(0, n, _DRAW_WORDS))

@@ -6,6 +6,13 @@ A table keeps it as integer codes into the status names. Importing this
 module loads only the ``dynamics`` and ``fisher`` kernels of the Fisher
 landscape; the other scans import what they run when they run: the ML root
 surfaces ``frequentist``, the Bayesian ones ``posterior`` and ``priors``.
+The Fisher landscape and the ML root surfaces run their closed-form kernels
+one block of ``_CSV_CHUNK`` cells at a time, on coordinates taken from the
+block's flat cell indices, and write each block into preallocated columns:
+the kernels are elementwise, so the values are those of one whole-grid
+call bit for bit, and no grid-sized array exists besides the columns.
+``GridTable.to_csv`` formats a table by the same blocks of rows and writes
+each block in slices of under 128 KiB.
 The MMSE curve computes each prior's column as one batch of posteriors in a
 single quadrature. The Bayesian Fisher scan runs its cells one after
 another in row-major order, rebuilding a Jeffreys prior for each cell's
@@ -24,7 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -51,10 +58,17 @@ _FIELD_AXES = ("omega", "b0", "theta")
 STATUS_OK = "ok"
 # Status vocabularies of the closed-form scans, indexed by integer status code.
 _FISHER_STATUSES = (STATUS_OK, "degenerate_probability", "scaled_cfi_zero")
+_FISHER_COLUMNS = ("cfi_raw", "qfi_raw", "gap_raw", "cfi_scaled", "qfi_scaled", "gap_scaled",
+                   "n_required")
 _ROOT_STATUSES = ("Unambiguous", "Complex", "NegativeRejected", "Ambiguous")
 _MAP_STATUSES = (STATUS_OK, "dprob_zero")
-# Rows formatted per write by GridTable.to_csv.
+# Cells per kernel block of the closed-form scans, and rows formatted per
+# chunk by GridTable.to_csv.
 _CSV_CHUNK = 8192
+# Bytes of joined CSV text per fp.write at most: below glibc's default
+# 128 KiB mmap threshold, so each slice's buffers come from and go back to
+# the heap instead of being mapped and unmapped.
+_WRITE_BYTES = 120 * 1024
 
 
 @dataclass(frozen=True)
@@ -127,8 +141,10 @@ class GridTable:
         """Comma-separated output: header row, LF endings, and for every
         number exactly the text of ``format(v, ".17g")``.
 
-        Rows go out in row-major cell order, one ``fp.write`` per chunk of
-        ``_CSV_CHUNK`` rows. Text that repeats is made once and gathered per
+        Rows go out in row-major cell order, formatted by chunks of
+        ``_CSV_CHUNK`` rows and written by row slices of a chunk, each
+        ``fp.write`` and the frame it is joined in at most ``_WRITE_BYTES``
+        (under 128 KiB). Text that repeats is made once and gathered per
         chunk: axis values, status names and, in a 2-axis table, a column
         whose bits depend on one axis index alone, formatted at that axis's
         length. A chunk of another column that equals an earlier column's
@@ -144,31 +160,36 @@ class GridTable:
         """
         fp.write(",".join(self.header()) + "\n")
         shape = tuple(ax.count for ax in self.axes)
-        # Each field is (k, text and used bytes gathered by the chunk's kth
-        # index: axis indices, then status codes) or (None, column bits).
+        # Each field is (k, its text, used bytes and the text row of each
+        # kth index: axis indices, then status codes) or (None, column bits).
         fields = [(k, _format_17g(ax.values)) for k, ax in enumerate(self.axes)]
         for c in self.columns.values():
             bits = np.asarray(c, dtype=float).view(np.uint64)
             k, along = _sole_axis(bits, shape)
             fields.append((k, _format_17g(along.view(float))) if k is not None else (None, bits))
         fields.append((len(shape), _status_fields(self.status_names)))
-        for start in range(0, self.n_cells, _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, self.n_cells)
-            index = (*np.unravel_index(np.arange(start, stop), shape), self.status_codes[start:stop])
-            row = []
+        for cells, index in _blocks(shape):
+            index = (*index, self.status_codes[cells])
+            made = []
             distinct: list = []  # (bits, text) of this chunk's columns so far
             for k, source in fields:
                 if k is not None:
-                    (text, used), i = source, index[k]
-                    row.append((np.take(text, i, axis=0), used[i]))
+                    text, used, rows = source
+                    made.append((text, used, rows[index[k]]))
                     continue
-                bits = source[start:stop]
+                bits = source[cells]
                 text = next((t for b, t in distinct if np.array_equal(b, bits)), None)
                 if text is None:
                     text = _format_17g(bits.view(float))
                     distinct.append((bits, text))
-                row.append(text)
-            fp.write(_join_fields(row))
+                made.append(text)
+            # The previous chunk's text is let go only now that this chunk's
+            # is made. Freed first, its memory tends to lie at the top of the
+            # heap, which glibc then returns to the OS, only to fault the
+            # same pages in again for the next chunk.
+            row = made
+            for text in _join_fields(row):
+                fp.write(text)
 
 
 def _sole_axis(bits: np.ndarray, shape: tuple[int, ...]):
@@ -327,15 +348,17 @@ def _digit_chars(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words.view(np.uint8)[:, 3:], 17 - trailing
 
 
-def _format_17g(values) -> tuple[np.ndarray, np.ndarray]:
+def _format_17g(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """format(v, ".17g") and a comma for every value as float64, as
-    NUL-padded rows of ``_WIDTH`` bytes, and the bytes each row uses.
+    NUL-padded rows of ``_WIDTH`` bytes; the bytes each row uses; and the
+    row of each value.
 
     Values in the fast range take the certified array path; nan, +-inf and
     +-0 come from a literal table; the rest, and fast values whose rounding
     is not certified, are formatted one by one by ``format``. Rows are laid
     out sorted by text class, so that each class is written by slices, and
-    the certified values, which alone need digits, come first.
+    the certified values, which alone need digits, come first; the writer
+    gathers them back into value order a write slice at a time.
     """
     x = np.asarray(values, dtype=float).ravel()
     mag = np.abs(x)
@@ -409,46 +432,58 @@ def _format_17g(values) -> tuple[np.ndarray, np.ndarray]:
     text.ravel()[np.arange(x.size) * _WIDTH + used] = ord(",")
     back = np.empty_like(order)
     back[order] = np.arange(order.size)
-    return np.take(text, back, axis=0), np.take(used, back) + 1
+    return text, used + 1, back
 
 
-def _status_fields(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """UTF-8 text and LF of each status name as NUL-padded rows, and the
-    bytes each row uses."""
+def _status_fields(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """UTF-8 text and LF of each status name as NUL-padded rows, the bytes
+    each row uses, and the row of each name (its code)."""
     words = [(s + "\n").encode("utf-8") for s in names]
     used = np.array([len(w) for w in words], np.intp)
     table = np.zeros((len(words), max(used, default=0)), np.uint8)
     for row, word in zip(table, words):
         row[: len(word)] = np.frombuffer(word, np.uint8)
-    return table, used
+    return table, used, np.arange(len(words))
 
 
-def _join_fields(fields: list[tuple[np.ndarray, np.ndarray]]) -> str:
-    """CSV rows from NUL-padded text rows, one (text, used) pair per field:
-    the fields side by side, each cut to its longest row, and the NUL
-    padding dropped. (No number or status text holds a NUL.)"""
-    widths = [int(used.max()) for _, used in fields]
-    frame = np.empty((fields[0][1].size, sum(widths)), np.uint8)
-    offset = 0
-    for (text, _), width in zip(fields, widths):
-        frame[:, offset : offset + width] = text[:, :width]
-        offset += width
-    return frame[frame != 0].tobytes().decode("utf-8")
+def _join_fields(fields: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Iterator[str]:
+    """CSV rows from NUL-padded text rows, one (text, used, rows) triple per
+    field, where output row j takes the field's text row rows[j]: the fields
+    side by side, each cut to its longest text row, and the NUL padding
+    dropped. The rows are gathered and joined by slices in one reused frame
+    of at most ``_WRITE_BYTES``, and each slice's text is yielded as one
+    string. (No number or status text holds a NUL.)"""
+    widths = [int(used.max()) for _, used, _ in fields]
+    count = fields[0][2].size
+    step = max(1, _WRITE_BYTES // sum(widths))
+    frame = np.empty((min(step, count), sum(widths)), np.uint8)
+    for start in range(0, count, step):
+        part = frame[: min(step, count - start)]
+        offset = 0
+        for (text, _, rows), width in zip(fields, widths):
+            part[:, offset : offset + width] = np.take(text, rows[start : start + len(part)], axis=0)[:, :width]
+            offset += width
+        yield part[part != 0].tobytes().decode("utf-8")
 
 
-def _cell_grids(axes: Sequence[Axis]) -> dict[str, np.ndarray]:
-    grids = np.meshgrid(*[ax.values for ax in axes], indexing="ij")
-    return {ax.name: g.ravel() for ax, g in zip(axes, grids)}
+def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, tuple[np.ndarray, ...]]]:
+    """The cells of a grid of this shape in row-major order, by blocks of
+    ``_CSV_CHUNK``: each block's slice of the cells and its cells' index
+    along each axis."""
+    cells = math.prod(shape)
+    for start in range(0, cells, _CSV_CHUNK):
+        block = slice(start, min(start + _CSV_CHUNK, cells))
+        yield block, np.unravel_index(np.arange(block.start, block.stop), shape)
 
 
-def _field_arrays(cfg: FieldConfig, varied: dict[str, np.ndarray]) -> SimpleNamespace:
-    """Field parameters as (possibly array-valued) attributes for the
-    closed-form evaluators; fixed values come from cfg."""
-    return SimpleNamespace(
-        omega=varied.get("omega", cfg.omega),
-        b0=varied.get("b0", cfg.b0),
-        theta=varied.get("theta", cfg.theta),
-    )
+def _cell_blocks(cfg: FieldConfig, axes: Sequence[Axis]) -> Iterator[tuple[slice, SimpleNamespace]]:
+    """The blocks of the axes' grid (``_blocks``): each block's slice and its
+    cells' parameters as attributes, arrays along the axes (the values of a
+    meshgrid) and cfg's omega, b0 and theta otherwise."""
+    values = [ax.values for ax in axes]
+    fixed = {name: getattr(cfg, name) for name in _FIELD_AXES}
+    for block, index in _blocks(tuple(ax.count for ax in axes)):
+        yield block, SimpleNamespace(**fixed | {ax.name: v[i] for ax, v, i in zip(axes, values, index)})
 
 
 def fisher_scan(
@@ -469,31 +504,23 @@ def fisher_scan(
     if not accuracy > 0:
         raise DomainError(f"accuracy must be positive, got {accuracy}")
 
-    varied = _cell_grids(axes)
-    fields = _field_arrays(cfg, varied)
-    cfi_raw, qfi_raw = fisher_values(fields, omega0)
-    gap_raw = qfi_raw - cfi_raw
-    omega_col = varied.get("omega", np.full_like(cfi_raw, cfg.omega))
-    scale = omega_col**2
-    cfi_scaled = cfi_raw * scale
-    qfi_scaled = qfi_raw * scale
-    gap_scaled = gap_raw * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n_required = 1.0 / (accuracy * cfi_scaled)
-
-    codes = np.select([np.isnan(cfi_raw), ~np.isfinite(n_required)], [1, 2], 0).astype(np.int8)
+    n_cells = math.prod(ax.count for ax in axes)
+    columns = {name: np.empty(n_cells) for name in _FISHER_COLUMNS}
+    codes = np.empty(n_cells, np.int8)
+    for cells, fields in _cell_blocks(cfg, axes):
+        cfi, qfi = fisher_values(fields, omega0)
+        scale = fields.omega * fields.omega  # the scaled columns: raw * omega^2
+        for name, raw in (("cfi", cfi), ("qfi", qfi), ("gap", qfi - cfi)):
+            columns[f"{name}_raw"][cells] = raw
+            np.multiply(raw, scale, out=columns[f"{name}_scaled"][cells])
+        n_required = columns["n_required"][cells]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(1.0, accuracy * columns["cfi_scaled"][cells], out=n_required)
+        codes[cells] = np.select([np.isnan(cfi), ~np.isfinite(n_required)], [1, 2], 0)
 
     return GridTable(
         axes=tuple(axes),
-        columns={
-            "cfi_raw": cfi_raw,
-            "qfi_raw": qfi_raw,
-            "gap_raw": gap_raw,
-            "cfi_scaled": cfi_scaled,
-            "qfi_scaled": qfi_scaled,
-            "gap_scaled": gap_scaled,
-            "n_required": n_required,
-        },
+        columns=columns,
         status=codes,
         status_names=_FISHER_STATUSES,
         metadata={
@@ -523,22 +550,19 @@ def ml_root_scan(cfg: FieldConfig, axes: tuple[Axis, Axis]) -> GridTable:
 
     from .frequentist import ROOTS_REAL, ml_roots
 
-    varied = _cell_grids(axes)
-    xbar = varied["xbar"]
-    fields = _field_arrays(cfg, varied)
-    root_plus, root_minus, inversion = ml_roots(xbar, fields)
-    codes = np.select(
-        [inversion != ROOTS_REAL, root_minus < 0.0, root_minus > 0.0], [1, 2, 3], 0
-    ).astype(np.int8)
-    sin_theta = abs(np.sin(fields.theta))
+    n_cells = math.prod(ax.count for ax in axes)
+    columns = {name: np.empty(n_cells) for name in ("root_plus", "root_minus", "boundary_b0")}
+    codes = np.empty(n_cells, np.int8)
+    for cells, fields in _cell_blocks(cfg, axes):
+        root_plus, root_minus, inversion = ml_roots(fields.xbar, fields)
+        columns["root_plus"][cells] = root_plus
+        columns["root_minus"][cells] = root_minus
+        columns["boundary_b0"][cells] = np.sqrt(fields.xbar) / abs(np.sin(fields.theta))
+        codes[cells] = np.select([inversion != ROOTS_REAL, root_minus < 0.0, root_minus > 0.0], [1, 2, 3], 0)
 
     return GridTable(
         axes=tuple(axes),
-        columns={
-            "root_plus": root_plus,
-            "root_minus": root_minus,
-            "boundary_b0": np.sqrt(xbar) / sin_theta * np.ones_like(xbar),
-        },
+        columns=columns,
         status=codes,
         status_names=_ROOT_STATUSES,
         metadata={"operation": "ml_root_scan", "fixed": _fixed_echo(cfg, names)},
@@ -565,20 +589,18 @@ def bayes_scan(
         raise DomainError("bayes_scan needs two distinct axes among omega, b0, theta")
     if not n >= 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    varied = _cell_grids(axes)
-    cols = np.full((varied[names[0]].size, 3), math.nan)
+    cols = np.full((math.prod(ax.count for ax in axes), 3), math.nan)
     status = [STATUS_OK] * len(cols)
     jeffreys = prior.kind is PriorKind.JEFFREYS  # it depends on the drive: rebuilt per cell
-    for i in range(len(cols)):
-        try:
-            cell = FieldConfig(**{
-                name: float(varied[name][i]) if name in varied else getattr(cfg, name)
-                for name in _FIELD_AXES
-            })
-            bf = bayes_fisher(cell, Prior.jeffreys(prior.window, cell) if jeffreys else prior, n, tol)
-            cols[i] = bf.bayes_cfi, bf.bayes_qfi, bf.bayes_gap
-        except EstimationError as exc:
-            status[i] = f"error:{type(exc).__name__}"
+    for cells, fields in _cell_blocks(cfg, axes):
+        drives = np.broadcast_arrays(*(getattr(fields, name) for name in _FIELD_AXES))
+        for i, drive in zip(range(cells.start, cells.stop), zip(*(d.tolist() for d in drives))):
+            try:
+                cell = FieldConfig(*drive)
+                bf = bayes_fisher(cell, Prior.jeffreys(prior.window, cell) if jeffreys else prior, n, tol)
+                cols[i] = bf.bayes_cfi, bf.bayes_qfi, bf.bayes_gap
+            except EstimationError as exc:
+                status[i] = f"error:{type(exc).__name__}"
     return GridTable(
         axes=tuple(axes),
         columns={

@@ -83,10 +83,11 @@ def test_draws_match_fresh_generator_at_the_edges(words, monkeypatch):
     # A four-word buffer holds four datasets of n = 1, one of n = 3 or 4, and
     # less than one of n = 5 or 1001, which are counted a buffer at a time.
     # p1 = 0.5 puts the threshold on a multiple of 2^11, p1 = 1 - 2^-53 just
-    # below 2^64, and p1 = 1 past it.
+    # below 2^64, and p1 = 1 past it. Seeds and streams cross 2^63, where a
+    # key word leaves the signed 64-bit range.
     monkeypatch.setattr(montecarlo, "_DRAW_WORDS", words)
-    streams = [0, 1, 2, 3, 4, 9, 2**64 - 1]
-    for seed in (0, 7, 2**64 - 1):
+    streams = [0, 1, 2, 3, 4, 9, 2**63 - 1, 2**63, 2**64 - 1]
+    for seed in (0, 7, 2**63 - 1, 2**63, 2**64 - 1):
         for p1 in (0.0, 2.0**-60, 0.5, 1.0 - 2.0**-53, 1.0):
             for n in (1, 3, 4, 5, 1001):
                 expected = [fresh_count(p1, n, seed, s) for s in streams]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from rabi_est import posterior, scan
 from rabi_est.dynamics import FieldConfig
 from rabi_est.errors import DomainError
-from rabi_est.frequentist import Dataset
+from rabi_est.fisher import fisher_values
+from rabi_est.frequentist import ROOTS_REAL, Dataset, ml_roots
 from rabi_est.posterior import PosteriorSpec, mmse
 from rabi_est.priors import Prior, SupportWindow
 from rabi_est.scan import Axis, GridTable, bayes_scan, fisher_scan, map_curve, ml_root_scan, mmse_curve
@@ -39,6 +41,18 @@ def to_csv_text(table: GridTable) -> str:
     return out.getvalue()
 
 
+class RecordingFile(io.StringIO):
+    """A text file that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
 class TestToCsv:
     @pytest.mark.parametrize("chunk", [1, 4, 8192])
     def test_matches_per_cell_format(self, chunk, monkeypatch):
@@ -50,8 +64,13 @@ class TestToCsv:
             columns={"a": special, "b": special[::-1].copy()},
             status=["ok", "error:DivergentInformation", "ok", "Complex", "ok", "ok", "x", "ok", "ok"],
         )
-        text = to_csv_text(table)
-        assert text == reference_csv(table)
+        # Rows of this table take 108 bytes of the join's frame: 1 byte
+        # writes one row per slice and 400 bytes three rows, so slice
+        # boundaries fall inside chunks of 4 and 8192 rows.
+        for write_bytes in (1, 400, scan._WRITE_BYTES):
+            monkeypatch.setattr(scan, "_WRITE_BYTES", write_bytes)
+            text = to_csv_text(table)
+            assert text == reference_csv(table)
         assert [line.split(",")[2] for line in text.splitlines()[1:]] == [
             "nan", "inf", "-inf", "-0", "1e-300", "0.10000000000000001", "-2.5e+17", "1", "3",
         ]
@@ -169,6 +188,20 @@ class TestToCsv:
         assert np.isnan(table.columns["root_minus"]).mean() > 0.3
         assert to_csv_text(table) == reference_csv(table)
 
+    @pytest.mark.parametrize("write_bytes", [1, 4096, scan._WRITE_BYTES])
+    def test_writes_slices_of_at_most_write_bytes(self, write_bytes, monkeypatch):
+        monkeypatch.setattr(scan, "_WRITE_BYTES", write_bytes)
+        table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 30), Axis("theta", 0.01, 3.13, 40)))
+        out = RecordingFile()
+        table.to_csv(out)
+        assert out.getvalue() == reference_csv(table)
+        rows = out.writes[1:]  # after the header
+        assert len(rows) > math.ceil(table.n_cells / scan._CSV_CHUNK)
+        if write_bytes == 1:
+            assert len(rows) == table.n_cells  # one row per write
+        else:
+            assert max(rows) <= write_bytes < 128 * 1024
+
 
 class TestGridTableStatus:
     def test_names_are_coded_once(self):
@@ -192,8 +225,8 @@ class TestGridTableStatus:
 
 def formatted(values) -> list[str]:
     """The formatter's text of each value, without the comma it appends."""
-    text, used = scan._format_17g(np.asarray(values, dtype=float))
-    return [bytes(row[: n - 1]).decode("ascii") for row, n in zip(text, used)]
+    text, used, rows = scan._format_17g(np.asarray(values, dtype=float))
+    return [bytes(text[r, : used[r] - 1]).decode("ascii") for r in rows.tolist()]
 
 
 def expected(values) -> list[str]:
@@ -340,6 +373,102 @@ class TestFormat17g:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60, check=True)
         assert out.stdout.strip() == "0"
+
+
+def whole_grid(cfg, axes):
+    """The cell coordinates of the axes' grid as one meshgrid, and the field
+    parameters as array attributes."""
+    grids = np.meshgrid(*[ax.values for ax in axes], indexing="ij")
+    varied = {ax.name: g.ravel() for ax, g in zip(axes, grids)}
+    return varied, SimpleNamespace(**{name: varied.get(name, getattr(cfg, name))
+                                      for name in ("omega", "b0", "theta")})
+
+
+def whole_grid_fisher(cfg, omega0, axes, accuracy=0.001):
+    """fisher_scan's columns and codes from one kernel call on the whole grid."""
+    varied, fields = whole_grid(cfg, axes)
+    cfi, qfi = fisher_values(fields, omega0)
+    scale = varied.get("omega", np.full_like(cfi, cfg.omega)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_required = 1.0 / (accuracy * (cfi * scale))
+    columns = {"cfi_raw": cfi, "qfi_raw": qfi, "gap_raw": qfi - cfi, "cfi_scaled": cfi * scale,
+               "qfi_scaled": qfi * scale, "gap_scaled": (qfi - cfi) * scale, "n_required": n_required}
+    return columns, np.select([np.isnan(cfi), ~np.isfinite(n_required)], [1, 2], 0)
+
+
+def whole_grid_roots(cfg, axes):
+    """ml_root_scan's columns and codes from one kernel call on the whole grid."""
+    varied, fields = whole_grid(cfg, axes)
+    xbar = varied["xbar"]
+    plus, minus, inversion = ml_roots(xbar, fields)
+    columns = {"root_plus": plus, "root_minus": minus,
+               "boundary_b0": np.sqrt(xbar) / abs(np.sin(cfg.theta)) * np.ones_like(xbar)}
+    return columns, np.select([inversion != ROOTS_REAL, minus < 0.0, minus > 0.0], [1, 2, 3], 0)
+
+
+def assert_same_bits(table: GridTable, columns: dict, codes: np.ndarray) -> None:
+    assert list(table.columns) == list(columns)
+    for name, column in columns.items():
+        assert np.array_equal(table.columns[name].view(np.uint64), column.view(np.uint64)), name
+    assert table.status_codes.tolist() == codes.tolist()
+
+
+# Blocks of one cell, of 7 cells (which straddle grid rows), and of the
+# default size over a grid of more than one default block.
+BLOCKS = pytest.mark.parametrize("block, count", [(1, 21), (7, 21), (scan._CSV_CHUNK, 93)])
+
+
+class TestCellBlocks:
+    @BLOCKS
+    def test_fisher_scan_across_zero_omega(self, block, count, monkeypatch):
+        monkeypatch.setattr(scan, "_CSV_CHUNK", block)
+        axes = (Axis("omega", -1.0, 1.0, count), Axis("theta", 0.5, 2.5, count + 2))
+        columns, codes = whole_grid_fisher(CFG, 2.0, axes)
+        assert 2 in codes  # omega = 0 lies on the axis: scaled_cfi_zero
+        assert_same_bits(fisher_scan(CFG, 2.0, axes), columns, codes)
+
+    @BLOCKS
+    def test_fisher_scan_with_degenerate_cells(self, block, count, monkeypatch):
+        monkeypatch.setattr(scan, "_CSV_CHUNK", block)
+        cfg = FieldConfig(omega=3.0, b0=1.0, theta=math.pi / 2)
+        axes = (Axis("b0", math.pi / 2 - 0.5, math.pi / 2 + 0.5, count),
+                Axis("omega", 0.5, 1.5, count + 2))
+        columns, codes = whole_grid_fisher(cfg, 1.0 + 1e-7, axes, accuracy=0.01)
+        assert 1 in codes and np.isnan(columns["cfi_raw"]).any()  # degenerate_probability
+        assert_same_bits(fisher_scan(cfg, 1.0 + 1e-7, axes, accuracy=0.01), columns, codes)
+
+    @BLOCKS
+    def test_fisher_scan_at_fixed_omega(self, block, count, monkeypatch):
+        monkeypatch.setattr(scan, "_CSV_CHUNK", block)
+        cfg = FieldConfig(omega=0.7, b0=1.0, theta=math.pi / 2)
+        axes = (Axis("b0", 0.1, 5.0, count), Axis("theta", 0.01, 3.13, count + 2))
+        assert_same_bits(fisher_scan(cfg, 2.0, axes), *whole_grid_fisher(cfg, 2.0, axes))
+
+    @BLOCKS
+    @pytest.mark.parametrize("other", ["b0", "omega"])
+    def test_ml_root_scan(self, block, count, other, monkeypatch):
+        monkeypatch.setattr(scan, "_CSV_CHUNK", block)
+        axes = (Axis(other, 0.1, 5.0, count) if other == "b0" else Axis(other, -3.0, 3.0, count),
+                Axis("xbar", 0.001, 0.999, count + 2))
+        columns, codes = whole_grid_roots(CFG, axes)
+        assert {1, 2, 3} <= set(codes.tolist())
+        assert_same_bits(ml_root_scan(CFG, axes), columns, codes)
+        assert_same_bits(ml_root_scan(CFG, axes[::-1]), *whole_grid_roots(CFG, axes[::-1]))
+
+    def test_fisher_scan_and_csv_memory_does_not_grow_with_the_grid(self, traced_peak):
+        # Beyond its own columns, a scan written to CSV needs the same memory
+        # whatever the grid's size: its kernels and its writer work by blocks.
+        def excess(count):
+            def run():
+                table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, count), Axis("theta", 0.01, 3.13, count)))
+                with open(os.devnull, "w") as fp:
+                    table.to_csv(fp)
+                return sum(c.nbytes for c in table.columns.values()) + table.status_codes.nbytes
+
+            peak, columns = traced_peak(run)
+            return peak - columns
+
+        assert excess(600) <= excess(300) + 2**20
 
 
 class TestFisherScanStatus:
