@@ -87,14 +87,6 @@ def _parse_axis(text: str):
         raise argparse.ArgumentTypeError(f"invalid axis {text!r}: {exc}") from exc
 
 
-def _add_field_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega", type=_real("--omega"), required=True, help="drive angular speed (dimensionless)")
-    p.add_argument("--b0", type=_positive("--b0"), required=True, help="drive coupling strength (dimensionless, > 0)")
-    p.add_argument("--theta", type=_real("--theta"), help="gyration angle in radians, inside (0, pi)")
-    p.add_argument("--theta-deg", type=_real("--theta-deg"),
-                   help="gyration angle in degrees (alternative to --theta)")
-
-
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior", choices=["uniform", "jeffreys", "gaussian"], help="prior family")
     p.add_argument("--window-lower", type=_positive("--window-lower"), help="lower end of the frequency window")
@@ -103,82 +95,70 @@ def _add_prior_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior-sigma", type=_positive("--prior-sigma"), help="Gaussian prior standard deviation")
 
 
-def _add_out_flag(p: argparse.ArgumentParser, default: str | None = None) -> None:
-    kwargs = {"required": True} if default is None else {"default": default}
-    p.add_argument("--out", help="output path, or - for standard output", **kwargs)
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """Fill in the arguments of ``command``, in the order its help lists them."""
+    if command == "estimate":
+        p.add_argument("mode", choices=["ml", "mmse", "map"])
+    p.add_argument("--omega", type=_real("--omega"), required=True,
+                   help="drive angular speed (dimensionless)")
+    p.add_argument("--b0", type=_positive("--b0"), required=True,
+                   help="drive coupling strength (dimensionless, > 0)")
+    p.add_argument("--theta", type=_real("--theta"), help="gyration angle in radians, inside (0, pi)")
+    p.add_argument("--theta-deg", type=_real("--theta-deg"),
+                   help="gyration angle in degrees (alternative to --theta)")
+    axis = {"type": _parse_axis, "required": True}
+    axes = {**axis, "action": "append", "metavar": "NAME:START:STOP:COUNT"}
+    if command == "fisher-scan":
+        p.add_argument("--omega0", type=_positive("--omega0"), required=True)
+        p.add_argument("--axis", **axes)
+        p.add_argument("--accuracy", type=_positive("--accuracy"), default=0.001)
+    elif command == "ml-roots":
+        p.add_argument("--axis", **axes)
+    elif command == "bayes-scan":
+        _add_prior_flags(p)
+        p.add_argument("--axis", **axes)
+        p.add_argument("--n", type=_positive_int("--n"), required=True,
+                       help="trial count entering the prior-information term")
+    elif command == "mmse-curve":
+        p.add_argument("--priors", required=True,
+                       help="comma-separated prior families, e.g. uniform,jeffreys,gaussian")
+        p.add_argument("--window-lower", type=_positive("--window-lower"), required=True)
+        p.add_argument("--window-upper", type=_positive("--window-upper"), required=True)
+        p.add_argument("--prior-mean", type=_real("--prior-mean"))
+        p.add_argument("--prior-sigma", type=_positive("--prior-sigma"))
+        p.add_argument("--n", type=_positive_int("--n"), required=True)
+        p.add_argument("--axis", **axis, metavar="xbar:START:STOP:COUNT")
+    elif command == "map-curve":
+        _add_prior_flags(p)
+        p.add_argument("--n", type=_positive_int("--n"), required=True)
+        p.add_argument("--axis", **axis, metavar="omega0:START:STOP:COUNT")
+    elif command == "estimate":
+        p.add_argument("--n", type=_positive_int("--n"), required=True, help="number of trials")
+        p.add_argument("--k", type=_real("--k"), required=True, help="photon counts")
+        _add_prior_flags(p)
+    else:  # simulate
+        p.add_argument("--omega0-true", type=_positive("--omega0-true"), required=True)
+        p.add_argument("--n", type=_positive_int("--n"), required=True)
+        p.add_argument("--trials", type=_positive_int("--trials"), required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--estimator", choices=["ml", "mmse", "map"], default="ml")
+        _add_prior_flags(p)
+    out = {"default": "-"} if command in ("estimate", "simulate") else {"required": True}
+    p.add_argument("--out", help="output path, or - for standard output", **out)
+    p.add_argument("--config", help="key = value defaults file; flags override")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The command-line parser. Every subcommand is listed, but only
+    ``command``'s arguments are filled in: a run parses one command, and
+    building the arguments of all seven costs each run a few milliseconds."""
     parser = _Parser(prog="rabi-est", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"rabi-est {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("fisher-scan", help="CFI/QFI landscape over two field axes")
-    _add_field_flags(p)
-    p.add_argument("--omega0", type=_positive("--omega0"), required=True)
-    p.add_argument("--axis", type=_parse_axis, action="append", required=True,
-                   metavar="NAME:START:STOP:COUNT")
-    p.add_argument("--accuracy", type=_positive("--accuracy"), default=0.001)
-    _add_out_flag(p)
-    p.add_argument("--config", help="key = value defaults file; flags override")
-
-    p = sub.add_parser("ml-roots", help="ML inversion root surfaces")
-    _add_field_flags(p)
-    p.add_argument("--axis", type=_parse_axis, action="append", required=True,
-                   metavar="NAME:START:STOP:COUNT")
-    _add_out_flag(p)
-    p.add_argument("--config", help="key = value defaults file; flags override")
-
-    p = sub.add_parser("bayes-scan", help="prior-averaged Fisher landscape")
-    _add_field_flags(p)
-    _add_prior_flags(p)
-    p.add_argument("--axis", type=_parse_axis, action="append", required=True,
-                   metavar="NAME:START:STOP:COUNT")
-    p.add_argument("--n", type=_positive_int("--n"), required=True, help="trial count entering the prior-information term")
-    _add_out_flag(p)
-    p.add_argument("--config", help="key = value defaults file; flags override")
-
-    p = sub.add_parser("mmse-curve", help="posterior-mean estimate vs count rate")
-    _add_field_flags(p)
-    p.add_argument("--priors", required=True,
-                   help="comma-separated prior families, e.g. uniform,jeffreys,gaussian")
-    p.add_argument("--window-lower", type=_positive("--window-lower"), required=True)
-    p.add_argument("--window-upper", type=_positive("--window-upper"), required=True)
-    p.add_argument("--prior-mean", type=_real("--prior-mean"))
-    p.add_argument("--prior-sigma", type=_positive("--prior-sigma"))
-    p.add_argument("--n", type=_positive_int("--n"), required=True)
-    p.add_argument("--axis", type=_parse_axis, required=True, metavar="xbar:START:STOP:COUNT")
-    _add_out_flag(p)
-    p.add_argument("--config", help="key = value defaults file; flags override")
-
-    p = sub.add_parser("map-curve", help="MAP stationarity curve vs frequency")
-    _add_field_flags(p)
-    _add_prior_flags(p)
-    p.add_argument("--n", type=_positive_int("--n"), required=True)
-    p.add_argument("--axis", type=_parse_axis, required=True, metavar="omega0:START:STOP:COUNT")
-    _add_out_flag(p)
-    p.add_argument("--config", help="key = value defaults file; flags override")
-
-    p = sub.add_parser("estimate", help="single estimate from observed counts")
-    p.add_argument("mode", choices=["ml", "mmse", "map"])
-    _add_field_flags(p)
-    p.add_argument("--n", type=_positive_int("--n"), required=True, help="number of trials")
-    p.add_argument("--k", type=_real("--k"), required=True, help="photon counts")
-    _add_prior_flags(p)
-    _add_out_flag(p, default="-")
-    p.add_argument("--config", help="key = value defaults file; flags override")
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo estimator benchmark")
-    _add_field_flags(p)
-    p.add_argument("--omega0-true", type=_positive("--omega0-true"), required=True)
-    p.add_argument("--n", type=_positive_int("--n"), required=True)
-    p.add_argument("--trials", type=_positive_int("--trials"), required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--estimator", choices=["ml", "mmse", "map"], default="ml")
-    _add_prior_flags(p)
-    _add_out_flag(p, default="-")
-    p.add_argument("--config", help="key = value defaults file; flags override")
-
+    for name, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            _add_flags(p, name)
     return parser
 
 
@@ -457,29 +437,32 @@ def _cmd_simulate(parser, args, argv) -> int:
     return 0
 
 
-_HANDLERS = {
-    "fisher-scan": _cmd_fisher_scan,
-    "ml-roots": _cmd_ml_roots,
-    "bayes-scan": _cmd_bayes_scan,
-    "mmse-curve": _cmd_mmse_curve,
-    "map-curve": _cmd_map_curve,
-    "estimate": _cmd_estimate,
-    "simulate": _cmd_simulate,
+# The subcommands, in the order the help lists them: handler and help line.
+_COMMANDS = {
+    "fisher-scan": (_cmd_fisher_scan, "CFI/QFI landscape over two field axes"),
+    "ml-roots": (_cmd_ml_roots, "ML inversion root surfaces"),
+    "bayes-scan": (_cmd_bayes_scan, "prior-averaged Fisher landscape"),
+    "mmse-curve": (_cmd_mmse_curve, "posterior-mean estimate vs count rate"),
+    "map-curve": (_cmd_map_curve, "MAP stationarity curve vs frequency"),
+    "estimate": (_cmd_estimate, "single estimate from observed counts"),
+    "simulate": (_cmd_simulate, "seeded Monte Carlo estimator benchmark"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
     try:
         expanded = _expand_config(list(argv))
+        # The top-level parser has no option that takes a value, so the
+        # first word that is not an option names the command.
+        parser = _build_parser(next((a for a in expanded if not a.startswith("-")), None))
         args = parser.parse_args(expanded)
         print(
             f"rabi-est {args.command} started {datetime.now(timezone.utc).isoformat()}",
             file=sys.stderr,
         )
-        return _HANDLERS[args.command](parser, args, expanded)
+        return _COMMANDS[args.command][0](parser, args, expanded)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (NonConvergence, EvidenceUnderflow) as exc:

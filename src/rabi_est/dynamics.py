@@ -13,11 +13,10 @@ times; production code always evaluates at the gate boundary t = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, record
 
 __all__ = [
     "FieldConfig",
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class FieldConfig:
     """Dimensionless drive parameters of the gyrating magnetic field."""
 

@@ -18,7 +18,6 @@ root turns negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,6 +28,7 @@ from .errors import (
     DomainError,
     NoRealRoot,
     SincDomainViolated,
+    record,
 )
 from .numerics import inv_sinc_values
 
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Dataset:
     """Sufficient statistic of the binary record: n trials, k photon counts.
 
@@ -87,13 +87,13 @@ class Ambiguity(str, Enum):
     SINC_DOMAIN_VIOLATED = "SincDomainViolated"
 
 
-@dataclass(frozen=True)
+@record
 class Root:
     value: float
     status: RootStatus
 
 
-@dataclass(frozen=True)
+@record
 class EstimateResult:
     roots: tuple[Root, ...]
     ambiguity: Ambiguity
@@ -103,7 +103,7 @@ class EstimateResult:
         return tuple(r.value for r in self.roots if r.status is RootStatus.ACCEPTED)
 
 
-@dataclass(frozen=True)
+@record
 class ValidityReport:
     """Inversion feasibility: sinc domain and real-distinct-root conditions."""
 

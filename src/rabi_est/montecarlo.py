@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -33,6 +32,7 @@ from .errors import (
     DegenerateProbability,
     DomainError,
     EstimationError,
+    record,
 )
 from .fisher import cfi_values
 from .frequentist import ROOTS_REAL, Dataset, ml_roots
@@ -64,7 +64,7 @@ class Estimator(str, Enum):
     MAP = "map"
 
 
-@dataclass(frozen=True)
+@record
 class TrialConfig:
     cfg: FieldConfig
     omega0_true: float
@@ -88,7 +88,7 @@ class TrialConfig:
             raise DomainError(f"estimator {self.estimator.value} requires a prior")
 
 
-@dataclass(frozen=True)
+@record
 class TrialReport:
     mean_estimate: float
     bias: float

@@ -17,12 +17,11 @@ no longer serves the estimators; the tests and ``bench/tracer.py`` use it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, record
 
 __all__ = [
     "Tolerance",
@@ -42,7 +41,7 @@ _MAX_INTERVALS = 2_000_000
 _CHUNK = 4096
 
 
-@dataclass(frozen=True)
+@record
 class Tolerance:
     """Absolute/relative tolerance pair. Each algorithm sets its own
     iteration or subdivision budget."""
@@ -64,7 +63,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
+@record
 class LocalMaximum:
     """A refined local maximum; ``boundary`` marks an interval endpoint."""
 

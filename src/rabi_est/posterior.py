@@ -35,7 +35,6 @@ vanishes between two modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -48,7 +47,7 @@ from .dynamics import (
     prob_detect_change,
     prob_pieces,
 )
-from .errors import DomainError, EstimationError, EvidenceUnderflow
+from .errors import DomainError, EstimationError, EvidenceUnderflow, record
 from .fisher import fisher_values
 from .frequentist import (
     Dataset,
@@ -97,7 +96,7 @@ _DP_FLOOR = 1e-12
 _MERGE = 1e-6
 
 
-@dataclass(frozen=True)
+@record
 class PosteriorSpec:
     """Immutable inputs of one posterior: data, drive configuration, prior."""
 
@@ -107,7 +106,7 @@ class PosteriorSpec:
     quad_tol: Tolerance = DEFAULT_TOL
 
 
-@dataclass(frozen=True)
+@record
 class MapMaximum:
     value: float
     log_posterior: float
@@ -121,7 +120,7 @@ class MapMaximum:
         return not self.boundary and abs(self.second_derivative) < 1e-8
 
 
-@dataclass(frozen=True)
+@record
 class MapResult:
     maxima: tuple[MapMaximum, ...]
 
@@ -130,7 +129,7 @@ class MapResult:
         return max(self.maxima, key=lambda m: m.log_posterior)
 
 
-@dataclass(frozen=True)
+@record
 class BayesFisher:
     bayes_cfi: float
     bayes_qfi: float
@@ -292,7 +291,7 @@ def _ladders(joint: _LogJoint, center: np.ndarray, g_center: np.ndarray, owner: 
     return np.maximum(center - reach[0], w.lower), np.minimum(center + reach[1], w.upper)
 
 
-@dataclass(frozen=True)
+@record
 class _Workspaces:
     """The workspaces of a batch of specs (all on one field, prior and n).
     Each spec has a mode and the log joint there (shift), or the error that

@@ -13,13 +13,12 @@ information keeps the textbook untruncated value 1/sigma^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .dynamics import FieldConfig, _detuning, prob_pieces, prob_stationary_points, q_factor
-from .errors import DegenerateSupport, DivergentInformation, DomainError
+from .errors import DegenerateSupport, DivergentInformation, DomainError, record
 from .fisher import cfi_values
 from .numerics import DEFAULT_TOL, Tolerance, integrate
 
@@ -47,7 +46,7 @@ class PriorKind(str, Enum):
     GAUSSIAN = "gaussian"
 
 
-@dataclass(frozen=True)
+@record
 class SupportWindow:
     """Frequency window [lower, upper] the estimate is known to lie in."""
 
@@ -65,7 +64,7 @@ class SupportWindow:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
+@record
 class Prior:
     kind: PriorKind
     window: SupportWindow

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .dynamics import FieldConfig, dprob_domega0, prob_detect
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, record
 from .fisher import fisher_values
 
 if TYPE_CHECKING:
@@ -71,7 +70,7 @@ _CSV_CHUNK = 8192
 _WRITE_BYTES = 120 * 1024
 
 
-@dataclass(frozen=True)
+@record
 class Axis:
     """A linearly spaced scan axis."""
 
@@ -194,12 +193,17 @@ class GridTable:
 
 def _sole_axis(bits: np.ndarray, shape: tuple[int, ...]):
     """(k, its bits along axis k) when a 2-axis column depends on the axis-k
-    index alone, else (None, None); two rows or columns reject most early."""
+    index alone, else (None, None); two rows or columns reject most early.
+    The grid is compared by blocks of rows, about _CSV_CHUNK cells each, so
+    no temporary grows with it."""
     if len(shape) == 2:
         grid = bits.reshape(shape)
+        rows = max(1, _CSV_CHUNK // shape[1])
         for k in (1, 0):
             first = grid.take([0], axis=1 - k)
-            if np.array_equal(grid.take([1], axis=1 - k), first) and (grid == first).all():
+            like = np.broadcast_to(first, shape)
+            if np.array_equal(grid.take([1], axis=1 - k), first) and all(
+                    np.array_equal(grid[i:i + rows], like[i:i + rows]) for i in range(0, shape[0], rows)):
                 return k, first.ravel()
     return None, None
 

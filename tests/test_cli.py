@@ -1,13 +1,16 @@
+import argparse
 import hashlib
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from rabi_est import cli
 from rabi_est.cli import main
 from rabi_est.dynamics import FieldConfig
 from rabi_est.fisher import cfi_values
@@ -78,6 +81,46 @@ class TestExitCodes:
         argv = ["estimate", "ml", "--omega", "1", "--b0", "0.5", "--theta", "1.5707963267948966",
                 "--n", "10", "--k", "9"]
         assert run_json(argv, tmp_path)[0] == 3
+
+
+FIELD_FLAGS = ["--omega", "--b0", "--theta", "--theta-deg"]
+PRIOR_FLAGS = ["--prior", "--window-lower", "--window-upper", "--prior-mean", "--prior-sigma"]
+COMMAND_FLAGS = {
+    "fisher-scan": [*FIELD_FLAGS, "--omega0", "--axis", "--accuracy"],
+    "ml-roots": [*FIELD_FLAGS, "--axis"],
+    "bayes-scan": [*FIELD_FLAGS, *PRIOR_FLAGS, "--axis", "--n"],
+    "mmse-curve": [*FIELD_FLAGS, "--priors", *PRIOR_FLAGS[1:], "--n", "--axis"],
+    "map-curve": [*FIELD_FLAGS, *PRIOR_FLAGS, "--n", "--axis"],
+    "estimate": [*FIELD_FLAGS, "--n", "--k", *PRIOR_FLAGS],
+    "simulate": [*FIELD_FLAGS, "--omega0-true", "--n", "--trials", "--seed", "--estimator", *PRIOR_FLAGS],
+}
+
+
+class TestParser:
+    """The parser lists every command but fills in only the invoked one's
+    arguments; help and usage errors read as if it held them all."""
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        listed = re.findall(r"^    (\S+) +\S", capsys.readouterr().out, re.M)
+        assert listed == list(COMMAND_FLAGS)
+
+    def test_unknown_command_is_a_usage_error(self, capsys):
+        assert main(["no-such-command", "--help"]) == 1
+        assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_command_help_names_its_flags(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z0-9-]+", text)) == {*COMMAND_FLAGS[command], "--help", "--out",
+                                                          "--config"}
+        assert ("positional arguments:\n  {ml,mmse,map}\n" in text) == (command == "estimate")
+
+    def test_only_the_invoked_command_is_filled_in(self):
+        parser = cli._build_parser("estimate")
+        sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert [name for name, p in sub.choices.items() if len(p._actions) > 1] == ["estimate"]
 
 
 # simulate reports at the benchmark's field, truth, n and priors with fewer

@@ -1,0 +1,118 @@
+"""The package's frozen record classes (``errors.record``) and the guard that
+keeps ``dataclasses``, whose generated methods cost every command-line run
+milliseconds of start-up, out of the package."""
+
+import ast
+import math
+from pathlib import Path
+
+import pytest
+
+import rabi_est
+from rabi_est import posterior
+from rabi_est.dynamics import FieldConfig
+from rabi_est.errors import DomainError, record
+from rabi_est.frequentist import Ambiguity, Dataset, EstimateResult, Root, RootStatus, ValidityReport
+from rabi_est.montecarlo import Estimator, TrialConfig, TrialReport
+from rabi_est.numerics import LocalMaximum, Tolerance
+from rabi_est.posterior import BayesFisher, MapMaximum, MapResult, PosteriorSpec, _Workspaces, mmse
+from rabi_est.priors import Prior, SupportWindow
+from rabi_est.scan import Axis
+
+SOURCES = sorted(Path(rabi_est.__file__).parent.glob("*.py"))
+CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
+WINDOW = SupportWindow(0.5, 5.0)
+
+# Each makes a new instance of one record class, equal to the last one made.
+RECORDS = [
+    lambda: FieldConfig(1.0, b0=2.0, theta=math.pi / 3),
+    lambda: Tolerance(abs_tol=1e-8),
+    lambda: LocalMaximum(0.5, boundary=True),
+    lambda: Dataset(n=10, k=4),
+    lambda: Root(value=2.0, status=RootStatus.ACCEPTED),
+    lambda: EstimateResult(roots=(Root(2.0, RootStatus.BOUNDARY),), ambiguity=Ambiguity.UNAMBIGUOUS),
+    lambda: ValidityReport(sinc_ok=True, real_distinct=False, s_value=1.5),
+    lambda: SupportWindow(0.5, 5.0),
+    lambda: Prior.gaussian(WINDOW, mean=2.0, sigma=1.0),
+    lambda: PosteriorSpec(Dataset(10, 4), CFG, Prior.uniform(WINDOW)),
+    lambda: MapMaximum(1.0, -2.0, -3.0, False, 1e-12),
+    lambda: MapResult(maxima=(MapMaximum(1.0, -2.0, -3.0, True, math.nan),)),
+    lambda: BayesFisher(bayes_cfi=1.0, bayes_qfi=2.0, bayes_gap=1.0),
+    lambda: _Workspaces(errors=(None,), mode=1.0, shift=0.0, regions=(), sharp=(), maxima=None,
+                        edges=None),
+    lambda: TrialConfig(cfg=CFG, omega0_true=2.0, n=100, trials=10, seed=7, estimator=Estimator.MAP,
+                        prior=Prior.uniform(WINDOW)),
+    lambda: TrialReport(1.0, 0.0, 0.1, 0.2, None, 0, 0, 10),
+    lambda: Axis("b0", 0.1, 5.0, 3),
+]
+
+
+def record_classes() -> set:
+    """(module, class) of every class the package decorates with ``record``."""
+    return {(path.stem, node.name) for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list)}
+
+
+def test_every_record_class_is_covered():
+    covered = {(type(make()).__module__.rpartition(".")[2], type(make()).__name__) for make in RECORDS}
+    assert covered == record_classes()
+    assert len(covered) == 17
+
+
+@pytest.mark.parametrize("make", RECORDS, ids=lambda make: type(make()).__name__)
+def test_record_class(make):
+    a, b = make(), make()
+    cls = type(a)
+    names = tuple(cls.__annotations__)
+    values = tuple(getattr(a, name) for name in names)
+    # Equal fields, equal objects and hashes, by position or keyword.
+    assert a is not b and a == b and hash(a) == hash(b) == hash(values)
+    assert cls(*values) == a == cls(**dict(zip(names, values)))
+    # Another class with the same fields, and the field tuple, are unequal.
+    twin = record(type(cls.__name__, (), {"__annotations__": dict(cls.__annotations__)}))(*values)
+    assert a != twin and twin != a and a != values
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert f"{name}={getattr(a, name)!r}" in repr(a)
+    assert repr(a).startswith(f"{cls.__qualname__}(")
+    assert a == b
+
+
+def test_record_arguments():
+    assert Tolerance() == Tolerance(1e-10, 1e-10)
+    assert LocalMaximum(0.5).boundary is False
+    for args, kwargs in [((1.0, 2.0, 3.0, 4.0), {}), ((1.0,), {"omega": 1.0}), ((1.0, 2.0), {}),
+                         ((), {"omega": 1.0, "b0": 2.0, "theta": 1.0, "phi": 0.0})]:
+        with pytest.raises(TypeError):
+            FieldConfig(*args, **kwargs)
+    with pytest.raises(DomainError, match="b0 must be positive, got -1"):
+        FieldConfig(1.0, b0=-1.0, theta=1.0)
+
+
+def test_equal_posterior_specs_share_a_cache_entry():
+    # Equal specs made apart hit the same _moments entry.
+    def spec():
+        return PosteriorSpec(Dataset(10, 4), FieldConfig(1.0, 1.0, math.pi / 2),
+                             Prior.uniform(SupportWindow(0.5, 5.0)))
+
+    first = mmse(spec())
+    hits = posterior._moments.cache_info().hits
+    assert mmse(spec()) == first
+    assert posterior._moments.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_package_does_not_import_dataclasses(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        assert "dataclasses" not in [m.partition(".")[0] for m in modules], f"{path.name}:{node.lineno}"

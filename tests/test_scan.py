@@ -470,6 +470,20 @@ class TestCellBlocks:
 
         assert excess(600) <= excess(300) + 2**20
 
+    @pytest.mark.parametrize("along", [0, 1])
+    def test_sole_axis_memory_does_not_grow_with_the_grid(self, along, traced_peak):
+        # A 1000x1000 column that depends on one axis index alone, as ml-roots'
+        # boundary_b0 does: telling so needs no temporary the grid's size,
+        # and a cell that breaks the pattern in the last row is still seen.
+        shape = (1000, 1000)
+        values = np.arange(1000, dtype=float).view(np.uint64)
+        bits = np.broadcast_to(values[:, None] if along == 0 else values, shape).ravel()
+        peak, (k, got) = traced_peak(scan._sole_axis, bits, shape)
+        assert k == along and np.array_equal(got, values)
+        assert peak < 2**18
+        bits[-1] += 1
+        assert scan._sole_axis(bits, shape) == (None, None)
+
 
 class TestFisherScanStatus:
     def test_zero_drive_frequency_scales_cfi_to_zero(self):
