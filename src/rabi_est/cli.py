@@ -20,7 +20,7 @@ import json
 import math
 import shlex
 import sys
-from datetime import datetime, timezone
+import time
 
 from . import __version__
 from .dynamics import FieldConfig
@@ -43,13 +43,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _real(name, positive=False):
-    """A float flag's converter: the value must be finite, and above 0 if
-    ``positive``."""
+    """A float flag's converter: the value must be a finite number, and
+    above 0 if ``positive``."""
     def convert(text):
-        value = float(text)
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
         if not math.isfinite(value) or (positive and not value > 0):
             raise argparse.ArgumentTypeError(
-                f"{name} must be finite{' and positive' if positive else ''}, got {text}")
+                f"{name} must be a finite{' positive' if positive else ''} number, got {text}")
         return value
 
     return convert
@@ -59,14 +62,38 @@ def _positive(name):
     return _real(name, positive=True)
 
 
-def _positive_int(name):
+def _integer(name, positive=False):
+    """An integer flag's converter: an integral literal, taken exactly (1e10
+    and 5.0 too), and at least 1 if ``positive``."""
     def convert(text):
-        value = int(text)
-        if not value >= 1:
-            raise argparse.ArgumentTypeError(f"{name} must be a positive integer, got {text}")
+        try:
+            value = int(text)
+        except ValueError:
+            value = _integral(text)
+        if value is None or (positive and not value >= 1):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be a{' positive' if positive else 'n'} integer, got {text}")
         return value
 
     return convert
+
+
+def _integral(text: str) -> int | None:
+    """The integer that a decimal literal such as 1e10 or 5.0 names exactly,
+    or None if it names none (or one of over 4300 digits, int()'s limit)."""
+    from decimal import Decimal, InvalidOperation
+
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        return None
+    if value.is_finite() and value.adjusted() < 4300 and value == value.to_integral_value():
+        return int(value)
+    return None
+
+
+def _positive_int(name):
+    return _integer(name, positive=True)
 
 
 def _parse_axis(text: str):
@@ -78,13 +105,18 @@ def _parse_axis(text: str):
             f"axis must be name:start:stop:count, got {text!r}"
         )
     name, start, stop, count = parts
+    count = _integer(f"axis {name} count")(count)
     try:
         start, stop = float(start), float(stop)
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("start and stop must be finite")
-        return Axis(name=name, start=start, stop=stop, count=int(count))
+        return Axis(name=name, start=start, stop=stop, count=count)
     except (ValueError, DomainError) as exc:
         raise argparse.ArgumentTypeError(f"invalid axis {text!r}: {exc}") from exc
+
+
+# Why n >= 1, for the help of every --n flag.
+_N_RULE = "an integer >= 1 such as 100 or 1e10: the count rate k/n needs at least one trial"
 
 
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
@@ -118,7 +150,7 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         _add_prior_flags(p)
         p.add_argument("--axis", **axes)
         p.add_argument("--n", type=_positive_int("--n"), required=True,
-                       help="trial count entering the prior-information term")
+                       help=f"trial count entering the prior-information term, {_N_RULE}")
     elif command == "mmse-curve":
         p.add_argument("--priors", required=True,
                        help="comma-separated prior families, e.g. uniform,jeffreys,gaussian")
@@ -126,21 +158,22 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--window-upper", type=_positive("--window-upper"), required=True)
         p.add_argument("--prior-mean", type=_real("--prior-mean"))
         p.add_argument("--prior-sigma", type=_positive("--prior-sigma"))
-        p.add_argument("--n", type=_positive_int("--n"), required=True)
+        p.add_argument("--n", type=_positive_int("--n"), required=True, help=f"number of trials, {_N_RULE}")
         p.add_argument("--axis", **axis, metavar="xbar:START:STOP:COUNT")
     elif command == "map-curve":
         _add_prior_flags(p)
-        p.add_argument("--n", type=_positive_int("--n"), required=True)
+        p.add_argument("--n", type=_positive_int("--n"), required=True, help=f"number of trials, {_N_RULE}")
         p.add_argument("--axis", **axis, metavar="omega0:START:STOP:COUNT")
     elif command == "estimate":
-        p.add_argument("--n", type=_positive_int("--n"), required=True, help="number of trials")
+        p.add_argument("--n", type=_positive_int("--n"), required=True, help=f"number of trials, {_N_RULE}")
         p.add_argument("--k", type=_real("--k"), required=True, help="photon counts")
         _add_prior_flags(p)
     else:  # simulate
         p.add_argument("--omega0-true", type=_positive("--omega0-true"), required=True)
-        p.add_argument("--n", type=_positive_int("--n"), required=True)
+        p.add_argument("--n", type=_positive_int("--n"), required=True,
+                       help=f"trials per simulated dataset, {_N_RULE}")
         p.add_argument("--trials", type=_positive_int("--trials"), required=True)
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=_integer("--seed"), required=True)
         p.add_argument("--estimator", choices=["ml", "mmse", "map"], default="ml")
         _add_prior_flags(p)
     out = {"default": "-"} if command in ("estimate", "simulate") else {"required": True}
@@ -449,6 +482,15 @@ _COMMANDS = {
 }
 
 
+def _utc_stamp() -> str:
+    """The time now as ``datetime.now(timezone.utc).isoformat()`` writes it,
+    with no fraction when the microseconds are 0, without importing
+    ``datetime``."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    fraction = f".{micros:06d}" if micros else ""
+    return f"{time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(seconds))}{fraction}+00:00"
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -458,10 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         # first word that is not an option names the command.
         parser = _build_parser(next((a for a in expanded if not a.startswith("-")), None))
         args = parser.parse_args(expanded)
-        print(
-            f"rabi-est {args.command} started {datetime.now(timezone.utc).isoformat()}",
-            file=sys.stderr,
-        )
+        print(f"rabi-est {args.command} started {_utc_stamp()}", file=sys.stderr)
         return _COMMANDS[args.command][0](parser, args, expanded)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -6,13 +6,14 @@ A table keeps it as integer codes into the status names. Importing this
 module loads only the ``dynamics`` and ``fisher`` kernels of the Fisher
 landscape; the other scans import what they run when they run: the ML root
 surfaces ``frequentist``, the Bayesian ones ``posterior`` and ``priors``.
-The Fisher landscape and the ML root surfaces run their closed-form kernels
-one block of ``_CSV_CHUNK`` cells at a time, on coordinates taken from the
-block's flat cell indices, and write each block into preallocated columns:
-the kernels are elementwise, so the values are those of one whole-grid
-call bit for bit, and no grid-sized array exists besides the columns.
-``GridTable.to_csv`` formats a table by the same blocks of rows and writes
-each block in slices of under 128 KiB.
+The Fisher landscape and the ML root surfaces are tables drawn by blocks:
+``GridTable.to_csv`` runs their closed-form kernels on one block of
+``_CSV_CHUNK`` cells at a time, on coordinates taken from the block's flat
+cell indices, formats the block and writes it in slices of under 128 KiB,
+so no array the size of the grid exists. The kernels are elementwise, so
+the values are those of one whole-grid call bit for bit. The ML boundary
+column depends on the count rate alone and is computed once per xbar axis
+value.
 The MMSE curve computes each prior's column as one batch of posteriors in a
 single quadrature. The Bayesian Fisher scan runs its cells one after
 another in row-major order, rebuilding a Jeffreys prior for each cell's
@@ -61,8 +62,7 @@ _FISHER_COLUMNS = ("cfi_raw", "qfi_raw", "gap_raw", "cfi_scaled", "qfi_scaled", 
                    "n_required")
 _ROOT_STATUSES = ("Unambiguous", "Complex", "NegativeRejected", "Ambiguous")
 _MAP_STATUSES = (STATUS_OK, "dprob_zero")
-# Cells per kernel block of the closed-form scans, and rows formatted per
-# chunk by GridTable.to_csv.
+# Cells per block that a GridTable computes, formats and writes at a time.
 _CSV_CHUNK = 8192
 # Bytes of joined CSV text per fp.write at most: below glibc's default
 # 128 KiB mmap threshold, so each slice's buffers come from and go back to
@@ -101,52 +101,110 @@ class Axis:
 class GridTable:
     """Rectangular scan output: axis columns, value columns, per-cell status.
 
-    ``status`` is one name per cell, kept as its code into ``status_names``,
-    or with ``status_names`` those codes; it reads back as the names.
+    A table draws its cells by blocks of ``_CSV_CHUNK`` in row-major order
+    (``_blocks``) from a block function ``cells(block, index)``: given the
+    block's slice of the cells and its cells' index along each axis, it
+    returns the block's value columns by name and its status codes, each a
+    code into ``status_names``. A column that depends on one axis index
+    alone may instead be given once, as its values along that axis
+    (``along``: name -> (axis number, values)). ``to_csv`` computes, formats
+    and writes one block at a time, so no column of the whole grid exists
+    while it runs; ``columns``, ``status_codes`` and ``status`` are built
+    from the blocks when first read.
+
+    The constructor stores whole columns: ``status`` is one name per cell,
+    or with ``status_names`` those names' codes, and it reads back as the
+    names. Stored columns of a 2-axis table that depend on one axis index
+    alone are found (``_sole_axis``) and written as such.
+    ``GridTable.from_blocks`` takes a block function instead.
     """
 
     def __init__(self, axes, columns, status, metadata=None, status_names=None):
-        self.axes = tuple(axes)
-        self.columns = columns
-        self.metadata = {} if metadata is None else metadata
-        n = self.n_cells
-        for name, col in [*self.columns.items(), ("status", status)]:
+        axes = tuple(axes)
+        n = math.prod(ax.count for ax in axes)
+        for name, col in [*columns.items(), ("status", status)]:
             if len(col) != n:
                 raise DomainError(f"column {name!r} has {len(col)} cells, expected {n}")
         if status_names is None:
             index = {s: i for i, s in enumerate(dict.fromkeys(status))}
             status = np.fromiter(map(index.__getitem__, status), np.min_scalar_type(len(index)), n)
             status_names = index
+        codes = np.asarray(status)
+        if not 0 <= codes.min() <= codes.max() < len(status_names):
+            raise DomainError(f"status codes must index the {len(status_names)} status names")
+        stored = {name: np.asarray(c, dtype=float) for name, c in columns.items()}
+        along = {}
+        for name, c in stored.items():
+            k, first = _sole_axis(c.view(np.uint64), tuple(ax.count for ax in axes))
+            if k is not None:
+                along[name] = k, first.view(float)
+        self._define(axes, list(columns), status_names, metadata,
+                     lambda block, index: ({name: c[block] for name, c in stored.items()}, codes[block]), along)
+        self._whole = stored, codes
+
+    @classmethod
+    def from_blocks(cls, axes, names, status_names, cells, metadata=None, along=None) -> GridTable:
+        """A table of the named columns whose cells the block function
+        ``cells`` computes (see the class docstring)."""
+        table = cls.__new__(cls)
+        table._define(axes, list(names), status_names, metadata, cells, {} if along is None else along)
+        return table
+
+    def _define(self, axes, names, status_names, metadata, cells, along) -> None:
+        self.axes = tuple(axes)
+        self._names = names
         self.status_names = tuple(status_names)
-        self.status_codes = np.asarray(status)
-        if not 0 <= self.status_codes.min() <= self.status_codes.max() < len(self.status_names):
-            raise DomainError(f"status codes must index the {len(self.status_names)} status names")
+        self.metadata = {} if metadata is None else metadata
+        self._cells = cells
+        self._along = along
+        self._whole = None
+
+    def _read(self) -> tuple[dict, np.ndarray]:
+        """The whole grid's columns and status codes, built on first read."""
+        if self._whole is None:
+            columns = {name: np.empty(self.n_cells) for name in self._names}
+            codes = np.empty(self.n_cells, np.int8)
+            for block, index in _blocks(self.shape):
+                values, codes[block] = self._cells(block, index)
+                for name, column in columns.items():
+                    k, along = self._along.get(name, (None, None))
+                    column[block] = values[name] if k is None else along[index[k]]
+            self._whole = columns, codes
+        return self._whole
+
+    @property
+    def columns(self) -> dict:
+        return self._read()[0]
+
+    @property
+    def status_codes(self) -> np.ndarray:
+        return self._read()[1]
 
     @property
     def status(self) -> list[str]:
         return np.array(self.status_names, dtype=object)[self.status_codes].tolist()
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(ax.count for ax in self.axes)
+
+    @property
     def n_cells(self) -> int:
-        out = 1
-        for ax in self.axes:
-            out *= ax.count
-        return out
+        return math.prod(self.shape)
 
     def header(self) -> list[str]:
-        return [ax.name for ax in self.axes] + list(self.columns) + ["status"]
+        return [ax.name for ax in self.axes] + self._names + ["status"]
 
     def to_csv(self, fp) -> None:
         """Comma-separated output: header row, LF endings, and for every
         number exactly the text of ``format(v, ".17g")``.
 
-        Rows go out in row-major cell order, formatted by chunks of
-        ``_CSV_CHUNK`` rows and written by row slices of a chunk, each
-        ``fp.write`` and the frame it is joined in at most ``_WRITE_BYTES``
-        (under 128 KiB). Text that repeats is made once and gathered per
-        chunk: axis values, status names and, in a 2-axis table, a column
-        whose bits depend on one axis index alone, formatted at that axis's
-        length. A chunk of another column that equals an earlier column's
+        Rows go out in row-major cell order, computed and formatted by
+        blocks of ``_CSV_CHUNK`` rows and written by row slices of a block,
+        each ``fp.write`` and the frame it is joined in at most
+        ``_WRITE_BYTES`` (under 128 KiB). Text that repeats is made once and
+        gathered per block: axis values, status names and a column given
+        along one axis, formatted at that axis's length. A block of another column that equals an earlier column's
         bit for bit shares its text (in units where omega = 1, the scaled
         Fisher columns are the raw ones); bits compare as integers, so the
         signs of zeros and NaNs count. Numbers are formatted as arrays
@@ -158,34 +216,33 @@ class GridTable:
         bytes are those of one ``format`` call per number.
         """
         fp.write(",".join(self.header()) + "\n")
-        shape = tuple(ax.count for ax in self.axes)
+        shape, along = self.shape, self._along
         # Each field is (k, its text, used bytes and the text row of each
-        # kth index: axis indices, then status codes) or (None, column bits).
+        # kth index: axis indices, then status codes) or (None, column name).
         fields = [(k, _format_17g(ax.values)) for k, ax in enumerate(self.axes)]
-        for c in self.columns.values():
-            bits = np.asarray(c, dtype=float).view(np.uint64)
-            k, along = _sole_axis(bits, shape)
-            fields.append((k, _format_17g(along.view(float))) if k is not None else (None, bits))
+        fields += [(along[name][0], _format_17g(along[name][1])) if name in along else (None, name)
+                   for name in self._names]
         fields.append((len(shape), _status_fields(self.status_names)))
         for cells, index in _blocks(shape):
-            index = (*index, self.status_codes[cells])
+            # The previous block's values and text are let go only once this
+            # block's are made. Freed first, their memory tends to lie at the
+            # top of the heap, which glibc then returns to the OS, only to
+            # fault the same pages in again for the next block.
+            values, codes = self._cells(cells, index)
+            index = (*index, codes)
             made = []
-            distinct: list = []  # (bits, text) of this chunk's columns so far
+            distinct: list = []  # (bits, text) of this block's columns so far
             for k, source in fields:
                 if k is not None:
                     text, used, rows = source
                     made.append((text, used, rows[index[k]]))
                     continue
-                bits = source[cells]
+                bits = values[source].view(np.uint64)
                 text = next((t for b, t in distinct if np.array_equal(b, bits)), None)
                 if text is None:
                     text = _format_17g(bits.view(float))
                     distinct.append((bits, text))
                 made.append(text)
-            # The previous chunk's text is let go only now that this chunk's
-            # is made. Freed first, its memory tends to lie at the top of the
-            # heap, which glibc then returns to the OS, only to fault the
-            # same pages in again for the next chunk.
             row = made
             for text in _join_fields(row):
                 fp.write(text)
@@ -480,14 +537,13 @@ def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, tuple[np.ndarray, .
         yield block, np.unravel_index(np.arange(block.start, block.stop), shape)
 
 
-def _cell_blocks(cfg: FieldConfig, axes: Sequence[Axis]) -> Iterator[tuple[slice, SimpleNamespace]]:
-    """The blocks of the axes' grid (``_blocks``): each block's slice and its
-    cells' parameters as attributes, arrays along the axes (the values of a
-    meshgrid) and cfg's omega, b0 and theta otherwise."""
+def _cell_fields(cfg: FieldConfig, axes: Sequence[Axis]):
+    """A function from a block's cell indices along the axes (``_blocks``)
+    to its cells' parameters as attributes: arrays along the axes (the
+    values of a meshgrid) and cfg's omega, b0 and theta otherwise."""
     values = [ax.values for ax in axes]
     fixed = {name: getattr(cfg, name) for name in _FIELD_AXES}
-    for block, index in _blocks(tuple(ax.count for ax in axes)):
-        yield block, SimpleNamespace(**fixed | {ax.name: v[i] for ax, v, i in zip(axes, values, index)})
+    return lambda index: SimpleNamespace(**fixed | {ax.name: v[i] for ax, v, i in zip(axes, values, index)})
 
 
 def fisher_scan(
@@ -508,25 +564,24 @@ def fisher_scan(
     if not accuracy > 0:
         raise DomainError(f"accuracy must be positive, got {accuracy}")
 
-    n_cells = math.prod(ax.count for ax in axes)
-    columns = {name: np.empty(n_cells) for name in _FISHER_COLUMNS}
-    codes = np.empty(n_cells, np.int8)
-    for cells, fields in _cell_blocks(cfg, axes):
+    fields_of = _cell_fields(cfg, axes)
+
+    def cells(block, index):
+        fields = fields_of(index)
         cfi, qfi = fisher_values(fields, omega0)
         scale = fields.omega * fields.omega  # the scaled columns: raw * omega^2
+        values = {}
         for name, raw in (("cfi", cfi), ("qfi", qfi), ("gap", qfi - cfi)):
-            columns[f"{name}_raw"][cells] = raw
-            np.multiply(raw, scale, out=columns[f"{name}_scaled"][cells])
-        n_required = columns["n_required"][cells]
+            values[f"{name}_raw"], values[f"{name}_scaled"] = raw, raw * scale
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(1.0, accuracy * columns["cfi_scaled"][cells], out=n_required)
-        codes[cells] = np.select([np.isnan(cfi), ~np.isfinite(n_required)], [1, 2], 0)
+            values["n_required"] = n_required = 1.0 / (accuracy * values["cfi_scaled"])
+        return values, np.select([np.isnan(cfi), ~np.isfinite(n_required)], [1, 2], 0)
 
-    return GridTable(
-        axes=tuple(axes),
-        columns=columns,
-        status=codes,
-        status_names=_FISHER_STATUSES,
+    return GridTable.from_blocks(
+        axes,
+        _FISHER_COLUMNS,
+        _FISHER_STATUSES,
+        cells,
         metadata={
             "operation": "fisher_scan",
             "omega0": omega0,
@@ -554,22 +609,22 @@ def ml_root_scan(cfg: FieldConfig, axes: tuple[Axis, Axis]) -> GridTable:
 
     from .frequentist import ROOTS_REAL, ml_roots
 
-    n_cells = math.prod(ax.count for ax in axes)
-    columns = {name: np.empty(n_cells) for name in ("root_plus", "root_minus", "boundary_b0")}
-    codes = np.empty(n_cells, np.int8)
-    for cells, fields in _cell_blocks(cfg, axes):
-        root_plus, root_minus, inversion = ml_roots(fields.xbar, fields)
-        columns["root_plus"][cells] = root_plus
-        columns["root_minus"][cells] = root_minus
-        columns["boundary_b0"][cells] = np.sqrt(fields.xbar) / abs(np.sin(fields.theta))
-        codes[cells] = np.select([inversion != ROOTS_REAL, root_minus < 0.0, root_minus > 0.0], [1, 2, 3], 0)
+    fields_of = _cell_fields(cfg, axes)
 
-    return GridTable(
-        axes=tuple(axes),
-        columns=columns,
-        status=codes,
-        status_names=_ROOT_STATUSES,
+    def cells(block, index):
+        fields = fields_of(index)
+        root_plus, root_minus, inversion = ml_roots(fields.xbar, fields)
+        codes = np.select([inversion != ROOTS_REAL, root_minus < 0.0, root_minus > 0.0], [1, 2, 3], 0)
+        return {"root_plus": root_plus, "root_minus": root_minus}, codes
+
+    boundary = np.sqrt(xbar_axis.values) / abs(np.sin(cfg.theta))
+    return GridTable.from_blocks(
+        axes,
+        ("root_plus", "root_minus", "boundary_b0"),
+        _ROOT_STATUSES,
+        cells,
         metadata={"operation": "ml_root_scan", "fixed": _fixed_echo(cfg, names)},
+        along={"boundary_b0": (names.index("xbar"), boundary)},
     )
 
 
@@ -596,7 +651,9 @@ def bayes_scan(
     cols = np.full((math.prod(ax.count for ax in axes), 3), math.nan)
     status = [STATUS_OK] * len(cols)
     jeffreys = prior.kind is PriorKind.JEFFREYS  # it depends on the drive: rebuilt per cell
-    for cells, fields in _cell_blocks(cfg, axes):
+    fields_of = _cell_fields(cfg, axes)
+    for cells, index in _blocks(tuple(ax.count for ax in axes)):
+        fields = fields_of(index)
         drives = np.broadcast_arrays(*(getattr(fields, name) for name in _FIELD_AXES))
         for i, drive in zip(range(cells.start, cells.stop), zip(*(d.tolist() for d in drives))):
             try:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import importlib
 import json
@@ -7,6 +8,9 @@ import os
 import re
 import subprocess
 import sys
+import time
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +193,69 @@ def test_config_with_equals_sign_is_read(tmp_path):
     assert "--config" not in payload["manifest"]["command_line"]
 
 
+class TestIntegerFlags:
+    """Integer flags take integral literals exactly, 1e10 and 5.0 among them,
+    and a refusal names its flag."""
+
+    ESTIMATE = ["estimate", "ml", *FIELD, "--k", "1"]
+    SIMULATE = ["simulate", *FIELD, "--omega0-true", "2", "--n", "10", "--trials", "5", "--seed", "1"]
+    FISHER = ["fisher-scan", *FIELD, "--omega0", "2", "--axis", "theta:0.1:3:3"]
+
+    @pytest.mark.parametrize("base, flag, text, value", [
+        (ESTIMATE, "--n", "1e10", 10**10),
+        (ESTIMATE, "--n", "12345678901234567890123456789e3", 12345678901234567890123456789000),
+        (ESTIMATE, "--n", "100.0", 100),
+        (ESTIMATE, "--n", "2.5E1", 25),
+        (SIMULATE, "--trials", "1e3", 1000),
+        (SIMULATE, "--seed", "7.0", 7),
+        (SIMULATE, "--seed", "18446744073709551615", 2**64 - 1),
+    ])
+    def test_integral_literals(self, base, flag, text, value):
+        args = cli._build_parser(base[0]).parse_args([*base, flag, text, "--out", "-"])
+        parsed = getattr(args, flag[2:])
+        assert type(parsed) is int and parsed == value
+
+    def test_axis_count(self):
+        args = cli._build_parser("fisher-scan").parse_args(
+            [*self.FISHER, "--axis", "b0:0.1:5:5.0", "--out", "-"])
+        assert args.axis[1].count == 5 and type(args.axis[1].count) is int
+
+    @pytest.mark.parametrize("base, flag, text", [
+        (ESTIMATE, "--n", "2.5"), (ESTIMATE, "--n", "1e-1"), (ESTIMATE, "--n", "nan"),
+        (ESTIMATE, "--n", "inf"), (ESTIMATE, "--n", "0"), (ESTIMATE, "--n", "0e5"),
+        (ESTIMATE, "--n", "ten"), (ESTIMATE, "--n", "1e999999999"), (SIMULATE, "--trials", "1.5"),
+        (SIMULATE, "--seed", "1.5"), (SIMULATE, "--seed", "seven"), (ESTIMATE, "--omega", "abc"),
+        (ESTIMATE, "--b0", "-1"), (ESTIMATE, "--k", "four"),
+        (FISHER, "--axis", "b0:0.1:5:5.5"), (FISHER, "--axis", "b0:0.1:5:five"),
+    ])
+    def test_refusal_names_the_flag(self, base, flag, text, capsys):
+        argv = [*base, flag, text, "--out", "-"]
+        if flag != "--n" and base is self.ESTIMATE:
+            argv[-2:-2] = ["--n", "10"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err.startswith(f"rabi-est {base[0]}: error: argument {flag}: ")
+        name, text = ("axis b0 count", text.rsplit(":", 1)[1]) if flag == "--axis" else (flag, text)
+        assert f"{name} must be " in err and err.endswith(f", got {text}")
+        assert "invalid" not in err and "convert" not in err
+
+
+@pytest.mark.parametrize("ns", [0, 1_760_000_000_000_000_000, 1_760_000_000_123_456_789,
+                                1_760_000_000_000_001_999, 4_102_444_799_999_999_999])
+def test_started_stamp_reads_as_isoformat(ns, monkeypatch):
+    # The same text as datetime.now(timezone.utc).isoformat(): no fraction
+    # when the microseconds are 0.
+    monkeypatch.setattr(time, "time_ns", lambda: ns)
+    expect = (datetime.fromtimestamp(0, timezone.utc) + timedelta(microseconds=ns // 1000)).isoformat()
+    assert cli._utc_stamp() == expect
+
+
+def test_started_line_goes_to_stderr(capsys):
+    assert main(["estimate", "ml", *FIELD, "--n", "100", "--k", "41", "--out", "-"]) == 0
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"rabi-est estimate started \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00\n", err)
+
+
 class TestTheta:
     BASE = ["estimate", "ml", "--omega", "1", "--b0", "1", "--n", "100", "--k", "41"]
 
@@ -278,6 +345,34 @@ class TestImports:
         code = self.cli_code([*argv, "--out", str(tmp_path / "out")])
         assert loaded_modules(code) == set(modules)
 
+    # Standard modules that no command needs. numpy's core imports datetime
+    # on every run, so that one is kept out of the package's own imports.
+    UNUSED = ("dataclasses", "fractions", "decimal")
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "mmse", *FIELD, "--n", "10", "--k", "4", "--prior", "uniform",
+         "--window-lower", "0.5", "--window-upper", "5"],
+        ["fisher-scan", *FIELD, "--omega0", "2", "--axis", "b0:0.1:5:3", "--axis", "theta:0.1:3:3"],
+    ], ids=["estimate-mmse", "fisher-scan"])
+    def test_command_loads_no_unused_standard_module(self, argv, tmp_path):
+        code = self.cli_code([*argv, "--out", str(tmp_path / "out")])
+        code += f"\nprint(sorted(m for m in {self.UNUSED!r} if m in sys.modules))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("path", sorted(Path(cli.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+    def test_package_does_not_import_datetime(self, path):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "datetime" not in [m.partition(".")[0] for m in modules], f"{path.name}:{node.lineno}"
+
     def test_package_import_loads_no_submodule(self):
         # dir() lists every export before any is loaded.
         code = "import sys, rabi_est\nassert set(rabi_est.__all__) <= set(dir(rabi_est))"
@@ -330,6 +425,36 @@ def test_bayes_scan_is_pinned(tmp_path, monkeypatch):
         assert main([*BAYES_SCAN_3X3, "--out", "scan.csv"]) == 0
         assert PINNED_BAYES_SCAN == tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                                           for name in ("scan.csv", "scan.csv.manifest.json"))
+
+
+# The closed-form scans over grids of 93 x 95 cells, more than one block of
+# cells each: sha256 of the CSV and manifest, both run in the output's directory.
+PINNED_SCANS = {
+    "fisher-omega-theta": (
+        ["fisher-scan", *FIELD, "--omega0", "2", "--axis", "omega:-1:1:93", "--axis", "theta:0.5:2.5:95"],
+        "880b25e748d97566c7b141bf894d9732d096079632349a3507f35e3fbd167135",
+        "11769f2d370e825cfecbe9f588cad835becea528664f715a0d232ae4b80938c5",
+    ),
+    "ml-roots-b0-xbar": (
+        ["ml-roots", *FIELD, "--axis", "b0:0.1:5:93", "--axis", "xbar:0.001:0.999:95"],
+        "9fa6c3eb48339959c755ce0f8a046afa1386f4bd81481dab9902b76e9c690bcc",
+        "f2860c91e32aaf06b09616b93c6056c39bf8aa282c579b7545bbc43eb47454ec",
+    ),
+    "ml-roots-xbar-omega": (
+        ["ml-roots", *FIELD, "--axis", "xbar:0.001:0.999:93", "--axis", "omega:-3:3:95"],
+        "e9666587a1656a33ac4daea776b59c5bf40ff982d7cc22ad1209a2c52b5aa3f2",
+        "332994da38762e4f9221722cc10b1ce8d5020e9c09329d4077db2706d5748c06",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_SCANS))
+def test_closed_form_scan_is_pinned(case, tmp_path, monkeypatch):
+    argv, *digests = PINNED_SCANS[case]
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "scan.csv"]) == 0
+    assert digests == [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                       for name in ("scan.csv", "scan.csv.manifest.json")]
 
 
 class TestStrictJson:

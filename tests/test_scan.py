@@ -470,6 +470,22 @@ class TestCellBlocks:
 
         assert excess(600) <= excess(300) + 2**20
 
+    @pytest.mark.parametrize("scan_of", [
+        lambda count: fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, count), Axis("theta", 0.01, 3.13, count))),
+        lambda count: ml_root_scan(CFG, (Axis("b0", 0.1, 5.0, count), Axis("xbar", 0.001, 0.999, count))),
+    ], ids=["fisher_scan", "ml_root_scan"])
+    def test_scan_and_csv_total_memory_does_not_grow_with_the_grid(self, scan_of, traced_peak):
+        # All the memory that a scan written to CSV takes, output columns
+        # included: its table computes, formats and writes one block at a time.
+        def peak(count):
+            def run():
+                with open(os.devnull, "w") as fp:
+                    scan_of(count).to_csv(fp)
+
+            return traced_peak(run)[0]
+
+        assert peak(600) <= peak(300) + 2**20
+
     @pytest.mark.parametrize("along", [0, 1])
     def test_sole_axis_memory_does_not_grow_with_the_grid(self, along, traced_peak):
         # A 1000x1000 column that depends on one axis index alone, as ml-roots'
