@@ -64,7 +64,8 @@ def _positive(name):
 
 def _integer(name, positive=False):
     """An integer flag's converter: an integral literal, taken exactly (1e10
-    and 5.0 too), and at least 1 if ``positive``."""
+    and 5.0 too), at least 1 if ``positive``, and one that a float can hold,
+    as the estimators take it into floats."""
     def convert(text):
         try:
             value = int(text)
@@ -73,6 +74,11 @@ def _integer(name, positive=False):
         if value is None or (positive and not value >= 1):
             raise argparse.ArgumentTypeError(
                 f"{name} must be a{' positive' if positive else 'n'} integer, got {text}")
+        try:
+            float(value)
+        except OverflowError:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer within the float range, got {text}") from None
         return value
 
     return convert

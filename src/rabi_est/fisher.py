@@ -11,9 +11,9 @@ Each formula is written once, over the shared terms b = b0 sin(theta), the
 detuning d and the Rabi frequency q; ``fisher_values`` computes those terms
 once for both quantities, with the single kernels' values bit for bit.
 
-Raw values are in t = 1 units; the omega^2-scaled variants used for the
-dimensionless landscape maps are a separate explicit transform
-(:func:`paper_scaled`), since that scaling degenerates at omega = 0.
+Raw values are in t = 1 units. The dimensionless landscape maps also
+report them times omega^2 (``scan.fisher_scan``); the kernels leave that
+scaling out, since it degenerates at omega = 0.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "fisher_values",
     "cfi_values",
     "qfi_values",
-    "paper_scaled",
 ]
 
 # Guard band on rho00 near 1 where the CFI denominator underflows.
@@ -85,8 +84,3 @@ def _qfi(b, d, q):
     y = (q * q - 2.0 * d2) * (1.0 - cos_q) / q + d2 * sin_q
     z = q * cos_q - sin_q
     return (4.0 * b * b / q**6) * ((4.0 * b * b * d2 / (q * q)) * x * x + y * y + d2 * z * z)
-
-
-def paper_scaled(value, cfg: FieldConfig):
-    """Dimensionless omega^2 scaling applied to a raw Fisher quantity."""
-    return value * cfg.omega**2

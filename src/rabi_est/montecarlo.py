@@ -36,7 +36,6 @@ from .errors import (
 )
 from .fisher import cfi_values
 from .frequentist import ROOTS_REAL, Dataset, ml_roots
-from .numerics import DEFAULT_TOL, Tolerance
 
 if TYPE_CHECKING:
     from .priors import Prior
@@ -73,7 +72,6 @@ class TrialConfig:
     seed: int
     estimator: Estimator = Estimator.ML
     prior: Prior | None = None
-    quad_tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         if not 0 < self.omega0_true < math.inf:
@@ -195,8 +193,7 @@ def run_trials(tc: TrialConfig) -> TrialReport:
     if tc.estimator is Estimator.ML:
         values, outcome = _ml_outcomes(tc.cfg, counts / tc.n)
     else:
-        specs = [PosteriorSpec(data=Dataset(n=tc.n, k=k), cfg=tc.cfg, prior=tc.prior, quad_tol=tc.quad_tol)
-                 for k in counts.tolist()]
+        specs = [PosteriorSpec(data=Dataset(n=tc.n, k=k), cfg=tc.cfg, prior=tc.prior) for k in counts.tolist()]
         results = (mmse_many if tc.estimator is Estimator.MMSE else map_many)(specs)
         if failed := next((r for r in results if isinstance(r, EstimationError)), None):
             raise failed

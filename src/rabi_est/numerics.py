@@ -24,9 +24,7 @@ import numpy as np
 from .errors import DomainError, NonConvergence, record
 
 __all__ = [
-    "Tolerance",
     "LocalMaximum",
-    "DEFAULT_TOL",
     "integrate",
     "integrate_owners",
     "inv_sinc_values",
@@ -39,28 +37,9 @@ _MAX_DEPTH = 60
 _MAX_INTERVALS = 2_000_000
 # Most points per call of an integrand, which bounds its temporaries.
 _CHUNK = 4096
-
-
-@record
-class Tolerance:
-    """Absolute/relative tolerance pair. Each algorithm sets its own
-    iteration or subdivision budget."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise DomainError("tolerances must be nonnegative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
-            raise DomainError("at least one of abs_tol, rel_tol must be positive")
-
-    def target(self, scale: float) -> float:
-        """Convergence target for a quantity of magnitude ``scale``."""
-        return max(self.abs_tol, self.rel_tol * abs(scale))
-
-
-DEFAULT_TOL = Tolerance()
+# The absolute and relative tolerance of every quadrature and bracket search:
+# an integral I is done when its error estimate is within max(_TOL, _TOL * |I|).
+_TOL = 1e-10
 
 
 @record
@@ -90,7 +69,7 @@ _W9[::2] = _clenshaw_curtis(8)[1]
 _RULES = np.stack([_W17, _W17 - _W9], axis=1)
 
 
-def integrate_owners(f: Callable, lo, hi, owner, tol: Tolerance = DEFAULT_TOL, owners: int | None = None):
+def integrate_owners(f: Callable, lo, hi, owner, owners: int | None = None):
     """Adaptive Clenshaw-Curtis quadrature of ``f`` over the intervals
     [lo, hi] (equal-length arrays), summed per owner: interval i belongs to
     owner[i], an index in 0 .. O-1 (O is ``owners``, by default one more
@@ -102,7 +81,7 @@ def integrate_owners(f: Callable, lo, hi, owner, tol: Tolerance = DEFAULT_TOL, o
     ends, and its error estimate the distance to the nested 9-point rule.
     Each owner keeps its own panels and its own global error budget per
     component: while some component's errors sum to more than
-    max(abs_tol, rel_tol*|its integral|), each round bisects, per component,
+    max(_TOL, _TOL*|its integral|), each round bisects, per component,
     the owner's panels of largest error until the rest sum to at most half of
     that. An owner stops when its budget is met or it fails: at the depth cap
     or its subdivision budget (NonConvergence), or on a non-finite value
@@ -171,7 +150,7 @@ def integrate_owners(f: Callable, lo, hi, owner, tol: Tolerance = DEFAULT_TOL, o
         else:
             starts, row = np.zeros(1, dtype=np.intp), np.zeros(a.size, dtype=np.intp)
         total = np.add.reduceat(value, starts, axis=1)
-        eps = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
+        eps = np.maximum(_TOL, _TOL * np.abs(total))
         live = ~(np.add.reduceat(err, starts, axis=1) <= eps).all(axis=0)
         partial = not live.all()
         if partial:
@@ -224,7 +203,7 @@ def integrate_owners(f: Callable, lo, hi, owner, tol: Tolerance = DEFAULT_TOL, o
     return (result if shape else result[:, 0]), failures
 
 
-def integrate(f: Callable, lo, hi, tol: Tolerance = DEFAULT_TOL):
+def integrate(f: Callable, lo, hi):
     """Adaptive Clenshaw-Curtis quadrature of ``f`` summed over the intervals
     [lo, hi] (floats, or equal-length arrays of interval ends): the one-owner
     case of :func:`integrate_owners`, with ``f`` called as f(x).
@@ -235,7 +214,7 @@ def integrate(f: Callable, lo, hi, tol: Tolerance = DEFAULT_TOL):
     non-finite values.
     """
     owner = np.zeros(np.size(lo), dtype=np.intp)
-    values, failures = integrate_owners(lambda x, _: f(x), lo, hi, owner, tol, owners=1)
+    values, failures = integrate_owners(lambda x, _: f(x), lo, hi, owner, owners=1)
     if failures[0] is not None:
         raise failures[0]
     return float(values[0]) if values.ndim == 1 else values[0]
@@ -272,7 +251,7 @@ def inv_sinc_values(y: np.ndarray) -> np.ndarray:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray, tol: Tolerance,
+def _refine(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
             polish: Callable | None = None) -> np.ndarray:
     """The maxima of f on the brackets [a, b], f unimodal on each.
 
@@ -289,7 +268,7 @@ def _refine(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray, tol: T
     """
     lo, hi = a, b
     a, b = a.copy(), b.copy()
-    target = np.maximum(tol.abs_tol, tol.rel_tol * np.maximum(np.abs(a), np.abs(b)))
+    target = np.maximum(_TOL, _TOL * np.maximum(np.abs(a), np.abs(b)))
 
     def still_open(k):
         scale = np.maximum(np.maximum(np.abs(a[k]), np.abs(b[k])), 1.0)
@@ -338,7 +317,6 @@ def local_maxima(
     lo: float,
     hi: float,
     grid_points: int,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> list[LocalMaximum]:
     """All local maxima of ``f`` on [lo, hi], located on a grid and refined.
 
@@ -362,7 +340,7 @@ def local_maxima(
     found = [LocalMaximum(float(xs[0]), boundary=True)] if ys[0] > ys[1] else []
     if i.size:
         found += [LocalMaximum(float(x)) for x in _refine(lambda x, _: f(x), xs[i], xs[i + 2],
-                                                          np.zeros(i.size, dtype=np.intp), tol)]
+                                                          np.zeros(i.size, dtype=np.intp))]
     if ys[-1] > ys[-2]:
         found.append(LocalMaximum(float(xs[-1]), boundary=True))
 

@@ -18,7 +18,7 @@ converges fast toward such a point only when it is a panel end.
 
 What depends only on the field and the prior (the grid, ln p, ln(1 - p) and
 the log prior on it, and the pieces) is computed once per pair and cached.
-Posteriors that share field, prior, n and tolerance form a batch
+Posteriors that share field, prior and n form a batch
 (:func:`mmse_many`, :func:`map_many`), and one pass finds the workspaces of
 all its members: their log joints on the grid, a block of members at a
 time, one log-joint call for the peaks of all members and one for all their
@@ -56,7 +56,7 @@ from .frequentist import (
     log_likelihood_counts,
     log_likelihood_ratio,
 )
-from .numerics import DEFAULT_TOL, Tolerance, _refine, integrate, integrate_owners
+from .numerics import _refine, integrate, integrate_owners
 from .priors import Prior, PriorKind, log_density, prior_fisher, prior_score, truncated_density
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "MapMaximum",
     "MapResult",
     "BayesFisher",
-    "posterior_log_density",
     "mmse",
     "mmse_many",
     "map_estimate",
@@ -103,7 +102,6 @@ class PosteriorSpec:
     data: Dataset
     cfg: FieldConfig
     prior: Prior
-    quad_tol: Tolerance = DEFAULT_TOL
 
 
 @record
@@ -427,14 +425,14 @@ def _log_ratio_to_mode(specs: Sequence[PosteriorSpec], held: list, mode):
 def _moments_many(specs: Sequence[PosteriorSpec], spaces: _Workspaces | None = None) -> list:
     """For each spec, the log joint at the mode, the evidence and the first
     moment, or the EstimationError that computing them raises. The specs
-    share field, prior, n and tolerance; ``spaces`` is their _workspaces,
-    if already at hand.
+    share field, prior and n; ``spaces`` is their _workspaces, if already at
+    hand.
 
     Each integral is one of [v, x v] with v = exp(log joint - its value at
-    the mode), from _log_ratio_to_mode. One quadrature
-    computes them all, each posterior with its own panels and error budget,
-    so a batch of one (through ``integrate``) gives every member's values bit
-    for bit.
+    the mode), from _log_ratio_to_mode. One ``integrate_owners`` call
+    computes them all, for a batch of one too, each posterior with its own
+    panels and error budget, so each member's values are bit for bit those
+    of its batch of one.
     """
     spaces = _workspaces(specs) if spaces is None else spaces
     out = list(spaces.errors)
@@ -448,16 +446,8 @@ def _moments_many(specs: Sequence[PosteriorSpec], spaces: _Workspaces | None = N
         v = np.exp(log_ratio(x, o))
         return np.stack([v, x * v])
 
-    tol = specs[0].quad_tol
-    if len(specs) == 1:
-        try:
-            values, failures = [integrate(lambda x: integrand(x, np.zeros(x.size, dtype=np.intp)),
-                                          lo, hi, tol)], [None]
-        except EstimationError as exc:
-            values, failures = [(math.nan, math.nan)], [exc]
-    else:
-        rank = np.cumsum([exc is None for exc in out]) - 1
-        values, failures = integrate_owners(integrand, lo, hi, rank[owner], tol, owners=len(held))
+    rank = np.cumsum([exc is None for exc in out]) - 1
+    values, failures = integrate_owners(integrand, lo, hi, rank[owner], owners=len(held))
     for j, s, (z, first), exc in zip(held, spaces.shift[held].tolist(), values, failures):
         if exc is None and not z > 0.0:
             exc = EvidenceUnderflow("posterior evidence is zero within tolerance")
@@ -472,21 +462,6 @@ def _moments(spec: PosteriorSpec):
     if isinstance(result, EstimationError):
         raise result
     return result
-
-
-def _log_evidence(spec: PosteriorSpec) -> float:
-    shift, z, _ = _moments(spec)
-    return shift + math.log(z)
-
-
-def posterior_log_density(spec: PosteriorSpec, omega0):
-    """Log of the normalized posterior density at omega0 (inside the window),
-    elementwise."""
-    w = spec.prior.window
-    x = np.asarray(omega0, dtype=float)
-    if not (np.all(x >= w.lower) and np.all(x <= w.upper)):
-        raise DomainError(f"omega0 outside the window [{w.lower}, {w.upper}]")
-    return _log_joint(spec, x) - _log_evidence(spec)
 
 
 def mmse(spec: PosteriorSpec) -> float:
@@ -505,11 +480,11 @@ def _mean(spec: PosteriorSpec, moments) -> float:
 
 
 def _by_batch(specs: Sequence[PosteriorSpec], run) -> list:
-    """run(batch) on the specs in batches that share field, prior, n and
-    tolerance, at most _BATCH specs each; its results in the order of specs."""
+    """run(batch) on the specs in batches that share field, prior and n, at
+    most _BATCH specs each; its results in the order of specs."""
     groups: dict = {}
     for j, spec in enumerate(specs):
-        groups.setdefault((spec.cfg, spec.prior, spec.data.n, spec.quad_tol), []).append(j)
+        groups.setdefault((spec.cfg, spec.prior, spec.data.n), []).append(j)
     out: list = [None] * len(specs)
     for members in groups.values():
         for start in range(0, len(members), _BATCH):
@@ -522,9 +497,9 @@ def _by_batch(specs: Sequence[PosteriorSpec], run) -> list:
 def mmse_many(specs: Sequence[PosteriorSpec]) -> list:
     """mmse of each spec, or the EstimationError that mmse(spec) raises.
 
-    The specs that share field, prior, n and tolerance are integrated
-    together, up to _BATCH of them in one quadrature; each value is bit for
-    bit the one mmse(spec) returns.
+    The specs that share field, prior and n are integrated together, up to
+    _BATCH of them in one quadrature; each value is bit for bit the one
+    mmse(spec) returns.
     """
     return _by_batch(specs, lambda batch: [
         m if isinstance(m, EstimationError) else _mean(spec, m)
@@ -578,7 +553,7 @@ def map_many(specs: Sequence[PosteriorSpec]) -> list:
 
 
 def _map_batch(specs: Sequence[PosteriorSpec]) -> list:
-    """map_many of specs that share field, prior, n and tolerance."""
+    """map_many of specs that share field, prior and n."""
     spec = specs[0]
     cfg, prior, n, w = spec.cfg, spec.prior, spec.data.n, spec.prior.window
     spaces = _workspaces(specs, grid_maxima=True)
@@ -610,7 +585,7 @@ def _map_batch(specs: Sequence[PosteriorSpec]) -> list:
     hi = np.where(pos == inside[bracket], b[bracket], padded[first[bracket] + pos + 1])
     own = owner[bracket]
     ratio = _log_ratio_to_mode(specs, held, spaces.mode[held])
-    x = _refine(g, lo, hi, own, spec.quad_tol, polish=ratio) if lo.size else lo
+    x = _refine(g, lo, hi, own, polish=ratio) if lo.size else lo
     g_x, g_lo, g_hi = np.split(g(np.concatenate([x, lo, hi]), np.tile(own, 3)), 3)
     inner = (g_x > g_lo) & (g_x > g_hi)
     shared = np.zeros(x.size, dtype=bool)
@@ -658,7 +633,7 @@ def _map_batch(specs: Sequence[PosteriorSpec]) -> list:
     return out
 
 
-def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int, tol: Tolerance = DEFAULT_TOL) -> BayesFisher:
+def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int) -> BayesFisher:
     """Prior-averaged Fisher quantities.
 
     bayes_cfi and bayes_qfi each add the prior's own information divided by
@@ -670,7 +645,7 @@ def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int, tol: Tolerance = DEFAUL
     if not n >= 1:
         raise DomainError(f"trial count n must be >= 1, got {n}")
     # Fails fast, before the averages, when the prior information diverges.
-    info = prior_fisher(prior, tol)
+    info = prior_fisher(prior)
     w = prior.window
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -684,7 +659,7 @@ def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int, tol: Tolerance = DEFAUL
         # its mean at a panel end.
         cuts = np.append(cuts, min(max(prior.mean, w.lower), w.upper))
     cuts = _distinct(cuts)
-    mean_cfi, mean_qfi, mean_gap = map(float, integrate(integrand, cuts[:-1], cuts[1:], tol))
+    mean_cfi, mean_qfi, mean_gap = map(float, integrate(integrand, cuts[:-1], cuts[1:]))
     return BayesFisher(
         bayes_cfi=mean_cfi + info / n,
         bayes_qfi=mean_qfi + info / n,

@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import FieldConfig, _detuning, prob_pieces, prob_stationary_points, q_factor
 from .errors import DegenerateSupport, DivergentInformation, DomainError, record
 from .fisher import cfi_values
-from .numerics import DEFAULT_TOL, Tolerance, integrate
+from .numerics import _TOL, integrate
 
 __all__ = [
     "PriorKind",
@@ -78,10 +78,8 @@ class Prior:
         return cls(kind=PriorKind.UNIFORM, window=window)
 
     @classmethod
-    def jeffreys(
-        cls, window: SupportWindow, field: FieldConfig, tol: Tolerance = DEFAULT_TOL
-    ) -> "Prior":
-        norm = jeffreys_normalizer(field, window, tol)
+    def jeffreys(cls, window: SupportWindow, field: FieldConfig) -> "Prior":
+        norm = jeffreys_normalizer(field, window)
         return cls(kind=PriorKind.JEFFREYS, window=window, field=field, normalizer=norm)
 
     @classmethod
@@ -91,23 +89,21 @@ class Prior:
         return cls(kind=PriorKind.GAUSSIAN, window=window, mean=mean, sigma=sigma)
 
 
-def jeffreys_normalizer(
-    field: FieldConfig, window: SupportWindow, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def jeffreys_normalizer(field: FieldConfig, window: SupportWindow) -> float:
     """Quadrature of sqrt(CFI) over the window, on the pieces between the
     stationary points of p, whose ends hold its kinks (the zeros of sqrt(CFI)).
 
     Isolated degenerate points (probability pinned at 1) contribute nothing
     and are zeroed out of the integrand. Raises DegenerateSupport when the
-    integral is indistinguishable from zero at the requested tolerance.
+    integral is indistinguishable from zero at the quadrature tolerance.
     """
 
     def integrand(x: np.ndarray) -> np.ndarray:
         vals = cfi_values(field, x)
         return np.sqrt(np.nan_to_num(vals, nan=0.0))
 
-    norm = integrate(integrand, *prob_pieces(field, window.lower, window.upper), tol)
-    if norm <= tol.abs_tol:
+    norm = integrate(integrand, *prob_pieces(field, window.lower, window.upper))
+    if norm <= _TOL:
         raise DegenerateSupport(
             "sqrt(CFI) integrates to zero on the window; Jeffreys prior undefined"
         )
@@ -168,7 +164,7 @@ def prior_score(prior: Prior, omega0):
         )
 
 
-def prior_fisher(prior: Prior, tol: Tolerance = DEFAULT_TOL) -> float:
+def prior_fisher(prior: Prior) -> float:
     """Fisher information of the prior itself.
 
     Uniform: identically zero. Gaussian: the untruncated closed form
@@ -195,7 +191,7 @@ def prior_fisher(prior: Prior, tol: Tolerance = DEFAULT_TOL) -> float:
         d = prior_score(prior, x)
         return d * d * np.exp(log_density(prior, x))
 
-    return integrate(integrand, *prob_pieces(prior.field, w.lower, w.upper), tol)
+    return integrate(integrand, *prob_pieces(prior.field, w.lower, w.upper))
 
 
 def window_mass(prior: Prior) -> float:

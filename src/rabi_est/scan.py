@@ -40,7 +40,6 @@ from .errors import DomainError, EstimationError, record
 from .fisher import fisher_values
 
 if TYPE_CHECKING:
-    from .numerics import Tolerance
     from .priors import Prior
 
 __all__ = [
@@ -114,9 +113,7 @@ class GridTable:
 
     The constructor stores whole columns: ``status`` is one name per cell,
     or with ``status_names`` those names' codes, and it reads back as the
-    names. Stored columns of a 2-axis table that depend on one axis index
-    alone are found (``_sole_axis``) and written as such.
-    ``GridTable.from_blocks`` takes a block function instead.
+    names. ``GridTable.from_blocks`` takes a block function instead.
     """
 
     def __init__(self, axes, columns, status, metadata=None, status_names=None):
@@ -133,13 +130,8 @@ class GridTable:
         if not 0 <= codes.min() <= codes.max() < len(status_names):
             raise DomainError(f"status codes must index the {len(status_names)} status names")
         stored = {name: np.asarray(c, dtype=float) for name, c in columns.items()}
-        along = {}
-        for name, c in stored.items():
-            k, first = _sole_axis(c.view(np.uint64), tuple(ax.count for ax in axes))
-            if k is not None:
-                along[name] = k, first.view(float)
         self._define(axes, list(columns), status_names, metadata,
-                     lambda block, index: ({name: c[block] for name, c in stored.items()}, codes[block]), along)
+                     lambda block, index: ({name: c[block] for name, c in stored.items()}, codes[block]), {})
         self._whole = stored, codes
 
     @classmethod
@@ -246,23 +238,6 @@ class GridTable:
             row = made
             for text in _join_fields(row):
                 fp.write(text)
-
-
-def _sole_axis(bits: np.ndarray, shape: tuple[int, ...]):
-    """(k, its bits along axis k) when a 2-axis column depends on the axis-k
-    index alone, else (None, None); two rows or columns reject most early.
-    The grid is compared by blocks of rows, about _CSV_CHUNK cells each, so
-    no temporary grows with it."""
-    if len(shape) == 2:
-        grid = bits.reshape(shape)
-        rows = max(1, _CSV_CHUNK // shape[1])
-        for k in (1, 0):
-            first = grid.take([0], axis=1 - k)
-            like = np.broadcast_to(first, shape)
-            if np.array_equal(grid.take([1], axis=1 - k), first) and all(
-                    np.array_equal(grid[i:i + rows], like[i:i + rows]) for i in range(0, shape[0], rows)):
-                return k, first.ravel()
-    return None, None
 
 
 # Text of float64 values as format(v, ".17g") writes it, for whole arrays.
@@ -633,16 +608,12 @@ def bayes_scan(
     prior: Prior,
     axes: tuple[Axis, Axis],
     n: int,
-    tol: Tolerance | None = None,
 ) -> GridTable:
-    """Prior-averaged Fisher landscape over two field-parameter axes; the
-    quadrature tolerance defaults to ``numerics.DEFAULT_TOL``. A cell whose
-    averages fail carries NaN and the error's name as its status."""
-    from .numerics import DEFAULT_TOL
+    """Prior-averaged Fisher landscape over two field-parameter axes. A cell
+    whose averages fail carries NaN and the error's name as its status."""
     from .posterior import bayes_fisher
     from .priors import Prior, PriorKind
 
-    tol = DEFAULT_TOL if tol is None else tol
     names = [ax.name for ax in axes]
     if len(axes) != 2 or any(nm not in _FIELD_AXES for nm in names) or names[0] == names[1]:
         raise DomainError("bayes_scan needs two distinct axes among omega, b0, theta")
@@ -658,7 +629,7 @@ def bayes_scan(
         for i, drive in zip(range(cells.start, cells.stop), zip(*(d.tolist() for d in drives))):
             try:
                 cell = FieldConfig(*drive)
-                bf = bayes_fisher(cell, Prior.jeffreys(prior.window, cell) if jeffreys else prior, n, tol)
+                bf = bayes_fisher(cell, Prior.jeffreys(prior.window, cell) if jeffreys else prior, n)
                 cols[i] = bf.bayes_cfi, bf.bayes_qfi, bf.bayes_gap
             except EstimationError as exc:
                 status[i] = f"error:{type(exc).__name__}"
@@ -684,19 +655,15 @@ def mmse_curve(
     priors: Sequence[Prior],
     n: int,
     xbar_axis: Axis,
-    tol: Tolerance | None = None,
 ) -> GridTable:
     """Posterior-mean estimate against the average count rate, one column per
     prior. Fractional counts k = n*xbar enter the likelihood exponents so the
     count rate can be treated as a continuous abscissa. Each prior's column
     is one batch of posteriors (see ``posterior.mmse_many``); a failing cell
-    is NaN, and its status names the error of the last prior that failed.
-    The quadrature tolerance defaults to ``numerics.DEFAULT_TOL``."""
+    is NaN, and its status names the error of the last prior that failed."""
     from .frequentist import Dataset
-    from .numerics import DEFAULT_TOL
     from .posterior import PosteriorSpec, mmse_many
 
-    tol = DEFAULT_TOL if tol is None else tol
     if xbar_axis.name != "xbar":
         raise DomainError("mmse_curve needs an xbar axis")
     if not priors:
@@ -710,7 +677,7 @@ def mmse_curve(
         while name in columns:
             name = f"{base}_{suffix}"
             suffix += 1
-        results = mmse_many([PosteriorSpec(data=d, cfg=cfg, prior=prior, quad_tol=tol) for d in data])
+        results = mmse_many([PosteriorSpec(data=d, cfg=cfg, prior=prior) for d in data])
         for i, result in enumerate(results):
             if isinstance(result, EstimationError):
                 status[i] = f"error:{type(result).__name__}"

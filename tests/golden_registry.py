@@ -37,7 +37,7 @@ from oracles import (
 from rabi_est.cli import main
 from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect, q_factor
 from rabi_est.errors import EstimationError
-from rabi_est.fisher import cfi_values, paper_scaled, qfi_values
+from rabi_est.fisher import cfi_values, qfi_values
 from rabi_est.frequentist import Dataset, ml_estimate, validity
 from rabi_est.numerics import integrate, inv_sinc_values, local_maxima
 from rabi_est.posterior import PosteriorSpec, bayes_fisher, mmse
@@ -142,7 +142,7 @@ def _fisher_points() -> dict:
         "qfi_resonance_half_pi": float(qfi_values(res_half_pi, 1.0)),
         "sld_offdiag_re": sld[0, 1].real,
         "sld_offdiag_im": sld[0, 1].imag,
-        "scaled_cfi_unit_drive": float(paper_scaled(cfi_off, cfg)),
+        "scaled_cfi_unit_drive": float(cfi_off * cfg.omega**2),
         "samples_for_accuracy": required_samples(40.0, 0.001),
     }
 

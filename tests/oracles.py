@@ -24,7 +24,6 @@ from scipy.integrate import quad
 from rabi_est.dynamics import FieldConfig, _detuning, amplitudes, dprob_domega0, prob_detect, q_factor
 from rabi_est.errors import DegenerateData, DomainError, NonConvergence
 from rabi_est.frequentist import Dataset, log_likelihood_counts
-from rabi_est.numerics import DEFAULT_TOL, Tolerance
 from rabi_est.priors import Prior, prior_score
 
 
@@ -98,9 +97,9 @@ class Bracket:
             raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
-def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance = DEFAULT_TOL,
-                        iters: int = 200) -> float:
-    """Root of ``f`` inside a sign-changing bracket.
+def find_root_bracketed(f: Callable[[float], float], b: Bracket, iters: int = 200) -> float:
+    """Root of ``f`` inside a sign-changing bracket, to a width of 1e-10,
+    absolute and relative.
 
     Secant steps accelerate convergence; whenever a step fails to halve the
     bracket the next step falls back to bisection, which guarantees
@@ -118,7 +117,7 @@ def find_root_bracketed(f: Callable[[float], float], b: Bracket, tol: Tolerance 
     force_bisect = False
     for _ in range(iters):
         width = hi - lo
-        if width <= tol.target(0.5 * (lo + hi)):
+        if width <= max(1e-10, 1e-10 * abs(0.5 * (lo + hi))):
             return lo if abs(flo) <= abs(fhi) else hi
         x = None
         if not force_bisect and fhi != flo:

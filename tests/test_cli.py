@@ -16,7 +16,7 @@ import pytest
 
 from rabi_est import cli
 from rabi_est.cli import main
-from rabi_est.dynamics import FieldConfig
+from rabi_est.dynamics import FieldConfig, prob_detect
 from rabi_est.fisher import cfi_values
 
 FIELD = ["--omega", "1", "--b0", "1", "--theta", "1.5707963267948966"]
@@ -200,6 +200,8 @@ class TestIntegerFlags:
     ESTIMATE = ["estimate", "ml", *FIELD, "--k", "1"]
     SIMULATE = ["simulate", *FIELD, "--omega0-true", "2", "--n", "10", "--trials", "5", "--seed", "1"]
     FISHER = ["fisher-scan", *FIELD, "--omega0", "2", "--axis", "theta:0.1:3:3"]
+    MMSE = ["estimate", "mmse", *FIELD, "--k", "4", "--prior", "uniform", *WIDE_FLAGS]
+    CURVE = ["mmse-curve", *FIELD, "--priors", "uniform", *WIDE_FLAGS, "--axis", "xbar:0:1:3"]
 
     @pytest.mark.parametrize("base, flag, text, value", [
         (ESTIMATE, "--n", "1e10", 10**10),
@@ -227,6 +229,8 @@ class TestIntegerFlags:
         (SIMULATE, "--seed", "1.5"), (SIMULATE, "--seed", "seven"), (ESTIMATE, "--omega", "abc"),
         (ESTIMATE, "--b0", "-1"), (ESTIMATE, "--k", "four"),
         (FISHER, "--axis", "b0:0.1:5:5.5"), (FISHER, "--axis", "b0:0.1:5:five"),
+        # Integral, but beyond what a float holds.
+        (ESTIMATE, "--n", "1e400"), (MMSE, "--n", "1e400"), (CURVE, "--n", "1e400"),
     ])
     def test_refusal_names_the_flag(self, base, flag, text, capsys):
         argv = [*base, flag, text, "--out", "-"]
@@ -425,6 +429,55 @@ def test_bayes_scan_is_pinned(tmp_path, monkeypatch):
         assert main([*BAYES_SCAN_3X3, "--out", "scan.csv"]) == 0
         assert PINNED_BAYES_SCAN == tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                                           for name in ("scan.csv", "scan.csv.manifest.json"))
+
+
+# Posterior estimates at the benchmark's field, k = round(n p(3)), pinned byte
+# for byte (sha256 of the whole JSON output): MMSE and MAP with uniform and
+# Gaussian(3, 1) priors on (0.1, 100) at n = 100 and 1e10, and MMSE with a
+# Jeffreys prior on (1.5, 5) at n = 100.
+_PIN_PRIORS = {
+    "uniform": ["--prior", "uniform", *WIDE_FLAGS],
+    "gaussian": ["--prior", "gaussian", "--prior-mean", "3", "--prior-sigma", "1", *WIDE_FLAGS],
+    "jeffreys": ["--prior", "jeffreys", "--window-lower", "1.5", "--window-upper", "5"],
+}
+PINNED_ESTIMATES = {
+    ("mmse", "uniform", 100): "a2bb7c9d4245b66e07e022fb7c3f25c313ffd62a4dc36b8c36c7253bb7a14a24",
+    ("mmse", "uniform", 10**10): "ed429a271a60721f07b65e595bec892480b4698fbc27defe4d3a968e8d7881c5",
+    ("mmse", "gaussian", 100): "f01cbb46e267e0743290b69ecdfa5e7f5ab1930ae8ca07189d06ae22121131f4",
+    ("mmse", "gaussian", 10**10): "e9357c777246261d11bd7ba516bae997bb92a6e6bbfec2097c9b95e18c6c1be4",
+    ("map", "uniform", 100): "b37e0dbcb1b9ca28f1c172375ce6730bb1b58174d91ad87cc9197a4021e5192b",
+    ("map", "uniform", 10**10): "4d44e2eae130a10b04dfece4cfb73fd12b612cb9a2dff262d2e0d5e6eba7effd",
+    ("map", "gaussian", 100): "35326f27b92f7577024e82713680516ceed2f4e01f73e1d84a3552f138f26a3f",
+    ("map", "gaussian", 10**10): "4238234b9b24e7b4ff01b613382a75c31e6af5f22cc52d8a687c6e89ccb4d030",
+    ("mmse", "jeffreys", 100): "383e38b4255358a5fe9755456322e070e2bca5f9b55968c747331d65ff3c3de4",
+}
+
+
+@pytest.mark.parametrize("mode, prior, n", list(PINNED_ESTIMATES))
+def test_posterior_estimate_is_pinned(mode, prior, n, capsys):
+    k = round(n * float(prob_detect(CFG, 3.0)))
+    argv = ["estimate", mode, *FIELD, "--n", str(n), "--k", str(k), *_PIN_PRIORS[prior], "--out", "-"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_ESTIMATES[mode, prior, n]
+
+
+# The golden Fig. 5 MMSE curve, run in the output's directory: sha256 of the
+# CSV and manifest.
+PINNED_MMSE_CURVE = (
+    "e5fecffac8c132057ee424f81739b316ab8c17983c0c98d5f35edeebc32d558d",
+    "950509a21f1edcfb7b877f3c552e2e4bb2b3c2cfbe70d1e0f4c6b066b92e1804",
+)
+
+
+def test_mmse_curve_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["mmse-curve", *FIELD, "--n", "8", "--priors", "uniform,jeffreys,gaussian",
+            "--window-lower", "0.1", "--window-upper", "100", "--prior-mean", "10",
+            "--prior-sigma", "2", "--axis", "xbar:0:1:101", "--out", "curve.csv"]
+    assert main(argv) == 0
+    assert PINNED_MMSE_CURVE == tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                                      for name in ("curve.csv", "curve.csv.manifest.json"))
 
 
 # The closed-form scans over grids of 93 x 95 cells, more than one block of

@@ -7,7 +7,7 @@ import pytest
 from oracles import cfi_oracle, density_state, fisher_mp, qfi_oracle, required_samples, sld_matrix
 from rabi_est.dynamics import FieldConfig, dprob_domega0, prob_detect
 from rabi_est.errors import DomainError
-from rabi_est.fisher import cfi_values, fisher_values, paper_scaled, qfi_values
+from rabi_est.fisher import cfi_values, fisher_values, qfi_values
 from test_dynamics import random_draws
 
 CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
@@ -244,8 +244,3 @@ class TestScalingAndSampleSize:
             required_samples(0.0, 0.001)
         with pytest.raises(DomainError):
             required_samples(1.0, -1.0)
-
-    def test_paper_scaled(self):
-        assert paper_scaled(1.0, FieldConfig(omega=2.0, b0=1.0, theta=1.0)) == 4.0
-        assert paper_scaled(5.0, FieldConfig(omega=0.0, b0=1.0, theta=1.0)) == 0.0
-        assert paper_scaled(cfi(CFG, 2.0), CFG) == cfi(CFG, 2.0)

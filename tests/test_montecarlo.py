@@ -250,10 +250,13 @@ def test_pinned_mmse_report_matches_mp_oracle():
         mean = sum(means[k] for k in ks) / len(ks)
         variance = sum((means[k] - mean) ** 2 for k in ks) / (len(ks) - 1)
         vantrees = 1 / (100 * oracles.mean_cfi_mp(CFG, pieces))
-        assert float(mean) == pytest.approx(expected["mean_estimate"], rel=1e-15)
-        assert float(mean - 2) == pytest.approx(expected["bias"], rel=1e-15)
-        assert float(variance) == pytest.approx(expected["variance"], rel=1e-15)
-        assert float(vantrees) == pytest.approx(expected["vantrees_bound"], rel=1e-15)
+        assert float(mean) == pytest.approx(expected["mean_estimate"], rel=1e-15, abs=0)
+        # The bias is the float mean minus 2, exact by Sterbenz's lemma, so it
+        # keeps the mean's rounding: half an ulp of the mean, 3.4e-15 of it.
+        half_ulp = 0.5 * math.ulp(expected["mean_estimate"])
+        assert float(mean - 2) == pytest.approx(expected["bias"], rel=0, abs=half_ulp)
+        assert float(variance) == pytest.approx(expected["variance"], rel=1e-15, abs=0)
+        assert float(vantrees) == pytest.approx(expected["vantrees_bound"], rel=1e-15, abs=0)
 
 
 def test_pinned_map_report_matches_mp_oracle():
@@ -266,9 +269,9 @@ def test_pinned_map_report_matches_mp_oracle():
     with mpmath.workdps(40):
         mean = sum(modes[k] for k in ks) / len(ks)
         variance = sum((modes[k] - mean) ** 2 for k in ks) / (len(ks) - 1)
-        assert float(mean) == pytest.approx(expected["mean_estimate"], rel=1e-15)
-        assert float(mean - 2) == pytest.approx(expected["bias"], rel=1e-15)
-        assert float(variance) == pytest.approx(expected["variance"], rel=1e-15)
+        assert float(mean) == pytest.approx(expected["mean_estimate"], rel=1e-15, abs=0)
+        assert float(mean - 2) == pytest.approx(expected["bias"], rel=1e-15, abs=0)
+        assert float(variance) == pytest.approx(expected["variance"], rel=1e-15, abs=0)
 
 
 def test_map_trials_are_one_batch_of_per_count_estimates(monkeypatch):

@@ -26,7 +26,6 @@ from rabi_est.posterior import (
     map_stationarity_lhs,
     mmse,
     mmse_many,
-    posterior_log_density,
 )
 from rabi_est.priors import Prior, SupportWindow, log_density
 
@@ -44,6 +43,19 @@ SWEEP_PRIORS = {
     "gaussian": (Prior.gaussian(WIDE, mean=3.0, sigma=1.0), partial(gaussian_density, 3.0, 1.0)),
 }
 DECADES = [10**e for e in range(0, 11, 2)]
+
+
+def log_evidence(spec):
+    """Log of the posterior's evidence, from its log joint at the mode and
+    the evidence of the shifted integrand."""
+    shift, z, _ = posterior._moments(spec)
+    return shift + math.log(z)
+
+
+def posterior_log_density(spec, omega0):
+    """Log of the normalized posterior density at omega0, elementwise."""
+    x = np.asarray(omega0, dtype=float)
+    return posterior._log_joint(spec, x) - log_evidence(spec)
 
 
 def random_spec(rng):
@@ -126,11 +138,6 @@ class TestPosteriorDensity:
             lambda x: np.exp(posterior_log_density(spec, x)), 0.1, 100.0, 200_001
         )
         assert mass == pytest.approx(1.0, abs=1e-8)
-
-    def test_outside_window_rejected(self):
-        spec = PosteriorSpec(data=Dataset(8, 4), cfg=CFG, prior=UNIFORM_WIDE)
-        with pytest.raises(DomainError):
-            posterior_log_density(spec, 100.5)
 
 
 class TestMmse:
@@ -242,7 +249,7 @@ class TestMapFieldsPerPeak:
     def test_fields_match_scalar_stencil(self, prior, n, k):
         spec = PosteriorSpec(data=Dataset(n, k), cfg=CFG, prior=prior)
         w = prior.window
-        log_z = posterior._log_evidence(spec)
+        log_z = log_evidence(spec)
 
         def g(x):
             return float(posterior._log_joint(spec, np.float64(x)))
@@ -424,16 +431,16 @@ class TestFig5Posteriors:
         # of p in the window. Counted: the integrand points the quadrature
         # requests for one posterior.
         points = [0]
-        original = posterior.integrate
+        original = posterior.integrate_owners
 
-        def counting(f, lo, hi, tol):
-            def counted(x):
+        def counting(f, lo, hi, owner, owners):
+            def counted(x, o):
                 points[0] += x.size
-                return f(x)
+                return f(x, o)
 
-            return original(counted, lo, hi, tol)
+            return original(counted, lo, hi, owner, owners=owners)
 
-        monkeypatch.setattr(posterior, "integrate", counting)
+        monkeypatch.setattr(posterior, "integrate_owners", counting)
         posterior._moments.cache_clear()
         mmse(PosteriorSpec(data=Dataset(8, 8 * 0.01), cfg=CFG, prior=prior))
         assert 0 < points[0] <= 100_000
@@ -486,16 +493,35 @@ class TestBatches:
         # Specs of two priors and two n, interleaved: one quadrature per group.
         specs = [PosteriorSpec(data=Dataset(n, n * x), cfg=CFG, prior=prior)
                  for x in (0.1, 0.4) for n in (8, 100) for prior in (UNIFORM_WIDE, GAUSS)]
+        # Lone posteriors are a batch of one each: computed before counting.
+        alone = [mmse(spec) for spec in specs]
         calls = []
         original = posterior.integrate_owners
 
-        def counting(f, lo, hi, owner, tol, owners):
+        def counting(f, lo, hi, owner, owners):
             calls.append(owners)
-            return original(f, lo, hi, owner, tol, owners=owners)
+            return original(f, lo, hi, owner, owners=owners)
 
         monkeypatch.setattr(posterior, "integrate_owners", counting)
-        assert mmse_many(specs) == [mmse(spec) for spec in specs]
+        assert mmse_many(specs) == alone
         assert sorted(calls) == [2, 2, 2, 2]
+
+    def test_single_posterior_is_a_batch_of_one(self, monkeypatch):
+        # mmse and map_estimate integrate a lone posterior in one
+        # integrate_owners call of one owner, as they do a batch.
+        calls = []
+        original = posterior.integrate_owners
+
+        def counting(f, lo, hi, owner, owners):
+            calls.append(owners)
+            return original(f, lo, hi, owner, owners=owners)
+
+        monkeypatch.setattr(posterior, "integrate_owners", counting)
+        posterior._moments.cache_clear()
+        spec = self.SPECS[0]
+        mmse(spec)
+        map_estimate(spec)
+        assert calls == [1, 1]
 
 
 class TestMapAtSqrtCfiZero:

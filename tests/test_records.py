@@ -14,7 +14,7 @@ from rabi_est.dynamics import FieldConfig
 from rabi_est.errors import DomainError, record
 from rabi_est.frequentist import Ambiguity, Dataset, EstimateResult, Root, RootStatus, ValidityReport
 from rabi_est.montecarlo import Estimator, TrialConfig, TrialReport
-from rabi_est.numerics import LocalMaximum, Tolerance
+from rabi_est.numerics import LocalMaximum
 from rabi_est.posterior import BayesFisher, MapMaximum, MapResult, PosteriorSpec, _Workspaces, mmse
 from rabi_est.priors import Prior, SupportWindow
 from rabi_est.scan import Axis
@@ -26,7 +26,6 @@ WINDOW = SupportWindow(0.5, 5.0)
 # Each makes a new instance of one record class, equal to the last one made.
 RECORDS = [
     lambda: FieldConfig(1.0, b0=2.0, theta=math.pi / 3),
-    lambda: Tolerance(abs_tol=1e-8),
     lambda: LocalMaximum(0.5, boundary=True),
     lambda: Dataset(n=10, k=4),
     lambda: Root(value=2.0, status=RootStatus.ACCEPTED),
@@ -58,7 +57,7 @@ def record_classes() -> set:
 def test_every_record_class_is_covered():
     covered = {(type(make()).__module__.rpartition(".")[2], type(make()).__name__) for make in RECORDS}
     assert covered == record_classes()
-    assert len(covered) == 17
+    assert len(covered) == 16
 
 
 @pytest.mark.parametrize("make", RECORDS, ids=lambda make: type(make()).__name__)
@@ -84,7 +83,6 @@ def test_record_class(make):
 
 
 def test_record_arguments():
-    assert Tolerance() == Tolerance(1e-10, 1e-10)
     assert LocalMaximum(0.5).boundary is False
     for args, kwargs in [((1.0, 2.0, 3.0, 4.0), {}), ((1.0,), {"omega": 1.0}), ((1.0, 2.0), {}),
                          ((), {"omega": 1.0, "b0": 2.0, "theta": 1.0, "phi": 0.0})]:

@@ -136,17 +136,6 @@ class TestToCsv:
         assert [line.split(",")[5] for line in text.splitlines()[5:8]] == [
             "1.0000000000000001e-05", "-0", "3"]
 
-    def test_columns_constant_along_an_axis_format_once(self, monkeypatch):
-        # The axes; one row of along0 and of both, one column of along1; then
-        # zero and nan cell by cell.
-        calls = []
-        original = scan._format_17g
-        monkeypatch.setattr(scan, "_format_17g", lambda values: calls.append(len(values)) or original(values))
-        table = GridTable(axes=(Axis("b0", 0.1, 0.7, 3), Axis("omega", -1.0, 1.0, 4)),
-                          columns=self.one_axis_columns(), status=["ok"] * 12)
-        assert to_csv_text(table) == reference_csv(table)
-        assert calls == [3, 4, 4, 3, 4, 12, 12]
-
     def test_ml_roots_boundary_is_formatted_once(self, monkeypatch):
         # boundary_b0 depends on the count rate alone: it is formatted once,
         # at the xbar axis's length, wherever that axis stands.
@@ -486,20 +475,6 @@ class TestCellBlocks:
 
         assert peak(600) <= peak(300) + 2**20
 
-    @pytest.mark.parametrize("along", [0, 1])
-    def test_sole_axis_memory_does_not_grow_with_the_grid(self, along, traced_peak):
-        # A 1000x1000 column that depends on one axis index alone, as ml-roots'
-        # boundary_b0 does: telling so needs no temporary the grid's size,
-        # and a cell that breaks the pattern in the last row is still seen.
-        shape = (1000, 1000)
-        values = np.arange(1000, dtype=float).view(np.uint64)
-        bits = np.broadcast_to(values[:, None] if along == 0 else values, shape).ravel()
-        peak, (k, got) = traced_peak(scan._sole_axis, bits, shape)
-        assert k == along and np.array_equal(got, values)
-        assert peak < 2**18
-        bits[-1] += 1
-        assert scan._sole_axis(bits, shape) == (None, None)
-
 
 class TestFisherScanStatus:
     def test_zero_drive_frequency_scales_cfi_to_zero(self):
@@ -574,12 +549,12 @@ class TestMmseCurve:
                   Prior.gaussian(FIG5_WINDOW, 10.0, 2.0)]
         calls = {"integrate": 0, "integrate_owners": []}
 
-        def one_owner(f, lo, hi, tol):
+        def one_owner(f, lo, hi):
             calls["integrate"] += 1
 
-        def owners(f, lo, hi, owner, tol, owners, original=posterior.integrate_owners):
+        def owners(f, lo, hi, owner, owners, original=posterior.integrate_owners):
             calls["integrate_owners"].append(owners)
-            return original(f, lo, hi, owner, tol, owners=owners)
+            return original(f, lo, hi, owner, owners=owners)
 
         monkeypatch.setattr(posterior, "integrate", one_owner)
         monkeypatch.setattr(posterior, "integrate_owners", owners)
