@@ -136,11 +136,17 @@ def prob_stationary_points(cfg: FieldConfig, lower: float, upper: float):
     those h > b. Between consecutive points p is monotone. sqrt(CFI), which
     is proportional to |d (sin h - h cos h)|, vanishes at the resonance and
     at the tan h = h roots, but not at the zeros of p.
+
+    The window holds detunings |d| from ``near`` to ``reach``, so only the k
+    with h between hypot(near/2, b) and hypot(reach/2, b) are built: the cost
+    follows the number of points, not b0.
     """
     b = cfg.b0 * math.sin(cfg.theta)
     center = float(_detuning(cfg, 0.0))
+    near = 0.0 if lower <= center <= upper else min(abs(center - lower), abs(center - upper))
     reach = max(abs(center - lower), abs(center - upper))
-    k = np.arange(1, int(math.hypot(0.5 * reach, b) / math.pi) + 1)
+    k = np.arange(max(1, int(math.hypot(0.5 * near, b) / math.pi)),
+                  int(math.hypot(0.5 * reach, b) / math.pi) + 1)
     h = np.concatenate([k * math.pi, _tan_roots(k)])
     cfi_zero = np.repeat([False, True], k.size)
     keep = h > b

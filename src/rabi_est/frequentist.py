@@ -217,7 +217,12 @@ def log_likelihood_counts(n: float, k: float, p1) -> np.ndarray:
 
 
 def _log_binom(n: float, k: float) -> float:
-    return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+    """ln C(n, k); DomainError where ln n! overflows a float (n above ~2.5e305)."""
+    try:
+        return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+    except OverflowError:
+        raise DomainError(f"trial count n = {float(n):g} is too large for the likelihood: "
+                          "ln n! overflows a float above n ~ 2.5e305") from None
 
 
 def _log_likelihood_logs(n: float, k, log_p, log_q, log_binom=None) -> np.ndarray:

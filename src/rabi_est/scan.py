@@ -668,7 +668,8 @@ def mmse_curve(
         raise DomainError("mmse_curve needs an xbar axis")
     if not priors:
         raise DomainError("mmse_curve needs at least one prior")
-    data = [Dataset(n=n, k=n * float(x)) for x in xbar_axis.values]
+    # n * xbar can round above an n that a float does not hold; k stays <= n.
+    data = [Dataset(n=n, k=min(n * float(x), n)) for x in xbar_axis.values]
     status = [STATUS_OK] * len(data)
     columns = {}
     for prior in priors:

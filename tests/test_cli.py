@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import hashlib
 import importlib
 import json
@@ -85,6 +86,17 @@ class TestExitCodes:
         argv = ["estimate", "ml", "--omega", "1", "--b0", "0.5", "--theta", "1.5707963267948966",
                 "--n", "10", "--k", "9"]
         assert run_json(argv, tmp_path)[0] == 3
+
+    @pytest.mark.parametrize("mode", ["mmse", "map"])
+    @pytest.mark.parametrize("n", ["1e306", "1e308"])
+    def test_n_beyond_the_likelihood_range(self, mode, n, capsys):
+        # ln n! overflows a float above n ~ 2.5e305, where estimate ml still
+        # answers; the posterior estimators name n instead of a traceback.
+        argv = ["estimate", mode, *FIELD, "--n", n, "--k", "4", "--prior", "uniform",
+                "--window-lower", "0.1", "--window-upper", "100", "--out", "-"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err.startswith("rabi-est: DomainError: trial count n = ") and f"{float(n):g}" in err
 
 
 FIELD_FLAGS = ["--omega", "--b0", "--theta", "--theta-deg"]
@@ -480,6 +492,19 @@ def test_mmse_curve_is_pinned(tmp_path, monkeypatch):
                                       for name in ("curve.csv", "curve.csv.manifest.json"))
 
 
+def test_mmse_curve_keeps_k_within_n(capsys):
+    # float(n) rounds above this n, so n * 1.0 did too and the count of the
+    # xbar = 1 cell fell outside [0, n]. Its posterior peaks at the maximum
+    # of p, the resonance omega0 = 1.
+    argv = ["mmse-curve", *FIELD, "--n", "99999999999999999", "--priors", "uniform",
+            *WIDE_FLAGS, "--axis", "xbar:0:1:3", "--out", "-"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["xbar", "mmse_uniform", "status"]
+    assert [row[2] for row in rows[1:]] == ["ok", "ok", "ok"]
+    assert rows[-1][0] == "1" and float(rows[-1][1]) == pytest.approx(1.0, abs=1e-12)
+
+
 # The closed-form scans over grids of 93 x 95 cells, more than one block of
 # cells each: sha256 of the CSV and manifest, both run in the output's directory.
 PINNED_SCANS = {
@@ -549,3 +574,78 @@ class TestStrictJson:
         report = self.parse_strict(tmp_path / "sim.json")["report"]
         assert report["included_trials"] == 1
         assert report["variance"] is None
+
+
+def run_module(argv, **kwargs):
+    """``python -m rabi_est.cli argv`` in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-m", "rabi_est.cli", *argv], env=env, capture_output=True,
+                          timeout=120, **kwargs)
+
+
+class TestProcessEntry:
+    """``python -m rabi_est.cli`` and the ``rabi-est`` script enter through
+    ``cli.run``, which freezes the loaded objects out of the collector's
+    walks; exit codes, output and finalization stay as ``main`` gives them."""
+
+    EXIT_CODES = {
+        "ok": (["estimate", "ml", *FIELD, "--n", "10", "--k", "4"], 0),
+        "bad-flag": (["estimate", "ml", *FIELD, "--n", "10", "--k", "4", "--no-such-flag"], 1),
+        # The Jeffreys prior information diverges (the resonance is inside).
+        "non-convergence": (["simulate", *FIELD, "--omega0-true", "2", "--n", "20", "--trials", "3",
+                             "--seed", "1", "--estimator", "mmse", "--prior", "jeffreys",
+                             "--window-lower", "0.5", "--window-upper", "5"], 2),
+        # p underflows to 0 on the whole window, so k = 4 has no likelihood.
+        "evidence-underflow": (["estimate", "mmse", "--omega", "1", "--b0", "1e-200", "--theta",
+                                "1.5707963267948966", "--n", "10", "--k", "4", "--prior", "uniform",
+                                "--window-lower", "0.5", "--window-upper", "5"], 2),
+        # sqrt(0.9) exceeds b0 sin(theta) = 0.5.
+        "domain-error": (["estimate", "ml", "--omega", "1", "--b0", "0.5", "--theta",
+                          "1.5707963267948966", "--n", "10", "--k", "9"], 3),
+    }
+
+    @pytest.mark.parametrize("case", list(EXIT_CODES))
+    def test_exit_code(self, case):
+        argv, code = self.EXIT_CODES[case]
+        out = run_module([*argv, "--out", "-"], text=True)
+        assert out.returncode == code, out.stderr
+        assert "Traceback" not in out.stderr
+        if case == "evidence-underflow":
+            assert "posterior density vanishes everywhere" in out.stderr
+        if code == 0:
+            assert json.loads(out.stdout)["roots"]
+
+    def test_piped_output_equals_file_output(self, tmp_path):
+        # Two cell blocks of CSV text, all flushed to the pipe before exit.
+        argv, digest, _ = PINNED_SCANS["fisher-omega-theta"]
+        piped = run_module([*argv, "--out", "-"], check=True).stdout
+        run_module([*argv, "--out", "scan.csv"], check=True, cwd=tmp_path)
+        assert piped == (tmp_path / "scan.csv").read_bytes()
+        assert hashlib.sha256(piped).hexdigest() == digest
+
+    def test_collector_stays_enabled_and_exit_finalizes(self):
+        # An atexit hook still runs, and sees the collector on and objects frozen.
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+                f"sys.argv = {['rabi-est', *self.EXIT_CODES['ok'][0], '--out', os.devnull]!r}\n"
+                "runpy.run_module('rabi_est.cli', run_name='__main__')")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "True True\n"
+
+    def test_main_leaves_the_collector_alone(self):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main([*self.EXIT_CODES["ok"][0], "--out", os.devnull]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_script_and_module_share_the_entry(self):
+        root = Path(cli.__file__).resolve().parents[2]
+        script = re.search(r'^rabi-est = "rabi_est\.cli:(\w+)"$',
+                           (root / "pyproject.toml").read_text(encoding="utf-8"), re.M).group(1)
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        block = next(node for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'")
+        assert ast.unparse(block) == f"if __name__ == '__main__':\n    {script}()"
+        assert script != "main" and callable(getattr(cli, script))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from oracles import density_state, fd, ode_residual
 from rabi_est.dynamics import (
     FieldConfig,
+    _detuning,
+    _tan_roots,
     amplitudes,
     dprob_domega0,
     prob_detect,
@@ -210,6 +213,54 @@ class TestStationaryPoints:
         for a, b in zip(edges[:-1], edges[1:]):
             slope = dprob_domega0(cfg, np.linspace(a, b, 2001)[1:-1])
             assert np.all(slope >= -1e-15) or np.all(slope <= 1e-15)
+
+
+def stationary_points_from_k_one(cfg, lower, upper):
+    """prob_stationary_points as it was built before its k range began near
+    the window: candidates for every k from 1, O(b0) of them."""
+    b = cfg.b0 * math.sin(cfg.theta)
+    center = float(_detuning(cfg, 0.0))
+    reach = max(abs(center - lower), abs(center - upper))
+    k = np.arange(1, int(math.hypot(0.5 * reach, b) / math.pi) + 1)
+    h = np.concatenate([k * math.pi, _tan_roots(k)])
+    cfi_zero = np.repeat([False, True], k.size)
+    keep = h > b
+    offset = 2.0 * np.sqrt(h[keep] ** 2 - b * b)
+    points = np.concatenate([[center], center - offset, center + offset])
+    zero = np.concatenate([[True], cfi_zero[keep], cfi_zero[keep]])
+    inside = (points >= lower) & (points <= upper)
+    order = np.argsort(points[inside])
+    return points[inside][order], zero[inside][order]
+
+
+class TestStationaryPointsRange:
+    """The k range starts at the window's nearest detuning: the same points
+    and masks, at a cost that no longer grows with b0."""
+
+    @pytest.mark.parametrize("b0", [0.5, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("theta", [1.0, 2.5])
+    def test_same_points_as_from_k_one(self, b0, theta):
+        # The resonance sits at omega0 = 3 or 3 + b0 / 2: inside, below or
+        # above each window, and the windows sit near or far from it.
+        for shift in (0.0, 0.5 * b0):
+            cfg = FieldConfig(omega=2.0 * b0 * math.cos(theta) + 3.0 + shift, b0=b0, theta=theta)
+            for lower, upper in ((0.1, 100.0), (5.0, 60.0), (0.1, 2.0), (2.9, 3.1), (50.0, 50.5)):
+                got = prob_stationary_points(cfg, lower, upper)
+                want = stationary_points_from_k_one(cfg, lower, upper)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+
+    def test_large_b0_memory(self):
+        # From k = 1 this built ~3e7 candidates and peaked at ~1.2 GiB.
+        cfg = FieldConfig(omega=1.0, b0=1e8, theta=1.0)
+        tracemalloc.start()
+        try:
+            points, _ = prob_stationary_points(cfg, 0.1, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points.size == 17
+        assert peak < 2**20
 
 
 class TestOdeResidual:

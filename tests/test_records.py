@@ -1,6 +1,7 @@
-"""The package's frozen record classes (``errors.record``) and the guard that
+"""The package's frozen record classes (``errors.record``), the guard that
 keeps ``dataclasses``, whose generated methods cost every command-line run
-milliseconds of start-up, out of the package."""
+milliseconds of start-up, out of the package, and the guard that leaves the
+collector and the process exit to the command line's process entry."""
 
 import ast
 import math
@@ -114,3 +115,49 @@ def test_package_does_not_import_dataclasses(path):
         else:
             continue
         assert "dataclasses" not in [m.partition(".")[0] for m in modules], f"{path.name}:{node.lineno}"
+
+
+# Process-wide switches that only the command line's process entry, cli.run,
+# may pull: the package is a library too, and its callers own these.
+PROCESS_CALLS = {("gc", "freeze"), ("gc", "disable"), ("gc", "set_threshold"), ("os", "_exit")}
+
+
+def process_calls(tree):
+    """(line, "module.name") of every reference to a PROCESS_CALLS function
+    in ``tree``, through ``import gc``, ``import gc as g`` or ``from gc import``."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((alias.asname or alias.name, alias.name) for alias in node.names)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            name = (aliases.get(node.value.id, node.value.id), node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names
+                      if (node.module, alias.name) in PROCESS_CALLS]
+            continue
+        else:
+            continue
+        if name in PROCESS_CALLS:
+            found.append((node.lineno, ".".join(name)))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_process_entry_sets_the_collector_or_exit(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = []
+    if path.name == "cli.py":
+        entry = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "run")
+        allowed = process_calls(entry)
+        assert [name for _, name in allowed] == ["gc.freeze", "gc.freeze"]
+    assert [call for call in process_calls(tree) if call not in allowed] == [], path.name
+
+
+@pytest.mark.parametrize("code", [
+    "import gc\ngc.disable()", "import gc as g\nf = g.freeze", "from gc import set_threshold",
+    "import os\nos._exit(0)", "def run():\n    import os\n    os._exit(0)",
+])
+def test_process_call_guard_sees(code):
+    assert len(process_calls(ast.parse(code))) == 1
