@@ -11,12 +11,12 @@ runs when it runs, so a single estimate loads no scan or Monte Carlo code.
 
 Run as a program (``python -m rabi_est.cli`` or the ``rabi-est`` script),
 the command line enters through ``run``, which moves every live object into
-the cyclic collector's permanent generation (``gc.freeze``) before ``main``
-and again after it. A run is one short process; otherwise the collections at
-interpreter exit, and any full one during a long run, walk numpy's ~22,000
-objects again, which was most of a cold op's ~28 ms exit. The collector
-stays enabled, so cycles made by a run are still freed, and exit still
-flushes and finalizes. ``main``, the in-process entry, leaves it alone.
+the cyclic collector's permanent generation (``gc.freeze``) once ``main``
+returns. A run is one short process; otherwise the collections at
+interpreter exit walk numpy's ~22,000 objects again, which was most of a
+cold op's ~28 ms exit. The collector stays enabled, so cycles made during a
+run are still freed, and exit still flushes and finalizes. ``main``, the
+in-process entry, leaves it alone.
 
 Exit codes: 0 success, 1 usage error, 2 numerical non-convergence,
 3 domain/validity failure.
@@ -536,9 +536,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def run():
     """The process entry: ``main`` on the program's arguments, its status
-    as the exit code, and the loaded objects frozen out of the collector's
-    walks (see the module docstring)."""
-    gc.freeze()
+    as the exit code, and the objects left at exit frozen out of the
+    collector's walks (see the module docstring)."""
     status = main()
     gc.freeze()
     raise SystemExit(status)

@@ -143,7 +143,7 @@ def prob_stationary_points(cfg: FieldConfig, lower: float, upper: float):
     """
     b = cfg.b0 * math.sin(cfg.theta)
     center = float(_detuning(cfg, 0.0))
-    near = 0.0 if lower <= center <= upper else min(abs(center - lower), abs(center - upper))
+    near = max(lower - center, center - upper, 0.0)
     reach = max(abs(center - lower), abs(center - upper))
     k = np.arange(max(1, int(math.hypot(0.5 * near, b) / math.pi)),
                   int(math.hypot(0.5 * reach, b) / math.pi) + 1)

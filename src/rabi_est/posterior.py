@@ -312,7 +312,8 @@ def _workspaces(specs: Sequence[PosteriorSpec], grid_maxima: bool = False) -> _W
     """The posterior modes, their log joints, the intervals carrying the
     mass and the brackets of the sharp peaks of specs that share field,
     prior and n; a spec whose log joint is nowhere finite fails with
-    EvidenceUnderflow.
+    EvidenceUnderflow, and all of them with DomainError where n is too large
+    for the likelihood (see frequentist._log_binom).
 
     The mode is the maximizer of the log joint over a fixed grid and the
     closed-form peaks (see _peaks), the first grid point on a tie. The grid's
@@ -332,7 +333,11 @@ def _workspaces(specs: Sequence[PosteriorSpec], grid_maxima: bool = False) -> _W
     w = specs[0].prior.window
     xs, _, _, _, piece_lo, *_ = _grid(specs[0].cfg, specs[0].prior)
     count, last = len(specs), _GRID_POINTS - 1
-    joint = _LogJoint(specs)
+    try:
+        joint = _LogJoint(specs)
+    except DomainError as exc:  # an n beyond the likelihood's range fails every spec
+        return _Workspaces(errors=[exc] * count, mode=None, shift=None, regions=None, sharp=None,
+                           maxima=None, edges=None)
     peaks, owner = _peaks(specs)
     g_peaks = joint(peaks, owner)
     # Each spec's highest peak, the first of equals.

@@ -99,6 +99,14 @@ class TestExitCodes:
         assert err.startswith("rabi-est: DomainError: trial count n = ") and f"{float(n):g}" in err
 
 
+    def test_curve_cells_beyond_the_likelihood_range(self, capsys):
+        # The curve fails cell by cell at that n, as its batch of posteriors does.
+        argv = ["mmse-curve", *FIELD, "--n", "1e306", "--priors", "uniform", *WIDE_FLAGS,
+                "--axis", "xbar:0:1:3", "--out", "-"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert [row[1:] for row in rows[1:]] == [["nan", "error:DomainError"]] * 3
+
 FIELD_FLAGS = ["--omega", "--b0", "--theta", "--theta-deg"]
 PRIOR_FLAGS = ["--prior", "--window-lower", "--window-upper", "--prior-mean", "--prior-sigma"]
 COMMAND_FLAGS = {

@@ -489,6 +489,19 @@ class TestBatches:
         assert "vanishes everywhere" in str(got[1])
         assert got[:1] + got[2:] == clean[:1] + clean[2:]
 
+    @pytest.mark.parametrize("many", [mmse_many, map_many], ids=["mmse", "map"])
+    def test_n_beyond_the_likelihood_range_fails_each_spec(self, many):
+        # ln n! overflows at this n: each spec of the big-n batch carries the
+        # DomainError that its lone estimate raises, and the other batch answers.
+        specs = [PosteriorSpec(data=Dataset(n, n * x), cfg=CFG, prior=UNIFORM_WIDE)
+                 for n in (1e306, 8) for x in (0.1, 0.4)]
+        with pytest.raises(DomainError, match="n = 1e"):
+            mmse(specs[0])
+        got = many(specs)
+        assert [type(r) for r in got[:2]] == [DomainError, DomainError]
+        alone = [mmse(s) if many is mmse_many else map_estimate(s) for s in specs[2:]]
+        assert repr(got[2:]) == repr(alone)  # repr: a MapResult may hold NaN
+
     def test_groups_by_prior_and_n(self, monkeypatch):
         # Specs of two priors and two n, interleaved: one quadrature per group.
         specs = [PosteriorSpec(data=Dataset(n, n * x), cfg=CFG, prior=prior)
