@@ -16,7 +16,6 @@ _EXPORTS = {
     "FieldConfig": "dynamics",
     "Dataset": "frequentist",
     "EstimateResult": "frequentist",
-    "ValidityReport": "frequentist",
     "Prior": "priors",
     "PriorKind": "priors",
     "SupportWindow": "priors",

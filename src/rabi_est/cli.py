@@ -108,6 +108,23 @@ def _integral(text: str) -> int | None:
     return None
 
 
+def _count(name):
+    """A count flag's converter: a finite number, as a float unless it is an
+    integral literal that no float holds, which keeps its exact integer, so
+    that it compares with --n exactly."""
+    real = _real(name)
+
+    def convert(text):
+        value = real(text)
+        try:
+            exact = int(text)
+        except ValueError:
+            exact = _integral(text)
+        return value if exact is None or exact == value else exact
+
+    return convert
+
+
 def _positive_int(name):
     return _integer(name, positive=True)
 
@@ -182,7 +199,7 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--axis", **axis, metavar="omega0:START:STOP:COUNT")
     elif command == "estimate":
         p.add_argument("--n", type=_positive_int("--n"), required=True, help=f"number of trials, {_N_RULE}")
-        p.add_argument("--k", type=_real("--k"), required=True, help="photon counts")
+        p.add_argument("--k", type=_count("--k"), required=True, help="photon counts")
         _add_prior_flags(p)
     else:  # simulate
         p.add_argument("--omega0-true", type=_positive("--omega0-true"), required=True)
@@ -395,7 +412,9 @@ def _cmd_estimate(parser, args, argv) -> int:
     cfg = _field_config(parser, args)
     if not 0 <= args.k <= args.n:
         parser.error(f"--k must lie in [0, --n], got k={args.k}, n={args.n}")
-    data = Dataset(n=args.n, k=args.k)
+    # k is echoed as a float; where n is not one, float(k) may round above it.
+    args.k = float(args.k)
+    data = Dataset(n=args.n, k=min(args.k, args.n))
     config_echo = {
         "omega": cfg.omega, "b0": cfg.b0, "theta": cfg.theta,
         "n": args.n, "k": args.k,

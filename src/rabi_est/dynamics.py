@@ -5,9 +5,6 @@ normalized to t = 1: ``omega`` is the drive's angular speed times the gate
 time, ``b0`` the magnetic coupling (gyromagnetic factor times field strength
 times gate time) and ``theta`` the gyration angle. The system starts in the
 excited state; a photon is registered with probability ``rho00 = |c0|^2``.
-
-The ``t`` keyword on the evaluators exists for tests that probe intermediate
-times; production code always evaluates at the gate boundary t = 1.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from .errors import DomainError, record
 __all__ = [
     "FieldConfig",
     "q_factor",
-    "amplitudes",
     "prob_detect",
     "prob_detect_change",
     "prob_stationary_points",
@@ -60,24 +56,14 @@ def q_factor(cfg: FieldConfig, omega0):
     return np.hypot(_detuning(cfg, omega0), 2.0 * cfg.b0 * np.sin(cfg.theta))
 
 
-def amplitudes(cfg: FieldConfig, omega0, t: float = 1.0):
-    """Probability amplitudes (c0, c1) for the start-in-excited-state problem."""
-    d = _detuning(cfg, omega0)
-    q = q_factor(cfg, omega0)
-    half = 0.5 * q * t
-    c0 = -2.0j * np.exp(-0.5j * cfg.omega * t) * (cfg.b0 * np.sin(cfg.theta) / q) * np.sin(half)
-    c1 = np.exp(0.5j * cfg.omega * t) * (np.cos(half) - 1.0j * (d / q) * np.sin(half))
-    return c0, c1
-
-
-def prob_detect(cfg: FieldConfig, omega0, t: float = 1.0):
-    """Photon detection probability 4*b0^2*sin^2(theta)/q^2 * sin^2(q t/2).
+def prob_detect(cfg: FieldConfig, omega0):
+    """Photon detection probability 4*b0^2*sin^2(theta)/q^2 * sin^2(q/2).
 
     Accepts scalar or array ``omega0``.
     """
     b = cfg.b0 * np.sin(cfg.theta)
     q = q_factor(cfg, omega0)
-    return (2.0 * b / q) ** 2 * np.sin(0.5 * q * t) ** 2
+    return (2.0 * b / q) ** 2 * np.sin(0.5 * q) ** 2
 
 
 def prob_detect_change(cfg: FieldConfig, omega0, ref, owner=None):
@@ -168,17 +154,17 @@ def prob_pieces(cfg: FieldConfig, lower: float, upper: float):
     return ends[:-1][keep], ends[1:][keep]
 
 
-def dprob_domega0(cfg: FieldConfig, omega0, t: float = 1.0):
+def dprob_domega0(cfg: FieldConfig, omega0):
     """Analytic derivative of the detection probability with respect to omega0.
 
     Chain rule through dq/domega0 = -detuning/q gives
-    8 b^2 d sin(qt/2) [sin(qt/2) - (qt/2) cos(qt/2)] / q^4 with
+    8 b^2 d sin(q/2) [sin(q/2) - (q/2) cos(q/2)] / q^4 with
     b = b0 sin(theta) and d the detuning combination. Accepts arrays.
     """
     b = cfg.b0 * np.sin(cfg.theta)
     d = _detuning(cfg, omega0)
     q = q_factor(cfg, omega0)
-    half = 0.5 * q * t
+    half = 0.5 * q
     s = np.sin(half)
     return 8.0 * b * b * d * s * (s - half * np.cos(half)) / q**4
 

@@ -8,7 +8,7 @@ two roots of a quadratic,
     omega0_hat = omega - 2 b0 cos(theta) +/- 2 sqrt(S^2 - b0^2 sin^2(theta)),
 
 valid on the principal sinc branch. :func:`ml_roots` evaluates it over
-arrays; :func:`ml_estimate` and :func:`validity` are its single-rate views.
+arrays; :func:`ml_estimate` is its single-rate view.
 Negative roots are rejected (the transition frequency is positive); two
 positive roots leave the estimate ambiguous and the choice to the caller,
 which matches the experimental procedure of retuning the drive until one
@@ -38,12 +38,9 @@ __all__ = [
     "Ambiguity",
     "Root",
     "EstimateResult",
-    "ValidityReport",
     "mvu_p1",
     "ml_roots",
-    "validity",
     "ml_estimate",
-    "log_likelihood_counts",
     "log_likelihood_ratio",
 ]
 
@@ -98,19 +95,6 @@ class EstimateResult:
     roots: tuple[Root, ...]
     ambiguity: Ambiguity
 
-    @property
-    def accepted(self) -> tuple[float, ...]:
-        return tuple(r.value for r in self.roots if r.status is RootStatus.ACCEPTED)
-
-
-@record
-class ValidityReport:
-    """Inversion feasibility: sinc domain and real-distinct-root conditions."""
-
-    sinc_ok: bool
-    real_distinct: bool
-    s_value: float
-
 
 def mvu_p1(data: Dataset) -> float:
     """Minimum-variance unbiased estimate of the detection probability: k/n."""
@@ -153,21 +137,6 @@ def ml_roots(xbar, cfg: FieldConfig):
     return center + 2.0 * delta, center - 2.0 * delta, code
 
 
-def _check_rate(xbar: float) -> None:
-    if not 0.0 <= xbar <= 1.0:
-        raise DomainError(f"xbar must lie in [0, 1], got {xbar}")
-
-
-def validity(xbar: float, cfg: FieldConfig) -> ValidityReport:
-    """Check the two inversion conditions for an observed count rate."""
-    _check_rate(xbar)
-    s, bsin = _sinc_inverse(np.asarray(xbar, dtype=float), cfg)
-    s = float(s)
-    return ValidityReport(
-        sinc_ok=not math.isnan(s), real_distinct=bool(s * s > bsin * bsin), s_value=s
-    )
-
-
 def ml_estimate(xbar: float, cfg: FieldConfig) -> EstimateResult:
     """Maximum-likelihood candidates for the transition frequency.
 
@@ -176,7 +145,8 @@ def ml_estimate(xbar: float, cfg: FieldConfig) -> EstimateResult:
     NoRealRoot when the quadratic discriminant is nonpositive. An observed
     rate of exactly 1 always fails one of the latter two conditions.
     """
-    _check_rate(xbar)
+    if not 0.0 <= xbar <= 1.0:
+        raise DomainError(f"xbar must lie in [0, 1], got {xbar}")
     if xbar == 0.0:
         raise DegenerateData("xbar = 0 carries no information about the frequency")
     plus, minus, code = ml_roots(xbar, cfg)
@@ -204,18 +174,6 @@ def ml_estimate(xbar: float, cfg: FieldConfig) -> EstimateResult:
     return EstimateResult(roots=tuple(roots), ambiguity=ambiguity)
 
 
-def log_likelihood_counts(n: float, k: float, p1) -> np.ndarray:
-    """Binomial log-likelihood k*ln(p) + (n-k)*ln(1-p) + ln C(n, k).
-
-    The binomial coefficient uses log-gamma so fractional counts are allowed.
-    Probabilities pinned at 0 or 1 give -inf unless the counts agree exactly.
-    Elementwise in p1.
-    """
-    p = np.asarray(p1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _log_likelihood_logs(n, k, np.log(p), np.log1p(-p))
-
-
 def _log_binom(n: float, k: float) -> float:
     """ln C(n, k); DomainError where ln n! overflows a float (n above ~2.5e305)."""
     try:
@@ -225,12 +183,12 @@ def _log_binom(n: float, k: float) -> float:
                           "ln n! overflows a float above n ~ 2.5e305") from None
 
 
-def _log_likelihood_logs(n: float, k, log_p, log_q, log_binom=None) -> np.ndarray:
-    """log_likelihood_counts from ln p and ln(1 - p), which one grid of p
-    can share among many counts. A count per point needs its _log_binom
-    per point too."""
-    if log_binom is None:
-        log_binom = _log_binom(n, k)
+def _log_likelihood_logs(n: float, k, log_p, log_q, log_binom) -> np.ndarray:
+    """Binomial log-likelihood k ln(p) + (n - k) ln(1 - p) + ln C(n, k) from
+    ln p, ln(1 - p) and ln C(n, k) (``_log_binom``), elementwise; one grid
+    of p can share its logs among many counts. The binomial coefficient uses
+    log-gamma, so fractional counts are allowed. Probabilities pinned at 0
+    or 1 give -inf unless the counts agree exactly."""
     with np.errstate(invalid="ignore"):
         term1 = np.where(k == 0.0, 0.0, k * log_p)
         term2 = np.where(k == n, 0.0, (n - k) * log_q)

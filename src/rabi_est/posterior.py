@@ -49,13 +49,7 @@ from .dynamics import (
 )
 from .errors import DomainError, EstimationError, EvidenceUnderflow, record
 from .fisher import fisher_values
-from .frequentist import (
-    Dataset,
-    _log_binom,
-    _log_likelihood_logs,
-    log_likelihood_counts,
-    log_likelihood_ratio,
-)
+from .frequentist import Dataset, _log_binom, _log_likelihood_logs, log_likelihood_ratio
 from .numerics import _refine, integrate, integrate_owners
 from .priors import Prior, PriorKind, log_density, prior_fisher, prior_score, truncated_density
 
@@ -112,11 +106,6 @@ class MapMaximum:
     boundary: bool
     stationarity_residual: float
 
-    @property
-    def inconclusive(self) -> bool:
-        """Second-derivative test too close to zero to classify the point."""
-        return not self.boundary and abs(self.second_derivative) < 1e-8
-
 
 @record
 class MapResult:
@@ -132,12 +121,6 @@ class BayesFisher:
     bayes_cfi: float
     bayes_qfi: float
     bayes_gap: float
-
-
-def _log_joint(spec: PosteriorSpec, omega0):
-    """Log likelihood plus log prior, the unnormalized log posterior."""
-    lik = log_likelihood_counts(spec.data.n, spec.data.k, prob_detect(spec.cfg, omega0))
-    return lik + log_density(spec.prior, omega0)
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -167,7 +150,8 @@ def _grid(cfg: FieldConfig, prior: Prior):
 
 
 class _LogJoint:
-    """The log joints of specs that share field, prior and n."""
+    """The log joints (log likelihood plus log prior, the unnormalized log
+    posteriors) of specs that share field, prior and n."""
 
     def __init__(self, specs: Sequence[PosteriorSpec]):
         spec = specs[0]
@@ -551,8 +535,7 @@ def map_many(specs: Sequence[PosteriorSpec]) -> list:
     and a cut if both pieces beside it rise into it; candidates closer than
     _MERGE are one. The stationarity equations are demoted to a consistency
     residual (they admit spurious solutions at posterior minima); boundary
-    maxima skip it and the curvature test. The inconclusive-curvature flag
-    follows the |second derivative| < 1e-8 rule.
+    maxima skip it and the curvature test.
     """
     return _by_batch(specs, _map_batch)
 

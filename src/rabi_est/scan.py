@@ -109,46 +109,17 @@ class GridTable:
     (``along``: name -> (axis number, values)). ``to_csv`` computes, formats
     and writes one block at a time, so no column of the whole grid exists
     while it runs; ``columns``, ``status_codes`` and ``status`` are built
-    from the blocks when first read.
-
-    The constructor stores whole columns: ``status`` is one name per cell,
-    or with ``status_names`` those names' codes, and it reads back as the
-    names. ``GridTable.from_blocks`` takes a block function instead.
+    from the blocks when first read. A scan that computes its cells up front
+    passes a block function over its stored columns (``_stored``).
     """
 
-    def __init__(self, axes, columns, status, metadata=None, status_names=None):
-        axes = tuple(axes)
-        n = math.prod(ax.count for ax in axes)
-        for name, col in [*columns.items(), ("status", status)]:
-            if len(col) != n:
-                raise DomainError(f"column {name!r} has {len(col)} cells, expected {n}")
-        if status_names is None:
-            index = {s: i for i, s in enumerate(dict.fromkeys(status))}
-            status = np.fromiter(map(index.__getitem__, status), np.min_scalar_type(len(index)), n)
-            status_names = index
-        codes = np.asarray(status)
-        if not 0 <= codes.min() <= codes.max() < len(status_names):
-            raise DomainError(f"status codes must index the {len(status_names)} status names")
-        stored = {name: np.asarray(c, dtype=float) for name, c in columns.items()}
-        self._define(axes, list(columns), status_names, metadata,
-                     lambda block, index: ({name: c[block] for name, c in stored.items()}, codes[block]), {})
-        self._whole = stored, codes
-
-    @classmethod
-    def from_blocks(cls, axes, names, status_names, cells, metadata=None, along=None) -> GridTable:
-        """A table of the named columns whose cells the block function
-        ``cells`` computes (see the class docstring)."""
-        table = cls.__new__(cls)
-        table._define(axes, list(names), status_names, metadata, cells, {} if along is None else along)
-        return table
-
-    def _define(self, axes, names, status_names, metadata, cells, along) -> None:
+    def __init__(self, axes, names, status_names, cells, metadata=None, along=None):
         self.axes = tuple(axes)
-        self._names = names
+        self._names = list(names)
         self.status_names = tuple(status_names)
         self.metadata = {} if metadata is None else metadata
         self._cells = cells
-        self._along = along
+        self._along = {} if along is None else along
         self._whole = None
 
     def _read(self) -> tuple[dict, np.ndarray]:
@@ -512,6 +483,12 @@ def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, tuple[np.ndarray, .
         yield block, np.unravel_index(np.arange(block.start, block.stop), shape)
 
 
+def _stored(columns: dict, codes: np.ndarray):
+    """The block function (see ``GridTable``) of whole stored columns and
+    status codes."""
+    return lambda block, index: ({name: c[block] for name, c in columns.items()}, codes[block])
+
+
 def _cell_fields(cfg: FieldConfig, axes: Sequence[Axis]):
     """A function from a block's cell indices along the axes (``_blocks``)
     to its cells' parameters as attributes: arrays along the axes (the
@@ -552,7 +529,7 @@ def fisher_scan(
             values["n_required"] = n_required = 1.0 / (accuracy * values["cfi_scaled"])
         return values, np.select([np.isnan(cfi), ~np.isfinite(n_required)], [1, 2], 0)
 
-    return GridTable.from_blocks(
+    return GridTable(
         axes,
         _FISHER_COLUMNS,
         _FISHER_STATUSES,
@@ -593,7 +570,7 @@ def ml_root_scan(cfg: FieldConfig, axes: tuple[Axis, Axis]) -> GridTable:
         return {"root_plus": root_plus, "root_minus": root_minus}, codes
 
     boundary = np.sqrt(xbar_axis.values) / abs(np.sin(cfg.theta))
-    return GridTable.from_blocks(
+    return GridTable(
         axes,
         ("root_plus", "root_minus", "boundary_b0"),
         _ROOT_STATUSES,
@@ -619,8 +596,9 @@ def bayes_scan(
         raise DomainError("bayes_scan needs two distinct axes among omega, b0, theta")
     if not n >= 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    cols = np.full((math.prod(ax.count for ax in axes), 3), math.nan)
-    status = [STATUS_OK] * len(cols)
+    cols = np.full((3, math.prod(ax.count for ax in axes)), math.nan)
+    codes = np.zeros(cols.shape[1], np.int8)
+    statuses = {STATUS_OK: 0}
     jeffreys = prior.kind is PriorKind.JEFFREYS  # it depends on the drive: rebuilt per cell
     fields_of = _cell_fields(cfg, axes)
     for cells, index in _blocks(tuple(ax.count for ax in axes)):
@@ -630,17 +608,15 @@ def bayes_scan(
             try:
                 cell = FieldConfig(*drive)
                 bf = bayes_fisher(cell, Prior.jeffreys(prior.window, cell) if jeffreys else prior, n)
-                cols[i] = bf.bayes_cfi, bf.bayes_qfi, bf.bayes_gap
+                cols[:, i] = bf.bayes_cfi, bf.bayes_qfi, bf.bayes_gap
             except EstimationError as exc:
-                status[i] = f"error:{type(exc).__name__}"
+                codes[i] = statuses.setdefault(f"error:{type(exc).__name__}", len(statuses))
+    columns = dict(zip(("bayes_cfi", "bayes_qfi", "bayes_gap"), cols))
     return GridTable(
-        axes=tuple(axes),
-        columns={
-            "bayes_cfi": cols[:, 0],
-            "bayes_qfi": cols[:, 1],
-            "bayes_gap": cols[:, 2],
-        },
-        status=status,
+        axes,
+        columns,
+        statuses,
+        _stored(columns, codes),
         metadata={
             "operation": "bayes_scan",
             "n": n,
@@ -670,7 +646,8 @@ def mmse_curve(
         raise DomainError("mmse_curve needs at least one prior")
     # n * xbar can round above an n that a float does not hold; k stays <= n.
     data = [Dataset(n=n, k=min(n * float(x), n)) for x in xbar_axis.values]
-    status = [STATUS_OK] * len(data)
+    codes = np.zeros(len(data), np.int8)
+    statuses = {STATUS_OK: 0}
     columns = {}
     for prior in priors:
         base = name = f"mmse_{prior.kind.value}"
@@ -681,12 +658,13 @@ def mmse_curve(
         results = mmse_many([PosteriorSpec(data=d, cfg=cfg, prior=prior) for d in data])
         for i, result in enumerate(results):
             if isinstance(result, EstimationError):
-                status[i] = f"error:{type(result).__name__}"
+                codes[i] = statuses.setdefault(f"error:{type(result).__name__}", len(statuses))
         columns[name] = np.array([math.nan if isinstance(r, EstimationError) else r for r in results])
     return GridTable(
-        axes=(xbar_axis,),
-        columns=columns,
-        status=status,
+        (xbar_axis,),
+        columns,
+        statuses,
+        _stored(columns, codes),
         metadata={
             "operation": "mmse_curve",
             "n": n,
@@ -724,11 +702,12 @@ def map_curve(
     xbar_inf = np.asarray(prob_detect(cfg, omega0s), dtype=float)
     dp = np.asarray(dprob_domega0(cfg, omega0s), dtype=float)
     codes = ((np.abs(dp) < _DP_FLOOR) | ~np.isfinite(xbar)).astype(np.int8)
+    columns = {"xbar": xbar, "xbar_n_inf": xbar_inf}
     return GridTable(
-        axes=(omega0_axis,),
-        columns={"xbar": xbar, "xbar_n_inf": xbar_inf},
-        status=codes,
-        status_names=_MAP_STATUSES,
+        (omega0_axis,),
+        columns,
+        _MAP_STATUSES,
+        _stored(columns, codes),
         metadata={
             "operation": "map_curve",
             "n": n,

@@ -24,7 +24,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles
-from rabi_est.dynamics import FieldConfig, amplitudes, prob_detect
+from rabi_est.dynamics import FieldConfig, prob_detect
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -85,7 +85,7 @@ def fisher_points() -> dict:
     qfi_off = oracles.qfi_oracle(CFG, 2.0)
 
     def rho01(x):
-        c0, c1 = amplitudes(CFG, x)
+        c0, c1 = oracles.amplitudes(CFG, x)
         return complex(c0) * complex(c1).conjugate()
 
     h = 1e-6

@@ -5,9 +5,9 @@ dense-grid composite Simpson, exhaustive enumeration, bisection, dense
 sign-change scans, scipy's QUADPACK piece by piece and mpmath quadrature at
 20 to 40 digits. The only
 package code the oracles touch is the closed-form dynamics layer
-(probabilities and amplitudes); information measures, priors, posteriors and
-estimators are all recomputed from first principles so they independently
-check the main evaluators.
+(probabilities and their derivative); the Schrodinger amplitudes, information
+measures, likelihoods, priors, posteriors and estimators are all recomputed
+from first principles so they independently check the main evaluators.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from rabi_est.dynamics import FieldConfig, _detuning, amplitudes, dprob_domega0, prob_detect, q_factor
+from rabi_est.dynamics import FieldConfig, _detuning, dprob_domega0, prob_detect, q_factor
 from rabi_est.errors import DegenerateData, DomainError, NonConvergence
-from rabi_est.frequentist import Dataset, log_likelihood_counts
+from rabi_est.frequentist import Dataset
 from rabi_est.priors import Prior, prior_score
 
 
@@ -37,6 +37,17 @@ def central_diff(f, x: float, h: float) -> float:
     if h <= 0.0:
         raise DomainError(f"step h must be positive, got {h}")
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def amplitudes(cfg: FieldConfig, omega0, t: float = 1.0):
+    """Probability amplitudes (c0, c1) at time t of the start-in-excited-state
+    problem, the closed-form solution of the Schrodinger equation."""
+    d = _detuning(cfg, omega0)
+    q = q_factor(cfg, omega0)
+    half = 0.5 * q * t
+    c0 = -2.0j * np.exp(-0.5j * cfg.omega * t) * (cfg.b0 * np.sin(cfg.theta) / q) * np.sin(half)
+    c1 = np.exp(0.5j * cfg.omega * t) * (np.cos(half) - 1.0j * (d / q) * np.sin(half))
+    return c0, c1
 
 
 def ode_residual(cfg: FieldConfig, omega0: float, t: float) -> tuple[complex, complex]:
@@ -541,19 +552,24 @@ def density_state(cfg: FieldConfig, omega0: float, t: float = 1.0) -> DensitySta
 def ddensity_domega0(cfg: FieldConfig, omega0, t: float = 1.0):
     """Analytic derivatives (drho00, drho01) with respect to omega0.
 
-    The coherence derivative follows from rho01 written as
+    rho00 = 4 b^2 sin^2(qt/2)/q^2 and dq/domega0 = -d/q give
+    8 b^2 d sin(qt/2) [sin(qt/2) - (qt/2) cos(qt/2)] / q^4. The coherence
+    derivative follows from rho01 written as
     b e^{-i omega t} [d (1 - cos qt)/q^2 - i sin(qt)/q]. Accepts arrays.
     """
     b = cfg.b0 * np.sin(cfg.theta)
     d = _detuning(cfg, omega0)
     q = q_factor(cfg, omega0)
+    half = 0.5 * q * t
+    s = np.sin(half)
+    drho00 = 8.0 * b * b * d * s * (s - half * np.cos(half)) / q**4
     qt = q * t
     cos_qt = np.cos(qt)
     sin_qt = np.sin(qt)
     dre = -((q * q - 2.0 * d * d) * (1.0 - cos_qt) + d * d * qt * sin_qt) / q**4
     dim = d * (qt * cos_qt - sin_qt) / q**3
     drho01 = b * np.exp(-1.0j * cfg.omega * t) * (dre + 1.0j * dim)
-    return dprob_domega0(cfg, omega0, t), drho01
+    return drho00, drho01
 
 
 def sld_matrix(cfg: FieldConfig, omega0: float) -> np.ndarray:
@@ -581,8 +597,17 @@ def required_samples(cfi_scaled: float, accuracy: float) -> float:
 
 
 def log_likelihood(data: Dataset, cfg: FieldConfig, omega0) -> np.ndarray:
-    """Log-likelihood of the dataset at a candidate transition frequency."""
-    return log_likelihood_counts(data.n, data.k, prob_detect(cfg, omega0))
+    """Binomial log-likelihood k ln p + (n - k) ln(1 - p) + ln C(n, k) of the
+    dataset at a candidate transition frequency, with the binomial
+    coefficient from log-gamma. A term whose count is zero is left out, so a
+    probability pinned at 0 or 1 gives -inf only where it conflicts with the
+    counts. Elementwise in omega0."""
+    n, k = data.n, data.k
+    p = np.asarray(prob_detect(cfg, omega0), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hits = np.where(k == 0, 0.0, k * np.log(p))
+        misses = np.where(k == n, 0.0, (n - k) * np.log1p(-p))
+    return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0) + hits + misses
 
 
 def loglik_curvature(data: Dataset, cfg: FieldConfig, omega0: float) -> float:

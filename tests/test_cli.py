@@ -513,6 +513,41 @@ def test_mmse_curve_keeps_k_within_n(capsys):
     assert rows[-1][0] == "1" and float(rows[-1][1]) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestEstimateCountAtN:
+    """--k = --n where float(n) rounds above n: an integral --k compares with
+    --n exactly and enters as min(float(k), n), as mmse-curve's counts do."""
+
+    N = "99999999999999999"
+
+    def run(self, mode, k, capsys):
+        argv = ["estimate", mode, *FIELD, "--n", self.N, "--k", k, "--prior", "uniform",
+                *WIDE_FLAGS, "--out", "-"]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        return rc, (json.loads(out) if rc == 0 else err.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("k", [N, "99999999999999998"])
+    @pytest.mark.parametrize("mode, estimate", [("mmse", 0.9999999999999997), ("map", 0.9999999999999999)])
+    def test_posterior_estimates_take_k_at_n(self, mode, estimate, k, capsys):
+        # Both counts round to float(n): the count rate is 1, and the
+        # posterior peaks at the maximum of p, the resonance omega0 = 1.
+        rc, payload = self.run(mode, k, capsys)
+        assert rc == 0
+        assert payload["estimate"] == estimate and payload["xbar"] == 1.0
+        assert payload["config"]["k"] == payload["manifest"]["parameters"]["k"] == 1e17
+
+    @pytest.mark.parametrize("k", [N, "99999999999999998"])
+    def test_ml_has_no_real_root_at_k_n(self, k, capsys):
+        assert self.run("ml", k, capsys) == (3, "rabi-est: NoRealRoot: S^2 - b0^2 sin^2(theta) <= 0; "
+                                                 "estimates are not real and distinct")
+
+    @pytest.mark.parametrize("mode", ["ml", "mmse", "map"])
+    @pytest.mark.parametrize("k", ["100000000000000000", "1e17", "-1"])
+    def test_k_outside_zero_to_n_is_refused(self, mode, k, capsys):
+        rc, err = self.run(mode, k, capsys)
+        assert rc == 1 and "--k must lie in [0, --n]" in err
+
+
 # The closed-form scans over grids of 93 x 95 cells, more than one block of
 # cells each: sha256 of the CSV and manifest, both run in the output's directory.
 PINNED_SCANS = {

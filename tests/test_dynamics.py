@@ -5,12 +5,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import density_state, fd, ode_residual
+from oracles import amplitudes, density_state, fd, ode_residual
 from rabi_est.dynamics import (
     FieldConfig,
     _detuning,
     _tan_roots,
-    amplitudes,
     dprob_domega0,
     prob_detect,
     prob_detect_change,
@@ -116,9 +115,6 @@ class TestDensityState:
 
 
 class TestProbDetect:
-    def test_zero_time(self):
-        assert prob_detect(CFG, 4.2, t=0.0) == 0.0
-
     def test_resonance_unit_coupling(self):
         assert prob_detect(CFG, 1.0) == pytest.approx(math.sin(1.0) ** 2, rel=1e-12)
 

@@ -17,7 +17,7 @@ from rabi_est.errors import (
     NoRealRoot,
     SincDomainViolated,
 )
-from rabi_est.frequentist import Ambiguity, Dataset, ml_estimate
+from rabi_est.frequentist import Ambiguity, Dataset, RootStatus, ml_estimate
 from rabi_est.montecarlo import Estimator, TrialConfig, run_trials, simulate_dataset
 from rabi_est.posterior import PosteriorSpec, map_estimate
 from rabi_est.priors import Prior, SupportWindow
@@ -45,12 +45,13 @@ def reference_ml_moments(tc: TrialConfig):
         except (DegenerateData, NoRealRoot, SincDomainViolated):
             degenerate += 1
             continue
+        accepted = [r.value for r in result.roots if r.status is RootStatus.ACCEPTED]
         if result.ambiguity is Ambiguity.AMBIGUOUS:
             ambiguous += 1
-        elif not result.accepted:
+        elif not accepted:
             degenerate += 1
         else:
-            estimates.append(result.accepted[0])
+            estimates.append(accepted[0])
     arr = np.asarray(estimates)
     mean = float(np.sum(arr) / arr.size)
     variance = float(np.sum((arr - mean) ** 2) / (arr.size - 1))

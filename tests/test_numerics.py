@@ -334,7 +334,8 @@ class TestLockstepRefinement:
         cfg = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
         spec = posterior.PosteriorSpec(data=Dataset(100, 49), cfg=cfg,
                                        prior=Prior.gaussian(SupportWindow(0.1, 100.0), 2.0, 1.0))
-        f = lambda x: posterior._log_joint(spec, x)  # noqa: E731
+        joint = posterior._LogJoint([spec])
+        f = lambda x: joint(x, np.zeros(np.shape(x), np.intp))  # noqa: E731
         self.assert_matches_oracle(f, 0.1, 100.0, 2001)
         assert len(grid_peaks(f, 0.1, 100.0, 2001)[0]) >= 10
 

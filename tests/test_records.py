@@ -1,7 +1,8 @@
 """The package's frozen record classes (``errors.record``), the guard that
 keeps ``dataclasses``, whose generated methods cost every command-line run
-milliseconds of start-up, out of the package, and the guard that leaves the
-collector and the process exit to the command line's process entry."""
+milliseconds of start-up, out of the package, the guard against definitions
+that nothing in the package uses, and the guard that leaves the collector and
+the process exit to the command line's process entry."""
 
 import ast
 import math
@@ -13,7 +14,7 @@ import rabi_est
 from rabi_est import posterior
 from rabi_est.dynamics import FieldConfig
 from rabi_est.errors import DomainError, record
-from rabi_est.frequentist import Ambiguity, Dataset, EstimateResult, Root, RootStatus, ValidityReport
+from rabi_est.frequentist import Ambiguity, Dataset, EstimateResult, Root, RootStatus
 from rabi_est.montecarlo import Estimator, TrialConfig, TrialReport
 from rabi_est.numerics import LocalMaximum
 from rabi_est.posterior import BayesFisher, MapMaximum, MapResult, PosteriorSpec, _Workspaces, mmse
@@ -31,7 +32,6 @@ RECORDS = [
     lambda: Dataset(n=10, k=4),
     lambda: Root(value=2.0, status=RootStatus.ACCEPTED),
     lambda: EstimateResult(roots=(Root(2.0, RootStatus.BOUNDARY),), ambiguity=Ambiguity.UNAMBIGUOUS),
-    lambda: ValidityReport(sinc_ok=True, real_distinct=False, s_value=1.5),
     lambda: SupportWindow(0.5, 5.0),
     lambda: Prior.gaussian(WINDOW, mean=2.0, sigma=1.0),
     lambda: PosteriorSpec(Dataset(10, 4), CFG, Prior.uniform(WINDOW)),
@@ -58,7 +58,7 @@ def record_classes() -> set:
 def test_every_record_class_is_covered():
     covered = {(type(make()).__module__.rpartition(".")[2], type(make()).__name__) for make in RECORDS}
     assert covered == record_classes()
-    assert len(covered) == 16
+    assert len(covered) == 15
 
 
 @pytest.mark.parametrize("make", RECORDS, ids=lambda make: type(make()).__name__)
@@ -115,6 +115,62 @@ def test_package_does_not_import_dataclasses(path):
         else:
             continue
         assert "dataclasses" not in [m.partition(".")[0] for m in modules], f"{path.name}:{node.lineno}"
+
+
+# Definitions that nothing in the package names, kept on purpose. The
+# benchmark's tracer wraps local_maxima, qfi_values, simulate_dataset and
+# GridTable.to_csv by name and its checks build a LocalMaximum; main and run
+# are the command line's entry points, and __getattr__ and __dir__ the
+# package's lazy exports (PEP 562), which the interpreter calls.
+UNREFERENCED_BY_DESIGN = {"local_maxima", "LocalMaximum", "qfi_values", "simulate_dataset", "to_csv",
+                          "main", "run", "__getattr__", "__dir__"}
+
+
+def definitions(tree):
+    """The names of the top-level functions and classes of ``tree``, and of
+    the methods and properties of those classes (special methods such as
+    __init__ aside: the language calls them, not a name)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def referenced(tree):
+    """Every name that ``tree`` uses: as a Name, an Attribute or an import alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def unreferenced(trees):
+    """(module, name) of every definition in ``trees`` (module -> tree) that
+    no module names, allowlisted names aside."""
+    used = {name for tree in trees.values() for name in referenced(tree)}
+    return [(module, name) for module, tree in trees.items() for name in definitions(tree)
+            if name not in used and name not in UNREFERENCED_BY_DESIGN]
+
+
+def test_package_defines_nothing_it_does_not_use():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    unused = unreferenced(trees)
+    assert unused == [], f"defined but never named in the package: {unused}"
+    defined = {name for tree in trees.values() for name in definitions(tree)}
+    assert UNREFERENCED_BY_DESIGN <= defined  # no stale allowlist entry
+
+
+def test_unreferenced_guard_sees():
+    trees = {"a": ast.parse("def used():\n    pass\n\n\nclass Box:\n    @property\n"
+                            "    def size(self):\n        return 1\n\n    def __len__(self):\n"
+                            "        return 1\n\n\ndef dead():\n    used()\n"),
+             "b": ast.parse("from a import Box\nimport a.helper as h\n")}
+    assert unreferenced(trees) == [("a", "size"), ("a", "dead")]
 
 
 # Process-wide switches that only the command line's process entry, cli.run,
