@@ -108,21 +108,11 @@ def _integral(text: str) -> int | None:
     return None
 
 
-def _count(name):
-    """A count flag's converter: a finite number, as a float unless it is an
-    integral literal that no float holds, which keeps its exact integer, so
-    that it compares with --n exactly."""
-    real = _real(name)
-
-    def convert(text):
-        value = real(text)
-        try:
-            exact = int(text)
-        except ValueError:
-            exact = _integral(text)
-        return value if exact is None or exact == value else exact
-
-    return convert
+def _count(text):
+    """--k: a finite number, kept as the exact integer of an integral literal
+    from 2**53 on, where floats skip integers, so it compares with --n exactly."""
+    value = _real("--k")(text)
+    return value >= 2**53 and _integral(text) or value
 
 
 def _positive_int(name):
@@ -199,7 +189,7 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--axis", **axis, metavar="omega0:START:STOP:COUNT")
     elif command == "estimate":
         p.add_argument("--n", type=_positive_int("--n"), required=True, help=f"number of trials, {_N_RULE}")
-        p.add_argument("--k", type=_count("--k"), required=True, help="photon counts")
+        p.add_argument("--k", type=_count, required=True, help="photon counts")
         _add_prior_flags(p)
     else:  # simulate
         p.add_argument("--omega0-true", type=_positive("--omega0-true"), required=True)
@@ -342,10 +332,9 @@ def _write_table(out: str, table, manifest: dict) -> None:
 
 
 def _axes_pair(parser: _Parser, args) -> tuple:
-    axes = args.axis if isinstance(args.axis, list) else [args.axis]
-    if len(axes) != 2:
-        parser.error(f"exactly two --axis specifications required, got {len(axes)}")
-    return axes[0], axes[1]
+    if len(args.axis) != 2:
+        parser.error(f"exactly two --axis specifications required, got {len(args.axis)}")
+    return tuple(args.axis)
 
 
 def _cmd_fisher_scan(parser, args, argv) -> int:
@@ -527,10 +516,8 @@ def _utc_stamp() -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        expanded = _expand_config(list(argv))
+        expanded = _expand_config(sys.argv[1:] if argv is None else list(argv))
         # The top-level parser has no option that takes a value, so the
         # first word that is not an option names the command.
         parser = _build_parser(next((a for a in expanded if not a.startswith("-")), None))
