@@ -118,10 +118,10 @@ def test_package_does_not_import_dataclasses(path):
 
 
 # Definitions that nothing in the package names, kept on purpose. The
-# benchmark's tracer wraps local_maxima, qfi_values, simulate_dataset and
-# GridTable.to_csv by name and its checks build a LocalMaximum; main and run
-# are the command line's entry points, and __getattr__ and __dir__ the
-# package's lazy exports (PEP 562), which the interpreter calls.
+# benchmark's tracer wraps local_maxima (which returns LocalMaximum records),
+# qfi_values, simulate_dataset and GridTable.to_csv by name; main and run are
+# the command line's entry points, and __getattr__ and __dir__ the package's
+# lazy exports (PEP 562), which the interpreter calls.
 UNREFERENCED_BY_DESIGN = {"local_maxima", "LocalMaximum", "qfi_values", "simulate_dataset", "to_csv",
                           "main", "run", "__getattr__", "__dir__"}
 
