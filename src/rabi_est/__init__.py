@@ -3,9 +3,9 @@ driven by a gyrating magnetic field: exact dynamics, Fisher information
 landscapes, frequentist (MVU, ML) and Bayesian (MMSE, MAP) estimators, a
 seeded Monte Carlo harness and a grid-scan engine.
 
-The names below load their submodule on first access (PEP 562), so
-``import rabi_est`` loads none, and a command-line run loads only what its
-command uses.
+The export table ``_EXPORTS`` names each export's submodule (``MapResult``
+that of the MAP paths, ``map_estimator``), loaded on first access (PEP 562):
+``import rabi_est`` loads none, and a command-line run only what it uses.
 """
 
 import importlib
@@ -20,7 +20,7 @@ _EXPORTS = {
     "PriorKind": "priors",
     "SupportWindow": "priors",
     "BayesFisher": "posterior",
-    "MapResult": "posterior",
+    "MapResult": "map_estimator",
     "PosteriorSpec": "posterior",
     "Estimator": "montecarlo",
     "TrialConfig": "montecarlo",

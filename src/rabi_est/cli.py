@@ -6,8 +6,13 @@ reports). Every data-producing subcommand takes ``--out`` (``-`` for
 standard output). File outputs are reproducible byte for byte given
 identical flags and seed; the run manifest embedded in JSON outputs or
 written next to CSV outputs therefore carries no timestamp (wall-clock time
-goes to standard error instead). Each subcommand imports the modules it
-runs when it runs, so a single estimate loads no scan or Monte Carlo code.
+goes to standard error instead).
+
+The table ``_COMMANDS`` gives each command its help line, handler and flags
+(plain data, in help order). ``main`` imports only the invoked command's
+handler module, ``cli_estimate`` or ``cli_sweeps``; a handler imports what
+it runs when it runs and returns a JSON payload or a scan table, which
+``main`` writes with the run manifest.
 
 Run as a program (``python -m rabi_est.cli`` or the ``rabi-est`` script),
 the command line enters through ``run``, which moves every live object into
@@ -31,6 +36,7 @@ import math
 import shlex
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .dynamics import FieldConfig
@@ -108,100 +114,111 @@ def _integral(text: str) -> int | None:
     return None
 
 
-def _count(text):
-    """--k: a finite number, kept as the exact integer of an integral literal
-    from 2**53 on, where floats skip integers, so it compares with --n exactly."""
-    value = _real("--k")(text)
-    return value >= 2**53 and _integral(text) or value
+def _count(name):
+    """--k's converter: a finite number, kept as the exact integer of an
+    integral literal from 2**53 on, where floats skip integers, so it
+    compares with --n exactly."""
+    real = _real(name)
+
+    def convert(text):
+        value = real(text)
+        return value >= 2**53 and _integral(text) or value
+
+    return convert
 
 
 def _positive_int(name):
     return _integer(name, positive=True)
 
 
-def _parse_axis(text: str):
-    from .scan import Axis
+def _axis(_name):
+    """--axis's converter: a scan axis from NAME:START:STOP:COUNT."""
+    def convert(text):
+        from .scan import Axis
 
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"axis must be name:start:stop:count, got {text!r}"
-        )
-    name, start, stop, count = parts
-    count = _integer(f"axis {name} count")(count)
-    try:
-        start, stop = float(start), float(stop)
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ValueError("start and stop must be finite")
-        return Axis(name=name, start=start, stop=stop, count=count)
-    except (ValueError, DomainError) as exc:
-        raise argparse.ArgumentTypeError(f"invalid axis {text!r}: {exc}") from exc
+        parts = text.split(":")
+        if len(parts) != 4:
+            raise argparse.ArgumentTypeError(
+                f"axis must be name:start:stop:count, got {text!r}"
+            )
+        name, start, stop, count = parts
+        count = _integer(f"axis {name} count")(count)
+        try:
+            start, stop = float(start), float(stop)
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise ValueError("start and stop must be finite")
+            return Axis(name=name, start=start, stop=stop, count=count)
+        except (ValueError, DomainError) as exc:
+            raise argparse.ArgumentTypeError(f"invalid axis {text!r}: {exc}") from exc
+
+    return convert
 
 
-# Why n >= 1, for the help of every --n flag.
+# Flag specs: (flag, its converter's factory, called with the flag, or None,
+# and the other options of add_argument).
 _N_RULE = "an integer >= 1 such as 100 or 1e10: the count rate k/n needs at least one trial"
+_FIELD = (
+    ("--omega", _real, {"required": True, "help": "drive angular speed (dimensionless)"}),
+    ("--b0", _positive, {"required": True, "help": "drive coupling strength (dimensionless, > 0)"}),
+    ("--theta", _real, {"help": "gyration angle in radians, inside (0, pi)"}),
+    ("--theta-deg", _real, {"help": "gyration angle in degrees (alternative to --theta)"}),
+)
+_PRIOR = (
+    ("--prior", None, {"choices": ["uniform", "jeffreys", "gaussian"], "help": "prior family"}),
+    ("--window-lower", _positive, {"help": "lower end of the frequency window"}),
+    ("--window-upper", _positive, {"help": "upper end of the frequency window"}),
+    ("--prior-mean", _real, {"help": "Gaussian prior mean"}),
+    ("--prior-sigma", _positive, {"help": "Gaussian prior standard deviation"}),
+)
+_AXES = ("--axis", _axis, {"required": True, "action": "append", "metavar": "NAME:START:STOP:COUNT"})
+_TRIALS = ("--n", _positive_int, {"required": True, "help": f"number of trials, {_N_RULE}"})
+_OUT = ("--out", None, {"required": True, "help": "output path, or - for standard output"})
+_STDOUT = ("--out", None, {"default": "-", "help": "output path, or - for standard output"})
+_CONFIG = ("--config", None, {"help": "key = value defaults file; flags override"})
 
 
-def _add_prior_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prior", choices=["uniform", "jeffreys", "gaussian"], help="prior family")
-    p.add_argument("--window-lower", type=_positive("--window-lower"), help="lower end of the frequency window")
-    p.add_argument("--window-upper", type=_positive("--window-upper"), help="upper end of the frequency window")
-    p.add_argument("--prior-mean", type=_real("--prior-mean"), help="Gaussian prior mean")
-    p.add_argument("--prior-sigma", type=_positive("--prior-sigma"), help="Gaussian prior standard deviation")
+def _sweeps():
+    from . import cli_sweeps
+
+    return cli_sweeps
 
 
-def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
-    """Fill in the arguments of ``command``, in the order its help lists them."""
-    if command == "estimate":
-        p.add_argument("mode", choices=["ml", "mmse", "map"])
-    p.add_argument("--omega", type=_real("--omega"), required=True,
-                   help="drive angular speed (dimensionless)")
-    p.add_argument("--b0", type=_positive("--b0"), required=True,
-                   help="drive coupling strength (dimensionless, > 0)")
-    p.add_argument("--theta", type=_real("--theta"), help="gyration angle in radians, inside (0, pi)")
-    p.add_argument("--theta-deg", type=_real("--theta-deg"),
-                   help="gyration angle in degrees (alternative to --theta)")
-    axis = {"type": _parse_axis, "required": True}
-    axes = {**axis, "action": "append", "metavar": "NAME:START:STOP:COUNT"}
-    if command == "fisher-scan":
-        p.add_argument("--omega0", type=_positive("--omega0"), required=True)
-        p.add_argument("--axis", **axes)
-        p.add_argument("--accuracy", type=_positive("--accuracy"), default=0.001)
-    elif command == "ml-roots":
-        p.add_argument("--axis", **axes)
-    elif command == "bayes-scan":
-        _add_prior_flags(p)
-        p.add_argument("--axis", **axes)
-        p.add_argument("--n", type=_positive_int("--n"), required=True,
-                       help=f"trial count entering the prior-information term, {_N_RULE}")
-    elif command == "mmse-curve":
-        p.add_argument("--priors", required=True,
-                       help="comma-separated prior families, e.g. uniform,jeffreys,gaussian")
-        p.add_argument("--window-lower", type=_positive("--window-lower"), required=True)
-        p.add_argument("--window-upper", type=_positive("--window-upper"), required=True)
-        p.add_argument("--prior-mean", type=_real("--prior-mean"))
-        p.add_argument("--prior-sigma", type=_positive("--prior-sigma"))
-        p.add_argument("--n", type=_positive_int("--n"), required=True, help=f"number of trials, {_N_RULE}")
-        p.add_argument("--axis", **axis, metavar="xbar:START:STOP:COUNT")
-    elif command == "map-curve":
-        _add_prior_flags(p)
-        p.add_argument("--n", type=_positive_int("--n"), required=True, help=f"number of trials, {_N_RULE}")
-        p.add_argument("--axis", **axis, metavar="omega0:START:STOP:COUNT")
-    elif command == "estimate":
-        p.add_argument("--n", type=_positive_int("--n"), required=True, help=f"number of trials, {_N_RULE}")
-        p.add_argument("--k", type=_count, required=True, help="photon counts")
-        _add_prior_flags(p)
-    else:  # simulate
-        p.add_argument("--omega0-true", type=_positive("--omega0-true"), required=True)
-        p.add_argument("--n", type=_positive_int("--n"), required=True,
-                       help=f"trials per simulated dataset, {_N_RULE}")
-        p.add_argument("--trials", type=_positive_int("--trials"), required=True)
-        p.add_argument("--seed", type=_integer("--seed"), required=True)
-        p.add_argument("--estimator", choices=["ml", "mmse", "map"], default="ml")
-        _add_prior_flags(p)
-    out = {"default": "-"} if command in ("estimate", "simulate") else {"required": True}
-    p.add_argument("--out", help="output path, or - for standard output", **out)
-    p.add_argument("--config", help="key = value defaults file; flags override")
+def _estimate():
+    from . import cli_estimate
+
+    return cli_estimate
+
+
+# The subcommands, in the order the help lists them: help line, handler
+# and flags.
+_COMMANDS = {
+    "fisher-scan": ("CFI/QFI landscape over two field axes", lambda: _sweeps().fisher_scan, (
+        *_FIELD, ("--omega0", _positive, {"required": True}), _AXES,
+        ("--accuracy", _positive, {"default": 0.001}), _OUT)),
+    "ml-roots": ("ML inversion root surfaces", lambda: _sweeps().ml_roots, (*_FIELD, _AXES, _OUT)),
+    "bayes-scan": ("prior-averaged Fisher landscape", lambda: _sweeps().bayes_scan, (
+        *_FIELD, *_PRIOR, _AXES, ("--n", _positive_int, {
+            "required": True, "help": f"trial count entering the prior-information term, {_N_RULE}"}),
+        _OUT)),
+    "mmse-curve": ("posterior-mean estimate vs count rate", lambda: _sweeps().mmse_curve, (
+        *_FIELD,
+        ("--priors", None, {"required": True,
+                            "help": "comma-separated prior families, e.g. uniform,jeffreys,gaussian"}),
+        ("--window-lower", _positive, {"required": True}), ("--window-upper", _positive, {"required": True}),
+        ("--prior-mean", _real, {}), ("--prior-sigma", _positive, {}), _TRIALS,
+        ("--axis", _axis, {"required": True, "metavar": "xbar:START:STOP:COUNT"}), _OUT)),
+    "map-curve": ("MAP stationarity curve vs frequency", lambda: _sweeps().map_curve, (
+        *_FIELD, *_PRIOR, _TRIALS,
+        ("--axis", _axis, {"required": True, "metavar": "omega0:START:STOP:COUNT"}), _OUT)),
+    "estimate": ("single estimate from observed counts", lambda: _estimate().estimate, (
+        ("mode", None, {"choices": ["ml", "mmse", "map"]}), *_FIELD, _TRIALS,
+        ("--k", _count, {"required": True, "help": "photon counts"}), *_PRIOR, _STDOUT)),
+    "simulate": ("seeded Monte Carlo estimator benchmark", lambda: _sweeps().simulate, (
+        *_FIELD, ("--omega0-true", _positive, {"required": True}),
+        ("--n", _positive_int, {"required": True, "help": f"trials per simulated dataset, {_N_RULE}"}),
+        ("--trials", _positive_int, {"required": True}), ("--seed", _integer, {"required": True}),
+        ("--estimator", None, {"choices": ["ml", "mmse", "map"], "default": "ml"}), *_PRIOR, _STDOUT)),
+}
 
 
 def _build_parser(command: str | None = None) -> _Parser:
@@ -211,10 +228,11 @@ def _build_parser(command: str | None = None) -> _Parser:
     parser = _Parser(prog="rabi-est", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"rabi-est {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (_, help_line) in _COMMANDS.items():
+    for name, (help_line, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         if name == command:
-            _add_flags(p, name)
+            for flag, factory, options in (*flags, _CONFIG):
+                p.add_argument(flag, type=factory and factory(flag), **options)
     return parser
 
 
@@ -249,7 +267,7 @@ def _expand_config(argv: list[str]) -> list[str]:
     return rest[:insert] + tokens + rest[insert:]
 
 
-def _resolve_theta(parser: _Parser, args) -> float:
+def _field_config(parser: _Parser, args) -> FieldConfig:
     if args.theta is not None and args.theta_deg is not None:
         parser.error("--theta and --theta-deg are mutually exclusive")
     if args.theta is None and args.theta_deg is None:
@@ -257,11 +275,7 @@ def _resolve_theta(parser: _Parser, args) -> float:
     theta = args.theta if args.theta is not None else math.radians(args.theta_deg)
     if not 0.0 < theta < math.pi:
         parser.error(f"--theta must lie strictly inside (0, pi), got {theta}")
-    return theta
-
-
-def _field_config(parser: _Parser, args) -> FieldConfig:
-    return FieldConfig(omega=args.omega, b0=args.b0, theta=_resolve_theta(parser, args))
+    return FieldConfig(omega=args.omega, b0=args.b0, theta=theta)
 
 
 def _build_prior(parser: _Parser, args, cfg: FieldConfig, kind: str | None = None):
@@ -331,181 +345,6 @@ def _write_table(out: str, table, manifest: dict) -> None:
         fp.write("\n")
 
 
-def _axes_pair(parser: _Parser, args) -> tuple:
-    if len(args.axis) != 2:
-        parser.error(f"exactly two --axis specifications required, got {len(args.axis)}")
-    return tuple(args.axis)
-
-
-def _cmd_fisher_scan(parser, args, argv) -> int:
-    from .scan import fisher_scan
-
-    cfg = _field_config(parser, args)
-    table = fisher_scan(cfg, args.omega0, _axes_pair(parser, args), args.accuracy)
-    _write_table(args.out, table, _manifest(argv, args, seed=None))
-    return 0
-
-
-def _cmd_ml_roots(parser, args, argv) -> int:
-    from .scan import ml_root_scan
-
-    cfg = _field_config(parser, args)
-    table = ml_root_scan(cfg, _axes_pair(parser, args))
-    _write_table(args.out, table, _manifest(argv, args, seed=None))
-    return 0
-
-
-def _cmd_bayes_scan(parser, args, argv) -> int:
-    from .scan import bayes_scan
-
-    cfg = _field_config(parser, args)
-    prior = _build_prior(parser, args, cfg)
-    table = bayes_scan(cfg, prior, _axes_pair(parser, args), args.n)
-    _write_table(args.out, table, _manifest(argv, args, seed=None))
-    return 0
-
-
-def _cmd_mmse_curve(parser, args, argv) -> int:
-    from .scan import mmse_curve
-
-    cfg = _field_config(parser, args)
-    kinds = [k.strip() for k in args.priors.split(",") if k.strip()]
-    if not kinds:
-        parser.error("--priors must name at least one prior family")
-    for kind in kinds:
-        if kind not in ("uniform", "jeffreys", "gaussian"):
-            parser.error(f"unknown prior family {kind!r} in --priors")
-    priors = [_build_prior(parser, args, cfg, kind=kind) for kind in kinds]
-    if args.axis.name != "xbar":
-        parser.error("--axis for mmse-curve must be an xbar axis")
-    table = mmse_curve(cfg, priors, args.n, args.axis)
-    _write_table(args.out, table, _manifest(argv, args, seed=None))
-    return 0
-
-
-def _cmd_map_curve(parser, args, argv) -> int:
-    from .scan import map_curve
-
-    cfg = _field_config(parser, args)
-    prior = _build_prior(parser, args, cfg)
-    if args.axis.name != "omega0":
-        parser.error("--axis for map-curve must be an omega0 axis")
-    table = map_curve(cfg, prior, args.n, args.axis)
-    _write_table(args.out, table, _manifest(argv, args, seed=None))
-    return 0
-
-
-def _cmd_estimate(parser, args, argv) -> int:
-    from .frequentist import Dataset, ml_estimate, mvu_p1
-
-    cfg = _field_config(parser, args)
-    if not 0 <= args.k <= args.n:
-        parser.error(f"--k must lie in [0, --n], got k={args.k}, n={args.n}")
-    # k is echoed as a float; where n is not one, float(k) may round above it.
-    args.k = float(args.k)
-    data = Dataset(n=args.n, k=min(args.k, args.n))
-    config_echo = {
-        "omega": cfg.omega, "b0": cfg.b0, "theta": cfg.theta,
-        "n": args.n, "k": args.k,
-    }
-    manifest = _manifest(argv, args, seed=None)
-    if args.mode == "ml":
-        result = ml_estimate(mvu_p1(data), cfg)
-        payload = {
-            "roots": [{"value": r.value, "status": r.status.value} for r in result.roots],
-            "ambiguity": result.ambiguity.value,
-            "xbar": data.xbar,
-            "config": config_echo,
-            "manifest": manifest,
-        }
-    else:
-        from .posterior import PosteriorSpec, map_estimate, mmse
-
-        prior = _build_prior(parser, args, cfg)
-        spec = PosteriorSpec(data=data, cfg=cfg, prior=prior)
-        if args.mode == "mmse":
-            payload = {
-                "estimate": mmse(spec),
-                "xbar": data.xbar,
-                "config": config_echo,
-                "manifest": manifest,
-            }
-        else:
-            result = map_estimate(spec)
-            payload = {
-                "maxima": [
-                    {
-                        "value": m.value,
-                        "log_posterior": m.log_posterior,
-                        "second_derivative": m.second_derivative,
-                        "boundary": m.boundary,
-                        "stationarity_residual": m.stationarity_residual,
-                    }
-                    for m in result.maxima
-                ],
-                "estimate": result.best.value,
-                "xbar": data.xbar,
-                "config": config_echo,
-                "manifest": manifest,
-            }
-    _write_json(args.out, payload)
-    return 0
-
-
-def _cmd_simulate(parser, args, argv) -> int:
-    from .montecarlo import Estimator, TrialConfig, run_trials
-
-    cfg = _field_config(parser, args)
-    if not 0 <= args.seed < 2**64:
-        parser.error(f"--seed must fit an unsigned 64-bit integer, got {args.seed}")
-    prior = None
-    if args.estimator in ("mmse", "map") or args.prior is not None:
-        prior = _build_prior(parser, args, cfg)
-    tc = TrialConfig(
-        cfg=cfg,
-        omega0_true=args.omega0_true,
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        estimator=Estimator(args.estimator),
-        prior=prior,
-    )
-    report = run_trials(tc)
-    payload = {
-        "report": {
-            "mean_estimate": report.mean_estimate,
-            "bias": report.bias,
-            "variance": report.variance,
-            "crb": report.crb,
-            "vantrees_bound": report.vantrees_bound,
-            "degenerate_count": report.degenerate_count,
-            "ambiguous_count": report.ambiguous_count,
-            "included_trials": report.included_trials,
-            "prng_algorithm": report.prng_algorithm,
-        },
-        "config": {
-            "omega": cfg.omega, "b0": cfg.b0, "theta": cfg.theta,
-            "omega0_true": args.omega0_true, "n": args.n,
-            "trials": args.trials, "seed": args.seed, "estimator": args.estimator,
-        },
-        "manifest": _manifest(argv, args, seed=args.seed),
-    }
-    _write_json(args.out, payload)
-    return 0
-
-
-# The subcommands, in the order the help lists them: handler and help line.
-_COMMANDS = {
-    "fisher-scan": (_cmd_fisher_scan, "CFI/QFI landscape over two field axes"),
-    "ml-roots": (_cmd_ml_roots, "ML inversion root surfaces"),
-    "bayes-scan": (_cmd_bayes_scan, "prior-averaged Fisher landscape"),
-    "mmse-curve": (_cmd_mmse_curve, "posterior-mean estimate vs count rate"),
-    "map-curve": (_cmd_map_curve, "MAP stationarity curve vs frequency"),
-    "estimate": (_cmd_estimate, "single estimate from observed counts"),
-    "simulate": (_cmd_simulate, "seeded Monte Carlo estimator benchmark"),
-}
-
-
 def _utc_stamp() -> str:
     """The time now as ``datetime.now(timezone.utc).isoformat()`` writes it,
     with no fraction when the microseconds are 0, without importing
@@ -523,7 +362,16 @@ def main(argv: list[str] | None = None) -> int:
         parser = _build_parser(next((a for a in expanded if not a.startswith("-")), None))
         args = parser.parse_args(expanded)
         print(f"rabi-est {args.command} started {_utc_stamp()}", file=sys.stderr)
-        return _COMMANDS[args.command][0](parser, args, expanded)
+        cfg = _field_config(parser, args)
+        # A handler builds its priors, if any, with build_prior(kind=None).
+        result = _COMMANDS[args.command][1]()(parser, args, cfg, partial(_build_prior, parser, args, cfg))
+        # Only simulate has a seed.
+        manifest = _manifest(expanded, args, seed=getattr(args, "seed", None))
+        if isinstance(result, dict):
+            _write_json(args.out, {**result, "manifest": manifest})
+        else:
+            _write_table(args.out, result, manifest)
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except (NonConvergence, EvidenceUnderflow) as exc:

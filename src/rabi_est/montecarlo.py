@@ -14,7 +14,7 @@ is below p1 exactly when its 64-bit word is below ceil(p1 2^53) 2^11, so
 counting raw words below that threshold gives the counts of
 Generator(Philox(key=[seed, stream])).random(n) < p1 bit for bit, without a
 Generator or a float per draw. ML trials without a prior load no Bayesian
-module.
+module, and only MAP trials load ``map_estimator``.
 """
 
 from __future__ import annotations
@@ -185,7 +185,9 @@ def run_trials(tc: TrialConfig) -> TrialReport:
     bitwise reproducible.
     """
     if tc.prior is not None:  # MMSE and MAP trials, and the van Trees bound
-        from .posterior import PosteriorSpec, bayes_fisher, map_many, mmse_many
+        from .posterior import PosteriorSpec, bayes_fisher, mmse_many
+    if tc.estimator is Estimator.MAP:
+        from .map_estimator import map_many
     ks = _draws(float(prob_detect(tc.cfg, tc.omega0_true)), tc.n, tc.seed, range(tc.trials))
     counts = np.array(list(dict.fromkeys(ks.tolist())))
     by_value = np.argsort(counts)

@@ -1,5 +1,5 @@
-"""Self-contained numerical kernel: adaptive Clenshaw-Curtis quadrature,
-inverse sinc and bracketed maximization.
+"""Self-contained numerical kernel: adaptive Clenshaw-Curtis quadrature
+and inverse sinc.
 
 All routines are pure functions of their arguments and safe for concurrent
 use. They call their functions only with 1-D numpy arrays, a batch of points
@@ -8,10 +8,12 @@ qualify); an integrand may stack several such components into one (C, m)
 array. :func:`integrate_owners` computes many such integrals, one per
 owner, in one adaptive loop: its integrand also receives the owner of each
 point, and each owner's result is what :func:`integrate` gives it alone.
-``_refine`` maximizes on many brackets of many owners in the same way; the
-MAP estimator takes its brackets from the posterior workspace.
-:func:`local_maxima`, a grid search over one function before ``_refine``,
-no longer serves the estimators; the tests and ``bench/tracer.py`` use it.
+The bracketed maximizer ``_refine``, which does the same for many brackets
+of many owners, lives in ``map_estimator`` beside its one estimator, so a
+run that maximizes nothing never compiles it. :func:`local_maxima`, a grid
+search over one function before ``_refine``, no longer serves the
+estimators; the tests and ``bench/tracer.py`` use it, and it imports
+``_refine`` when called.
 """
 
 from __future__ import annotations
@@ -248,70 +250,6 @@ def inv_sinc_values(y: np.ndarray) -> np.ndarray:
     return np.where(y == 1.0, 0.0, np.where(y == 0.0, math.pi, x))
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _refine(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
-            polish: Callable | None = None) -> np.ndarray:
-    """The maxima of f on the brackets [a, b], f unimodal on each.
-
-    ``f(x, o)`` takes points and the owners of their brackets (``owner``),
-    as in :func:`integrate_owners`. Golden-section search narrows all
-    brackets in lockstep to a thousandth of their width (or to the
-    tolerance), each step one call of f on the new points of the brackets
-    still open. Guarded Newton steps take it from there to the maximum; a
-    five-point gradient stencil keeps their truncation bias at O(h^4), with
-    h at most a sixteenth of the distance to the nearer bracket end, where
-    f may be singular. They evaluate ``polish`` if given: f up to a constant
-    per owner, dearer but rounded far less. Per bracket, the arithmetic is
-    that of a one-bracket search.
-    """
-    lo, hi = a, b
-    a, b = a.copy(), b.copy()
-    target = np.maximum(_TOL, _TOL * np.maximum(np.abs(a), np.abs(b)))
-
-    def still_open(k):
-        scale = np.maximum(np.maximum(np.abs(a[k]), np.abs(b[k])), 1.0)
-        return k[(b[k] - a[k]) > np.maximum(np.maximum(target[k], 1e-9 * scale), 1e-3 * (hi[k] - lo[k]))]
-
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2]), np.tile(owner, 2)), dtype=float), 2)
-    k = still_open(np.arange(a.size))
-    while k.size:
-        keep_left = f1[k] >= f2[k]
-        left, right = k[keep_left], k[~keep_left]
-        b[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
-        x1[left] = b[left] - _INVPHI * (b[left] - a[left])
-        a[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
-        x2[right] = a[right] + _INVPHI * (b[right] - a[right])
-        f1[left], f2[right] = np.split(np.asarray(
-            f(np.concatenate([x1[left], x2[right]]), np.concatenate([owner[left], owner[right]])),
-            dtype=float), [left.size])
-        k = still_open(k)
-
-    x = 0.5 * (a + b)
-    h = np.minimum(1e-4 * np.maximum(1.0, np.abs(x)), np.minimum(x - lo, hi - x) / 16.0)
-    k = np.arange(x.size)
-    for _ in range(3):
-        k = k[(lo[k] + 2.0 * h[k] < x[k]) & (x[k] < hi[k] - 2.0 * h[k])]
-        if not k.size:
-            break
-        xk, hk = x[k], h[k]
-        stencil = xk + np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]]) * hk
-        fm2, fm1, f0, fp1, fp2 = np.asarray((polish or f)(stencil.ravel(), np.tile(owner[k], 5)),
-                                            dtype=float).reshape(5, -1)
-        grad = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * hk)
-        curv = (fp1 - 2.0 * f0 + fm1) / (hk * hk)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -grad / curv
-        go = (curv < 0.0) & np.isfinite(grad) & (np.abs(step) <= hi[k] - lo[k])
-        k, xk, step = k[go], xk[go], step[go]
-        x[k] = np.minimum(np.maximum(xk + step, lo[k]), hi[k])
-        k = k[~(np.abs(x[k] - xk) < 1e-14 * np.maximum(1.0, np.abs(xk)))]
-    return x
-
-
 def local_maxima(
     f: Callable,
     lo: float,
@@ -327,6 +265,8 @@ def local_maxima(
     boundary candidates when the function is maximal there. Results are
     sorted ascending.
     """
+    from .map_estimator import _refine
+
     if grid_points < 3:
         raise DomainError(f"grid_points must be >= 3, got {grid_points}")
     if not lo < hi:

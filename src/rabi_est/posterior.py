@@ -19,24 +19,28 @@ converges fast toward such a point only when it is a panel end.
 What depends only on the field and the prior (the grid, ln p, ln(1 - p) and
 the log prior on it, and the pieces) is computed once per pair and cached.
 Posteriors that share field, prior and n form a batch
-(:func:`mmse_many`, :func:`map_many`), and one pass finds the workspaces of
-all its members: their log joints on the grid, a block of members at a
-time, one log-joint call for the peaks of all members and one for all their
-ladders, and their mass regions as arrays cut by member. One quadrature then
-integrates them all, each with its own panels and error budget. Every step
-is elementwise per member, so each member's values are bit for bit those of
-its own :func:`mmse` or :func:`map_estimate`; a single posterior is a batch
-of one and takes the same path. The MAP candidates come from the same pass
-as the evidence: the maxima of the log joint on its grid and the brackets of
-its sharp peaks, cut at the zeros of dp/domega0, where a Jeffreys prior
-vanishes between two modes.
+(:func:`mmse_many`, ``map_estimator.map_many``), and one pass finds the
+workspaces of all its members: their log joints on the grid, a block of
+members at a time, one log-joint call for the peaks of all members and one
+for all their ladders, and their mass regions as arrays cut by member. One
+quadrature then integrates them all, each with its own panels and error
+budget. Every step is elementwise per member, so each member's values are
+bit for bit those of its own :func:`mmse` or :func:`map_estimate`; a single
+posterior is a batch of one and takes the same path.
+
+The MAP estimator lives in ``map_estimator``, which only the MAP paths load.
+:func:`map_estimate` stays here as the one-spec entry and imports it when
+called. Its candidates come from the same workspaces as the evidence
+(``_workspaces`` with ``grid_maxima``): the maxima of the log joint on its
+grid and the brackets of its sharp peaks. The Fisher kernels, which only
+:func:`bayes_fisher` and the Jeffreys prior use, are imported where called.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -48,21 +52,19 @@ from .dynamics import (
     prob_pieces,
 )
 from .errors import DomainError, EstimationError, EvidenceUnderflow, record
-from .fisher import fisher_values
 from .frequentist import Dataset, _log_binom, _log_likelihood_logs, log_likelihood_ratio
-from .numerics import _refine, integrate, integrate_owners
-from .priors import Prior, PriorKind, log_density, prior_fisher, prior_score, truncated_density
+from .numerics import integrate, integrate_owners
+from .priors import Prior, PriorKind, log_density, prior_fisher, truncated_density
+
+if TYPE_CHECKING:
+    from .map_estimator import MapResult
 
 __all__ = [
     "PosteriorSpec",
-    "MapMaximum",
-    "MapResult",
     "BayesFisher",
     "mmse",
     "mmse_many",
     "map_estimate",
-    "map_many",
-    "map_stationarity_lhs",
     "bayes_fisher",
 ]
 
@@ -81,12 +83,6 @@ _BATCH = 256
 _BLOCK_BYTES = 1 << 17
 # Shifted-integrand values below this threshold carry no numerical mass.
 _MASS_FLOOR_LOG = math.log(1e-18)
-# Probability-derivative magnitudes below this make the stationarity form 0/0.
-_DP_FLOOR = 1e-12
-# MAP candidates closer than this, relative to max(1, |omega0|), are one
-# maximum: refinements of one maximum agree far better, and distinct maxima
-# of the log joint come this close only for n far beyond 1e10.
-_MERGE = 1e-6
 
 
 @record
@@ -96,24 +92,6 @@ class PosteriorSpec:
     data: Dataset
     cfg: FieldConfig
     prior: Prior
-
-
-@record
-class MapMaximum:
-    value: float
-    log_posterior: float
-    second_derivative: float
-    boundary: bool
-    stationarity_residual: float
-
-
-@record
-class MapResult:
-    maxima: tuple[MapMaximum, ...]
-
-    @property
-    def best(self) -> MapMaximum:
-        return max(self.maxima, key=lambda m: m.log_posterior)
 
 
 @record
@@ -495,130 +473,15 @@ def mmse_many(specs: Sequence[PosteriorSpec]) -> list:
         for spec, m in zip(batch, _moments_many(batch))])
 
 
-def map_stationarity_lhs(cfg: FieldConfig, prior: Prior, n: float, omega0):
-    """Left side of the MAP stationarity equation, which equals xbar at any
-    stationary point of the log posterior with nonvanishing probability slope:
-
-        p - p (1 - p) score / (n p'),
-
-    with score = d log(prior)/d omega0. A zero score (the uniform prior)
-    leaves p itself, also where p' = 0, so MAP reduces to ML. Accepts arrays.
-    """
-    x = np.asarray(omega0, dtype=float)
-    p = prob_detect(cfg, x)
-    score = prior_score(prior, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        correction = p * (1.0 - p) * score / (n * dprob_domega0(cfg, x))
-    return p - np.where(score == 0.0, 0.0, correction)
-
-
 def map_estimate(spec: PosteriorSpec) -> MapResult:
-    """All local maxima of the log posterior: map_many of one spec."""
+    """All local maxima of the log posterior: ``map_estimator.map_many`` of
+    one spec, which this call imports."""
+    from .map_estimator import map_many
+
     result, = map_many([spec])
     if isinstance(result, EstimationError):
         raise result
     return result
-
-
-def map_many(specs: Sequence[PosteriorSpec]) -> list:
-    """MapResult of each spec, or the EstimationError that computing it
-    raises; batched as in mmse_many, each result bit for bit that of
-    map_estimate.
-
-    The candidates come from the posterior's workspace: the brackets around
-    the local maxima of the log joint on its grid (a window end is a
-    boundary maximum where the log joint falls from it) and those of its
-    sharp peaks. Every bracket is cut at the zeros of dp/domega0 inside it,
-    so a zero of sqrt(CFI) gets one bracket on each side; golden section
-    with Newton polish finds the maximum of each piece, all pieces of all
-    specs in lockstep. A piece's maximum counts if it lies inside the piece,
-    and a cut if both pieces beside it rise into it; candidates closer than
-    _MERGE are one. The stationarity equations are demoted to a consistency
-    residual (they admit spurious solutions at posterior minima); boundary
-    maxima skip it and the curvature test.
-    """
-    return _by_batch(specs, _map_batch)
-
-
-def _map_batch(specs: Sequence[PosteriorSpec]) -> list:
-    """map_many of specs that share field, prior and n."""
-    spec = specs[0]
-    cfg, prior, n, w = spec.cfg, spec.prior, spec.data.n, spec.prior.window
-    spaces = _workspaces(specs, grid_maxima=True)
-    out = _moments_many(specs, spaces)
-    held = [j for j, moments in enumerate(out) if not isinstance(moments, EstimationError)]
-    if not held:
-        return out
-    g = _LogJoint([specs[j] for j in held])
-    rank = np.full(len(specs), -1)
-    rank[held] = np.arange(len(held))
-    brackets = [(lo, hi, rank[own]) for lo, hi, own in (spaces.sharp, spaces.maxima)]
-    # Each held spec's brackets: sharp peaks and grid maxima.
-    a, b, owner = (np.concatenate(v) for v in zip(*brackets))
-    order = np.argsort(owner, kind="stable")[np.count_nonzero(owner < 0):]
-    a, b, owner = a[order], b[order], owner[order]
-    # A window end is a boundary maximum where the log joint falls from it.
-    end_own, side = np.nonzero(spaces.edges[held])
-    end_x = np.array([w.lower, w.upper])[side]
-    _, _, _, _, piece_lo, *_ = _grid(cfg, prior)
-
-    # Cut the brackets at the zeros of dp/domega0 strictly inside them.
-    cuts = piece_lo[1:]
-    first = np.searchsorted(cuts, a, "right")
-    inside = np.searchsorted(cuts, b, "left") - first
-    bracket = np.repeat(np.arange(a.size), inside + 1)
-    pos = np.arange(bracket.size) - np.repeat(np.cumsum(inside) - inside + np.arange(a.size), inside + 1)
-    padded = np.concatenate([[-np.inf], cuts, [np.inf]])
-    lo = np.where(pos == 0, a[bracket], padded[first[bracket] + pos])
-    hi = np.where(pos == inside[bracket], b[bracket], padded[first[bracket] + pos + 1])
-    own = owner[bracket]
-    ratio = _log_ratio_to_mode(specs, held, spaces.mode[held])
-    x = _refine(g, lo, hi, own, polish=ratio) if lo.size else lo
-    g_x, g_lo, g_hi = np.split(g(np.concatenate([x, lo, hi]), np.tile(own, 3)), 3)
-    inner = (g_x > g_lo) & (g_x > g_hi)
-    shared = np.zeros(x.size, dtype=bool)
-    shared[:-1] = ~(g_x[:-1] > g_hi[:-1]) & ~(g_x[1:] > g_lo[1:]) & (pos[1:] > 0)
-    x, own, value = (np.concatenate([v[inner], c[shared]])
-                     for v, c in ((x, hi), (own, own), (g_x, g_hi)))
-    keep = np.isfinite(value)
-    x, own, value = x[keep], own[keep], value[keep]
-    # One maximum found from several brackets: keep its highest refinement.
-    order = np.lexsort((x, own))
-    x, own, value = x[order], own[order], value[order]
-    apart = np.ones(x.size, dtype=bool)
-    apart[1:] = (own[1:] != own[:-1]) | (x[1:] - x[:-1] > _MERGE * np.maximum(1.0, np.abs(x[1:])))
-    group = np.cumsum(apart)
-    best = np.lexsort((-value, group))
-    best = best[np.diff(group[best], prepend=0) > 0]
-
-    x = np.concatenate([x[best], end_x])
-    own = np.concatenate([own[best], end_own])
-    boundary = np.arange(x.size) >= best.size
-    order = np.lexsort((x, own))
-    x, own, boundary = x[order], own[order], boundary[order]
-    inner = ~boundary
-    xi = x[inner]
-    h = np.minimum(np.maximum(1e-4, 1e-5 * np.abs(xi)), 0.45 * np.minimum(xi - w.lower, w.upper - xi))
-    # One call for the log joint at every maximum and the curvature stencil
-    # of the interior ones.
-    at = np.concatenate([x, xi + h, xi - h]), np.concatenate([own, own[inner], own[inner]])
-    g_x, g_up, g_down = np.split(g(*at), [x.size, x.size + xi.size])
-    second = np.full(x.size, math.nan)
-    second[inner] = (g_up - 2.0 * g_x[inner] + g_down) / (h * h)
-    residual = np.full(x.size, math.nan)
-    if n > 0:
-        tested = inner & (np.abs(dprob_domega0(cfg, x)) > _DP_FLOOR)
-        xbar = np.array([specs[j].data.xbar for j in held])
-        lhs = map_stationarity_lhs(cfg, prior, n, x[tested])
-        residual[tested] = np.abs(lhs - xbar[own[tested]])
-    log_evidence = np.array([out[j][0] + math.log(out[j][1]) for j in held])
-    log_post = g_x - log_evidence[own]
-    found = [MapMaximum(*fields) for fields in zip(
-        x.tolist(), log_post.tolist(), second.tolist(), boundary.tolist(), residual.tolist())]
-    bounds = np.searchsorted(own, np.arange(len(held) + 1)).tolist()
-    for o, j in enumerate(held):
-        out[j] = MapResult(maxima=tuple(found[bounds[o]:bounds[o + 1]]))
-    return out
 
 
 def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int) -> BayesFisher:
@@ -630,6 +493,8 @@ def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int) -> BayesFisher:
     one quadrature of the three on the pieces between the zeros of dp/domega0,
     cut again at a Gaussian prior's mean.
     """
+    from .fisher import fisher_values
+
     if not n >= 1:
         raise DomainError(f"trial count n must be >= 1, got {n}")
     # Fails fast, before the averages, when the prior information diverges.

@@ -8,6 +8,10 @@ normalizer is computed once, at construction) and safe to share.
 The Gaussian log-density is the untruncated normal; downstream posterior
 quadrature truncates to the window and renormalizes, while its Fisher
 information keeps the textbook untruncated value 1/sigma^2.
+
+The MAP stationarity form p - p(1 - p) score/(n p') sits beside the prior
+score, so ``map-curve`` loads no posterior code. Only the Jeffreys paths
+import the Fisher kernel ``cfi_values``, when they run.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import FieldConfig, _detuning, prob_pieces, prob_stationary_points, q_factor
+from .dynamics import (FieldConfig, _detuning, dprob_domega0, prob_detect, prob_pieces,
+                       prob_stationary_points, q_factor)
 from .errors import DegenerateSupport, DivergentInformation, DomainError, record
-from .fisher import cfi_values
 from .numerics import _TOL, integrate
 
 __all__ = [
@@ -28,6 +32,8 @@ __all__ = [
     "Prior",
     "log_density",
     "prior_score",
+    "map_stationarity_lhs",
+    "check_information",
     "prior_fisher",
     "jeffreys_normalizer",
     "window_mass",
@@ -38,6 +44,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # A zero of sqrt(CFI) this close to the window (relative to the window's
 # magnitude) is inside it to within the rounding of its closed form.
 _ZERO_SLACK = 1e-14
+# Probability-derivative magnitudes below this make the stationarity form 0/0.
+_DP_FLOOR = 1e-12
 
 
 class PriorKind(str, Enum):
@@ -97,6 +105,7 @@ def jeffreys_normalizer(field: FieldConfig, window: SupportWindow) -> float:
     and are zeroed out of the integrand. Raises DegenerateSupport when the
     integral is indistinguishable from zero at the quadrature tolerance.
     """
+    from .fisher import cfi_values
 
     def integrand(x: np.ndarray) -> np.ndarray:
         vals = cfi_values(field, x)
@@ -122,6 +131,8 @@ def log_density(prior: Prior, omega0):
         z = (x - prior.mean) / prior.sigma
         vals = -0.5 * z * z - math.log(prior.sigma) - _LOG_SQRT_2PI
     else:
+        from .fisher import cfi_values
+
         inside = (x >= w.lower) & (x <= w.upper)
         f = cfi_values(prior.field, x)
         f = np.nan_to_num(f, nan=0.0)
@@ -164,14 +175,44 @@ def prior_score(prior: Prior, omega0):
         )
 
 
+def map_stationarity_lhs(cfg: FieldConfig, prior: Prior, n: float, omega0):
+    """Left side of the MAP stationarity equation, which equals xbar at any
+    stationary point of the log posterior with nonvanishing probability slope:
+
+        p - p (1 - p) score / (n p'),
+
+    with score = d log(prior)/d omega0. A zero score (the uniform prior)
+    leaves p itself, also where p' = 0, so MAP reduces to ML. Accepts arrays.
+    """
+    x = np.asarray(omega0, dtype=float)
+    p = prob_detect(cfg, x)
+    score = prior_score(prior, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        correction = p * (1.0 - p) * score / (n * dprob_domega0(cfg, x))
+    return p - np.where(score == 0.0, 0.0, correction)
+
+
+def check_information(field: FieldConfig, window: SupportWindow) -> None:
+    """Raise DivergentInformation if sqrt(CFI) of ``field`` has a zero in the
+    closed window, where the information of a Jeffreys prior on it diverges
+    logarithmically. Decided from the closed-form zeros, with no quadrature."""
+    slack = _ZERO_SLACK * max(1.0, abs(window.lower), abs(window.upper))
+    points, zero = prob_stationary_points(field, window.lower - slack, window.upper + slack)
+    if zero.any():
+        raise DivergentInformation(
+            f"sqrt(CFI) vanishes at omega0={float(points[zero][0])!r} in the window "
+            f"[{window.lower}, {window.upper}]; the Jeffreys prior information diverges"
+        )
+
+
 def prior_fisher(prior: Prior) -> float:
     """Fisher information of the prior itself.
 
     Uniform: identically zero. Gaussian: the untruncated closed form
     1/sigma^2. Jeffreys: quadrature of (dlog density)^2 * density over the
     window. The integral diverges logarithmically when sqrt(CFI) has a zero
-    in the closed window; that is decided from the closed-form zeros before
-    any quadrature, and raised as DivergentInformation.
+    in the closed window; :func:`check_information` decides that from the
+    closed-form zeros before any quadrature.
     """
     if prior.kind is PriorKind.UNIFORM:
         return 0.0
@@ -179,13 +220,7 @@ def prior_fisher(prior: Prior) -> float:
         return 1.0 / prior.sigma**2
 
     w = prior.window
-    slack = _ZERO_SLACK * max(1.0, abs(w.lower), abs(w.upper))
-    points, zero = prob_stationary_points(prior.field, w.lower - slack, w.upper + slack)
-    if zero.any():
-        raise DivergentInformation(
-            f"sqrt(CFI) vanishes at omega0={float(points[zero][0])!r} in the window "
-            f"[{w.lower}, {w.upper}]; the Jeffreys prior information diverges"
-        )
+    check_information(prior.field, w)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         d = prior_score(prior, x)

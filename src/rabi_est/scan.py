@@ -5,7 +5,8 @@ column (the figures these scans feed contain excluded regions by design).
 A table keeps it as integer codes into the status names. Importing this
 module loads only the ``dynamics`` and ``fisher`` kernels of the Fisher
 landscape; the other scans import what they run when they run: the ML root
-surfaces ``frequentist``, the Bayesian ones ``posterior`` and ``priors``.
+surfaces ``frequentist``, the Bayesian Fisher scan and the MMSE curve
+``posterior`` and ``priors``, and the MAP curve ``priors`` alone.
 The Fisher landscape and the ML root surfaces are tables drawn by blocks:
 ``GridTable.to_csv`` runs their closed-form kernels on one block of
 ``_CSV_CHUNK`` cells at a time, on coordinates taken from the block's flat
@@ -17,7 +18,8 @@ value.
 The MMSE curve computes each prior's column as one batch of posteriors in a
 single quadrature. The Bayesian Fisher scan runs its cells one after
 another in row-major order, rebuilding a Jeffreys prior for each cell's
-drive.
+drive; a cell whose Jeffreys prior information diverges fails from the
+closed-form zeros of sqrt(CFI), before any quadrature.
 
 The ML root-surface statuses summarize the sign analysis of the two
 inversion roots: ``Complex`` (no real distinct roots), ``NegativeRejected``
@@ -589,7 +591,7 @@ def bayes_scan(
     """Prior-averaged Fisher landscape over two field-parameter axes. A cell
     whose averages fail carries NaN and the error's name as its status."""
     from .posterior import bayes_fisher
-    from .priors import Prior, PriorKind
+    from .priors import Prior, PriorKind, check_information
 
     names = [ax.name for ax in axes]
     if len(axes) != 2 or any(nm not in _FIELD_AXES for nm in names) or names[0] == names[1]:
@@ -607,6 +609,8 @@ def bayes_scan(
         for i, drive in zip(range(cells.start, cells.stop), zip(*(d.tolist() for d in drives))):
             try:
                 cell = FieldConfig(*drive)
+                if jeffreys:  # a divergent cell fails before its prior's quadrature
+                    check_information(cell, prior.window)
                 bf = bayes_fisher(cell, Prior.jeffreys(prior.window, cell) if jeffreys else prior, n)
                 cols[:, i] = bf.bayes_cfi, bf.bayes_qfi, bf.bayes_gap
             except EstimationError as exc:
@@ -688,8 +692,7 @@ def map_curve(
     divides by it). A companion column drops the 1/n prior term, which is the
     infinite-sample limit and reduces to the detection probability.
     """
-    from .posterior import _DP_FLOOR, map_stationarity_lhs
-    from .priors import PriorKind
+    from .priors import _DP_FLOOR, PriorKind, map_stationarity_lhs
 
     if omega0_axis.name != "omega0":
         raise DomainError("map_curve needs an omega0 axis")

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import functools
 import gc
 import hashlib
 import importlib
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -140,6 +142,25 @@ class TestParser:
         assert set(re.findall(r"--[a-z0-9-]+", text)) == {*COMMAND_FLAGS[command], "--help", "--out",
                                                           "--config"}
         assert ("positional arguments:\n  {ml,mmse,map}\n" in text) == (command == "estimate")
+
+    # sha256 of the help text at 80 columns: the top level's (None) and each
+    # command's. A change to the parser's layout must leave them unchanged.
+    HELP_SHA256 = {
+        None: "71d2f88463d3c6737dc7864ff5f35179e9dee1e1412111fb6dadcc85d07e2f72",
+        "fisher-scan": "327d26f0a4f152d1b8053f44aaccd67f6c5d66d512ef2cdf238330f5ba93d7f3",
+        "ml-roots": "4b1a6f1aaa99486ff9cd621bc68a81366a9b62ae09f24cecccb2f397dc741e0a",
+        "bayes-scan": "c59733e5f978a808eef81791592174e705985077cd65d8b3de8e91ac3f2bd57d",
+        "mmse-curve": "72bcbd3ecb39ad87d225b94f99284a2c035c30d1e3764554a45a01491dc48b24",
+        "map-curve": "c8ae00e38983865e41c9ea6e80a661ac8793d3311e102c19e2f4fa90c84b55a6",
+        "estimate": "09d6aa3aedd37b5c2ee7e3824c47bfdd479bd5239270a68507bf6c6e863959dd",
+        "simulate": "e6503904e80117997d27de11656b6353040dfb4e0bea4c060e64dee4e08a7545",
+    }
+
+    @pytest.mark.parametrize("command", list(HELP_SHA256), ids=str)
+    def test_help_text_is_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, "--help"] if command else ["--help"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.HELP_SHA256[command]
 
     def test_only_the_invoked_command_is_filled_in(self):
         parser = cli._build_parser("estimate")
@@ -336,11 +357,14 @@ def loaded_modules(code):
 class TestImports:
     """A run loads only the modules of its command, and the package root none."""
 
-    ESTIMATE = ["rabi_est", "rabi_est.dynamics", "rabi_est.errors", "rabi_est.frequentist",
-                "rabi_est.numerics"]
-    BAYES = ["rabi_est.fisher", "rabi_est.posterior", "rabi_est.priors"]
+    ESTIMATE = ["rabi_est", "rabi_est.cli_estimate", "rabi_est.dynamics", "rabi_est.errors",
+                "rabi_est.frequentist", "rabi_est.numerics"]
+    # No MAP module and, but for a Jeffreys prior, no Fisher kernel.
+    BAYES = ["rabi_est.posterior", "rabi_est.priors"]
+    MAP = [*BAYES, "rabi_est.map_estimator"]
 
-    SCAN = ["rabi_est", "rabi_est.dynamics", "rabi_est.errors", "rabi_est.fisher", "rabi_est.scan"]
+    SCAN = ["rabi_est", "rabi_est.cli_sweeps", "rabi_est.dynamics", "rabi_est.errors", "rabi_est.fisher",
+            "rabi_est.scan"]
 
     @staticmethod
     def cli_code(argv):
@@ -349,10 +373,19 @@ class TestImports:
                 "try:\n    runpy.run_module('rabi_est.cli', run_name='__main__')\n"
                 "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
 
-    @pytest.mark.parametrize("mode, extra", [("ml", []), ("mmse", BAYES), ("map", BAYES)])
+    @pytest.mark.parametrize("mode, extra", [("ml", []), ("mmse", BAYES), ("map", MAP)])
     def test_estimate_loads_only_its_modules(self, mode, extra):
         argv = ["estimate", mode, *FIELD, "--n", "10", "--k", "4", "--prior", "uniform",
                 "--window-lower", "0.5", "--window-upper", "5", "--out", os.devnull]
+        assert loaded_modules(self.cli_code(argv)) == {*self.ESTIMATE, *extra}
+
+    @pytest.mark.parametrize("mode, prior, extra", [
+        ("mmse", "gaussian", BAYES), ("map", "gaussian", MAP),
+        ("mmse", "jeffreys", [*BAYES, "rabi_est.fisher"]), ("map", "jeffreys", [*MAP, "rabi_est.fisher"]),
+    ])
+    def test_only_jeffreys_estimates_load_the_fisher_kernels(self, mode, prior, extra):
+        argv = ["estimate", mode, *FIELD, "--n", "10", "--k", "4", "--prior", prior, "--prior-mean", "3",
+                "--prior-sigma", "1", "--window-lower", "0.5", "--window-upper", "5", "--out", os.devnull]
         assert loaded_modules(self.cli_code(argv)) == {*self.ESTIMATE, *extra}
 
     @pytest.mark.parametrize("argv, modules", [
@@ -360,14 +393,65 @@ class TestImports:
          SCAN),
         (["ml-roots", *FIELD, "--axis", "b0:0.1:5:3", "--axis", "xbar:0.1:0.9:3"],
          [*SCAN, "rabi_est.frequentist", "rabi_est.numerics"]),
+        (["map-curve", *FIELD, "--n", "8", "--prior", "jeffreys", *WIDE_FLAGS,
+          "--axis", "omega0:0.15:12.15:5"],
+         [*SCAN, "rabi_est.numerics", "rabi_est.priors"]),
         (["simulate", *FIELD, "--omega0-true", "2", "--n", "10", "--trials", "5", "--seed", "1",
           "--estimator", "ml"],
-         [*ESTIMATE, "rabi_est.fisher", "rabi_est.montecarlo"]),
-    ], ids=["fisher-scan", "ml-roots", "simulate-ml"])
+         ["rabi_est", "rabi_est.cli_sweeps", "rabi_est.dynamics", "rabi_est.errors", "rabi_est.fisher",
+          "rabi_est.frequentist", "rabi_est.montecarlo", "rabi_est.numerics"]),
+    ], ids=["fisher-scan", "ml-roots", "map-curve", "simulate-ml"])
     def test_command_loads_only_its_modules(self, argv, modules, tmp_path):
-        # The closed-form scans and ML trials load no Bayesian module.
+        # The closed-form scans and ML trials load no Bayesian module, and
+        # the MAP curve none of the posterior or the ML estimator.
         code = self.cli_code([*argv, "--out", str(tmp_path / "out")])
         assert loaded_modules(code) == set(modules)
+
+    # Ceilings on the non-blank source lines that a run compiles: those of
+    # the package modules it loads and of cli.py, which ``python -m`` runs
+    # as __main__. A run that writes no bytecode compiles every one of them.
+    UNIFORM = ["--prior", "uniform", *WIDE_FLAGS]
+    GAUSSIAN = ["--prior", "gaussian", "--prior-mean", "3", "--prior-sigma", "1", *WIDE_FLAGS]
+    FIG5 = [*FIELD, "--n", "8", *WIDE_FLAGS]
+    RUNS = {
+        "estimate-mmse": (["estimate", "mmse", *FIELD, "--n", "100", "--k", "49", *UNIFORM], 1760),
+        "estimate-map": (["estimate", "map", *FIELD, "--n", "100", "--k", "49", *UNIFORM], 1950),
+        "estimate-ml": (["estimate", "ml", *FIELD, "--n", "100", "--k", "41"], 1125),
+        "mmse-curve": (["mmse-curve", *FIG5, "--priors", "uniform,jeffreys,gaussian", "--prior-mean", "10",
+                        "--prior-sigma", "2", "--axis", "xbar:0:1:3"], 2475),
+        "map-curve": (["map-curve", *FIG5, "--prior", "jeffreys", "--axis", "omega0:0.15:12.15:5"], 1850),
+    }
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def compiled_lines(argv: tuple) -> int:
+        with tempfile.TemporaryDirectory() as out:
+            modules = loaded_modules(TestImports.cli_code([*argv, "--out", os.path.join(out, "out")]))
+        package = Path(cli.__file__).parent
+        files = ["cli.py", *(f"{m.partition('.')[2] or '__init__'}.py" for m in modules)]
+        return sum(1 for name in files for line in (package / name).read_text(encoding="utf-8").splitlines()
+                   if line.strip())
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_run_compiles_at_most_its_ceiling(self, run):
+        argv, ceiling = self.RUNS[run]
+        assert self.compiled_lines(tuple(argv)) <= ceiling
+
+    def test_posterior_workload_compiles_at_most_its_ceiling(self):
+        # The benchmark's posterior workload: the Fig. 5 MMSE curve, the
+        # Gaussian and Jeffreys MAP curves, the worked ML estimate, and MMSE
+        # and MAP estimates under the uniform and Gaussian priors at six
+        # decades of n. A run's modules follow from its command, mode and
+        # prior family, not from n, so each decade compiles what n = 100 does.
+        gaussian_curve = ["map-curve", *self.FIG5, "--prior", "gaussian", "--prior-mean", "10",
+                          "--prior-sigma", "2", "--axis", "omega0:0.15:12.15:5"]
+        figures = [self.RUNS["mmse-curve"][0], self.RUNS["map-curve"][0], gaussian_curve,
+                   self.RUNS["estimate-ml"][0]]
+        sweep = [["estimate", mode, *FIELD, "--n", "100", "--k", "49", *prior]
+                 for mode in ("mmse", "map") for prior in (self.UNIFORM, self.GAUSSIAN)]
+        total = sum(map(self.compiled_lines, map(tuple, figures))) + 6 * sum(
+            map(self.compiled_lines, map(tuple, sweep)))
+        assert total <= 51_500
 
     # Standard modules that no command needs. numpy's core imports datetime
     # on every run, so that one is kept out of the package's own imports.

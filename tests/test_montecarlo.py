@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from rabi_est import montecarlo, posterior
+from rabi_est import map_estimator, montecarlo
 from rabi_est.dynamics import FieldConfig, prob_detect
 from rabi_est.errors import (
     AllTrialsDegenerate,
@@ -280,14 +280,14 @@ def test_map_trials_are_one_batch_of_per_count_estimates(monkeypatch):
     tc = TrialConfig(cfg=CFG, omega0_true=2.0, n=100, trials=30, seed=5,
                      estimator=Estimator.MAP, prior=prior)
     batches = []
-    original = posterior.map_many
+    original = map_estimator.map_many
 
     def counting(specs, *args):
         batches.append(len(specs))
         return original(specs, *args)
 
-    # run_trials imports map_many from posterior when it runs.
-    monkeypatch.setattr(posterior, "map_many", counting)
+    # run_trials imports map_many from map_estimator when it runs.
+    monkeypatch.setattr(map_estimator, "map_many", counting)
     report = run_trials(tc)
     ks = [simulate_dataset(CFG, 2.0, 100, 5, stream=i).k for i in range(30)]
     assert batches == [len(set(ks))]

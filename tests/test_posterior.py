@@ -18,16 +18,15 @@ from rabi_est.errors import DomainError, EvidenceUnderflow
 from rabi_est.fisher import cfi_values, qfi_values
 from rabi_est.frequentist import Dataset, ml_estimate
 from rabi_est import posterior
+from rabi_est.map_estimator import map_many
 from rabi_est.posterior import (
     PosteriorSpec,
     bayes_fisher,
     map_estimate,
-    map_many,
-    map_stationarity_lhs,
     mmse,
     mmse_many,
 )
-from rabi_est.priors import Prior, SupportWindow, log_density
+from rabi_est.priors import Prior, SupportWindow, log_density, map_stationarity_lhs
 
 CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
 WIDE = SupportWindow(0.1, 100.0)

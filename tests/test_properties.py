@@ -13,8 +13,8 @@ from rabi_est.errors import DomainError, EstimationError
 from rabi_est.fisher import cfi_values, qfi_values
 from rabi_est.frequentist import ROOTS_REAL, Dataset, ml_roots
 from rabi_est.numerics import inv_sinc_values
-from rabi_est.posterior import PosteriorSpec, map_stationarity_lhs, mmse, mmse_many
-from rabi_est.priors import Prior, SupportWindow
+from rabi_est.posterior import PosteriorSpec, mmse, mmse_many
+from rabi_est.priors import Prior, SupportWindow, map_stationarity_lhs
 
 PROPERTY = settings(max_examples=100, deadline=None)
 

@@ -6,6 +6,7 @@ the process exit to the command line's process entry."""
 
 import ast
 import math
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ from rabi_est.errors import DomainError, record
 from rabi_est.frequentist import Ambiguity, Dataset, EstimateResult, Root, RootStatus
 from rabi_est.montecarlo import Estimator, TrialConfig, TrialReport
 from rabi_est.numerics import LocalMaximum
-from rabi_est.posterior import BayesFisher, MapMaximum, MapResult, PosteriorSpec, _Workspaces, mmse
+from rabi_est.map_estimator import MapMaximum, MapResult
+from rabi_est.posterior import BayesFisher, PosteriorSpec, _Workspaces, mmse
 from rabi_est.priors import Prior, SupportWindow
 from rabi_est.scan import Axis
 
@@ -171,6 +173,35 @@ def test_unreferenced_guard_sees():
                             "        return 1\n\n\ndef dead():\n    used()\n"),
              "b": ast.parse("from a import Box\nimport a.helper as h\n")}
     assert unreferenced(trees) == [("a", "size"), ("a", "dead")]
+
+
+# CPython's parser doubles its token array at 4,096 and again at 8,192 tokens,
+# and the compile of a module past a step peaks higher: cli.py at 4,102
+# tokens compiled at 1.78 MB instead of 1.53 MB, and raised the peak RSS of a
+# fisher-scan run by ~0.1 MB. Only these modules are past the first step.
+PAST_FIRST_TOKEN_STEP = {"posterior.py", "scan.py"}
+
+
+def parser_tokens(path: Path) -> int:
+    """The tokens of ``path`` that the parser reads: tokenize's, without
+    comments, non-logical line breaks and the encoding marker."""
+    with open(path, "rb") as fp:
+        return sum(1 for token in tokenize.tokenize(fp.readline)
+                   if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_stays_below_the_parser_token_steps(path):
+    tokens = parser_tokens(path)
+    assert tokens < 8192
+    assert tokens < 4096 or path.name in PAST_FIRST_TOKEN_STEP
+
+
+def test_parser_token_count_leaves_out_comments(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text("# a comment\nx = (1,\n     2)  # another\n", encoding="utf-8")
+    # x = ( 1 , 2 ) NEWLINE ENDMARKER
+    assert parser_tokens(source) == 9
 
 
 # Process-wide switches that only the command line's process entry, cli.run,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabi_est import posterior, scan
+from rabi_est import posterior, priors, scan
 from rabi_est.dynamics import FieldConfig
 from rabi_est.errors import DomainError
 from rabi_est.fisher import fisher_values
@@ -528,6 +528,22 @@ def test_bayes_scan_statuses():
         assert np.isfinite(column[ok]).all() and np.isnan(column[~ok]).all()
 
 
+def test_divergent_bayes_scan_cell_runs_no_quadrature(monkeypatch):
+    # A Jeffreys cell whose prior information diverges fails from the
+    # closed-form zeros of sqrt(CFI), before its normalizer's quadrature; a
+    # cell that answers runs three (normalizer, prior information, averages).
+    calls = []
+    for module in (priors, posterior):
+        monkeypatch.setattr(module, "integrate",
+                            lambda *args, original=module.integrate: calls.append(1) or original(*args))
+    prior = Prior.jeffreys(SupportWindow(1.5, 5.0), CFG)
+    calls.clear()
+    table = bayes_scan(CFG, prior, (Axis("b0", 0.5, 3.0, 3), Axis("omega", -3.0, 3.0, 3)), n=8)
+    divergent = table.status.count("error:DivergentInformation")
+    assert divergent == 4 and table.status.count("ok") == 5
+    assert len(calls) == 3 * 5
+
+
 def no_cell(*args):
     raise AssertionError("a cell ran")
 
@@ -540,7 +556,7 @@ def test_bayes_scan_rejects_n_below_one(monkeypatch):
 
 
 def test_map_curve_rejects_n_below_one(monkeypatch):
-    monkeypatch.setattr(posterior, "map_stationarity_lhs", no_cell)
+    monkeypatch.setattr(priors, "map_stationarity_lhs", no_cell)
     prior = Prior.gaussian(SupportWindow(0.1, 100.0), 10.0, 2.0)
     with pytest.raises(DomainError, match="n must be >= 1"):
         map_curve(CFG, prior, 0, Axis("omega0", 0.15, 12.15, 241))
