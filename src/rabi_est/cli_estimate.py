@@ -1,6 +1,5 @@
-"""Command-line handler of ``estimate``, one estimate from observed counts:
-alone in its module, so an estimate run compiles no other handler (see
-``cli``).
+"""Command-line handler of ``estimate``, one estimate from observed counts.
+It has a module of its own, so an estimate run compiles no other handler.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Command-line handlers of the sweeps, the scans and curves and the seeded
-trials (``simulate``): each takes the parser, the flags, the field and a
-prior builder, and returns what ``cli.main`` writes (see ``cli``).
+"""Command-line handlers of the sweeps: the scans and curves, and the seeded
+trials of ``simulate``. Each takes the parser, the flags, the field and a
+prior builder, and returns the table or payload that ``cli.main`` writes.
 """
 
 from __future__ import annotations
