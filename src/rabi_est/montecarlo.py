@@ -78,6 +78,8 @@ class TrialConfig:
             raise DomainError(f"omega0_true must be positive and finite, got {self.omega0_true}")
         if not self.n >= 1:
             raise DomainError(f"trials per dataset n must be >= 1, got {self.n}")
+        if not self.n < 2**63:  # the counts are int64, and the draws would take ~n / 8192 steps
+            raise DomainError(f"trials per dataset n must be below 2**63, got {self.n}")
         if not self.trials >= 1:
             raise DomainError(f"dataset count must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:

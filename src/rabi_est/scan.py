@@ -8,13 +8,13 @@ landscape; the other scans import what they run when they run: the ML root
 surfaces ``frequentist``, the Bayesian Fisher scan and the MMSE curve
 ``posterior`` and ``priors``, and the MAP curve ``priors`` alone.
 The Fisher landscape and the ML root surfaces are tables drawn by blocks:
-``GridTable.to_csv`` runs their closed-form kernels on one block of
-``_CSV_CHUNK`` cells at a time, on coordinates taken from the block's flat
-cell indices, formats the block and writes it in slices of under 128 KiB,
-so no array the size of the grid exists. The kernels are elementwise, so
-the values are those of one whole-grid call bit for bit. The ML boundary
-column depends on the count rate alone and is computed once per xbar axis
-value.
+``GridTable.to_csv`` runs their closed-form kernels on ``_KERNEL_CELLS``
+cells at a time, on coordinates taken from the cells' flat indices, into
+buffers allocated once per call, then formats and writes ``_CSV_CHUNK``
+cells at a time: no array the size of the grid exists. The kernels are
+elementwise, so the values are those of one whole-grid call bit for bit.
+The ML boundary column depends on the count rate alone and is computed
+once per xbar axis value.
 The MMSE curve computes each prior's column as one batch of posteriors in a
 single quadrature. The Bayesian Fisher scan runs its cells one after
 another in row-major order, rebuilding a Jeffreys prior for each cell's
@@ -30,6 +30,7 @@ smaller root sits exactly on the zero boundary).
 
 from __future__ import annotations
 
+import codecs
 import functools
 import math
 from types import SimpleNamespace
@@ -63,11 +64,12 @@ _FISHER_COLUMNS = ("cfi_raw", "qfi_raw", "gap_raw", "cfi_scaled", "qfi_scaled", 
                    "n_required")
 _ROOT_STATUSES = ("Unambiguous", "Complex", "NegativeRejected", "Ambiguous")
 _MAP_STATUSES = (STATUS_OK, "dprob_zero")
-# Cells per block that a GridTable computes, formats and writes at a time.
-_CSV_CHUNK = 8192
-# Bytes of joined CSV text per fp.write at most: below glibc's default
-# 128 KiB mmap threshold, so each slice's buffers come from and go back to
-# the heap instead of being mapped and unmapped.
+# Cells per block that a GridTable formats and writes; cells per block function
+# call, whose kernels' 16 KiB temporaries then stay in the heap (glibc returns
+# 64 KiB ones to the OS, and every block faults them in again).
+_CSV_CHUNK, _KERNEL_CELLS = 8192, 2048
+# Bytes of CSV text per write at most: below glibc's default 128 KiB mmap
+# threshold, so a slice's buffers come from the heap instead of mmap.
 _WRITE_BYTES = 120 * 1024
 
 
@@ -102,17 +104,15 @@ class Axis:
 class GridTable:
     """Rectangular scan output: axis columns, value columns, per-cell status.
 
-    A table draws its cells by blocks of ``_CSV_CHUNK`` in row-major order
-    (``_blocks``) from a block function ``cells(block, index)``: given the
-    block's slice of the cells and its cells' index along each axis, it
-    returns the block's value columns by name and its status codes, each a
-    code into ``status_names``. A column that depends on one axis index
-    alone may instead be given once, as its values along that axis
-    (``along``: name -> (axis number, values)). ``to_csv`` computes, formats
-    and writes one block at a time, so no column of the whole grid exists
-    while it runs; ``columns``, ``status_codes`` and ``status`` are built
-    from the blocks when first read. A scan that computes its cells up front
-    passes a block function over its stored columns (``_stored``).
+    A table draws its cells in row-major order from a block function
+    ``cells(block, index)``: given a slice of the cells and their index
+    along each axis, it returns their value columns by name and their
+    status codes, each a code into ``status_names``. A column that depends
+    on one axis index alone may instead be given once, as its values along
+    that axis (``along``: name -> (axis number, values)). ``to_csv`` calls
+    it on at most ``_KERNEL_CELLS`` cells at a time. A scan that computes
+    its cells up front passes a block function over its stored columns
+    (``_stored``).
     """
 
     def __init__(self, axes, names, status_names, cells, metadata=None, along=None):
@@ -122,32 +122,6 @@ class GridTable:
         self.metadata = {} if metadata is None else metadata
         self._cells = cells
         self._along = {} if along is None else along
-        self._whole = None
-
-    def _read(self) -> tuple[dict, np.ndarray]:
-        """The whole grid's columns and status codes, built on first read."""
-        if self._whole is None:
-            columns = {name: np.empty(self.n_cells) for name in self._names}
-            codes = np.empty(self.n_cells, np.int8)
-            for block, index in _blocks(self.shape):
-                values, codes[block] = self._cells(block, index)
-                for name, column in columns.items():
-                    k, along = self._along.get(name, (None, None))
-                    column[block] = values[name] if k is None else along[index[k]]
-            self._whole = columns, codes
-        return self._whole
-
-    @property
-    def columns(self) -> dict:
-        return self._read()[0]
-
-    @property
-    def status_codes(self) -> np.ndarray:
-        return self._read()[1]
-
-    @property
-    def status(self) -> list[str]:
-        return np.array(self.status_names, dtype=object)[self.status_codes].tolist()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -162,55 +136,59 @@ class GridTable:
 
     def to_csv(self, fp) -> None:
         """Comma-separated output: header row, LF endings, and for every
-        number exactly the text of ``format(v, ".17g")``.
+        number exactly the text of ``format(v, ".17g")`` (see _format_17g).
 
-        Rows go out in row-major cell order, computed and formatted by
-        blocks of ``_CSV_CHUNK`` rows and written by row slices of a block,
-        each ``fp.write`` and the frame it is joined in at most
-        ``_WRITE_BYTES`` (under 128 KiB). Text that repeats is made once and
-        gathered per block: axis values, status names and a column given
-        along one axis, formatted at that axis's length. A block of another column that equals an earlier column's
-        bit for bit shares its text (in units where omega = 1, the scaled
-        Fisher columns are the raw ones); bits compare as integers, so the
-        signs of zeros and NaNs count. Numbers are formatted as arrays
-        (``_format_17g``): a double-double product gives each value's 17
-        significant digits with a proven error bound, and a value goes to
-        ``format`` itself when that bound cannot decide its rounding or its
-        exponent lies near the ends of the float64 range. Every other value
-        gets the digits, exponent and layout that ``format`` gives it, so the
-        bytes are those of one ``format`` call per number.
+        Rows go out in row-major order by blocks of ``_CSV_CHUNK`` rows, in
+        slices of at most ``_WRITE_BYTES``. Text that repeats is made once, in
+        value order: axis values, status names and a column given along one
+        axis. A block of a column equal bit for bit to an earlier column's
+        shares its text (at omega = 1 the scaled Fisher columns are the raw
+        ones); the signs of zeros and NaNs count. Buffers are allocated once
+        per call, for min(_CSV_CHUNK, n_cells) rows: values and codes, a text
+        slot per distinct column of a block, the formatter's scratch and the
+        join frame. The block function fills the values ``_KERNEL_CELLS`` at a
+        time, each piece let go as copied. A UTF-8 file with a binary
+        ``buffer`` gets the bytes there, after the header; another gets str.
         """
         fp.write(",".join(self.header()) + "\n")
-        shape, along = self.shape, self._along
-        # Each field is (k, its text, used bytes and the text row of each
-        # kth index: axis indices, then status codes) or (None, column name).
-        fields = [(k, _format_17g(ax.values)) for k, ax in enumerate(self.axes)]
-        fields += [(along[name][0], _format_17g(along[name][1])) if name in along else (None, name)
+        shape, along, size = self.shape, self._along, min(_CSV_CHUNK, self.n_cells)
+        # A field is (k, text rows in index order, width) for the kth index:
+        # axis indices, then status codes; or (None, column name, _WIDTH).
+        fields = [(k, *_in_order(ax.values)) for k, ax in enumerate(self.axes)]
+        fields += [(along[name][0], *_in_order(along[name][1])) if name in along else (None, name, _WIDTH)
                    for name in self._names]
-        fields.append((len(shape), _status_fields(self.status_names)))
+        status = np.array([(s + "\n").encode("utf-8") for s in self.status_names])  # NUL-padded rows
+        fields.append((len(shape), status.view(np.uint8).reshape(len(status), -1), status.itemsize))
+        row = sum(width for *_, width in fields)
+        scratch, slots = _format_scratch(size, min(size * row, max(_WRITE_BYTES, row))), []
+        computed = [name for name in self._names if name not in along]
+        values, codes = dict(zip(computed, np.empty((len(computed), size)))), np.empty(size, np.intp)
+        write = lambda part: fp.write(part.tobytes().decode("utf-8"))  # noqa: E731
+        if getattr(fp, "buffer", None) is not None and codecs.lookup(fp.encoding).name == "utf-8":
+            fp.flush()  # the header first
+            write = fp.buffer.write
         for cells, index in _blocks(shape):
-            # The previous block's values and text are let go only once this
-            # block's are made. Freed first, their memory tends to lie at the
-            # top of the heap, which glibc then returns to the OS, only to
-            # fault the same pages in again for the next block.
-            values, codes = self._cells(cells, index)
-            index = (*index, codes)
-            made = []
-            distinct: list = []  # (bits, text) of this block's columns so far
-            for k, source in fields:
+            for start in range(0, m := cells.stop - cells.start, _KERNEL_CELLS):
+                part = slice(start, min(start + _KERNEL_CELLS, m))
+                piece, codes[part] = self._cells(slice(cells.start + part.start, cells.start + part.stop),
+                                                 tuple(i[part] for i in index))
+                for name in computed:  # let go as copied, before the next piece's are computed
+                    values[name][part] = piece.pop(name)
+            index, made, distinct = (*index, codes[:m]), [], []  # distinct: (bits, text) of a column
+            for k, source, width in fields:
                 if k is not None:
-                    text, used, rows = source
-                    made.append((text, used, rows[index[k]]))
+                    made.append((source, width, index[k]))
                     continue
-                bits = values[source].view(np.uint64)
+                bits = values[source][:m].view(np.uint64)
                 text = next((t for b, t in distinct if np.array_equal(b, bits)), None)
-                if text is None:
-                    text = _format_17g(bits.view(float))
-                    distinct.append((bits, text))
+                if text is None:  # formatted into the block's next slot
+                    if len(distinct) == len(slots):
+                        slots.append((np.empty((size, _WIDTH), np.uint8), np.empty(size, np.intp)))
+                    text, used, rows = _format_17g(bits.view(float), (*slots[len(distinct)], scratch))
+                    distinct.append((bits, text := (text, int(used.max()), rows)))
                 made.append(text)
-            row = made
-            for text in _join_fields(row):
-                fp.write(text)
+            _join_fields(made, scratch.frame, write)
+            index = made = distinct = bits = None  # let go before the next block's are made
 
 
 # Text of float64 values as format(v, ".17g") writes it, for whole arrays.
@@ -241,17 +219,23 @@ _SLOW = _SCI + 2 + len(_LITERALS)
 _DOT, _ZERO, _MINUS = ord("."), ord("0"), ord("-")
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _split(a: np.ndarray, high=None, low=None) -> tuple[np.ndarray, np.ndarray]:
     """Veltkamp's split a = high + low into halves whose products are exact."""
-    big = _SPLIT * a
-    high = big - (big - a)
-    return high, a - high
+    high = np.multiply(a, _SPLIT, out=high)
+    low = np.subtract(high, a, out=low)
+    high -= low
+    return high, np.subtract(a, high, out=low)
 
 
-def _product_error(a, b, a_halves, b_halves):
-    """a * b - fl(a * b), exactly (Dekker's two-product)."""
+def _product_error(ab, a_halves, b_halves, out=None):
+    """a * b - ab for ab = fl(a * b), exactly (Dekker's two-product), from
+    the halves of a and b, which it overwrites."""
     (a_high, a_low), (b_high, b_low) = a_halves, b_halves
-    return ((a_high * b_high - a * b) + a_high * b_low + a_low * b_high) + a_low * b_low
+    out = np.subtract(np.multiply(a_high, b_high, out=out), ab, out=out)
+    for term in (np.multiply(a_high, b_low, out=a_high), np.multiply(b_high, a_low, out=b_high),
+                 np.multiply(b_low, a_low, out=b_low)):
+        out += term
+    return out
 
 
 @functools.cache
@@ -274,7 +258,8 @@ def _format_tables() -> tuple[np.ndarray, ...]:
     up_hi, up_lo = np.array(up_hi), np.array(up_lo)
     big, small = up_hi[1 : 1 - _POW_MIN], up_lo[1 : 1 - _POW_MIN]  # 10**m, m = 1, 2, ...
     inverse = 1.0 / big
-    residual = (1.0 - inverse * big) - _product_error(inverse, big, _split(inverse), _split(big))
+    one = inverse * big
+    residual = (1.0 - one) - _product_error(one, _split(inverse), _split(big))
     residual -= inverse * small
     hi = np.concatenate([inverse[::-1], up_hi[: _POW_MAX + 1]])
     lo = np.concatenate([(inverse * residual)[::-1], up_lo[: _POW_MAX + 1]])
@@ -287,31 +272,53 @@ def _format_tables() -> tuple[np.ndarray, ...]:
     for j in (2, 1, 0):
         tail[:, j] &= tail[:, j + 1]
     quads = np.concatenate([chars, chars * ~tail])
-    zeros = tail[:, 0].astype(np.intp) + tail[:, 1] + tail[:, 2] + tail[:, 3]
+    zeros = tail[:, 0].astype(np.uint8) + tail[:, 1] + tail[:, 2] + tail[:, 3]
     return hi, *_split(hi), lo, quads.view(np.uint32).ravel(), zeros
 
 
-def _digits17(x: np.ndarray, exp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _format_scratch(size: int, frame: int = 0) -> SimpleNamespace:
+    """_format_17g's scratch for up to ``size`` values: float and integer
+    registers, text classes and their order, digit words and byte counts;
+    and a join frame of 2 x ``frame`` bytes over the float registers."""
+    f = np.empty(max(7 * size, -(-frame // 4)))
+    return SimpleNamespace(f=f[: 7 * size].reshape(7, size), frame=f.view(np.uint8)[: 2 * frame].reshape(2, -1),
+                           i=np.empty((6, size), np.int64), code=np.empty(size, np.int8), ramp=np.arange(size),
+                           order=np.empty(size, np.intp), words=np.empty((size, 5), np.uint32),
+                           used=np.empty((2, size), np.uint8))
+
+
+def _digits17(x: np.ndarray, exp: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """round(x * 10**(16 - exp)) as int64 for positive x, and where that
-    rounding is not certified."""
-    k = 16 - _POW_MIN - exp
-    hi, hi_high, hi_low, lo = (t.take(k) for t in _format_tables()[:4])
-    prod = x * hi
-    err = _product_error(x, hi, _split(x), (hi_high, hi_low))
-    whole = np.floor(prod)
-    rest = (prod - whole) + (err + x * lo)
-    step = np.floor(rest)
-    frac = rest - step
-    digits = whole.astype(np.int64) + step.astype(np.int64) + (frac > 0.5)
-    return digits, np.abs(frac - 0.5) <= _TIE_BOUND
+    rounding is not certified; in ``out`` (digits, index, float registers)."""
+    n = x.size
+    digits, k, f = out or (np.empty(n, np.int64), np.empty(n, np.intp), np.empty((6, n)))
+    digits, k, (prod, high, low, b_high, b_low, err) = digits[:n], k[:n], f[:6, :n]
+    hi, hi_high, hi_low, lo = _format_tables()[:4]
+    np.subtract(16 - _POW_MIN, exp, out=k)
+    np.multiply(x, hi.take(k, out=err, mode="clip"), out=prod)
+    b_halves = hi_high.take(k, out=b_high, mode="clip"), hi_low.take(k, out=b_low, mode="clip")
+    _product_error(prod, _split(x, high, low), b_halves, out=err)
+    whole, step = np.floor(prod, out=high), b_high
+    prod -= whole
+    err += np.multiply(x, lo.take(k, out=low, mode="clip"), out=low)
+    prod += err  # the rest
+    np.floor(prod, out=step)
+    frac = np.subtract(prod, step, out=prod)
+    np.add(step, 1.0, out=step, where=frac > 0.5)
+    digits[...], k[...] = whole, step
+    digits += k
+    frac -= 0.5
+    return digits, np.abs(frac, out=frac) <= _TIE_BOUND
 
 
-def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decimal(x: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """17-digit D and exponent E of positive x in the fast range, and where
-    they are not certified. log10 may miss E by one near a power of ten;
-    the digits then leave [10**16, 10**17) and E is taken one step over."""
-    exp = np.floor(np.log10(x)).astype(np.int64)
-    digits, unsure = _digits17(x, exp)
+    they are not certified; in the scratch ``s``. log10 may miss E by one
+    near a power of ten: D then leaves [10**16, 10**17), and E moves."""
+    exp, digits, k = s.i[:3, : x.size]
+    log = np.log10(x, out=s.f[0, : x.size])
+    exp[...] = np.floor(log, out=log)
+    digits, unsure = _digits17(x, exp, (digits, k, s.f))
     low = np.flatnonzero(digits <= _TEN16)
     if low.size:
         # D <= 10**16 at E: the value is below 10**E unless D at E - 1
@@ -332,64 +339,79 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return digits, exp, unsure
 
 
-def _digit_chars(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 ASCII digits of each D with its trailing zeros as NUL, and
-    how many digits remain without them. (A NUL | "0" is "0" again.)"""
+def _digit_chars(digits: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of each D with its trailing zeros as NUL, and how
+    many digits remain without them, in the scratch ``s`` (its first three
+    integer registers are used). (A NUL | "0" is "0" again.)"""
     *_, quads, zeros = _format_tables()
-    upper, lower = np.divmod(digits, 10**8)
-    upper, lower = upper.astype(float), lower.astype(float)  # below 2**53: exact
-    mid, low_high = np.floor(upper / 1e4), np.floor(lower / 1e4)
-    lead = np.floor(mid / 1e4)
-    groups = np.empty((5, digits.size), np.intp)  # 1 + 4 * 4 digits
-    for j, group in enumerate(
-        [lead, mid - 1e4 * lead, upper - 1e4 * mid, low_high, lower - 1e4 * low_high]
-    ):
-        groups[j] = group
-    trailing = zeros[groups[4]]
-    for j in (3, 2, 1):  # the zeros run on into group j only through 0000s
-        trailing = np.where(trailing == 16 - 4 * j, trailing + zeros[groups[j]], trailing)
-    # From the group that holds the last nonzero digit on, the digits come
-    # with their trailing zeros as NUL: the second half of the table.
-    last = 4 - trailing // 4
-    words = np.empty((digits.size, 5), np.uint32)
-    for j in range(5):
-        words[:, j] = quads[groups[j] + 10_000 * (last <= j)]
-    return words.view(np.uint8)[:, 3:], 17 - trailing
+    n = digits.size
+    upper, lower, mid, low_high, lead = s.f[:5, :n]
+    quotient, remainder, group = s.i[:3, :n]
+    np.divmod(digits, 10**8, out=(quotient, remainder))
+    upper[...], lower[...] = quotient, remainder  # below 2**53: exact
+    for a, b in ((upper, mid), (lower, low_high), (mid, lead)):
+        np.floor(np.divide(a, 1e4, out=b), out=b)
+    # The groups of 1 + 4 * 4 digits, last first: lower - 1e4 * low_high,
+    # low_high, upper - 1e4 * mid, mid - 1e4 * lead, lead.
+    for a, b in ((lower, low_high), (upper, mid), (mid, lead)):
+        a -= np.multiply(b, 1e4, out=s.f[5, :n])
+    # A group after which only 0000s follow takes the second half of the
+    # table, the trailing zeros as NUL; the zeros run on only through 0000s.
+    trailing, words = s.used[1, :n], s.words[:n]
+    trailing[...] = 0
+    for j, part in zip((4, 3, 2, 1, 0), (lower, low_high, upper, mid, lead)):
+        group[...] = part
+        run = trailing == 16 - 4 * j
+        index = np.multiply(run, 10_000, out=remainder)
+        index += group
+        words[:, j] = quads.take(index, mode="clip")
+        if j:
+            trailing += np.where(run, zeros.take(group), 0)
+    return words.view(np.uint8)[:, 3:], np.subtract(17, trailing, out=trailing)
 
 
-def _format_17g(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _format_17g(values, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """format(v, ".17g") and a comma for every value as float64, as
     NUL-padded rows of ``_WIDTH`` bytes; the bytes each row uses; and the
-    row of each value.
+    row of each value; in ``out`` (text rows, rows, scratch) if given.
 
     Values in the fast range take the certified array path; nan, +-inf and
     +-0 come from a literal table; the rest, and fast values whose rounding
     is not certified, are formatted one by one by ``format``. Rows are laid
-    out sorted by text class, so that each class is written by slices, and
-    the certified values, which alone need digits, come first; the writer
-    gathers them back into value order a write slice at a time.
+    out sorted by text class, so that each class is written by slices, the
+    certified values, which alone need digits, first; the writer gathers
+    them back into value order. The bytes used live in the scratch.
     """
     x = np.asarray(values, dtype=float).ravel()
-    mag = np.abs(x)
+    m = x.size
+    text, back, s = out or (np.empty((m, _WIDTH), np.uint8), np.empty(m, np.intp), _format_scratch(m))
+    text, back, used, code, order = text[:m], back[:m], s.used[0, :m], s.code[:m], s.order[:m]
+    mag = np.abs(x, out=s.f[6, :m])
     fast = (mag >= 10.0**-_FAST_EXP) & (mag < 10.0**_FAST_EXP)
-    digits, exp, unsure = _decimal(mag[fast])
-    negative = np.signbit(x)
-    code = np.empty(x.size, np.int8)
-    code[fast] = np.where(unsure, _SLOW,
-                          np.where((exp >= -4) & (exp < 17), 2 * (exp + 4), _SCI) + negative[fast])
     other = np.flatnonzero(~fast)
+    if other.size:
+        mag = x.take(np.flatnonzero(fast), out=s.f[6, : m - other.size])
+        np.abs(mag, out=mag)
+    digits, exp, unsure = _decimal(mag, s)
+    negative = np.signbit(x)
+    cls = np.add(exp, 4, out=s.i[2, : mag.size])  # positional: 2 * (E + 4) + negative
+    cls *= 2
+    cls[(exp < -4) | (exp >= 17)] = _SCI
+    cls += negative[fast] if other.size else negative
+    cls[unsure] = _SLOW
+    code[fast] = cls
     if other.size:
         y, sign = x[other], negative[other]
         literal = np.where(np.isinf(y), _SCI + 3 + sign, np.where(y == 0, _SCI + 5 + sign, _SLOW))
         code[other] = np.where(np.isnan(y), _SCI + 2, literal)
-    order = np.argsort(code, kind="stable")
+    order[...] = np.argsort(code, kind="stable")
     sure = order[: np.count_nonzero(code < _SCI + 2)]  # the certified values sort first
     if other.size:  # their places among the fast values
-        sure = (np.cumsum(fast) - 1)[sure]
-    chars, shown = _digit_chars(digits[sure])
-    exp = exp[sure]
-    text = np.zeros((x.size, _WIDTH), np.uint8)
-    used = np.empty(x.size, np.intp)
+        place = np.subtract(np.cumsum(fast, out=s.i[2, :m]), 1, out=s.i[2, :m])
+        sure = place.take(sure, out=s.i[3, : sure.size])
+    exp = exp.take(sure, out=s.i[4, : sure.size])
+    chars, shown = _digit_chars(digits.take(sure, out=s.i[5, : sure.size]), s)
+    text.fill(0)
     counts = np.bincount(code, minlength=_SLOW + 1)
     ends = np.cumsum(counts).tolist()
     for c in np.flatnonzero(counts).tolist():
@@ -398,31 +420,33 @@ def _format_17g(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if c < _SCI:  # positional
             e = c // 2 - 4
             if e >= 0:  # ddd.ddd
-                text[rows, sign : sign + e + 1] = chars[rows, : e + 1] | _ZERO
+                np.bitwise_or(chars[rows, : e + 1], _ZERO, out=text[rows, sign : sign + e + 1])
                 text[rows, sign + e + 1] = _DOT  # the comma goes here if no digit follows
                 text[rows, sign + e + 2 : sign + 18] = chars[rows, e + 1 :]
-                used[rows] = np.where(shown[rows] > e + 1, shown[rows] + 1, e + 1)
+                np.add(shown[rows], shown[rows] > e + 1, out=used[rows])
+                np.maximum(used[rows], e + 1, out=used[rows])
             else:  # 0.000ddd
                 text[rows, sign : sign + 1 - e] = _ZERO
                 text[rows, sign + 1] = _DOT
                 text[rows, sign + 1 - e : sign + 18 - e] = chars[rows]
-                used[rows] = 1 - e + shown[rows]
+                np.add(shown[rows], 1 - e, out=used[rows])
         elif c < _SCI + 2:  # d.ddde+dd
             text[rows, sign] = chars[rows, 0]
             text[rows, sign + 1] = _DOT
             text[rows, sign + 2 : sign + 18] = chars[rows, 1:]
             mantissa = np.where(shown[rows] > 1, shown[rows] + 1, 1)
-            power = np.abs(exp[rows])
+            power = np.abs(exp[rows], out=s.i[1, rows])
             three = power >= 100
-            suffix = np.zeros((power.size, 5), np.uint8)
-            suffix[:, 0] = ord("e")
+            suffix = np.full((power.size, 5), ord("e"), np.uint8)
             suffix[:, 1] = np.where(exp[rows] < 0, _MINUS, ord("+"))
             suffix[:, 2:] = _format_tables()[4][power].view(np.uint8).reshape(-1, 4)[:, 1:]
             suffix[~three, 2:4] = suffix[~three, 3:5]
             suffix[~three, 4] = 0
-            at = np.arange(rows.start, rows.stop) * _WIDTH + sign + mantissa
+            at = np.multiply(s.ramp[rows], _WIDTH, out=s.i[0, rows])
+            at += mantissa + sign
             for j in range(5):
-                text.ravel()[at + j] = suffix[:, j]
+                text.ravel()[at] = suffix[:, j]
+                at += 1
             used[rows] = mantissa + 4 + three
         elif c < _SLOW:
             word = _LITERALS[c - _SCI - 2].encode("ascii")
@@ -438,47 +462,39 @@ def _format_17g(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if sign:
             text[rows, 0] = _MINUS
             used[rows] += 1
-    text.ravel()[np.arange(x.size) * _WIDTH + used] = ord(",")
-    back = np.empty_like(order)
-    back[order] = np.arange(order.size)
-    return text, used + 1, back
+    at = np.multiply(s.ramp[:m], _WIDTH, out=s.i[0, :m])
+    text.ravel()[np.add(at, used, out=at)] = ord(",")
+    used += 1
+    back[order] = s.ramp[:m]
+    return text, used, back
 
 
-def _status_fields(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """UTF-8 text and LF of each status name as NUL-padded rows, the bytes
-    each row uses, and the row of each name (its code)."""
-    words = [(s + "\n").encode("utf-8") for s in names]
-    used = np.array([len(w) for w in words], np.intp)
-    table = np.zeros((len(words), max(used, default=0)), np.uint8)
-    for row, word in zip(table, words):
-        row[: len(word)] = np.frombuffer(word, np.uint8)
-    return table, used, np.arange(len(words))
+def _in_order(values) -> tuple[np.ndarray, int]:
+    """The text rows of ``_format_17g`` in value order, and their width."""
+    text, used, rows = _format_17g(values)
+    return text[rows], int(used.max())
 
 
-def _join_fields(fields: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Iterator[str]:
-    """CSV rows from NUL-padded text rows, one (text, used, rows) triple per
+def _join_fields(fields: list[tuple[np.ndarray, int, np.ndarray]], frame: np.ndarray, write) -> None:
+    """CSV rows from NUL-padded text rows, one (text, width, rows) triple per
     field, where output row j takes the field's text row rows[j]: the fields
-    side by side, each cut to its longest text row, and the NUL padding
-    dropped. The rows are gathered and joined by slices in one reused frame
-    of at most ``_WRITE_BYTES``, and each slice's text is yielded as one
-    string. (No number or status text holds a NUL.)"""
-    widths = [int(used.max()) for _, used, _ in fields]
-    count = fields[0][2].size
-    step = max(1, _WRITE_BYTES // sum(widths))
-    frame = np.empty((min(step, count), sum(widths)), np.uint8)
+    side by side, each cut to its width, NULs dropped. Slices of at most
+    ``_WRITE_BYTES`` are joined in ``frame`` (text, then its mask of text
+    bytes) and go to ``write``. (No number or status text holds a NUL.)"""
+    total, count = sum(width for _, width, _ in fields), fields[0][2].size
+    step = max(1, _WRITE_BYTES // total)
     for start in range(0, count, step):
-        part = frame[: min(step, count - start)]
+        part, mask = frame[:, : min(step, count - start) * total].reshape(2, -1, total)
         offset = 0
-        for (text, _, rows), width in zip(fields, widths):
+        for text, width, rows in fields:
             part[:, offset : offset + width] = np.take(text, rows[start : start + len(part)], axis=0)[:, :width]
             offset += width
-        yield part[part != 0].tobytes().decode("utf-8")
+        write(part[np.not_equal(part, 0, out=mask.view(bool))])
 
 
 def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, tuple[np.ndarray, ...]]]:
-    """The cells of a grid of this shape in row-major order, by blocks of
-    ``_CSV_CHUNK``: each block's slice of the cells and its cells' index
-    along each axis."""
+    """The cells of a grid of this shape in row-major order by blocks of
+    ``_CSV_CHUNK``: each block's slice and its cells' index along each axis."""
     cells = math.prod(shape)
     for start in range(0, cells, _CSV_CHUNK):
         block = slice(start, min(start + _CSV_CHUNK, cells))
@@ -486,8 +502,7 @@ def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, tuple[np.ndarray, .
 
 
 def _stored(columns: dict, codes: np.ndarray):
-    """The block function (see ``GridTable``) of whole stored columns and
-    status codes."""
+    """The block function (see ``GridTable``) of stored columns and codes."""
     return lambda block, index: ({name: c[block] for name, c in columns.items()}, codes[block])
 
 
@@ -721,23 +736,15 @@ def map_curve(
 
 
 def _fixed_echo(cfg: FieldConfig, varied_names: Sequence[str]) -> dict:
-    return {
-        name: getattr(cfg, name)
-        for name in _FIELD_AXES
-        if name not in varied_names
-    }
+    return {name: getattr(cfg, name) for name in _FIELD_AXES if name not in varied_names}
 
 
 def _prior_echo(prior: Prior) -> dict:
     from .priors import PriorKind
 
-    out = {
-        "kind": prior.kind.value,
-        "window": [prior.window.lower, prior.window.upper],
-    }
+    out = {"kind": prior.kind.value, "window": [prior.window.lower, prior.window.upper]}
     if prior.kind is PriorKind.GAUSSIAN:
-        out["mean"] = prior.mean
-        out["sigma"] = prior.sigma
+        out["mean"], out["sigma"] = prior.mean, prior.sigma
     if prior.kind is PriorKind.JEFFREYS:
         out["normalizer"] = prior.normalizer
     return out

@@ -285,6 +285,17 @@ class TestIntegerFlags:
         assert "invalid" not in err and "convert" not in err
 
 
+@pytest.mark.parametrize("n", ["1e19", "1e306"])
+def test_simulate_refuses_n_past_a_64_bit_count_at_once(n, capsys):
+    # Such an n used to run the draw loop ~n / 8192 times: it is refused
+    # before any draw, as a domain error.
+    argv = ["simulate", *FIELD, "--omega0-true", "2", "--n", n, "--trials", "2", "--seed", "1", "--out", "-"]
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "n must be below 2**63" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ns", [0, 1_760_000_000_000_000_000, 1_760_000_000_123_456_789,
                                 1_760_000_000_000_001_999, 4_102_444_799_999_999_999])
 def test_started_stamp_reads_as_isoformat(ns, monkeypatch):
@@ -632,13 +643,21 @@ class TestEstimateCountAtN:
         assert rc == 1 and "--k must lie in [0, --n]" in err
 
 
-# The closed-form scans over grids of 93 x 95 cells, more than one block of
-# cells each: sha256 of the CSV and manifest, both run in the output's directory.
+# The closed-form scans over grids of more than one block of cells each: sha256
+# of the CSV and manifest, both run in the output's directory. In the two blocks
+# of "fisher-omega-blocks", omega = 1 and then 1.5: the scaled columns share the
+# raw columns' text in the first block only, so the second reuses the writer's
+# text slots for other columns.
 PINNED_SCANS = {
     "fisher-omega-theta": (
         ["fisher-scan", *FIELD, "--omega0", "2", "--axis", "omega:-1:1:93", "--axis", "theta:0.5:2.5:95"],
         "880b25e748d97566c7b141bf894d9732d096079632349a3507f35e3fbd167135",
         "11769f2d370e825cfecbe9f588cad835becea528664f715a0d232ae4b80938c5",
+    ),
+    "fisher-omega-blocks": (
+        ["fisher-scan", *FIELD, "--omega0", "2", "--axis", "omega:1:1.5:2", "--axis", "theta:0.01:3.13:8192"],
+        "44d764002132ce872e44a2fd19319c2de5bccce177113c5d1c6f7e9506d89bef",
+        "45ad7776bcf5f6812ab3f7ec9e2f6442adaab62a1530cf9676085ecde427a810",
     ),
     "ml-roots-b0-xbar": (
         ["ml-roots", *FIELD, "--axis", "b0:0.1:5:93", "--axis", "xbar:0.001:0.999:95"],

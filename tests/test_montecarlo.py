@@ -170,6 +170,15 @@ def test_truth_must_be_positive_and_finite(omega0_true):
         TrialConfig(cfg=CFG, omega0_true=omega0_true, n=100, trials=3, seed=1)
 
 
+def test_n_must_fit_a_64_bit_count():
+    # The counts of a run are int64 and the draws go n / 8192 words at a
+    # time: n = 2**63 is refused before any draw, 2**63 - 1 is accepted.
+    assert TrialConfig(cfg=CFG, omega0_true=2.0, n=2**63 - 1, trials=3, seed=1).n == 2**63 - 1
+    for n in (2**63, 10**19, 10**306):
+        with pytest.raises(DomainError, match=r"n must be below 2\*\*63"):
+            TrialConfig(cfg=CFG, omega0_true=2.0, n=n, trials=3, seed=1)
+
+
 @pytest.mark.parametrize("cfg,n", [
     (CFG, 3),  # k = 0, complex roots, ambiguous and accepted inversions
     (FieldConfig(omega=1.0, b0=0.5, theta=math.pi / 2), 20),  # sinc domain violated too

@@ -129,41 +129,46 @@ UNREFERENCED_BY_DESIGN = {"local_maxima", "LocalMaximum", "qfi_values", "simulat
 
 
 def definitions(tree):
-    """The names of the top-level functions and classes of ``tree``, and of
-    the methods and properties of those classes (special methods such as
-    __init__ aside: the language calls them, not a name)."""
+    """(name, member) for the top-level functions and classes of ``tree``
+    (member False) and for the methods and properties of those classes
+    (member True; special methods such as __init__ aside: the language calls
+    them, not a name)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, False
         if isinstance(node, ast.ClassDef):
-            yield from (item.name for item in node.body if isinstance(item, ast.FunctionDef)
+            yield from ((item.name, True) for item in node.body if isinstance(item, ast.FunctionDef)
                         and not (item.name.startswith("__") and item.name.endswith("__")))
 
 
 def referenced(tree):
-    """Every name that ``tree`` uses: as a Name, an Attribute or an import alias."""
+    """(name, attribute) for every name that ``tree`` uses: as a Name or an
+    import alias (attribute False), or as an Attribute, x.name (True)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, True
         elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2]
+            yield node.name.rpartition(".")[2], False
 
 
 def unreferenced(trees):
     """(module, name) of every definition in ``trees`` (module -> tree) that
-    no module names, allowlisted names aside."""
-    used = {name for tree in trees.values() for name in referenced(tree)}
-    return [(module, name) for module, tree in trees.items() for name in definitions(tree)
-            if name not in used and name not in UNREFERENCED_BY_DESIGN]
+    no module names, allowlisted names aside. A method or property is named
+    only as an attribute (x.name): a local variable of its name says nothing
+    of it."""
+    used = {ref for tree in trees.values() for ref in referenced(tree)}
+    return [(module, name) for module, tree in trees.items() for name, member in definitions(tree)
+            if (name, True) not in used and (member or (name, False) not in used)
+            and name not in UNREFERENCED_BY_DESIGN]
 
 
 def test_package_defines_nothing_it_does_not_use():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     unused = unreferenced(trees)
     assert unused == [], f"defined but never named in the package: {unused}"
-    defined = {name for tree in trees.values() for name in definitions(tree)}
+    defined = {name for tree in trees.values() for name, _ in definitions(tree)}
     assert UNREFERENCED_BY_DESIGN <= defined  # no stale allowlist entry
 
 
@@ -173,6 +178,17 @@ def test_unreferenced_guard_sees():
                             "        return 1\n\n\ndef dead():\n    used()\n"),
              "b": ast.parse("from a import Box\nimport a.helper as h\n")}
     assert unreferenced(trees) == [("a", "size"), ("a", "dead")]
+
+
+def test_unreferenced_guard_tells_an_attribute_from_a_local_name():
+    # Only a local variable is called "columns", so the property is unused;
+    # "shape" is read as an attribute. A module-level name may be read either way.
+    trees = {"a": ast.parse("class Table:\n    @property\n    def columns(self):\n        return 1\n\n"
+                            "    @property\n    def shape(self):\n        return 2\n\n\n"
+                            "def build(table):\n    columns = table.shape\n    return columns\n\n\n"
+                            "def helper():\n    pass\n"),
+             "b": ast.parse("import a\nfrom a import Table, build\na.helper()\n")}
+    assert unreferenced(trees) == [("a", "columns")]
 
 
 # CPython's parser doubles its token array at 4,096 and again at 8,192 tokens,

@@ -24,12 +24,37 @@ from rabi_est.scan import Axis, GridTable, bayes_scan, fisher_scan, map_curve, m
 CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
 
 
+def read_table(table: GridTable) -> tuple[dict, np.ndarray]:
+    """The whole grid's value columns and status codes, drawn from the
+    table's block function a block at a time."""
+    columns = {name: np.empty(table.n_cells) for name in table.header()[len(table.axes) : -1]}
+    codes = np.empty(table.n_cells, np.int8)
+    for block, index in scan._blocks(table.shape):
+        values, codes[block] = table._cells(block, index)
+        for name, column in columns.items():
+            k, along = table._along.get(name, (None, None))
+            column[block] = values[name] if k is None else along[index[k]]
+    return columns, codes
+
+
+def table_columns(table: GridTable) -> dict:
+    return read_table(table)[0]
+
+
+def table_codes(table: GridTable) -> np.ndarray:
+    return read_table(table)[1]
+
+
+def table_status(table: GridTable) -> list[str]:
+    return [table.status_names[code] for code in table_codes(table).tolist()]
+
+
 def reference_csv(table: GridTable) -> str:
     """Row by row, one format(v, ".17g") per numeric cell."""
     grids = np.meshgrid(*[ax.values for ax in table.axes], indexing="ij")
-    cols = [g.ravel() for g in grids] + list(table.columns.values())
+    cols = [g.ravel() for g in grids] + list(table_columns(table).values())
     lines = [",".join(table.header())]
-    status = table.status  # built from the codes on each read
+    status = table_status(table)
     for i in range(table.n_cells):
         lines.append(",".join([format(c[i], ".17g") for c in cols] + [status[i]]))
     return "\n".join(lines) + "\n"
@@ -107,9 +132,9 @@ class TestToCsv:
         calls = []
         original = scan._format_17g
 
-        def counting(values):
+        def counting(values, *out):
             calls.append(len(values))
-            return original(values)
+            return original(values, *out)
 
         monkeypatch.setattr(scan, "_format_17g", counting)
         table = stored_table(axes=(Axis("b0", 0.5, 5.0, 8),), columns={"a": a, "b": b, "c": c, "d": d},
@@ -150,7 +175,8 @@ class TestToCsv:
         monkeypatch.setattr(scan, "_CSV_CHUNK", 500)
         calls = []
         original = scan._format_17g
-        monkeypatch.setattr(scan, "_format_17g", lambda values: calls.append(len(values)) or original(values))
+        monkeypatch.setattr(scan, "_format_17g",
+                            lambda values, *out: calls.append(len(values)) or original(values, *out))
         for axes in [(Axis("b0", 0.1, 5.0, 40), Axis("xbar", 0.001, 0.999, 30)),
                      (Axis("xbar", 0.001, 0.999, 30), Axis("omega", -3.0, 3.0, 40))]:
             calls.clear()
@@ -166,10 +192,10 @@ class TestToCsv:
         table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 7), Axis("theta", 0.01, 3.13, 5)))
         calls = []
         original = scan._format_17g
-        monkeypatch.setattr(scan, "_format_17g", lambda values: calls.append(1) or original(values))
+        monkeypatch.setattr(scan, "_format_17g", lambda values, *out: calls.append(1) or original(values, *out))
         assert to_csv_text(table) == reference_csv(table)
-        distinct = {table.columns[name].tobytes() for name in table.columns}
-        assert len(calls) == len(table.axes) + len(distinct) < len(table.axes) + len(table.columns)
+        distinct = {table_columns(table)[name].tobytes() for name in table_columns(table)}
+        assert len(calls) == len(table.axes) + len(distinct) < len(table.axes) + len(table_columns(table))
 
     def test_fisher_scan_matches_per_cell_format(self):
         table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 7), Axis("theta", 0.01, 3.13, 5)))
@@ -180,9 +206,9 @@ class TestToCsv:
         # status, Unambiguous, needs a root of exactly 0 and no grid cell has one.
         monkeypatch.setattr(scan, "_CSV_CHUNK", 500)
         table = ml_root_scan(CFG, (Axis("b0", 0.1, 5.0, 40), Axis("xbar", 0.001, 0.999, 40)))
-        assert set(table.status) == {"Complex", "NegativeRejected", "Ambiguous"}
-        assert (table.columns["root_minus"] < 0).any()
-        assert np.isnan(table.columns["root_minus"]).mean() > 0.3
+        assert set(table_status(table)) == {"Complex", "NegativeRejected", "Ambiguous"}
+        assert (table_columns(table)["root_minus"] < 0).any()
+        assert np.isnan(table_columns(table)["root_minus"]).mean() > 0.3
         assert to_csv_text(table) == reference_csv(table)
 
     @pytest.mark.parametrize("write_bytes", [1, 4096, scan._WRITE_BYTES])
@@ -200,6 +226,18 @@ class TestToCsv:
             assert max(rows) <= write_bytes < 128 * 1024
 
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+    def test_text_file_with_a_binary_buffer(self, encoding):
+        # A UTF-8 file gets the rows as bytes on its buffer, after the header
+        # that its text layer holds; another encoding gets them as text.
+        table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 30), Axis("theta", 0.01, 3.13, 40)))
+        raw = io.BytesIO()
+        fp = io.TextIOWrapper(raw, encoding=encoding, newline="\n")
+        table.to_csv(fp)
+        fp.flush()
+        assert raw.getvalue().decode(encoding) == reference_csv(table)
+
+
 class TestGridTableStatus:
     def test_names_are_coded_once(self, monkeypatch):
         # A scan codes each status name once, as its cells fail: here the
@@ -209,13 +247,13 @@ class TestGridTableStatus:
             (k == 2.0) | (k == 8.0), np.nan, ratio(n, k, p, dp, ref)))
         table = mmse_curve(CFG, [Prior.uniform(FIG5_WINDOW)], 8, Axis("xbar", 0.0, 1.0, 5))
         assert table.status_names == ("ok", "error:DomainError")
-        assert table.status_codes.tolist() == [0, 1, 0, 0, 1]
-        assert table.status == ["ok", "error:DomainError", "ok", "ok", "error:DomainError"]
+        assert table_codes(table).tolist() == [0, 1, 0, 0, 1]
+        assert table_status(table) == ["ok", "error:DomainError", "ok", "ok", "error:DomainError"]
 
     def test_codes_with_names(self):
         codes = np.array([2, 0, 1], np.int8)
         table = GridTable((Axis("b0", 0.5, 5.0, 3),), [], ("a", "b", "c"), scan._stored({}, codes))
-        assert table.status == ["c", "a", "b"]
+        assert table_status(table) == ["c", "a", "b"]
         assert to_csv_text(table) == reference_csv(table)
 
 
@@ -321,7 +359,7 @@ class TestFormat17g:
     def test_exact_ties_go_to_format_and_round_half_even(self):
         ties = exact_ties()
         assert len(ties) >= 150
-        _, exp, unsure = scan._decimal(np.array(ties))
+        _, exp, unsure = scan._decimal(np.array(ties), scan._format_scratch(len(ties)))
         assert unsure.all()
         assert formatted(ties) == expected(ties)
         for x, e, text in zip(ties, exp.tolist(), formatted(ties)):
@@ -336,7 +374,7 @@ class TestFormat17g:
         # rounding, so such values must not take the fast path.
         values = near_ties(e, q)
         assert len(values) >= 3
-        _, exp, unsure = scan._decimal(np.array(values))
+        _, exp, unsure = scan._decimal(np.array(values), scan._format_scratch(len(values)))
         assert (exp == e).all() and unsure.all()
         assert formatted(values) == expected(values)
 
@@ -345,7 +383,7 @@ class TestFormat17g:
         # log10 may land on the wrong side of an integer near a power of
         # ten; a nudged log10 makes every such value start one exponent off.
         log10 = np.log10
-        monkeypatch.setattr(np, "log10", lambda x: log10(x) + nudge)
+        monkeypatch.setattr(np, "log10", lambda x, out=None: np.add(log10(x, out=out), nudge, out=out))
         p = np.array(powers_of_ten()[30:-30] + carries())
         values = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)])
         assert formatted(values) == expected(values)
@@ -403,10 +441,10 @@ def whole_grid_roots(cfg, axes):
 
 
 def assert_same_bits(table: GridTable, columns: dict, codes: np.ndarray) -> None:
-    assert list(table.columns) == list(columns)
+    assert list(table_columns(table)) == list(columns)
     for name, column in columns.items():
-        assert np.array_equal(table.columns[name].view(np.uint64), column.view(np.uint64)), name
-    assert table.status_codes.tolist() == codes.tolist()
+        assert np.array_equal(table_columns(table)[name].view(np.uint64), column.view(np.uint64)), name
+    assert table_codes(table).tolist() == codes.tolist()
 
 
 # Blocks of one cell, of 7 cells (which straddle grid rows), and of the
@@ -459,7 +497,7 @@ class TestCellBlocks:
                 table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, count), Axis("theta", 0.01, 3.13, count)))
                 with open(os.devnull, "w") as fp:
                     table.to_csv(fp)
-                return sum(c.nbytes for c in table.columns.values()) + table.status_codes.nbytes
+                return sum(c.nbytes for c in table_columns(table).values()) + table_codes(table).nbytes
 
             peak, columns = traced_peak(run)
             return peak - columns
@@ -483,12 +521,70 @@ class TestCellBlocks:
         assert peak(600) <= peak(300) + 2**20
 
 
+class TestWriterMemory:
+    """``to_csv`` allocates its buffers once per call, sized to one block or
+    to a shorter table, and lets a block's values go before the next."""
+
+    def test_fisher_table_of_four_blocks(self, traced_peak):
+        # All seven value columns differ (omega != 1). The writer's buffers
+        # are a text slot of 8192 rows of 40 bytes per column (2.2 MiB), the
+        # formatter's scratch (1.1 MiB) and a block's values and codes (0.5
+        # MiB); the kernels' temporaries for 2048 cells add ~0.4 MiB, 4.2 MiB
+        # in all. Holding a second block's values and text while the next
+        # block was made took 7.3 MiB.
+        cfg = FieldConfig(omega=0.7, b0=1.0, theta=math.pi / 2)
+        table = fisher_scan(cfg, 2.0, (Axis("b0", 0.1, 5.0, 150), Axis("theta", 0.01, 3.13, 170)))
+        assert table.n_cells > 3 * scan._CSV_CHUNK
+        scan._format_tables()
+
+        def run():
+            with open(os.devnull, "w") as fp:
+                table.to_csv(fp)
+
+        assert traced_peak(run)[0] <= 5 * 2**20
+
+    @pytest.mark.parametrize("chunk, piece", [(7, 3), (8, 8), (scan._CSV_CHUNK, scan._KERNEL_CELLS)])
+    def test_block_function_runs_on_pieces(self, chunk, piece, monkeypatch):
+        # The block function sees at most _KERNEL_CELLS cells at a time; a
+        # piece may end inside a block, and the pieces fill it in order.
+        monkeypatch.setattr(scan, "_CSV_CHUNK", chunk)
+        monkeypatch.setattr(scan, "_KERNEL_CELLS", piece)
+        table = ml_root_scan(CFG, (Axis("b0", 0.1, 5.0, 93), Axis("xbar", 0.001, 0.999, 95)))
+        expect, calls, cells = reference_csv(table), [], table._cells
+        table._cells = lambda block, index: calls.append((block.start, block.stop)) or cells(block, index)
+        assert to_csv_text(table) == expect
+        assert [start for start, _ in calls] == [0] + [stop for _, stop in calls[:-1]]
+        assert calls[-1][1] == table.n_cells and max(stop - start for start, stop in calls) == piece
+
+    def test_short_table_takes_buffers_of_its_length(self, traced_peak, monkeypatch):
+        # The Fig. 5 curve's 101 rows: its text slots and the formatter's
+        # scratch are 101 rows long, not _CSV_CHUNK (whose scratch alone is
+        # 1.1 MiB).
+        sizes = []
+        original = scan._format_17g
+
+        def recording(values, *out):
+            if out:
+                text, rows, scratch = out[0]
+                sizes.append((len(text), len(rows), len(scratch.order), scratch.f.shape[1]))
+            return original(values, *out)
+
+        monkeypatch.setattr(scan, "_format_17g", recording)
+        priors = [Prior.uniform(FIG5_WINDOW), Prior.gaussian(FIG5_WINDOW, 10.0, 2.0)]
+        table = mmse_curve(CFG, priors, 8, Axis("xbar", 0.0, 1.0, 101))
+        scan._format_tables()
+        peak, text = traced_peak(to_csv_text, table)
+        assert text == reference_csv(table)
+        assert len(sizes) == 2 and set(sizes) == {(101, 101, 101, 101)}
+        assert peak < 2**17
+
+
 class TestFisherScanStatus:
     def test_zero_drive_frequency_scales_cfi_to_zero(self):
         # omega = 0 in the middle column scales every CFI by omega^2 = 0.
         table = fisher_scan(CFG, 2.0, (Axis("omega", -1.0, 1.0, 3), Axis("theta", 0.5, 2.5, 3)))
-        assert table.status == ["ok"] * 3 + ["scaled_cfi_zero"] * 3 + ["ok"] * 3
-        assert np.all(table.columns["cfi_raw"] > 0.0)
+        assert table_status(table) == ["ok"] * 3 + ["scaled_cfi_zero"] * 3 + ["ok"] * 3
+        assert np.all(table_columns(table)["cfi_raw"] > 0.0)
 
     def test_probability_pinned_at_one_is_degenerate(self):
         # b0 sin(theta) = pi/2 and a detuning of 1e-7 put the detection
@@ -500,8 +596,8 @@ class TestFisherScanStatus:
         )
         expect = ["ok"] * 9
         expect[4] = "degenerate_probability"
-        assert table.status == expect
-        assert np.isnan(table.columns["cfi_raw"][4])
+        assert table_status(table) == expect
+        assert np.isnan(table_columns(table)["cfi_raw"][4])
 
 
 class TestMlRootScanStatus:
@@ -510,8 +606,8 @@ class TestMlRootScanStatus:
         # the smaller one negative at omega = 1 and positive at omega = 5.
         # xbar = 0.9 gives sinc(s) > sinc(b), so s < b and the roots are complex.
         table = ml_root_scan(CFG, (Axis("omega", 1.0, 5.0, 2), Axis("xbar", 0.2, 0.9, 2)))
-        assert table.status == ["NegativeRejected", "Complex", "Ambiguous", "Complex"]
-        minus = table.columns["root_minus"]
+        assert table_status(table) == ["NegativeRejected", "Complex", "Ambiguous", "Complex"]
+        minus = table_columns(table)["root_minus"]
         assert minus[0] < 0.0 < minus[2]
         assert np.isnan(minus[1]) and np.isnan(minus[3])
 
@@ -522,9 +618,9 @@ def test_bayes_scan_statuses():
     prior = Prior.jeffreys(SupportWindow(1.5, 5.0), CFG)
     axes = (Axis("b0", 0.5, 3.0, 3), Axis("omega", -3.0, 3.0, 3))
     table = bayes_scan(CFG, prior, axes, n=8)
-    assert {"ok", "error:DivergentInformation"} == set(table.status)
-    ok = np.array(table.status) == "ok"
-    for column in table.columns.values():
+    assert {"ok", "error:DivergentInformation"} == set(table_status(table))
+    ok = np.array(table_status(table)) == "ok"
+    for column in table_columns(table).values():
         assert np.isfinite(column[ok]).all() and np.isnan(column[~ok]).all()
 
 
@@ -539,8 +635,8 @@ def test_divergent_bayes_scan_cell_runs_no_quadrature(monkeypatch):
     prior = Prior.jeffreys(SupportWindow(1.5, 5.0), CFG)
     calls.clear()
     table = bayes_scan(CFG, prior, (Axis("b0", 0.5, 3.0, 3), Axis("omega", -3.0, 3.0, 3)), n=8)
-    divergent = table.status.count("error:DivergentInformation")
-    assert divergent == 4 and table.status.count("ok") == 5
+    divergent = table_status(table).count("error:DivergentInformation")
+    assert divergent == 4 and table_status(table).count("ok") == 5
     assert len(calls) == 3 * 5
 
 
@@ -583,7 +679,7 @@ class TestMmseCurve:
         monkeypatch.setattr(posterior, "integrate_owners", owners)
         table = mmse_curve(CFG, priors, 8, Axis("xbar", 0.0, 1.0, 101))
         assert calls == {"integrate": 0, "integrate_owners": [101, 101, 101]}
-        assert table.status == ["ok"] * 101
+        assert table_status(table) == ["ok"] * 101
 
     def test_failing_cell_keeps_its_own_status(self, monkeypatch):
         # The integrand turns non-finite for the posteriors at xbar = 0.5
@@ -596,7 +692,7 @@ class TestMmseCurve:
         monkeypatch.setattr(posterior, "log_likelihood_ratio",
                             lambda n, k, p, dp, ref: np.where(k == 4.0, np.nan, ratio(n, k, p, dp, ref)))
         table = mmse_curve(CFG, priors, 8, axis)
-        assert table.status == ["ok", "ok", "error:DomainError", "ok", "ok"]
-        for column, expect in zip(table.columns.values(), alone):
+        assert table_status(table) == ["ok", "ok", "error:DomainError", "ok", "ok"]
+        for column, expect in zip(table_columns(table).values(), alone):
             assert np.isnan(column[2])
             assert [column[i] for i in (0, 1, 3, 4)] == [expect[i] for i in (0, 1, 3, 4)]
