@@ -8,13 +8,12 @@ landscape; the other scans import what they run when they run: the ML root
 surfaces ``frequentist``, the Bayesian Fisher scan and the MMSE curve
 ``posterior`` and ``priors``, and the MAP curve ``priors`` alone.
 The Fisher landscape and the ML root surfaces are tables drawn by blocks:
-``GridTable.to_csv`` runs their closed-form kernels on ``_KERNEL_CELLS``
-cells at a time, on coordinates taken from the cells' flat indices, into
-buffers allocated once per call, then formats and writes ``_CSV_CHUNK``
-cells at a time: no array the size of the grid exists. The kernels are
-elementwise, so the values are those of one whole-grid call bit for bit.
-The ML boundary column depends on the count rate alone and is computed
-once per xbar axis value.
+``GridTable.to_csv`` runs their closed-form kernels on at most
+``_KERNEL_CELLS`` cells at a time, from the cells' flat indices, into
+buffers allocated once per call, so no array the size of the grid exists.
+The kernels are elementwise: the values are those of one whole-grid call
+bit for bit. The ML boundary column depends on the count rate alone and
+is computed once per xbar axis value.
 The MMSE curve computes each prior's column as one batch of posteriors in a
 single quadrature. The Bayesian Fisher scan runs its cells one after
 another in row-major order, rebuilding a Jeffreys prior for each cell's
@@ -30,7 +29,6 @@ smaller root sits exactly on the zero boundary).
 
 from __future__ import annotations
 
-import codecs
 import functools
 import math
 from types import SimpleNamespace
@@ -64,10 +62,11 @@ _FISHER_COLUMNS = ("cfi_raw", "qfi_raw", "gap_raw", "cfi_scaled", "qfi_scaled", 
                    "n_required")
 _ROOT_STATUSES = ("Unambiguous", "Complex", "NegativeRejected", "Ambiguous")
 _MAP_STATUSES = (STATUS_OK, "dprob_zero")
-# Cells per block that a GridTable formats and writes; cells per block function
-# call, whose kernels' 16 KiB temporaries then stay in the heap (glibc returns
-# 64 KiB ones to the OS, and every block faults them in again).
-_CSV_CHUNK, _KERNEL_CELLS = 8192, 2048
+# Cells per block that a GridTable formats and writes at a time.
+_CSV_CHUNK = 8192
+# Cells per kernel call at most: glibc trims the temporaries of 8192-cell
+# calls off the top of the heap, and every block faults them in again.
+_KERNEL_CELLS = 4096
 # Bytes of CSV text per write at most: below glibc's default 128 KiB mmap
 # threshold, so a slice's buffers come from the heap instead of mmap.
 _WRITE_BYTES = 120 * 1024
@@ -147,8 +146,7 @@ class GridTable:
         per call, for min(_CSV_CHUNK, n_cells) rows: values and codes, a text
         slot per distinct column of a block, the formatter's scratch and the
         join frame. The block function fills the values ``_KERNEL_CELLS`` at a
-        time, each piece let go as copied. A UTF-8 file with a binary
-        ``buffer`` gets the bytes there, after the header; another gets str.
+        time, each piece let go as copied. A slice is one ``fp.write`` of str.
         """
         fp.write(",".join(self.header()) + "\n")
         shape, along, size = self.shape, self._along, min(_CSV_CHUNK, self.n_cells)
@@ -163,10 +161,6 @@ class GridTable:
         scratch, slots = _format_scratch(size, min(size * row, max(_WRITE_BYTES, row))), []
         computed = [name for name in self._names if name not in along]
         values, codes = dict(zip(computed, np.empty((len(computed), size)))), np.empty(size, np.intp)
-        write = lambda part: fp.write(part.tobytes().decode("utf-8"))  # noqa: E731
-        if getattr(fp, "buffer", None) is not None and codecs.lookup(fp.encoding).name == "utf-8":
-            fp.flush()  # the header first
-            write = fp.buffer.write
         for cells, index in _blocks(shape):
             for start in range(0, m := cells.stop - cells.start, _KERNEL_CELLS):
                 part = slice(start, min(start + _KERNEL_CELLS, m))
@@ -187,7 +181,7 @@ class GridTable:
                     text, used, rows = _format_17g(bits.view(float), (*slots[len(distinct)], scratch))
                     distinct.append((bits, text := (text, int(used.max()), rows)))
                 made.append(text)
-            _join_fields(made, scratch.frame, write)
+            _join_fields(made, scratch.frame, fp)
             index = made = distinct = bits = None  # let go before the next block's are made
 
 
@@ -277,9 +271,9 @@ def _format_tables() -> tuple[np.ndarray, ...]:
 
 
 def _format_scratch(size: int, frame: int = 0) -> SimpleNamespace:
-    """_format_17g's scratch for up to ``size`` values: float and integer
-    registers, text classes and their order, digit words and byte counts;
-    and a join frame of 2 x ``frame`` bytes over the float registers."""
+    """_format_17g's scratch for up to ``size`` values (laid out there): 7
+    float and 6 int64 rows, text classes and their order, digit words, two
+    rows of byte counts; and a join frame of 2 x ``frame`` bytes over f."""
     f = np.empty(max(7 * size, -(-frame // 4)))
     return SimpleNamespace(f=f[: 7 * size].reshape(7, size), frame=f.view(np.uint8)[: 2 * frame].reshape(2, -1),
                            i=np.empty((6, size), np.int64), code=np.empty(size, np.int8), ramp=np.arange(size),
@@ -311,14 +305,15 @@ def _digits17(x: np.ndarray, exp: np.ndarray, out=None) -> tuple[np.ndarray, np.
     return digits, np.abs(frac, out=frac) <= _TIE_BOUND
 
 
-def _decimal(x: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decimal(x: np.ndarray, out) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """17-digit D and exponent E of positive x in the fast range, and where
-    they are not certified; in the scratch ``s``. log10 may miss E by one
-    near a power of ten: D then leaves [10**16, 10**17), and E moves."""
-    exp, digits, k = s.i[:3, : x.size]
-    log = np.log10(x, out=s.f[0, : x.size])
+    they are not certified; in ``out`` (int64 rows for E, D and an index, six
+    float rows to work in). log10 may miss E by one near a power of ten: D
+    then leaves [10**16, 10**17), and E moves."""
+    exp, digits, k = out[0][:, : x.size]
+    log = np.log10(x, out=out[1][0, : x.size])
     exp[...] = np.floor(log, out=log)
-    digits, unsure = _digits17(x, exp, (digits, k, s.f))
+    digits, unsure = _digits17(x, exp, (digits, k, out[1]))
     low = np.flatnonzero(digits <= _TEN16)
     if low.size:
         # D <= 10**16 at E: the value is below 10**E unless D at E - 1
@@ -339,14 +334,15 @@ def _decimal(x: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return digits, exp, unsure
 
 
-def _digit_chars(digits: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+def _digit_chars(digits: np.ndarray, out) -> tuple[np.ndarray, np.ndarray]:
     """The 17 ASCII digits of each D with its trailing zeros as NUL, and how
-    many digits remain without them, in the scratch ``s`` (its first three
-    integer registers are used). (A NUL | "0" is "0" again.)"""
+    many digits remain without them; in ``out`` (float and int64 rows to work
+    in, the counts' uint8 row, digit words). (A NUL | "0" is "0" again.)"""
     *_, quads, zeros = _format_tables()
     n = digits.size
-    upper, lower, mid, low_high, lead = s.f[:5, :n]
-    quotient, remainder, group = s.i[:3, :n]
+    upper, lower, mid, low_high, lead, product = out[0][:, :n]
+    quotient, remainder, group = out[1][:, :n]
+    trailing, words = out[2][:n], out[3][:n]
     np.divmod(digits, 10**8, out=(quotient, remainder))
     upper[...], lower[...] = quotient, remainder  # below 2**53: exact
     for a, b in ((upper, mid), (lower, low_high), (mid, lead)):
@@ -354,10 +350,9 @@ def _digit_chars(digits: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
     # The groups of 1 + 4 * 4 digits, last first: lower - 1e4 * low_high,
     # low_high, upper - 1e4 * mid, mid - 1e4 * lead, lead.
     for a, b in ((lower, low_high), (upper, mid), (mid, lead)):
-        a -= np.multiply(b, 1e4, out=s.f[5, :n])
+        a -= np.multiply(b, 1e4, out=product)
     # A group after which only 0000s follow takes the second half of the
     # table, the trailing zeros as NUL; the zeros run on only through 0000s.
-    trailing, words = s.used[1, :n], s.words[:n]
     trailing[...] = 0
     for j, part in zip((4, 3, 2, 1, 0), (lower, low_high, upper, mid, lead)):
         group[...] = part
@@ -382,6 +377,9 @@ def _format_17g(values, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     certified values, which alone need digits, first; the writer gathers
     them back into value order. The bytes used live in the scratch.
     """
+    # Scratch rows, each reused once read for the last time: |x| in f[6];
+    # _decimal's work in i[0:3] and f[0:6]; then text classes and places in
+    # i[2]; certified places, E and D in i[3:6]; _digit_chars' work as _decimal's.
     x = np.asarray(values, dtype=float).ravel()
     m = x.size
     text, back, s = out or (np.empty((m, _WIDTH), np.uint8), np.empty(m, np.intp), _format_scratch(m))
@@ -392,7 +390,7 @@ def _format_17g(values, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if other.size:
         mag = x.take(np.flatnonzero(fast), out=s.f[6, : m - other.size])
         np.abs(mag, out=mag)
-    digits, exp, unsure = _decimal(mag, s)
+    digits, exp, unsure = _decimal(mag, (s.i[:3], s.f[:6]))
     negative = np.signbit(x)
     cls = np.add(exp, 4, out=s.i[2, : mag.size])  # positional: 2 * (E + 4) + negative
     cls *= 2
@@ -410,7 +408,7 @@ def _format_17g(values, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         place = np.subtract(np.cumsum(fast, out=s.i[2, :m]), 1, out=s.i[2, :m])
         sure = place.take(sure, out=s.i[3, : sure.size])
     exp = exp.take(sure, out=s.i[4, : sure.size])
-    chars, shown = _digit_chars(digits.take(sure, out=s.i[5, : sure.size]), s)
+    chars, shown = _digit_chars(digits.take(sure, out=s.i[5, : sure.size]), (s.f[:6], s.i[:3], s.used[1], s.words))
     text.fill(0)
     counts = np.bincount(code, minlength=_SLOW + 1)
     ends = np.cumsum(counts).tolist()
@@ -475,12 +473,12 @@ def _in_order(values) -> tuple[np.ndarray, int]:
     return text[rows], int(used.max())
 
 
-def _join_fields(fields: list[tuple[np.ndarray, int, np.ndarray]], frame: np.ndarray, write) -> None:
+def _join_fields(fields: list[tuple[np.ndarray, int, np.ndarray]], frame: np.ndarray, fp) -> None:
     """CSV rows from NUL-padded text rows, one (text, width, rows) triple per
     field, where output row j takes the field's text row rows[j]: the fields
     side by side, each cut to its width, NULs dropped. Slices of at most
     ``_WRITE_BYTES`` are joined in ``frame`` (text, then its mask of text
-    bytes) and go to ``write``. (No number or status text holds a NUL.)"""
+    bytes), each one ``fp.write`` of str. (No text holds a NUL.)"""
     total, count = sum(width for _, width, _ in fields), fields[0][2].size
     step = max(1, _WRITE_BYTES // total)
     for start in range(0, count, step):
@@ -489,12 +487,13 @@ def _join_fields(fields: list[tuple[np.ndarray, int, np.ndarray]], frame: np.nda
         for text, width, rows in fields:
             part[:, offset : offset + width] = np.take(text, rows[start : start + len(part)], axis=0)[:, :width]
             offset += width
-        write(part[np.not_equal(part, 0, out=mask.view(bool))])
+        fp.write(part[np.not_equal(part, 0, out=mask.view(bool))].tobytes().decode("utf-8"))
 
 
 def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, tuple[np.ndarray, ...]]]:
-    """The cells of a grid of this shape in row-major order by blocks of
-    ``_CSV_CHUNK``: each block's slice and its cells' index along each axis."""
+    """The cells of a grid of this shape in row-major order, by blocks of
+    ``_CSV_CHUNK``: each block's slice of the cells and its cells' index
+    along each axis."""
     cells = math.prod(shape)
     for start in range(0, cells, _CSV_CHUNK):
         block = slice(start, min(start + _CSV_CHUNK, cells))
@@ -502,7 +501,8 @@ def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, tuple[np.ndarray, .
 
 
 def _stored(columns: dict, codes: np.ndarray):
-    """The block function (see ``GridTable``) of stored columns and codes."""
+    """The block function (see ``GridTable``) of whole stored columns and
+    status codes."""
     return lambda block, index: ({name: c[block] for name, c in columns.items()}, codes[block])
 
 
