@@ -85,7 +85,7 @@ def _map_batch(specs: Sequence[PosteriorSpec]) -> list:
     # A window end is a boundary maximum where the log joint falls from it.
     end_own, side = np.nonzero(spaces.edges[held])
     end_x = np.array([w.lower, w.upper])[side]
-    _, _, _, _, piece_lo, *_ = _grid(cfg, prior)
+    _, _, _, piece_lo, *_ = _grid(cfg, w)
 
     # Cut the brackets at the zeros of dp/domega0 strictly inside them.
     cuts = piece_lo[1:]

@@ -198,10 +198,10 @@ def integrate_owners(f: Callable, lo, hi, owner, owners: int | None = None):
         value = np.concatenate([value[:, keep], new_value], axis=1)
         err = np.concatenate([err[:, keep], new_err], axis=1)
         if np.count_nonzero(live) > 1:
-            # Stable by owner: each owner's kept panels, its left halves, its
-            # right halves.
+            # Stable by owner, in place: each owner's kept panels, left halves, right halves.
             order = np.argsort(own, kind="stable")
-            a, b, own, depth, value, err = (v[..., order] for v in (a, b, own, depth, value, err))
+            for v in (a, b, own, depth, value, err):
+                v[...] = v[..., order]
     return (result if shape else result[:, 0]), failures
 
 

@@ -16,17 +16,17 @@ closed-form zeros of dp/domega0 as well: there a fractional count leaves a
 cusp |omega0 - z|^(2k) and the Jeffreys density a kink, and a panel rule
 converges fast toward such a point only when it is a panel end.
 
-What depends only on the field and the prior (the grid, ln p, ln(1 - p) and
-the log prior on it, and the pieces) is computed once per pair and cached.
-Posteriors that share field, prior and n form a batch
-(:func:`mmse_many`, ``map_estimator.map_many``), and one pass finds the
-workspaces of all its members: their log joints on the grid, a block of
-members at a time, one log-joint call for the peaks of all members and one
-for all their ladders, and their mass regions as arrays cut by member. One
-quadrature then integrates them all, each with its own panels and error
-budget. Every step is elementwise per member, so each member's values are
-bit for bit those of its own :func:`mmse` or :func:`map_estimate`; a single
-posterior is a batch of one and takes the same path.
+What depends only on the field and the window (the grid, ln p and ln(1 - p)
+on it, and the pieces) is computed once per pair, cached and read for every
+prior; a batch takes its log prior on the grid once. Posteriors that share
+field, prior and n form a batch (:func:`mmse_many`, ``map_estimator.map_many``),
+and one pass finds the workspaces of all its members: their log joints on the
+grid, a block of members at a time, one log-joint call for the peaks of all
+members and one for all their ladders, and their mass regions as arrays cut
+by member. One quadrature then integrates them all, each with its own panels
+and error budget. Every step is elementwise per member, so each member's
+values are bit for bit those of its own :func:`mmse` or :func:`map_estimate`;
+a single posterior is a batch of one and takes the same path.
 
 The MAP estimator lives in ``map_estimator``, which only the MAP paths load.
 :func:`map_estimate` stays here as the one-spec entry and imports it when
@@ -54,7 +54,7 @@ from .dynamics import (
 from .errors import DomainError, EstimationError, EvidenceUnderflow, record
 from .frequentist import Dataset, _log_binom, _log_likelihood_logs, log_likelihood_ratio
 from .numerics import integrate, integrate_owners
-from .priors import Prior, PriorKind, log_density, prior_fisher, truncated_density
+from .priors import Prior, PriorKind, SupportWindow, log_density, prior_fisher, truncated_density
 
 if TYPE_CHECKING:
     from .map_estimator import MapResult
@@ -75,7 +75,8 @@ _GRID_POINTS = 8193
 _LADDER_STEPS = 30
 # Safeguarded Newton steps that polish a root of p = xbar in its grid cell.
 _NEWTON_STEPS = 6
-# Most posteriors in one quadrature, which bounds its memory.
+# Most posteriors in one quadrature, which bounds its memory: ~10 KiB of
+# working set per posterior (3.1 MiB traced at 256, uniform prior, n = 8).
 _BATCH = 256
 # Most bytes in one block of per-spec grid rows, two rows of the mass grid.
 # Blocks of 1 MiB ran slower, as they leave the cache between passes, and
@@ -109,19 +110,18 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _grid(cfg: FieldConfig, prior: Prior):
-    """What every posterior on one field and prior shares: the mass grid xs
-    over the window; ln p, ln(1 - p) and the log prior on it; the pieces
-    (lo, hi) of the window between the zeros of dp/domega0; and the grid
-    merged with the piece ends, with p there."""
-    w = prior.window
+def _grid(cfg: FieldConfig, w: SupportWindow):
+    """What every posterior on one field and window shares, whatever its
+    prior: the mass grid xs over the window w; ln p and ln(1 - p) on it; the
+    pieces (lo, hi) of the window between the zeros of dp/domega0; and the
+    grid merged with the piece ends, with p there."""
     xs = np.linspace(w.lower, w.upper, _GRID_POINTS)
     p = prob_detect(cfg, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p, log_q = np.log(p), np.log1p(-p)
     pieces = prob_pieces(cfg, w.lower, w.upper)
     xm = _distinct(np.concatenate([xs, pieces[0]]))
-    grid = xs, log_p, log_q, log_density(prior, xs), *pieces, xm, prob_detect(cfg, xm)
+    grid = xs, log_p, log_q, *pieces, xm, prob_detect(cfg, xm)
     for values in grid:
         values.setflags(write=False)  # shared by every caller
     return grid
@@ -129,13 +129,14 @@ def _grid(cfg: FieldConfig, prior: Prior):
 
 class _LogJoint:
     """The log joints (log likelihood plus log prior, the unnormalized log
-    posteriors) of specs that share field, prior and n."""
+    posteriors) of specs that share field, prior and n, and the log prior on the mass grid."""
 
     def __init__(self, specs: Sequence[PosteriorSpec]):
         spec = specs[0]
         self.cfg, self.prior, self.n = spec.cfg, spec.prior, spec.data.n
         self.k = np.array([each.data.k for each in specs], dtype=float)
         self.log_binom = np.array([_log_binom(self.n, k) for k in self.k.tolist()])
+        self.log_prior = log_density(self.prior, _grid(self.cfg, self.prior.window)[0])
 
     def __call__(self, x: np.ndarray, o: np.ndarray) -> np.ndarray:
         """The log joint of spec o[i] at x[i], elementwise."""
@@ -146,9 +147,9 @@ class _LogJoint:
 
     def on_grid(self, rows: np.ndarray) -> np.ndarray:
         """The log joints of specs ``rows`` on the mass grid, one row each."""
-        _, log_p, log_q, log_prior, *_ = _grid(self.cfg, self.prior)
+        _, log_p, log_q, *_ = _grid(self.cfg, self.prior.window)
         g = _log_likelihood_logs(self.n, self.k[rows, None], log_p, log_q, self.log_binom[rows, None])
-        g += log_prior
+        g += self.log_prior
         return g
 
 
@@ -194,7 +195,7 @@ def _peaks(specs: Sequence[PosteriorSpec]):
     window, joins them.
     """
     cfg, prior, n = specs[0].cfg, specs[0].prior, specs[0].data.n
-    *_, lo, hi, xm, pm = _grid(cfg, prior)
+    *_, lo, hi, xm, pm = _grid(cfg, prior.window)
     shared = [lo, hi] if n > 0 else []
     if prior.kind is PriorKind.GAUSSIAN:
         w = prior.window
@@ -293,7 +294,7 @@ def _workspaces(specs: Sequence[PosteriorSpec], grid_maxima: bool = False) -> _W
     one array pass over all peaks, ladders and regions of the batch.
     """
     w = specs[0].prior.window
-    xs, _, _, _, piece_lo, *_ = _grid(specs[0].cfg, specs[0].prior)
+    xs, _, _, piece_lo, *_ = _grid(specs[0].cfg, w)
     count, last = len(specs), _GRID_POINTS - 1
     try:
         joint = _LogJoint(specs)

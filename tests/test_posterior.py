@@ -542,6 +542,65 @@ class TestBatches:
         assert calls == [1, 1]
 
 
+class TestSharedGrid:
+    """One mass grid per field and window, which every prior on it reads."""
+
+    PRIORS = (UNIFORM_WIDE, JEFFREYS_WIDE, GAUSS)
+
+    @staticmethod
+    def specs(prior):
+        return [PosteriorSpec(data=Dataset(8, 8 * x), cfg=CFG, prior=prior) for x in (0.0, 0.3, 0.62, 1.0)]
+
+    def test_priors_on_one_window_build_one_grid(self):
+        got = mmse_many([spec for prior in self.PRIORS for spec in self.specs(prior)])
+        assert posterior._grid.cache_info().misses == 1
+        alone = []
+        for prior in self.PRIORS:
+            posterior._grid.cache_clear()
+            alone += mmse_many(self.specs(prior))
+        assert got == alone
+
+    def test_map_reads_the_grid_of_another_prior(self):
+        cold = [map_fields(result) for result in map_many(self.specs(GAUSS))]
+        posterior._grid.cache_clear()
+        mmse_many(self.specs(UNIFORM_WIDE))
+        warm = [map_fields(result) for result in map_many(self.specs(GAUSS))]
+        assert posterior._grid.cache_info().misses == 1
+        for fields, expected in zip(warm, cold):
+            np.testing.assert_array_equal(np.array(fields, dtype=float), np.array(expected, dtype=float))
+
+
+class TestBatchWorkingSet:
+    """The memory of one batch, and values that do not depend on its size."""
+
+    def test_batch_of_256_posteriors(self, traced_peak):
+        # 256 uniform posteriors at n = 8, xbar from 0 to 1, on a grid built
+        # beforehand: 3.06 MiB. The quadrature regroups its six panel arrays
+        # by owner in place; new copies beside the old took 3.37 MiB.
+        specs = [PosteriorSpec(data=Dataset(8, 8 * x), cfg=CFG, prior=UNIFORM_WIDE)
+                 for x in np.linspace(0.0, 1.0, 256)]
+        mmse_many(specs[:1])
+        peak, got = traced_peak(mmse_many, specs)
+        assert all(isinstance(m, float) for m in got)
+        assert peak <= 3.2 * 2**20
+
+    @pytest.mark.parametrize("many", [mmse_many, map_many], ids=["mmse", "map"])
+    def test_batch_size_changes_no_value(self, many, monkeypatch):
+        specs = [PosteriorSpec(data=Dataset(8, 8 * x), cfg=CFG, prior=GAUSS) for x in np.linspace(0.0, 1.0, 20)]
+        default = many(specs)
+        calls = []
+        original = posterior.integrate_owners
+
+        def counting(f, lo, hi, owner, owners):
+            calls.append(owners)
+            return original(f, lo, hi, owner, owners=owners)
+
+        monkeypatch.setattr(posterior, "integrate_owners", counting)
+        monkeypatch.setattr(posterior, "_BATCH", 7)
+        assert repr(many(specs)) == repr(default)  # repr: exact for floats, and NaN matches NaN
+        assert calls == [7, 7, 6]
+
+
 class TestMapAtSqrtCfiZero:
     """A Jeffreys prior on the wide window, cfg (1, 0.3, 1), and xbar above
     the largest p in the window (0.0624), which p reaches at the zero of
