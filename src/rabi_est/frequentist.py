@@ -80,8 +80,6 @@ class RootStatus(str, Enum):
 class Ambiguity(str, Enum):
     UNAMBIGUOUS = "Unambiguous"
     AMBIGUOUS = "Ambiguous"
-    NO_REAL_ROOT = "NoRealRoot"
-    SINC_DOMAIN_VIOLATED = "SincDomainViolated"
 
 
 @record

@@ -1,7 +1,10 @@
 """MAP estimator: every local maximum of the log posterior, for batches of
 posteriors, from the same workspaces as their evidence (see ``posterior``).
-Only the MAP paths load it: ``posterior.map_estimate``, the one-spec entry,
-and the MAP trials of ``montecarlo`` import it when they run.
+The workspaces hold all it evaluates, the batch's log joint and its ratio to
+the modes, and it numbers each posterior's brackets and maxima by the
+posterior's index in the batch, as they do. Only the MAP paths load it:
+``posterior.map_estimate``, the one-spec entry, and the MAP trials of
+``montecarlo`` import it when they run.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ import numpy as np
 from .dynamics import dprob_domega0
 from .errors import EstimationError, record
 from .numerics import _TOL
-from .posterior import (PosteriorSpec, _by_batch, _grid, _LogJoint, _log_ratio_to_mode, _moments_many,
-                        _workspaces)
+from .posterior import PosteriorSpec, _by_batch, _moments_many, _workspaces
 from .priors import _DP_FLOOR, map_stationarity_lhs
 
 __all__ = ["MapMaximum", "MapResult", "map_many"]
@@ -67,28 +69,24 @@ def map_many(specs: Sequence[PosteriorSpec]) -> list:
 
 def _map_batch(specs: Sequence[PosteriorSpec]) -> list:
     """map_many of specs that share field, prior and n."""
-    spec = specs[0]
-    cfg, prior, n, w = spec.cfg, spec.prior, spec.data.n, spec.prior.window
     spaces = _workspaces(specs, grid_maxima=True)
-    out = _moments_many(specs, spaces)
-    held = [j for j, moments in enumerate(out) if not isinstance(moments, EstimationError)]
-    if not held:
+    out = _moments_many(spaces)
+    held = np.array([not isinstance(moments, EstimationError) for moments in out])
+    if not held.any():
         return out
-    g = _LogJoint([specs[j] for j in held])
-    rank = np.full(len(specs), -1)
-    rank[held] = np.arange(len(held))
-    brackets = [(lo, hi, rank[own]) for lo, hi, own in (spaces.sharp, spaces.maxima)]
-    # Each held spec's brackets: sharp peaks and grid maxima.
-    a, b, owner = (np.concatenate(v) for v in zip(*brackets))
-    order = np.argsort(owner, kind="stable")[np.count_nonzero(owner < 0):]
+    g = spaces.joint
+    cfg, prior, n, w = g.cfg, g.prior, g.n, g.prior.window
+    # Each held spec's brackets, sorted by owner: sharp peaks and grid maxima.
+    a, b, owner = (np.concatenate(v) for v in zip(spaces.sharp, spaces.maxima))
+    order = np.argsort(owner, kind="stable")
+    order = order[held[owner[order]]]
     a, b, owner = a[order], b[order], owner[order]
     # A window end is a boundary maximum where the log joint falls from it.
-    end_own, side = np.nonzero(spaces.edges[held])
+    end_own, side = np.nonzero(spaces.edges & held[:, None])
     end_x = np.array([w.lower, w.upper])[side]
-    _, _, _, piece_lo, *_ = _grid(cfg, w)
 
     # Cut the brackets at the zeros of dp/domega0 strictly inside them.
-    cuts = piece_lo[1:]
+    cuts = spaces.cuts
     first = np.searchsorted(cuts, a, "right")
     inside = np.searchsorted(cuts, b, "left") - first
     bracket = np.repeat(np.arange(a.size), inside + 1)
@@ -97,8 +95,7 @@ def _map_batch(specs: Sequence[PosteriorSpec]) -> list:
     lo = np.where(pos == 0, a[bracket], padded[first[bracket] + pos])
     hi = np.where(pos == inside[bracket], b[bracket], padded[first[bracket] + pos + 1])
     own = owner[bracket]
-    ratio = _log_ratio_to_mode(specs, held, spaces.mode[held])
-    x = _refine(g, lo, hi, own, polish=ratio) if lo.size else lo
+    x = _refine(g, lo, hi, own, polish=spaces.log_ratio) if lo.size else lo
     g_x, g_lo, g_hi = np.split(g(np.concatenate([x, lo, hi]), np.tile(own, 3)), 3)
     inner = (g_x > g_lo) & (g_x > g_hi)
     shared = np.zeros(x.size, dtype=bool)
@@ -133,16 +130,16 @@ def _map_batch(specs: Sequence[PosteriorSpec]) -> list:
     residual = np.full(x.size, math.nan)
     if n > 0:
         tested = inner & (np.abs(dprob_domega0(cfg, x)) > _DP_FLOOR)
-        xbar = np.array([specs[j].data.xbar for j in held])
+        xbar = np.array([spec.data.xbar for spec in specs])
         lhs = map_stationarity_lhs(cfg, prior, n, x[tested])
         residual[tested] = np.abs(lhs - xbar[own[tested]])
-    log_evidence = np.array([out[j][0] + math.log(out[j][1]) for j in held])
+    log_evidence = np.array([m[0] + math.log(m[1]) if ok else math.nan for m, ok in zip(out, held.tolist())])
     log_post = g_x - log_evidence[own]
     found = [MapMaximum(*fields) for fields in zip(
         x.tolist(), log_post.tolist(), second.tolist(), boundary.tolist(), residual.tolist())]
-    bounds = np.searchsorted(own, np.arange(len(held) + 1)).tolist()
-    for o, j in enumerate(held):
-        out[j] = MapResult(maxima=tuple(found[bounds[o]:bounds[o + 1]]))
+    bounds = np.searchsorted(own, np.arange(len(specs) + 1)).tolist()
+    for j in np.flatnonzero(held).tolist():
+        out[j] = MapResult(maxima=tuple(found[bounds[j]:bounds[j + 1]]))
     return out
 
 

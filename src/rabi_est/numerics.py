@@ -10,10 +10,10 @@ owner, in one adaptive loop: its integrand also receives the owner of each
 point, and each owner's result is what :func:`integrate` gives it alone.
 The bracketed maximizer ``_refine``, which does the same for many brackets
 of many owners, lives in ``map_estimator`` beside its one estimator, so a
-run that maximizes nothing never compiles it. :func:`local_maxima`, a grid
-search over one function before ``_refine``, no longer serves the
-estimators; the tests and ``bench/tracer.py`` use it, and it imports
-``_refine`` when called.
+run that maximizes nothing never compiles it. One grid-peak rule,
+``_grid_maxima``, serves the MAP workspaces of a posterior batch (a row
+per posterior) and :func:`local_maxima`, a grid search over one function
+before ``_refine`` that only the tests and ``bench/tracer.py`` use.
 """
 
 from __future__ import annotations
@@ -250,6 +250,14 @@ def inv_sinc_values(y: np.ndarray) -> np.ndarray:
     return np.where(y == 1.0, 0.0, np.where(y == 0.0, math.pi, x))
 
 
+def _grid_maxima(gy: np.ndarray):
+    """The rows and grid indices i of the interior local maxima of each row
+    of gy, the maximum at i + 1; and whether each row falls from its ends."""
+    mid, left, right = gy[:, 1:-1], gy[:, :-2], gy[:, 2:]
+    rows, i = np.nonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right)))
+    return rows, i, np.stack([gy[:, 0] > gy[:, 1], gy[:, -1] > gy[:, -2]], axis=1)
+
+
 def local_maxima(
     f: Callable,
     lo: float,
@@ -274,15 +282,10 @@ def local_maxima(
     xs = np.linspace(lo, hi, grid_points)
     ys = np.asarray(f(xs), dtype=float)
     cell = xs[1] - xs[0]
-    mid, left, right = ys[1:-1], ys[:-2], ys[2:]
-    i = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right)))
-
-    found = [LocalMaximum(float(xs[0]), boundary=True)] if ys[0] > ys[1] else []
-    if i.size:
-        found += [LocalMaximum(float(x)) for x in _refine(lambda x, _: f(x), xs[i], xs[i + 2],
-                                                          np.zeros(i.size, dtype=np.intp))]
-    if ys[-1] > ys[-2]:
-        found.append(LocalMaximum(float(xs[-1]), boundary=True))
+    _, i, (falls,) = _grid_maxima(ys[None])
+    found = [LocalMaximum(float(x)) for x in _refine(lambda x, _: f(x), xs[i], xs[i + 2],
+                                                     np.zeros(i.size, dtype=np.intp))] if i.size else []
+    found += [LocalMaximum(float(x), boundary=True) for x in xs[[0, -1]][falls]]
 
     # Plateau detection can report one peak twice from adjacent cells.
     found.sort(key=lambda m: m.x)

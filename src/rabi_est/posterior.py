@@ -23,24 +23,28 @@ field, prior and n form a batch (:func:`mmse_many`, ``map_estimator.map_many``),
 and one pass finds the workspaces of all its members: their log joints on the
 grid, a block of members at a time, one log-joint call for the peaks of all
 members and one for all their ladders, and their mass regions as arrays cut
-by member. One quadrature then integrates them all, each with its own panels
-and error budget. Every step is elementwise per member, so each member's
-values are bit for bit those of its own :func:`mmse` or :func:`map_estimate`;
-a single posterior is a batch of one and takes the same path.
+by member. A member's index in its batch is its owner index in every one of
+these arrays and in the quadrature that then integrates them all, each with
+its own panels and error budget; a failing member owns nothing. Every step is
+elementwise per member, so each member's values are bit for bit those of its
+own :func:`mmse` or :func:`map_estimate`: a single posterior is a batch of
+one, and no estimate is cached (a run asks for each posterior once).
 
 The MAP estimator lives in ``map_estimator``, which only the MAP paths load.
 :func:`map_estimate` stays here as the one-spec entry and imports it when
-called. Its candidates come from the same workspaces as the evidence
-(``_workspaces`` with ``grid_maxima``): the maxima of the log joint on its
-grid and the brackets of its sharp peaks. The Fisher kernels, which only
-:func:`bayes_fisher` and the Jeffreys prior use, are imported where called.
+called. It reads the batch's workspaces (``_workspaces`` with
+``grid_maxima``), which hold the batch's log joint, its ratio to the modes
+and the zeros of dp/domega0, beside the maxima of the log joint on the grid
+(``numerics._grid_maxima``) and the brackets of its sharp peaks. The Fisher
+kernels, which only :func:`bayes_fisher` and the Jeffreys prior use, are
+imported where called.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -53,7 +57,7 @@ from .dynamics import (
 )
 from .errors import DomainError, EstimationError, EvidenceUnderflow, record
 from .frequentist import Dataset, _log_binom, _log_likelihood_logs, log_likelihood_ratio
-from .numerics import integrate, integrate_owners
+from .numerics import _grid_maxima, integrate, integrate_owners
 from .priors import Prior, PriorKind, SupportWindow, log_density, prior_fisher, truncated_density
 
 if TYPE_CHECKING:
@@ -129,14 +133,13 @@ def _grid(cfg: FieldConfig, w: SupportWindow):
 
 class _LogJoint:
     """The log joints (log likelihood plus log prior, the unnormalized log
-    posteriors) of specs that share field, prior and n, and the log prior on the mass grid."""
+    posteriors) of specs that share field, prior and n."""
 
     def __init__(self, specs: Sequence[PosteriorSpec]):
         spec = specs[0]
         self.cfg, self.prior, self.n = spec.cfg, spec.prior, spec.data.n
         self.k = np.array([each.data.k for each in specs], dtype=float)
         self.log_binom = np.array([_log_binom(self.n, k) for k in self.k.tolist()])
-        self.log_prior = log_density(self.prior, _grid(self.cfg, self.prior.window)[0])
 
     def __call__(self, x: np.ndarray, o: np.ndarray) -> np.ndarray:
         """The log joint of spec o[i] at x[i], elementwise."""
@@ -145,12 +148,26 @@ class _LogJoint:
             lik = _log_likelihood_logs(self.n, self.k[o], np.log(p), np.log1p(-p), self.log_binom[o])
         return lik + log_density(self.prior, x)
 
-    def on_grid(self, rows: np.ndarray) -> np.ndarray:
-        """The log joints of specs ``rows`` on the mass grid, one row each."""
+    def on_grid(self, rows: np.ndarray, log_prior: np.ndarray) -> np.ndarray:
+        """The log joints of specs ``rows`` on the mass grid, one row each, given its log prior."""
         _, log_p, log_q, *_ = _grid(self.cfg, self.prior.window)
         g = _log_likelihood_logs(self.n, self.k[rows, None], log_p, log_q, self.log_binom[rows, None])
-        g += self.log_prior
+        g += log_prior
         return g
+
+    def ratio_to(self, mode: np.ndarray):
+        """f(x, o): the log joint of spec o at x minus its value at mode[o],
+        the likelihood ratio through the change of p from there. Near the
+        mode its rounding stays far below that of the log joint itself
+        (~1e-6 at n = 1e10)."""
+        cfg, prior, n, k = self.cfg, self.prior, self.n, self.k
+        ref, prior_at_mode = prob_detect(cfg, mode), log_density(prior, mode)
+
+        def f(x: np.ndarray, o: np.ndarray) -> np.ndarray:
+            p, dp = prob_detect(cfg, x), prob_detect_change(cfg, x, mode, o)
+            return log_likelihood_ratio(n, k[o], p, dp, ref[o]) + log_density(prior, x) - prior_at_mode[o]
+
+        return f
 
 
 def _blocks(count: int, row_bytes: int):
@@ -170,14 +187,6 @@ def _by_owner(x: np.ndarray, owner: np.ndarray):
     at = np.empty(x.size, dtype=np.intp)
     at[order] = np.cumsum(keep) - 1
     return x[keep], owner[keep], at
-
-
-def _grid_maxima(gy: np.ndarray):
-    """The rows and grid indices i of the interior local maxima of each row
-    of gy, the maximum at i + 1; and whether each row falls from its ends."""
-    mid, left, right = gy[:, 1:-1], gy[:, :-2], gy[:, 2:]
-    rows, i = np.nonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right)))
-    return rows, i, np.stack([gy[:, 0] > gy[:, 1], gy[:, -1] > gy[:, -2]], axis=1)
 
 
 def _peaks(specs: Sequence[PosteriorSpec]):
@@ -256,9 +265,11 @@ def _ladders(joint: _LogJoint, center: np.ndarray, g_center: np.ndarray, owner: 
 class _Workspaces:
     """The workspaces of a batch of specs (all on one field, prior and n).
     Each spec has a mode and the log joint there (shift), or the error that
-    fails it (errors); the arrays of (lo, hi, owner) triples hold the
-    owner's index and are sorted by owner. The mode, shift, maxima and edges
-    of a failing spec mean nothing."""
+    fails it (errors). A spec's index in the batch is its owner index
+    throughout: the arrays of (lo, hi, owner) triples are sorted by it, and
+    a failing spec owns none of them. The mode, shift and edges of a failing
+    spec mean nothing; where n is beyond the likelihood's range, every field
+    but errors is None."""
 
     errors: list
     mode: np.ndarray
@@ -269,6 +280,9 @@ class _Workspaces:
     # whether the log joint falls from each window end, (specs, 2).
     maxima: tuple | None
     edges: np.ndarray | None
+    joint: _LogJoint  # the batch's log joint
+    log_ratio: Callable  # joint.ratio_to(mode)
+    cuts: np.ndarray  # the zeros of dp/domega0 inside the window, ascending
 
 
 def _workspaces(specs: Sequence[PosteriorSpec], grid_maxima: bool = False) -> _Workspaces:
@@ -299,8 +313,8 @@ def _workspaces(specs: Sequence[PosteriorSpec], grid_maxima: bool = False) -> _W
     try:
         joint = _LogJoint(specs)
     except DomainError as exc:  # an n beyond the likelihood's range fails every spec
-        return _Workspaces(errors=[exc] * count, mode=None, shift=None, regions=None, sharp=None,
-                           maxima=None, edges=None)
+        return _Workspaces([exc] * count, *[None] * 9)
+    log_prior = log_density(joint.prior, xs)  # on the grid; not kept through the quadrature
     peaks, owner = _peaks(specs)
     g_peaks = joint(peaks, owner)
     # Each spec's highest peak, the first of equals.
@@ -318,7 +332,7 @@ def _workspaces(specs: Sequence[PosteriorSpec], grid_maxima: bool = False) -> _W
     mode, shift = np.empty(count), np.empty(count)
     run_lo, run_hi, run_own, max_rows, max_i, falls = [], [], [], [], [], []
     for rows in _blocks(count, xs.nbytes):
-        g = joint.on_grid(rows)
+        g = joint.on_grid(rows, log_prior)
         i = g.argmax(axis=1)
         grid_max = g[np.arange(rows.size), i]
         on_peak = peak_max[rows] > grid_max
@@ -370,63 +384,43 @@ def _workspaces(specs: Sequence[PosteriorSpec], grid_maxima: bool = False) -> _W
         sharp=(sharp_lo, sharp_hi, sharp_own),
         maxima=maxima,
         edges=edges,
+        joint=joint,
+        log_ratio=joint.ratio_to(mode),
+        cuts=piece_lo[1:],
     )
 
 
-def _log_ratio_to_mode(specs: Sequence[PosteriorSpec], held: list, mode):
-    """f(x, o): the log joint of specs[held[o]] at x minus its value at
-    mode[o], the likelihood ratio through the change of p from there. Near
-    the mode its rounding stays far below that of the log joint itself
-    (~1e-6 at n = 1e10)."""
-    cfg, prior, n = specs[0].cfg, specs[0].prior, specs[0].data.n
-    mode = np.array(mode)
-    k = np.array([specs[j].data.k for j in held], dtype=float)
-    ref, prior_at_mode = prob_detect(cfg, mode), log_density(prior, mode)
-
-    def f(x: np.ndarray, o: np.ndarray) -> np.ndarray:
-        p, dp = prob_detect(cfg, x), prob_detect_change(cfg, x, mode, o)
-        return log_likelihood_ratio(n, k[o], p, dp, ref[o]) + log_density(prior, x) - prior_at_mode[o]
-
-    return f
-
-
-def _moments_many(specs: Sequence[PosteriorSpec], spaces: _Workspaces | None = None) -> list:
-    """For each spec, the log joint at the mode, the evidence and the first
-    moment, or the EstimationError that computing them raises. The specs
-    share field, prior and n; ``spaces`` is their _workspaces, if already at
-    hand.
+def _moments_many(spaces: _Workspaces) -> list:
+    """For each spec of a batch's workspaces, the log joint at the mode, the
+    evidence and the first moment, or the EstimationError that computing
+    them raises.
 
     Each integral is one of [v, x v] with v = exp(log joint - its value at
-    the mode), from _log_ratio_to_mode. One ``integrate_owners`` call
+    the mode), from the workspaces' log_ratio. One ``integrate_owners`` call
     computes them all, for a batch of one too, each posterior with its own
     panels and error budget, so each member's values are bit for bit those
     of its batch of one.
     """
-    spaces = _workspaces(specs) if spaces is None else spaces
     out = list(spaces.errors)
-    held = [j for j, exc in enumerate(out) if exc is None]
-    if not held:
+    if None not in out:
         return out
-    lo, hi, owner = spaces.regions
-    log_ratio = _log_ratio_to_mode(specs, held, spaces.mode[held])
 
     def integrand(x: np.ndarray, o: np.ndarray) -> np.ndarray:
-        v = np.exp(log_ratio(x, o))
+        v = np.exp(spaces.log_ratio(x, o))
         return np.stack([v, x * v])
 
-    rank = np.cumsum([exc is None for exc in out]) - 1
-    values, failures = integrate_owners(integrand, lo, hi, rank[owner], owners=len(held))
-    for j, s, (z, first), exc in zip(held, spaces.shift[held].tolist(), values, failures):
-        if exc is None and not z > 0.0:
-            exc = EvidenceUnderflow("posterior evidence is zero within tolerance")
-        out[j] = exc if exc is not None else (s, z, first)
+    values, failures = integrate_owners(integrand, *spaces.regions, owners=len(out))
+    for j, (s, (z, first), exc) in enumerate(zip(spaces.shift.tolist(), values, failures)):
+        if out[j] is None:
+            if exc is None and not z > 0.0:
+                exc = EvidenceUnderflow("posterior evidence is zero within tolerance")
+            out[j] = exc if exc is not None else (s, z, first)
     return out
 
 
-@lru_cache(maxsize=128)
-def _moments(spec: PosteriorSpec):
-    """Log joint at the mode, evidence and first moment: a batch of one."""
-    result, = _moments_many([spec])
+def _alone(many, spec: PosteriorSpec):
+    """many([spec])'s one result, raised if it is an EstimationError."""
+    result, = many([spec])
     if isinstance(result, EstimationError):
         raise result
     return result
@@ -436,15 +430,10 @@ def mmse(spec: PosteriorSpec) -> float:
     """Posterior mean, the minimum mean-square error estimate.
 
     The ratio of the first moment to the evidence from one quadrature,
-    clamped to the window (the mathematical value cannot leave it).
+    clamped to the window (the mathematical value cannot leave it). A
+    batch of one: mmse_many([spec]), its error raised.
     """
-    return _mean(spec, _moments(spec))
-
-
-def _mean(spec: PosteriorSpec, moments) -> float:
-    _, z, first = moments
-    w = spec.prior.window
-    return min(max(first / z, w.lower), w.upper)
+    return _alone(mmse_many, spec)
 
 
 def _by_batch(specs: Sequence[PosteriorSpec], run) -> list:
@@ -469,9 +458,12 @@ def mmse_many(specs: Sequence[PosteriorSpec]) -> list:
     _BATCH of them in one quadrature; each value is bit for bit the one
     mmse(spec) returns.
     """
-    return _by_batch(specs, lambda batch: [
-        m if isinstance(m, EstimationError) else _mean(spec, m)
-        for spec, m in zip(batch, _moments_many(batch))])
+    def run(batch):
+        w = batch[0].prior.window
+        return [m if isinstance(m, EstimationError) else min(max(m[2] / m[1], w.lower), w.upper)
+                for m in _moments_many(_workspaces(batch))]
+
+    return _by_batch(specs, run)
 
 
 def map_estimate(spec: PosteriorSpec) -> MapResult:
@@ -479,10 +471,7 @@ def map_estimate(spec: PosteriorSpec) -> MapResult:
     one spec, which this call imports."""
     from .map_estimator import map_many
 
-    result, = map_many([spec])
-    if isinstance(result, EstimationError):
-        raise result
-    return result
+    return _alone(map_many, spec)
 
 
 def bayes_fisher(cfg: FieldConfig, prior: Prior, n: int) -> BayesFisher:

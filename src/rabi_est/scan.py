@@ -668,12 +668,9 @@ def mmse_curve(
     codes = np.zeros(len(data), np.int8)
     statuses = {STATUS_OK: 0}
     columns = {}
-    for prior in priors:
-        base = name = f"mmse_{prior.kind.value}"
-        suffix = 2
-        while name in columns:
-            name = f"{base}_{suffix}"
-            suffix += 1
+    for j, prior in enumerate(priors):
+        twins = [p.kind for p in priors[:j]].count(prior.kind)  # mmse_uniform, mmse_uniform_2, ...
+        name = f"mmse_{prior.kind.value}" + (f"_{twins + 1}" if twins else "")
         results = mmse_many([PosteriorSpec(data=d, cfg=cfg, prior=prior) for d in data])
         for i, result in enumerate(results):
             if isinstance(result, EstimationError):

@@ -608,6 +608,67 @@ def test_mmse_curve_keeps_k_within_n(capsys):
     assert rows[-1][0] == "1" and float(rows[-1][1]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("priors, header", [
+    ("uniform,uniform", "xbar,mmse_uniform,mmse_uniform_2,status"),
+    ("uniform,gaussian,uniform,uniform",
+     "xbar,mmse_uniform,mmse_gaussian,mmse_uniform_2,mmse_uniform_3,status"),
+])
+def test_mmse_curve_numbers_repeated_priors(priors, header, capsys):
+    argv = ["mmse-curve", *FIELD, "--n", "8", "--priors", priors, *WIDE_FLAGS, "--prior-mean", "10",
+            "--prior-sigma", "2", "--axis", "xbar:0:1:3", "--out", "-"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert ",".join(rows[0]) == header
+    # Equal priors, equal columns.
+    uniform = [j for j, name in enumerate(rows[0]) if name.startswith("mmse_uniform")]
+    assert all(len({row[j] for j in uniform}) == 1 for row in rows[1:])
+
+
+MMSE_ESTIMATE = ["estimate", "mmse", *FIELD, "--n", "10", "--k", "4"]
+MMSE_CURVE = ["mmse-curve", *FIELD, "--n", "8", *WIDE_FLAGS]
+FISHER_SCAN = ["fisher-scan", *FIELD, "--omega0", "2", "--axis", "b0:0.1:5:3"]
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (FISHER_SCAN, "--axis", "exactly two --axis specifications required, got 1"),
+    ([*FISHER_SCAN, "--axis", "theta:0.1:3:3", "--axis", "omega:-1:1:3"], "--axis",
+     "exactly two --axis specifications required, got 3"),
+    ([*MMSE_CURVE, "--priors", " , ", "--axis", "xbar:0:1:3"], "--priors",
+     "--priors must name at least one prior family"),
+    ([*MMSE_CURVE, "--priors", "uniform,flat", "--axis", "xbar:0:1:3"], "--priors",
+     "unknown prior family 'flat' in --priors"),
+    ([*MMSE_CURVE, "--priors", "uniform", "--axis", "b0:0.5:3:3"], "--axis",
+     "--axis for mmse-curve must be an xbar axis"),
+    (["map-curve", *FIELD, "--n", "8", "--prior", "gaussian", "--prior-mean", "10", "--prior-sigma", "2",
+      *WIDE_FLAGS, "--axis", "xbar:0:1:3"], "--axis", "--axis for map-curve must be an omega0 axis"),
+    (["simulate", *FIELD, "--omega0-true", "2", "--n", "10", "--trials", "5", "--seed", str(2**64)], "--seed",
+     f"--seed must fit an unsigned 64-bit integer, got {2**64}"),
+    (["estimate", "ml", "--omega", "1", "--b0", "1", "--theta-deg", "180", "--n", "100", "--k", "41"],
+     "--theta", f"--theta must lie strictly inside (0, pi), got {math.pi}"),
+    ([*MMSE_ESTIMATE, *WIDE_FLAGS], "--prior", "--prior is required for this command"),
+    ([*MMSE_ESTIMATE, "--prior", "uniform", "--window-lower", "0.1"], "--window-upper",
+     "--window-lower and --window-upper are required with a prior"),
+    ([*MMSE_ESTIMATE, "--prior", "uniform", "--window-lower", "5", "--window-upper", "1"], "--window-lower",
+     "--window-lower must be smaller than --window-upper"),
+    ([*MMSE_ESTIMATE, "--prior", "gaussian", "--prior-mean", "3", *WIDE_FLAGS], "--prior-sigma",
+     "--prior-mean and --prior-sigma are required for the gaussian prior"),
+], ids=["one-axis", "three-axes", "empty-priors", "unknown-prior", "mmse-curve-axis", "map-curve-axis",
+        "seed", "theta", "prior", "window", "reversed-window", "gaussian-sigma"])
+def test_refusal_names_its_flag(argv, flag, message, capsys):
+    assert main([*argv, "--out", "-"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error" in line] == [f"rabi-est: error: {message}"]
+    assert flag in message
+
+
+def test_malformed_config_line_is_a_domain_error(tmp_path, capsys):
+    config = tmp_path / "defaults.conf"
+    config.write_text("n = 100\nomega 1\n", encoding="utf-8")
+    assert main(["estimate", "ml", "--config", str(config), "--out", "-"]) == 3
+    assert capsys.readouterr().err.splitlines() == ["rabi-est: DomainError: config line is not 'key = value': "
+                                                    "'omega 1'"]
+
+
 class TestEstimateCountAtN:
     """--k = --n where float(n) rounds above n: an integral --k compares with
     --n exactly and enters as min(float(k), n), as mmse-curve's counts do."""

@@ -197,6 +197,17 @@ class TestMlEstimate:
             assert loglik_curvature(data, CFG, value) < 0.0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ml_estimate(-0.1, CFG), "xbar must lie in [0, 1], got -0.1"),
+    (lambda: ml_estimate(1.5, CFG), "xbar must lie in [0, 1], got 1.5"),
+    (lambda: ml_estimate(math.nan, CFG), "xbar must lie in [0, 1], got nan"),
+], ids=["ml-xbar-negative", "ml-xbar-above-one", "ml-xbar-nan"])
+def test_refusal(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
 class TestLogLikelihood:
     def test_single_detection(self):
         cfg = FieldConfig(omega=1.0, b0=math.pi / 4, theta=math.pi / 2)  # p = 1/2

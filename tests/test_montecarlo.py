@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import oracles
-from rabi_est import map_estimator, montecarlo
+from rabi_est import map_estimator, montecarlo, posterior
 from rabi_est.dynamics import FieldConfig, prob_detect
 from rabi_est.errors import (
     AllTrialsDegenerate,
     DegenerateData,
     DegenerateProbability,
     DomainError,
+    EvidenceUnderflow,
     NoRealRoot,
     SincDomainViolated,
 )
@@ -168,6 +169,38 @@ def test_ambiguous_trials_counted_and_excluded():
 def test_truth_must_be_positive_and_finite(omega0_true):
     with pytest.raises(DomainError):
         TrialConfig(cfg=CFG, omega0_true=omega0_true, n=100, trials=3, seed=1)
+
+
+def failing_batch(monkeypatch):
+    """MMSE trials whose posterior batch fails at its second and third
+    distinct counts: the first of those errors is raised."""
+    def batch(specs):
+        return [1.0, EvidenceUnderflow("the second count fails"), DomainError("the third count fails"),
+                *[1.0] * (len(specs) - 3)]
+
+    monkeypatch.setattr(posterior, "mmse_many", batch)
+    run_trials(TrialConfig(cfg=CFG, omega0_true=2.0, n=100, trials=20, seed=1, estimator=Estimator.MMSE,
+                           prior=Prior.uniform(WINDOW)))
+
+
+def trial_config(**changes):
+    return lambda monkeypatch: TrialConfig(**{**dict(cfg=CFG, omega0_true=2.0, n=100, trials=3, seed=1),
+                                              **changes})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (trial_config(n=0), DomainError, "trials per dataset n must be >= 1, got 0"),
+    (trial_config(trials=0), DomainError, "dataset count must be >= 1, got 0"),
+    (trial_config(seed=-1), DomainError, "seed must fit an unsigned 64-bit integer"),
+    (trial_config(seed=2**64), DomainError, "seed must fit an unsigned 64-bit integer"),
+    (trial_config(estimator=Estimator.MMSE), DomainError, "estimator mmse requires a prior"),
+    (trial_config(estimator=Estimator.MAP), DomainError, "estimator map requires a prior"),
+    (failing_batch, EvidenceUnderflow, "the second count fails"),
+], ids=["n", "trials", "seed-negative", "seed-2**64", "mmse-prior", "map-prior", "failing-batch"])
+def test_refusal(call, error, message, monkeypatch):
+    with pytest.raises(error) as info:
+        call(monkeypatch)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_n_must_fit_a_64_bit_count():

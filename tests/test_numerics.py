@@ -293,6 +293,16 @@ class TestLocalMaxima:
             local_maxima(np.sin, 0.0, 1.0, 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: local_maxima(np.sin, 1.0, 1.0, 11), "search interval requires lo < hi, got [1.0, 1.0]"),
+    (lambda: local_maxima(np.sin, 2.0, 1.0, 11), "search interval requires lo < hi, got [2.0, 1.0]"),
+], ids=["local-maxima-empty", "local-maxima-reversed"])
+def test_refusal(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
 class CountingArrayCalls:
     """Wraps an elementwise f; counts calls and rejects scalar arguments."""
 

@@ -46,8 +46,8 @@ DECADES = [10**e for e in range(0, 11, 2)]
 
 def log_evidence(spec):
     """Log of the posterior's evidence, from its log joint at the mode and
-    the evidence of the shifted integrand."""
-    shift, z, _ = posterior._moments(spec)
+    the evidence of the shifted integrand: a batch of one."""
+    (shift, z, _), = posterior._moments_many(posterior._workspaces([spec]))
     return shift + math.log(z)
 
 
@@ -446,9 +446,18 @@ class TestFig5Posteriors:
             return original(counted, lo, hi, owner, owners=owners)
 
         monkeypatch.setattr(posterior, "integrate_owners", counting)
-        posterior._moments.cache_clear()
         mmse(PosteriorSpec(data=Dataset(8, 8 * 0.01), cfg=CFG, prior=prior))
         assert 0 < points[0] <= 100_000
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bayes_fisher(CFG, GAUSS, 0), "trial count n must be >= 1, got 0"),
+    (lambda: bayes_fisher(CFG, GAUSS, 0.5), "trial count n must be >= 1, got 0.5"),
+], ids=["bayes-fisher-n-zero", "bayes-fisher-n-half"])
+def test_refusal(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
 
 
 class TestBatches:
@@ -471,7 +480,6 @@ class TestBatches:
                              ids=["zero-evidence", "non-finite"])
     def test_failing_quadrature_is_isolated(self, value, error, monkeypatch):
         clean = [mmse(spec) for spec in self.SPECS]
-        posterior._moments.cache_clear()
         self.spoil(monkeypatch, 8 * 0.62, value)
         with pytest.raises(error):
             mmse(self.SPECS[4])
@@ -535,7 +543,6 @@ class TestBatches:
             return original(f, lo, hi, owner, owners=owners)
 
         monkeypatch.setattr(posterior, "integrate_owners", counting)
-        posterior._moments.cache_clear()
         spec = self.SPECS[0]
         mmse(spec)
         map_estimate(spec)
@@ -675,3 +682,21 @@ class TestMapBatches:
         assert got[1] is EvidenceUnderflow and got[7] is EvidenceUnderflow
         for j in (0, 2, 3, 4, 5, 6, 8):
             np.testing.assert_array_equal(np.array(got[j], dtype=float), np.array(single[j], dtype=float))
+
+    def test_failing_workspace_is_isolated(self, monkeypatch):
+        # The log joint of the count 30 is -inf everywhere, on the grid and at
+        # every peak, so the workspaces of its two specs fail: one inside its
+        # batch, one at its start. They own no bracket, and the others keep theirs.
+        single = [map_fields(map_estimate(spec)) for spec in self.SPECS]
+        original = posterior._log_likelihood_logs
+
+        def vanishing(n, k, *args):
+            return np.where(k == 30, -np.inf, original(n, k, *args))
+
+        monkeypatch.setattr(posterior, "_log_likelihood_logs", vanishing)
+        got = map_many(self.SPECS)
+        assert [type(got[j]) for j in (1, 7)] == [EvidenceUnderflow, EvidenceUnderflow]
+        assert "vanishes everywhere" in str(got[1])
+        for j in (0, 2, 3, 4, 5, 6, 8):
+            np.testing.assert_array_equal(np.array(map_fields(got[j]), dtype=float),
+                                          np.array(single[j], dtype=float))

@@ -12,14 +12,13 @@ from pathlib import Path
 import pytest
 
 import rabi_est
-from rabi_est import posterior
 from rabi_est.dynamics import FieldConfig
 from rabi_est.errors import DomainError, record
 from rabi_est.frequentist import Ambiguity, Dataset, EstimateResult, Root, RootStatus
 from rabi_est.montecarlo import Estimator, TrialConfig, TrialReport
 from rabi_est.numerics import LocalMaximum
 from rabi_est.map_estimator import MapMaximum, MapResult
-from rabi_est.posterior import BayesFisher, PosteriorSpec, _Workspaces, mmse
+from rabi_est.posterior import BayesFisher, PosteriorSpec, _Workspaces
 from rabi_est.priors import Prior, SupportWindow
 from rabi_est.scan import Axis
 
@@ -41,7 +40,7 @@ RECORDS = [
     lambda: MapResult(maxima=(MapMaximum(1.0, -2.0, -3.0, True, math.nan),)),
     lambda: BayesFisher(bayes_cfi=1.0, bayes_qfi=2.0, bayes_gap=1.0),
     lambda: _Workspaces(errors=(None,), mode=1.0, shift=0.0, regions=(), sharp=(), maxima=None,
-                        edges=None),
+                        edges=None, joint=None, log_ratio=None, cuts=()),
     lambda: TrialConfig(cfg=CFG, omega0_true=2.0, n=100, trials=10, seed=7, estimator=Estimator.MAP,
                         prior=Prior.uniform(WINDOW)),
     lambda: TrialReport(1.0, 0.0, 0.1, 0.2, None, 0, 0, 10),
@@ -95,18 +94,6 @@ def test_record_arguments():
         FieldConfig(1.0, b0=-1.0, theta=1.0)
 
 
-def test_equal_posterior_specs_share_a_cache_entry():
-    # Equal specs made apart hit the same _moments entry.
-    def spec():
-        return PosteriorSpec(Dataset(10, 4), FieldConfig(1.0, 1.0, math.pi / 2),
-                             Prior.uniform(SupportWindow(0.5, 5.0)))
-
-    first = mmse(spec())
-    hits = posterior._moments.cache_info().hits
-    assert mmse(spec()) == first
-    assert posterior._moments.cache_info().hits == hits + 1
-
-
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_package_does_not_import_dataclasses(path):
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -130,15 +117,18 @@ UNREFERENCED_BY_DESIGN = {"local_maxima", "LocalMaximum", "qfi_values", "simulat
 
 def definitions(tree):
     """(name, member) for the top-level functions and classes of ``tree``
-    (member False) and for the methods and properties of those classes
-    (member True; special methods such as __init__ aside: the language calls
-    them, not a name)."""
+    (member False), for the methods and properties of those classes (member
+    True; special methods such as __init__ aside: the language calls them,
+    not a name) and for the members of its Enum subclasses (member True)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, False
         if isinstance(node, ast.ClassDef):
             yield from ((item.name, True) for item in node.body if isinstance(item, ast.FunctionDef)
                         and not (item.name.startswith("__") and item.name.endswith("__")))
+            if any(isinstance(base, ast.Name) and base.id == "Enum" for base in node.bases):
+                yield from ((target.id, True) for item in node.body if isinstance(item, ast.Assign)
+                            for target in item.targets)
 
 
 def referenced(tree):
@@ -178,6 +168,15 @@ def test_unreferenced_guard_sees():
                             "        return 1\n\n\ndef dead():\n    used()\n"),
              "b": ast.parse("from a import Box\nimport a.helper as h\n")}
     assert unreferenced(trees) == [("a", "size"), ("a", "dead")]
+
+
+def test_unreferenced_guard_counts_enum_members():
+    # An Enum member is named as an attribute (Kind.USED); a local variable
+    # of its name says nothing of it. A plain class's attributes are not counted.
+    trees = {"a": ast.parse("from enum import Enum\n\n\nclass Kind(str, Enum):\n    USED = 'used'\n"
+                            "    IDLE = 'idle'\n\n\nclass Plain:\n    SIZE = 1\n"),
+             "b": ast.parse("from a import Kind, Plain\nIDLE = Kind.USED\n")}
+    assert unreferenced(trees) == [("a", "IDLE")]
 
 
 def test_unreferenced_guard_tells_an_attribute_from_a_local_name():

@@ -672,6 +672,40 @@ def test_map_curve_rejects_n_below_one(monkeypatch):
         map_curve(CFG, prior, 0, Axis("omega0", 0.15, 12.15, 241))
 
 
+B0, THETA, XBAR = Axis("b0", 0.5, 3.0, 3), Axis("theta", 0.5, 2.5, 3), Axis("xbar", 0.1, 0.9, 3)
+UNIFORM = Prior.uniform(SupportWindow(0.1, 100.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Axis("phi", 0.0, 1.0, 3), "axis name must be one of ('omega', 'b0', 'theta', 'omega0', 'xbar'), "
+                                       "got 'phi'"),
+    (lambda: Axis("b0", 1.0, 1.0, 3), "axis b0: start must be < stop"),
+    (lambda: Axis("b0", 0.5, 1.0, 1), "axis b0: count must be >= 2, got 1"),
+    (lambda: Axis("b0", 0.0, 1.0, 3), "axis b0 must start above 0"),
+    (lambda: Axis("theta", 0.5, math.pi, 3), "axis theta must stay strictly inside (0, pi)"),
+    (lambda: Axis("xbar", 0.0, 1.5, 3), "axis xbar must stay inside [0, 1]"),
+    (lambda: fisher_scan(CFG, 2.0, (B0, B0)), "fisher_scan needs two distinct axes among omega, b0, theta"),
+    (lambda: fisher_scan(CFG, 2.0, (B0, THETA), accuracy=0.0), "accuracy must be positive, got 0.0"),
+    (lambda: ml_root_scan(CFG, (B0, THETA)), "ml_root_scan needs an xbar axis and one of b0, omega"),
+    (lambda: ml_root_scan(CFG, (THETA, XBAR)), "ml_root_scan varies xbar against b0 or omega"),
+    (lambda: ml_root_scan(CFG, (B0, Axis("xbar", 0.0, 0.9, 3))),
+     "ml_root_scan needs its xbar axis strictly inside (0, 1)"),
+    (lambda: bayes_scan(CFG, UNIFORM, (B0, XBAR), n=8),
+     "bayes_scan needs two distinct axes among omega, b0, theta"),
+    (lambda: mmse_curve(CFG, [UNIFORM], 8, B0), "mmse_curve needs an xbar axis"),
+    (lambda: mmse_curve(CFG, [], 8, XBAR), "mmse_curve needs at least one prior"),
+    (lambda: map_curve(CFG, UNIFORM, 8, XBAR), "map_curve needs an omega0 axis"),
+    (lambda: map_curve(CFG, UNIFORM, 8, Axis("omega0", 0.15, 12.15, 5)),
+     "map_curve applies to the Jeffreys and Gaussian priors"),
+], ids=["axis-name", "axis-order", "axis-count", "axis-b0", "axis-theta", "axis-xbar", "fisher-axes",
+        "fisher-accuracy", "roots-xbar", "roots-other", "roots-xbar-range", "bayes-axes", "mmse-axis",
+        "mmse-priors", "map-axis", "map-prior"])
+def test_refusal(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
 FIG5_WINDOW = SupportWindow(0.1, 100.0)
 
 
