@@ -25,8 +25,8 @@ _EXPORTS = {
     "Estimator": "montecarlo",
     "TrialConfig": "montecarlo",
     "TrialReport": "montecarlo",
-    "Axis": "scan",
-    "GridTable": "scan",
+    "Axis": "table",
+    "GridTable": "table",
 }
 
 __all__ = ["__version__", *_EXPORTS]

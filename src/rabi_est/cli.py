@@ -134,7 +134,7 @@ def _positive_int(name):
 def _axis(_name):
     """--axis's converter: a scan axis from NAME:START:STOP:COUNT."""
     def convert(text):
-        from .scan import Axis
+        from .table import Axis
 
         parts = text.split(":")
         if len(parts) != 4:

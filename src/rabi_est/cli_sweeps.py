@@ -1,6 +1,8 @@
 """Command-line handlers of the sweeps: the scans and curves, and the seeded
 trials of ``simulate``. Each takes the parser, the flags, the field and a
 prior builder, and returns the table or payload that ``cli.main`` writes.
+Each imports only its own command's module: ``scan`` for the landscape
+scans, ``curves`` for the curves and ``montecarlo`` for ``simulate``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def bayes_scan(parser, args, cfg, build_prior):
 
 
 def mmse_curve(parser, args, cfg, build_prior):
-    from . import scan
+    from . import curves
 
     kinds = [k.strip() for k in args.priors.split(",") if k.strip()]
     if not kinds:
@@ -42,16 +44,16 @@ def mmse_curve(parser, args, cfg, build_prior):
     priors = [build_prior(kind=kind) for kind in kinds]
     if args.axis.name != "xbar":
         parser.error("--axis for mmse-curve must be an xbar axis")
-    return scan.mmse_curve(cfg, priors, args.n, args.axis)
+    return curves.mmse_curve(cfg, priors, args.n, args.axis)
 
 
 def map_curve(parser, args, cfg, build_prior):
-    from . import scan
+    from . import curves
 
     prior = build_prior()
     if args.axis.name != "omega0":
         parser.error("--axis for map-curve must be an omega0 axis")
-    return scan.map_curve(cfg, prior, args.n, args.axis)
+    return curves.map_curve(cfg, prior, args.n, args.axis)
 
 
 def simulate(parser, args, cfg, build_prior):

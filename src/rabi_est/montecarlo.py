@@ -90,6 +90,20 @@ class TrialConfig:
 
 @record
 class TrialReport:
+    """Sample statistics of the accepted estimates of a trial run, beside two
+    reference values.
+
+    ``crb`` is the Cramer-Rao bound 1/(n CFI) at the true frequency.
+    ``vantrees_bound``, given when the run has a prior, is the van Trees
+    formula 1/(n ``bayes_cfi``) of ``posterior.bayes_fisher``: the prior
+    average of the CFI plus the prior's own information over n. It bounds
+    the Bayes risk only for a prior whose density vanishes at the ends of its
+    support (Gill & Levit, Bernoulli 1, 1995), and the window-truncated
+    priors here do not vanish there. So it can exceed the risk: for the
+    uniform prior on (1.5, 5) at field (1, 1, pi/2) and n = 1 it reads 7.49,
+    where the exact minimum Bayes risk is 0.890.
+    """
+
     mean_estimate: float
     bias: float
     variance: float

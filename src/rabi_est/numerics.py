@@ -52,23 +52,25 @@ class LocalMaximum:
     boundary: bool = False
 
 
-def _clenshaw_curtis(n: int):
-    """Nodes (1 - cos(j pi/n))/2, j = 0..n, and weights of the (n+1)-point
-    Clenshaw-Curtis rule on [0, 1], for even n."""
-    j = np.arange(n + 1)
-    k = np.arange(1, n // 2 + 1)
-    b = np.where(k == n // 2, 1.0, 2.0) / (4.0 * k * k - 1.0)
-    w = (1.0 - b @ np.cos(2.0 * np.pi * np.outer(k, j) / n)) / n
-    w[1:-1] *= 2.0
-    return 0.5 * (1.0 - np.cos(np.pi * j / n)), 0.5 * w
-
-
-# The 17-point rule, and beside it its difference from the 9-point rule on
-# every second node: the error estimate of a panel.
-_NODES, _W17 = _clenshaw_curtis(16)
-_W9 = np.zeros(17)
-_W9[::2] = _clenshaw_curtis(8)[1]
-_RULES = np.stack([_W17, _W17 - _W9], axis=1)
+# The 17 Clenshaw-Curtis nodes on [0, 1] and, per node, the 17-point weight and
+# its difference from the 9-point weight (a panel's error estimate). Literals:
+# their formula (tests/oracles.clenshaw_curtis) would run a BLAS call at import.
+_NODES = np.array([
+    0.0, 0.009607359798384785, 0.03806023374435663, 0.08426519384872738, 0.1464466094067262, 0.22221488349019886,
+    0.3086582838174551, 0.40245483899193585, 0.49999999999999994, 0.5975451610080641, 0.6913417161825448,
+    0.777785116509801, 0.8535533905932737, 0.9157348061512727, 0.9619397662556434, 0.9903926402016152, 1.0,
+])
+_RULES = np.array([
+    [0.00196078431372549, -0.005975723622782446], [0.018684351418602814, 0.018684351418602814],
+    [0.03774116577157592, -0.035368158836433156], [0.054452776290945464, 0.054452776290945464],
+    [0.06947823418411654, -0.07020430549842314], [0.08158633214085165, 0.08158633214085165],
+    [0.09073689211824668, -0.09012203724199822], [0.09625693230646282, 0.09625693230646282],
+    [0.09820506291094527, -0.09862033391445155], [0.09625693230646282, 0.09625693230646282],
+    [0.09073689211824669, -0.0901220372419982], [0.08158633214085168, 0.08158633214085168],
+    [0.06947823418411654, -0.07020430549842314], [0.05445277629094546, 0.05445277629094546],
+    [0.03774116577157593, -0.035368158836433176], [0.018684351418602835, 0.018684351418602835],
+    [0.0019607843137254936, -0.005975723622782442],
+])
 
 
 def integrate_owners(f: Callable, lo, hi, owner, owners: int | None = None):

@@ -82,9 +82,12 @@ _NEWTON_STEPS = 6
 # Most posteriors in one quadrature, which bounds its memory: ~10 KiB of
 # working set per posterior (3.1 MiB traced at 256, uniform prior, n = 8).
 _BATCH = 256
-# Most bytes in one block of per-spec grid rows, two rows of the mass grid.
-# Blocks of 1 MiB ran slower, as they leave the cache between passes, and
-# blocks of 512 KiB ran up to ~20% faster but raised a trial run's peak RSS.
+# Most bytes in one block of per-spec grid rows: one row of the mass grid (a
+# row of _GRID_POINTS floats is 65,544 bytes). Two-row blocks ran a 3,001-spec
+# sweep ~9% faster but raised the cold Fig. 5 curve's peak RSS: 32.69 -> 32.90
+# MB (10 pairs, none lower) with scan.py whole, 32.28 -> 32.30 MB (3 of 10
+# lower) with it split. 512 KiB ones ran up to ~20% faster and raised a trial
+# run's peak. Blocks of 1 MiB ran slower, as they leave the cache between passes.
 _BLOCK_BYTES = 1 << 17
 # Shifted-integrand values below this threshold carry no numerical mass.
 _MASS_FLOOR_LOG = math.log(1e-18)

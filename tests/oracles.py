@@ -92,6 +92,17 @@ def simpson_dense(f, lo: float, hi: float, n: int = 200_001) -> float:
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
 
 
+def clenshaw_curtis(n: int):
+    """Nodes (1 - cos(j pi/n))/2, j = 0..n, and weights of the (n+1)-point
+    Clenshaw-Curtis rule on [0, 1], for even n (Waldvogel, BIT 46, 2006)."""
+    j = np.arange(n + 1)
+    k = np.arange(1, n // 2 + 1)
+    b = np.where(k == n // 2, 1.0, 2.0) / (4.0 * k * k - 1.0)
+    w = (1.0 - b @ np.cos(2.0 * np.pi * np.outer(k, j) / n)) / n
+    w[1:-1] *= 2.0
+    return 0.5 * (1.0 - np.cos(np.pi * j / n)), 0.5 * w
+
+
 class NoSignChange(DomainError):
     """Bracketed root finding was given endpoints of equal sign."""
 

@@ -343,6 +343,11 @@ def test_sidecar_manifest_is_byte_identical(tmp_path):
     assert manifest["manifest"]["seed"] is None
 
 
+# The benchmark's 3x3 Jeffreys bayes-scan.
+BAYES_SCAN_3X3 = ["bayes-scan", *FIELD, "--prior", "jeffreys", "--window-lower", "1.5",
+                  "--window-upper", "5", "--n", "8", "--axis", "b0:0.5:3:3", "--axis", "omega:-3:3:3"]
+
+
 def test_import_loads_no_process_pool(tmp_path):
     # Every CLI run pays for its imports, and no command runs a process pool:
     # neither importing the CLI nor a bayes-scan loads one.
@@ -374,8 +379,12 @@ class TestImports:
     BAYES = ["rabi_est.posterior", "rabi_est.priors"]
     MAP = [*BAYES, "rabi_est.map_estimator"]
 
-    SCAN = ["rabi_est", "rabi_est.cli_sweeps", "rabi_est.dynamics", "rabi_est.errors", "rabi_est.fisher",
-            "rabi_est.scan"]
+    # What every table needs: the table module, its number formatter and
+    # the modules those import; a scan or curve module adds its kernels.
+    TABLE = ["rabi_est", "rabi_est.cli_sweeps", "rabi_est.dynamics", "rabi_est.errors", "rabi_est.format17g",
+             "rabi_est.table"]
+    SCAN = [*TABLE, "rabi_est.scan"]
+    CURVE = [*TABLE, "rabi_est.curves"]
 
     @staticmethod
     def cli_code(argv):
@@ -401,36 +410,49 @@ class TestImports:
 
     @pytest.mark.parametrize("argv, modules", [
         (["fisher-scan", *FIELD, "--omega0", "2", "--axis", "b0:0.1:5:3", "--axis", "theta:0.1:3:3"],
-         SCAN),
+         [*SCAN, "rabi_est.fisher"]),
         (["ml-roots", *FIELD, "--axis", "b0:0.1:5:3", "--axis", "xbar:0.1:0.9:3"],
          [*SCAN, "rabi_est.frequentist", "rabi_est.numerics"]),
         (["map-curve", *FIELD, "--n", "8", "--prior", "jeffreys", *WIDE_FLAGS,
           "--axis", "omega0:0.15:12.15:5"],
-         [*SCAN, "rabi_est.numerics", "rabi_est.priors"]),
+         [*CURVE, "rabi_est.fisher", "rabi_est.numerics", "rabi_est.priors"]),
+        (["map-curve", *FIELD, "--n", "8", "--prior", "gaussian", "--prior-mean", "3", "--prior-sigma", "1",
+          *WIDE_FLAGS, "--axis", "omega0:0.15:12.15:5"],
+         [*CURVE, "rabi_est.numerics", "rabi_est.priors"]),
+        (["mmse-curve", *FIELD, "--n", "8", "--priors", "uniform", *WIDE_FLAGS, "--axis", "xbar:0:1:3"],
+         [*CURVE, "rabi_est.frequentist", "rabi_est.numerics", "rabi_est.posterior", "rabi_est.priors"]),
         (["simulate", *FIELD, "--omega0-true", "2", "--n", "10", "--trials", "5", "--seed", "1",
           "--estimator", "ml"],
          ["rabi_est", "rabi_est.cli_sweeps", "rabi_est.dynamics", "rabi_est.errors", "rabi_est.fisher",
           "rabi_est.frequentist", "rabi_est.montecarlo", "rabi_est.numerics"]),
-    ], ids=["fisher-scan", "ml-roots", "map-curve", "simulate-ml"])
+    ], ids=["fisher-scan", "ml-roots", "map-curve", "map-curve-gaussian", "mmse-curve-uniform", "simulate-ml"])
     def test_command_loads_only_its_modules(self, argv, modules, tmp_path):
-        # The closed-form scans and ML trials load no Bayesian module, and
-        # the MAP curve none of the posterior or the ML estimator.
+        # The closed-form scans and ML trials load no Bayesian module; the
+        # Fisher landscape loads its kernels and what its table needs, and
+        # the ML root surfaces no Fisher kernel. The curves load no landscape
+        # scan, and the MAP curve none of the posterior or the ML estimator.
+        # Only a Jeffreys prior loads the Fisher kernels.
         code = self.cli_code([*argv, "--out", str(tmp_path / "out")])
         assert loaded_modules(code) == set(modules)
 
     # Ceilings on the non-blank source lines that a run compiles: those of
     # the package modules it loads and of cli.py, which ``python -m`` runs
     # as __main__. A run that writes no bytecode compiles every one of them.
+    # Each ceiling is its run's count, so every added line is counted.
     UNIFORM = ["--prior", "uniform", *WIDE_FLAGS]
     GAUSSIAN = ["--prior", "gaussian", "--prior-mean", "3", "--prior-sigma", "1", *WIDE_FLAGS]
     FIG5 = [*FIELD, "--n", "8", *WIDE_FLAGS]
     RUNS = {
-        "estimate-mmse": (["estimate", "mmse", *FIELD, "--n", "100", "--k", "49", *UNIFORM], 1760),
-        "estimate-map": (["estimate", "map", *FIELD, "--n", "100", "--k", "49", *UNIFORM], 1950),
-        "estimate-ml": (["estimate", "ml", *FIELD, "--n", "100", "--k", "41"], 1125),
+        "estimate-mmse": (["estimate", "mmse", *FIELD, "--n", "100", "--k", "49", *UNIFORM], 1709),
+        "estimate-map": (["estimate", "map", *FIELD, "--n", "100", "--k", "49", *UNIFORM], 1889),
+        "estimate-ml": (["estimate", "ml", *FIELD, "--n", "100", "--k", "41"], 1068),
         "mmse-curve": (["mmse-curve", *FIG5, "--priors", "uniform,jeffreys,gaussian", "--prior-mean", "10",
-                        "--prior-sigma", "2", "--axis", "xbar:0:1:3"], 2475),
-        "map-curve": (["map-curve", *FIG5, "--prior", "jeffreys", "--axis", "omega0:0.15:12.15:5"], 1850),
+                        "--prior-sigma", "2", "--axis", "xbar:0:1:3"], 2359),
+        "map-curve": (["map-curve", *FIG5, "--prior", "jeffreys", "--axis", "omega0:0.15:12.15:5"], 1744),
+        "fisher-scan": (["fisher-scan", *FIELD, "--omega0", "2", "--axis", "b0:0.1:5:3", "--axis",
+                         "theta:0.1:3:3"], 1335),
+        "ml-roots": (["ml-roots", *FIELD, "--axis", "b0:0.1:5:3", "--axis", "xbar:0.1:0.9:3"], 1714),
+        "bayes-scan": (BAYES_SCAN_3X3, 2420),
     }
 
     @staticmethod
@@ -462,7 +484,7 @@ class TestImports:
                  for mode in ("mmse", "map") for prior in (self.UNIFORM, self.GAUSSIAN)]
         total = sum(map(self.compiled_lines, map(tuple, figures))) + 6 * sum(
             map(self.compiled_lines, map(tuple, sweep)))
-        assert total <= 51_500
+        assert total <= 50_026
 
     # Standard modules that no command needs. numpy's core imports datetime
     # on every run, so that one is kept out of the package's own imports.
@@ -523,10 +545,8 @@ def test_mmse_curve_is_reproducible(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-# The benchmark's 3x3 Jeffreys bayes-scan, run in the output's directory so
-# that the manifest's command line is fixed; sha256 of the CSV and manifest.
-BAYES_SCAN_3X3 = ["bayes-scan", *FIELD, "--prior", "jeffreys", "--window-lower", "1.5",
-                  "--window-upper", "5", "--n", "8", "--axis", "b0:0.5:3:3", "--axis", "omega:-3:3:3"]
+# sha256 of the CSV and manifest of BAYES_SCAN_3X3, run in the output's
+# directory so that the manifest's command line is fixed.
 PINNED_BAYES_SCAN = (
     "9654c9e880b25cdc624cb0126f359438e2261a2de4e0274a0472f6650bb686f2",
     "092465312d1487a1dede74f4f646f8af2c383f39b3854811ad3f04c02e93a575",

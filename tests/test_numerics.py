@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import Bracket, NoSignChange, bisect, central_diff, find_root_bracketed, golden_max
+from oracles import Bracket, NoSignChange, bisect, central_diff, clenshaw_curtis, find_root_bracketed, golden_max
 from rabi_est import numerics, posterior
 from rabi_est.dynamics import FieldConfig
 from rabi_est.errors import DomainError, NonConvergence
@@ -21,6 +21,29 @@ class TestBracket:
     def test_order_enforced(self):
         with pytest.raises(DomainError):
             Bracket(2.0, 1.0)
+
+
+class TestPanelRule:
+    """The literal 17-point Clenshaw-Curtis rule and its 9-point error estimate."""
+
+    def test_literals_match_the_formula(self):
+        nodes, w17 = clenshaw_curtis(16)
+        w9 = np.zeros(17)
+        w9[::2] = clenshaw_curtis(8)[1]
+        for got, want in [(numerics._NODES, nodes), (numerics._RULES[:, 0], w17),
+                          (numerics._RULES[:, 1], w17 - w9)]:
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("degree", range(16))
+    def test_polynomials(self, degree):
+        # The 17-point rule is exact to degree 15 at least, and the 9-point
+        # rule to degree 7, so their difference integrates x**degree to 0.
+        terms = numerics._RULES * numerics._NODES[:, None] ** degree
+        assert abs(math.fsum(terms[:, 0]) - 1.0 / (degree + 1)) <= 1e-16
+        if degree <= 7:
+            assert abs(math.fsum(terms[:, 1])) <= 1e-16
+        elif degree >= 10:
+            assert abs(math.fsum(terms[:, 1])) > 1e-8
 
 
 class TestIntegrate:

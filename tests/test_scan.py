@@ -14,14 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabi_est import posterior, priors, scan
+from rabi_est import curves, format17g, posterior, priors, scan
+from rabi_est import table as tables
+from rabi_est.curves import map_curve, mmse_curve
 from rabi_est.dynamics import FieldConfig
 from rabi_est.errors import DomainError
 from rabi_est.fisher import fisher_values
 from rabi_est.frequentist import ROOTS_REAL, Dataset, ml_roots
 from rabi_est.posterior import PosteriorSpec, mmse
 from rabi_est.priors import Prior, SupportWindow
-from rabi_est.scan import Axis, GridTable, bayes_scan, fisher_scan, map_curve, ml_root_scan, mmse_curve
+from rabi_est.scan import bayes_scan, fisher_scan, ml_root_scan
+from rabi_est.table import Axis, GridTable
 
 CFG = FieldConfig(omega=1.0, b0=1.0, theta=math.pi / 2)
 
@@ -31,7 +34,7 @@ def read_table(table: GridTable) -> tuple[dict, np.ndarray]:
     table's block function a block at a time."""
     columns = {name: np.empty(table.n_cells) for name in table.header()[len(table.axes) : -1]}
     codes = np.empty(table.n_cells, np.int8)
-    for block, index in scan._blocks(table.shape):
+    for block, index in tables._blocks(table.shape):
         values, codes[block] = table._cells(block, index)
         for name, column in columns.items():
             k, along = table._along.get(name, (None, None))
@@ -67,7 +70,7 @@ def stored_table(axes, columns: dict, status: list) -> GridTable:
     names = tuple(dict.fromkeys(status))
     codes = np.array([names.index(s) for s in status], np.int8)
     columns = {name: np.asarray(c, dtype=float) for name, c in columns.items()}
-    return GridTable(axes, list(columns), names, scan._stored(columns, codes))
+    return GridTable(axes, list(columns), names, tables._stored(columns, codes))
 
 
 def to_csv_text(table: GridTable) -> str:
@@ -91,7 +94,7 @@ class RecordingFile(io.StringIO):
 class TestToCsv:
     @pytest.mark.parametrize("chunk", [1, 4, 8192])
     def test_matches_per_cell_format(self, chunk, monkeypatch):
-        monkeypatch.setattr(scan, "_CSV_CHUNK", chunk)
+        monkeypatch.setattr(tables, "_CSV_CHUNK", chunk)
         axes = (Axis("b0", 0.1, 0.7, 3), Axis("omega", -1.0, 1.0 / 3.0, 3))
         special = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1, -2.5e17, 1.0, 3.0])
         table = stored_table(
@@ -102,8 +105,8 @@ class TestToCsv:
         # Rows of this table take 108 bytes of the join's frame: 1 byte
         # writes one row per slice and 400 bytes three rows, so slice
         # boundaries fall inside chunks of 4 and 8192 rows.
-        for write_bytes in (1, 400, scan._WRITE_BYTES):
-            monkeypatch.setattr(scan, "_WRITE_BYTES", write_bytes)
+        for write_bytes in (1, 400, tables._WRITE_BYTES):
+            monkeypatch.setattr(tables, "_WRITE_BYTES", write_bytes)
             text = to_csv_text(table)
             assert text == reference_csv(table)
         assert [line.split(",")[2] for line in text.splitlines()[1:]] == [
@@ -114,7 +117,7 @@ class TestToCsv:
         # The first chunk of column "a" holds only literals, the second
         # literals and values outside the fast range: neither has digits to
         # compute.
-        monkeypatch.setattr(scan, "_CSV_CHUNK", 5)
+        monkeypatch.setattr(tables, "_CSV_CHUNK", 5)
         column = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0,
                            5e-324, -1e-300, 1e300, -math.nan, 0.0])
         table = stored_table(axes=(Axis("b0", 0.5, 5.0, 10),), columns={"a": column},
@@ -126,19 +129,19 @@ class TestToCsv:
         # Column "b" equals "a" in the first chunk only; "c" and "d" differ
         # from "a" in the first chunk only, by the sign of a zero and by the
         # sign bit of a NaN.
-        monkeypatch.setattr(scan, "_CSV_CHUNK", 4)
+        monkeypatch.setattr(tables, "_CSV_CHUNK", 4)
         a = np.array([0.5, math.nan, 0.0, 1e-5, 2.0, 3.0, -1.0, 7.25])
         b = np.concatenate([a[:4], a[4:] + 1.0])
         c = np.where(a == 0.0, -0.0, a)
         d = np.where(np.isnan(a), -math.nan, a)
         calls = []
-        original = scan._format_17g
+        original = tables._format_17g
 
         def counting(values, *out):
             calls.append(len(values))
             return original(values, *out)
 
-        monkeypatch.setattr(scan, "_format_17g", counting)
+        monkeypatch.setattr(tables, "_format_17g", counting)
         table = stored_table(axes=(Axis("b0", 0.5, 5.0, 8),), columns={"a": a, "b": b, "c": c, "d": d},
                              status=["ok"] * 8)
         assert to_csv_text(table) == reference_csv(table)
@@ -163,7 +166,7 @@ class TestToCsv:
 
     @pytest.mark.parametrize("chunk", [1, 4, 8192])
     def test_columns_constant_along_an_axis(self, chunk, monkeypatch):
-        monkeypatch.setattr(scan, "_CSV_CHUNK", chunk)
+        monkeypatch.setattr(tables, "_CSV_CHUNK", chunk)
         table = stored_table(axes=(Axis("b0", 0.1, 0.7, 3), Axis("omega", -1.0, 1.0, 4)),
                              columns=self.one_axis_columns(), status=["ok"] * 12)
         text = to_csv_text(table)
@@ -174,10 +177,10 @@ class TestToCsv:
     def test_ml_roots_boundary_is_formatted_once(self, monkeypatch):
         # boundary_b0 depends on the count rate alone: it is formatted once,
         # at the xbar axis's length, wherever that axis stands.
-        monkeypatch.setattr(scan, "_CSV_CHUNK", 500)
+        monkeypatch.setattr(tables, "_CSV_CHUNK", 500)
         calls = []
-        original = scan._format_17g
-        monkeypatch.setattr(scan, "_format_17g",
+        original = tables._format_17g
+        monkeypatch.setattr(tables, "_format_17g",
                             lambda values, *out: calls.append(len(values)) or original(values, *out))
         for axes in [(Axis("b0", 0.1, 5.0, 40), Axis("xbar", 0.001, 0.999, 30)),
                      (Axis("xbar", 0.001, 0.999, 30), Axis("omega", -3.0, 3.0, 40))]:
@@ -193,8 +196,8 @@ class TestToCsv:
         # With omega = 1 the scaled columns are the raw ones bit for bit.
         table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 7), Axis("theta", 0.01, 3.13, 5)))
         calls = []
-        original = scan._format_17g
-        monkeypatch.setattr(scan, "_format_17g", lambda values, *out: calls.append(1) or original(values, *out))
+        original = tables._format_17g
+        monkeypatch.setattr(tables, "_format_17g", lambda values, *out: calls.append(1) or original(values, *out))
         assert to_csv_text(table) == reference_csv(table)
         distinct = {table_columns(table)[name].tobytes() for name in table_columns(table)}
         assert len(calls) == len(table.axes) + len(distinct) < len(table.axes) + len(table_columns(table))
@@ -206,22 +209,22 @@ class TestToCsv:
     def test_ml_roots_scan_matches_per_cell_format(self, monkeypatch):
         # NaN-heavy, with negative roots, over several chunks. The fourth
         # status, Unambiguous, needs a root of exactly 0 and no grid cell has one.
-        monkeypatch.setattr(scan, "_CSV_CHUNK", 500)
+        monkeypatch.setattr(tables, "_CSV_CHUNK", 500)
         table = ml_root_scan(CFG, (Axis("b0", 0.1, 5.0, 40), Axis("xbar", 0.001, 0.999, 40)))
         assert set(table_status(table)) == {"Complex", "NegativeRejected", "Ambiguous"}
         assert (table_columns(table)["root_minus"] < 0).any()
         assert np.isnan(table_columns(table)["root_minus"]).mean() > 0.3
         assert to_csv_text(table) == reference_csv(table)
 
-    @pytest.mark.parametrize("write_bytes", [1, 4096, scan._WRITE_BYTES])
+    @pytest.mark.parametrize("write_bytes", [1, 4096, tables._WRITE_BYTES])
     def test_writes_slices_of_at_most_write_bytes(self, write_bytes, monkeypatch):
-        monkeypatch.setattr(scan, "_WRITE_BYTES", write_bytes)
+        monkeypatch.setattr(tables, "_WRITE_BYTES", write_bytes)
         table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 30), Axis("theta", 0.01, 3.13, 40)))
         out = RecordingFile()
         table.to_csv(out)
         assert out.getvalue() == reference_csv(table)
         rows = out.writes[1:]  # after the header
-        assert len(rows) > math.ceil(table.n_cells / scan._CSV_CHUNK)
+        assert len(rows) > math.ceil(table.n_cells / tables._CSV_CHUNK)
         if write_bytes == 1:
             assert len(rows) == table.n_cells  # one row per write
         else:
@@ -237,7 +240,7 @@ class TestToCsv:
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
         table = fisher_scan(CFG, 2.0, (Axis("b0", 0.1, 5.0, 90), Axis("theta", 0.01, 3.13, 100)))
-        assert table.n_cells > scan._CSV_CHUNK
+        assert table.n_cells > tables._CSV_CHUNK
         path = tmp_path / "out.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fp:
             counting = tracer._CountingFile(fp)
@@ -260,14 +263,14 @@ class TestGridTableStatus:
 
     def test_codes_with_names(self):
         codes = np.array([2, 0, 1], np.int8)
-        table = GridTable((Axis("b0", 0.5, 5.0, 3),), [], ("a", "b", "c"), scan._stored({}, codes))
+        table = GridTable((Axis("b0", 0.5, 5.0, 3),), [], ("a", "b", "c"), tables._stored({}, codes))
         assert table_status(table) == ["c", "a", "b"]
         assert to_csv_text(table) == reference_csv(table)
 
 
 def formatted(values) -> list[str]:
     """The formatter's text of each value, without the comma it appends."""
-    text, used, rows = scan._format_17g(np.asarray(values, dtype=float))
+    text, used, rows = format17g._format_17g(np.asarray(values, dtype=float))
     return [bytes(text[r, : used[r] - 1]).decode("ascii") for r in rows.tolist()]
 
 
@@ -321,15 +324,15 @@ def near_ties(e: int, q: int) -> list[float]:
         m = r + -(-(lo - r) // b) * b
         if m < hi:
             frac = m * c - math.floor(m * c)
-            if 0 < abs(frac - Fraction(1, 2)) <= Fraction(scan._TIE_BOUND) / 4:
+            if 0 < abs(frac - Fraction(1, 2)) <= Fraction(format17g._TIE_BOUND) / 4:
                 out.append(math.ldexp(m, q))
     return out
 
 
 def decimal(values):
-    """scan._decimal of the values, in rows of its own."""
+    """format17g._decimal of the values, in rows of its own."""
     x = np.array(values)
-    return scan._decimal(x, (np.empty((3, x.size), np.int64), np.empty((6, x.size))))
+    return format17g._decimal(x, (np.empty((3, x.size), np.int64), np.empty((6, x.size))))
 
 
 class TestFormat17g:
@@ -405,9 +408,9 @@ class TestFormat17g:
     def test_power_table_within_its_error_bound(self):
         # The certified bound rests on hi + lo = 10**k within 8 * 2**-106
         # relative, |lo| <= 2**-52 * hi, and hi split exactly.
-        hi, hi_high, hi_low, lo, *_ = scan._format_tables()
+        hi, hi_high, hi_low, lo, *_ = format17g._format_tables()
         u = Fraction(1, 2**53)
-        for k, h, hh, hl, low in zip(range(scan._POW_MIN, scan._POW_MAX + 1), hi.tolist(),
+        for k, h, hh, hl, low in zip(range(format17g._POW_MIN, format17g._POW_MAX + 1), hi.tolist(),
                                      hi_high.tolist(), hi_low.tolist(), lo.tolist()):
             power = Fraction(10) ** k
             assert abs(power - Fraction(h) - Fraction(low)) <= 8 * u**2 * power
@@ -415,8 +418,8 @@ class TestFormat17g:
             assert hh + hl == h
 
     def test_import_builds_no_tables(self):
-        code = ("import rabi_est.cli; from rabi_est import scan; "
-                "print(scan._format_tables.cache_info().currsize)")
+        code = ("import rabi_est.cli; from rabi_est import format17g, scan; "
+                "print(format17g._format_tables.cache_info().currsize)")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60, check=True)
@@ -463,13 +466,13 @@ def assert_same_bits(table: GridTable, columns: dict, codes: np.ndarray) -> None
 
 # Blocks of one cell, of 7 cells (which straddle grid rows), and of the
 # default size over a grid of more than one default block.
-BLOCKS = pytest.mark.parametrize("block, count", [(1, 21), (7, 21), (scan._CSV_CHUNK, 93)])
+BLOCKS = pytest.mark.parametrize("block, count", [(1, 21), (7, 21), (tables._CSV_CHUNK, 93)])
 
 
 class TestCellBlocks:
     @BLOCKS
     def test_fisher_scan_across_zero_omega(self, block, count, monkeypatch):
-        monkeypatch.setattr(scan, "_CSV_CHUNK", block)
+        monkeypatch.setattr(tables, "_CSV_CHUNK", block)
         axes = (Axis("omega", -1.0, 1.0, count), Axis("theta", 0.5, 2.5, count + 2))
         columns, codes = whole_grid_fisher(CFG, 2.0, axes)
         assert 2 in codes  # omega = 0 lies on the axis: scaled_cfi_zero
@@ -477,7 +480,7 @@ class TestCellBlocks:
 
     @BLOCKS
     def test_fisher_scan_with_degenerate_cells(self, block, count, monkeypatch):
-        monkeypatch.setattr(scan, "_CSV_CHUNK", block)
+        monkeypatch.setattr(tables, "_CSV_CHUNK", block)
         cfg = FieldConfig(omega=3.0, b0=1.0, theta=math.pi / 2)
         axes = (Axis("b0", math.pi / 2 - 0.5, math.pi / 2 + 0.5, count),
                 Axis("omega", 0.5, 1.5, count + 2))
@@ -487,7 +490,7 @@ class TestCellBlocks:
 
     @BLOCKS
     def test_fisher_scan_at_fixed_omega(self, block, count, monkeypatch):
-        monkeypatch.setattr(scan, "_CSV_CHUNK", block)
+        monkeypatch.setattr(tables, "_CSV_CHUNK", block)
         cfg = FieldConfig(omega=0.7, b0=1.0, theta=math.pi / 2)
         axes = (Axis("b0", 0.1, 5.0, count), Axis("theta", 0.01, 3.13, count + 2))
         assert_same_bits(fisher_scan(cfg, 2.0, axes), *whole_grid_fisher(cfg, 2.0, axes))
@@ -495,7 +498,7 @@ class TestCellBlocks:
     @BLOCKS
     @pytest.mark.parametrize("other", ["b0", "omega"])
     def test_ml_root_scan(self, block, count, other, monkeypatch):
-        monkeypatch.setattr(scan, "_CSV_CHUNK", block)
+        monkeypatch.setattr(tables, "_CSV_CHUNK", block)
         axes = (Axis(other, 0.1, 5.0, count) if other == "b0" else Axis(other, -3.0, 3.0, count),
                 Axis("xbar", 0.001, 0.999, count + 2))
         columns, codes = whole_grid_roots(CFG, axes)
@@ -548,8 +551,8 @@ class TestWriterMemory:
         # block was made took 7.3 MiB.
         cfg = FieldConfig(omega=0.7, b0=1.0, theta=math.pi / 2)
         table = fisher_scan(cfg, 2.0, (Axis("b0", 0.1, 5.0, 150), Axis("theta", 0.01, 3.13, 170)))
-        assert table.n_cells > 3 * scan._CSV_CHUNK
-        scan._format_tables()
+        assert table.n_cells > 3 * tables._CSV_CHUNK
+        format17g._format_tables()
 
         def run():
             with open(os.devnull, "w") as fp:
@@ -557,12 +560,12 @@ class TestWriterMemory:
 
         assert traced_peak(run)[0] <= 5 * 2**20
 
-    @pytest.mark.parametrize("chunk, piece", [(7, 3), (8, 8), (scan._CSV_CHUNK, scan._KERNEL_CELLS)])
+    @pytest.mark.parametrize("chunk, piece", [(7, 3), (8, 8), (tables._CSV_CHUNK, tables._KERNEL_CELLS)])
     def test_block_function_runs_on_pieces(self, chunk, piece, monkeypatch):
         # The block function sees at most _KERNEL_CELLS cells at a time; a
         # piece may end inside a block, and the pieces fill it in order.
-        monkeypatch.setattr(scan, "_CSV_CHUNK", chunk)
-        monkeypatch.setattr(scan, "_KERNEL_CELLS", piece)
+        monkeypatch.setattr(tables, "_CSV_CHUNK", chunk)
+        monkeypatch.setattr(tables, "_KERNEL_CELLS", piece)
         table = ml_root_scan(CFG, (Axis("b0", 0.1, 5.0, 93), Axis("xbar", 0.001, 0.999, 95)))
         expect, calls, cells = reference_csv(table), [], table._cells
         table._cells = lambda block, index: calls.append((block.start, block.stop)) or cells(block, index)
@@ -575,7 +578,7 @@ class TestWriterMemory:
         # scratch are 101 rows long, not _CSV_CHUNK (whose scratch alone is
         # 1.1 MiB).
         sizes = []
-        original = scan._format_17g
+        original = tables._format_17g
 
         def recording(values, *out):
             if out:
@@ -583,10 +586,10 @@ class TestWriterMemory:
                 sizes.append((len(text), len(rows), len(scratch.order), scratch.f.shape[1]))
             return original(values, *out)
 
-        monkeypatch.setattr(scan, "_format_17g", recording)
+        monkeypatch.setattr(tables, "_format_17g", recording)
         priors = [Prior.uniform(FIG5_WINDOW), Prior.gaussian(FIG5_WINDOW, 10.0, 2.0)]
         table = mmse_curve(CFG, priors, 8, Axis("xbar", 0.0, 1.0, 101))
-        scan._format_tables()
+        format17g._format_tables()
         peak, text = traced_peak(to_csv_text, table)
         assert text == reference_csv(table)
         assert len(sizes) == 2 and set(sizes) == {(101, 101, 101, 101)}
@@ -744,3 +747,24 @@ class TestMmseCurve:
         for column, expect in zip(table_columns(table).values(), alone):
             assert np.isnan(column[2])
             assert [column[i] for i in (0, 1, 3, 4)] == [expect[i] for i in (0, 1, 3, 4)]
+
+
+class TestScanNames:
+    """``scan`` still names the table classes and the curves, which live in
+    ``table`` and ``curves``; a scan op loads no curve."""
+
+    def test_scan_names_the_objects_of_table_and_curves(self):
+        assert scan.Axis is tables.Axis and scan.GridTable is tables.GridTable
+        assert scan.mmse_curve is curves.mmse_curve and scan.map_curve is curves.map_curve
+        assert set(scan.__all__) <= set(dir(scan))
+        with pytest.raises(AttributeError, match="no_such_scan"):
+            getattr(scan, "no_such_scan")
+
+    def test_import_loads_no_curve(self):
+        code = ("import sys; import rabi_est.scan; "
+                "print(sorted(m for m in sys.modules if m.startswith('rabi_est')))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == str(["rabi_est", "rabi_est.dynamics", "rabi_est.errors",
+                                          "rabi_est.format17g", "rabi_est.scan", "rabi_est.table"])
